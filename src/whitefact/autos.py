@@ -23,6 +23,7 @@ from .errors import (
 )
 from .factors import FactorAutoPart, FactorElement, FactorSystem
 from .labellings import (
+    StarLabel,
     _apex_obstruction,
     _single_factor_element,
     _star_witness,
@@ -184,6 +185,30 @@ def _split_canonical(psi: PureSymmetricAuto):
     return tuple(words), tuple(parts)
 
 
+def _star_split(label: StarLabel, parts0):
+    """(parts, witness) with psi = inner-by-witness o parts, or None.
+
+    label and parts0 are psi's canonical slot words and factor parts, as
+    _split_canonical returns them.  The split exists exactly when label is
+    base-equivalent: every slot is then b_k . witness with b_k in G_k, and
+    parts_k = conj(b_k) o parts0_k.
+    """
+    system = label.system
+    witness, _ = _star_witness(base_label(system), label)
+    if witness is None:
+        return None
+    parts = tuple(
+        system.part_compose(
+            system.conjugation_part(
+                _single_factor_element(label.slot(k) * witness.inverse(), k)
+            ),
+            parts0[k - 1],
+        )
+        for k in range(1, system.n + 1)
+    )
+    return parts, witness
+
+
 @dataclass(frozen=True)
 class Factorization:
     whitehead: tuple[WhiteheadAuto, ...]
@@ -231,17 +256,13 @@ def factorize(psi: PureSymmetricAuto) -> Factorization:
     system = psi.system
     words, parts0 = _split_canonical(psi)
     label = star_label(system, words)
-    witness, _ = _star_witness(base_label(system), label)
-    if witness is not None:
-        # psi = inner-by-witness o B o parts0 with b_k = t_k witness^-1 in G_k;
-        # rewritten as F o inner with F = B o parts0 and inner = F^-1(witness).
-        parts = []
-        for k in range(1, system.n + 1):
-            b = _single_factor_element(label.slot(k) * witness.inverse(), k)
-            parts.append(system.part_compose(system.conjugation_part(b), parts0[k - 1]))
-        inverse_parts = [system.part_invert(p) for p in parts]
-        h = _apply_parts(inverse_parts, witness)
-        return Factorization((), tuple(parts), h)
+    split = _star_split(label, parts0)
+    if split is not None:
+        # psi = inner-by-witness o F, rewritten as F o inner with
+        # inner = F^-1(witness).
+        parts, witness = split
+        h = _apply_parts([system.part_invert(p) for p in parts], witness)
+        return Factorization((), parts, h)
 
     _, moves = reduce_to_base(label)
 
@@ -320,39 +341,16 @@ def verify_factorization(psi: PureSymmetricAuto, f: Factorization) -> bool:
 def is_inner(psi: PureSymmetricAuto) -> Word | None:
     """The conjugating word h when psi is inner, else None.
 
-    psi is conjugation by h exactly when h g_k^-1 lands in G_k with
-    phi_k equal to conjugation by that element, for every k.  Slots 1 and 2
-    pin the single candidate h, then all slots are checked.
+    psi is inner exactly when it splits as inner-by-witness o parts with
+    every part the identity (G_k is its own normalizer, so a nontrivial
+    factor automorphism is never inner); h is then the witness.
     """
     system = psi.system
-    v = psi.conjugator(1) * psi.conjugator(2).inverse()
-    # h = a g_1 = b g_2 with a in G_1, b in G_2 forces a^-1 b = g_1 g_2^-1.
-    target = v
-    syllables = target.syllables
-    a = system.identity(1)
-    if len(syllables) == 0:
-        pass
-    elif len(syllables) == 1:
-        s = syllables[0]
-        if s.factor == 1:
-            a = system.inverse(s)
-        elif s.factor != 2:
-            return None
-    elif len(syllables) == 2:
-        s1, s2 = syllables
-        if s1.factor != 1 or s2.factor != 2:
-            return None
-        a = system.inverse(s1)
-    else:
+    words, parts0 = _split_canonical(psi)
+    split = _star_split(star_label(system, words), parts0)
+    if split is None or not all(system.part_is_identity(p) for p in split[0]):
         return None
-    h = letter(system, a) * psi.conjugator(1)
-    for k in range(1, system.n + 1):
-        c = _single_factor_element(h * psi.conjugator(k).inverse(), k)
-        if c is None:
-            return None
-        if not system.part_matches_conjugation(psi.phi(k), c):
-            return None
-    return h
+    return split[1]
 
 
 def decompose_star_stabilizer(psi: PureSymmetricAuto):
@@ -365,14 +363,10 @@ def decompose_star_stabilizer(psi: PureSymmetricAuto):
     system = psi.system
     words, parts0 = _split_canonical(psi)
     label = star_label(system, words)
-    witness, bad_slot = _star_witness(base_label(system), label)
-    if witness is None:
-        raise NotAStabilizerError(bad_slot)
-    parts = []
-    for k in range(1, system.n + 1):
-        b = _single_factor_element(label.slot(k) * witness.inverse(), k)
-        parts.append(system.part_compose(system.conjugation_part(b), parts0[k - 1]))
-    return tuple(parts), witness
+    split = _star_split(label, parts0)
+    if split is None:
+        raise NotAStabilizerError(_star_witness(base_label(system), label)[1])
+    return split
 
 
 def decompose_apex_stabilizer(psi: PureSymmetricAuto, i: int):

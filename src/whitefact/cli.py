@@ -29,7 +29,6 @@ class RunConfig:
     system_path: str | None
     output_format: str
     seed: int
-    threads: int
 
 
 def _load_payload(argument: str):
@@ -49,17 +48,6 @@ def _require_system(config: RunConfig):
     if config.system_path is None:
         raise SchemaError("this command needs --system <file>")
     return jsonio.system_from_json(_load_payload(config.system_path))
-
-
-def _threads_from_env() -> int:
-    raw = os.environ.get("WHITEFACT_THREADS", "0")
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise SchemaError(f"WHITEFACT_THREADS must be an integer, got {raw!r}") from exc
-    if value < 0:
-        raise SchemaError("WHITEFACT_THREADS must be non-negative")
-    return value
 
 
 def _emit(config: RunConfig, payload, text_lines=None) -> None:
@@ -222,7 +210,6 @@ def main(argv=None) -> int:
             system_path=args.system,
             output_format=args.format,
             seed=args.seed,
-            threads=_threads_from_env(),
         )
         return args.func(config, args)
     except SchemaError as exc:

@@ -452,9 +452,6 @@ class FactorSystem:
         backend = self.factor(a.factor)
         return FactorAutoPart(a.factor, backend.conjugation_rep(a.payload))
 
-    def part_matches_conjugation(self, part: FactorAutoPart, a: FactorElement) -> bool:
-        return part == self.conjugation_part(a)
-
     # -- validation ---------------------------------------------------------
 
     def validate(self) -> list[str]:

@@ -55,6 +55,10 @@ def _expect(condition: bool, message: str) -> None:
 # -- factor systems ---------------------------------------------------------
 
 
+def _all_ints(values: list) -> bool:
+    return all(isinstance(x, int) for x in values)
+
+
 def system_to_json(system: FactorSystem) -> dict:
     factors = []
     for backend in system.backends:
@@ -90,12 +94,28 @@ def system_from_json(obj) -> FactorSystem:
         elif kind == "table":
             table = entry.get("table")
             _expect(isinstance(table, list) and table, f"factor {k}: table required")
+            _expect(
+                all(isinstance(row, list) and _all_ints(row) for row in table),
+                f"factor {k}: table rows must be lists of integers",
+            )
+            identity = entry.get("identity", 0)
+            _expect(isinstance(identity, int), f"factor {k}: integer identity required")
+            names = entry.get("elements")
+            _expect(
+                names is None or (isinstance(names, list) and len(names) == len(table)),
+                f"factor {k}: elements must name every table row",
+            )
+            inverse = entry.get("inverse")
+            _expect(
+                inverse is None or (isinstance(inverse, list) and _all_ints(inverse)),
+                f"factor {k}: inverse must be a list of integers",
+            )
             backends.append(
                 TableBackend(
                     table,
-                    identity=entry.get("identity", 0),
-                    names=entry.get("elements"),
-                    inverse=entry.get("inverse"),
+                    identity=identity,
+                    names=names,
+                    inverse=inverse,
                 )
             )
         else:
@@ -150,8 +170,12 @@ def vertex_from_name(system: FactorSystem, name: str) -> TreeVertex:
         raise SchemaError(f"bad vertex word in {name!r}") from exc
     if head == "U":
         return vertex_canon("u", None, rep)
-    _expect(head.startswith("C") and head[1:].isdigit(), f"bad vertex name {name!r}")
-    factor = int(head[1:])
+    digits = head[1:]
+    _expect(
+        head.startswith("C") and digits.isascii() and digits.isdigit(),
+        f"bad vertex name {name!r}",
+    )
+    factor = int(digits)
     _expect(1 <= factor <= system.n, f"factor index {factor} out of range")
     return vertex_canon("c", factor, rep)
 

@@ -21,12 +21,16 @@ from .words import Word, empty_word
 
 @dataclass(frozen=True)
 class FoldWitness:
-    """Spoke j passes through the coset vertex of slot i, flanked by U(y), U(z)."""
+    """Spoke j passes through the coset vertex of slot i, flanked by U(y), U(z).
+
+    element is g_i z^-1 y g_i^-1, the G_i syllable that stabilizes that vertex.
+    """
 
     i: int
     j: int
     y: Word
     z: Word
+    element: FactorElement
 
 
 @dataclass(frozen=True)
@@ -71,9 +75,10 @@ def find_fold(L: StarLabel, x: Word | None = None) -> FoldWitness | None:
                 continue
             y = spoke[pos - 1].rep
             z = spoke[pos + 1].rep
-            if _stabilizing_element(L, i, z.inverse() * y) is None:
+            element = _stabilizing_element(L, i, z.inverse() * y)
+            if element is None:
                 continue
-            return FoldWitness(i=i, j=j, y=y, z=z)
+            return FoldWitness(i=i, j=j, y=y, z=z, element=element)
     return None
 
 
@@ -89,15 +94,11 @@ def reduce_step(L: StarLabel, x: Word | None = None) -> tuple[StarLabel, MoveRec
         raise NonSplittingError(
             "non-splitting input: no fold exists although volume exceeds n"
         )
-    c = fold.z.inverse() * fold.y
-    element = _stabilizing_element(L, fold.i, c)
-    if element is None:
-        raise NonSplittingError("non-splitting input: fold witness is not elliptic")
     new_words = list(L.conjugators)
-    new_words[fold.j - 1] = L.slot(fold.j) * c
+    new_words[fold.j - 1] = L.slot(fold.j) * fold.z.inverse() * fold.y
     moved = star_label(system, new_words)
     after = volume(moved, basepoint)
-    record = MoveRecord(fold.i, fold.j, element, before, after)
+    record = MoveRecord(fold.i, fold.j, fold.element, before, after)
     return moved, record
 
 
@@ -110,10 +111,12 @@ def reduce_to_base(L: StarLabel) -> tuple[StarLabel, tuple[MoveRecord, ...]]:
     system = L.system
     current = L
     moves: list[MoveRecord] = []
-    limit = (volume(current) - system.n) // 2
-    while volume(current) > system.n:
+    current_volume = volume(current)
+    limit = (current_volume - system.n) // 2
+    while current_volume > system.n:
         if len(moves) > limit:
             raise NonSplittingError("reduction failed to terminate within its bound")
         current, record = reduce_step(current)
         moves.append(record)
+        current_volume = record.volume_after
     return current, tuple(moves)

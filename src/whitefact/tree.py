@@ -4,11 +4,19 @@ Vertices come in two kinds.  A U-vertex carries a reduced word g and stands
 for the trivial-stabilizer coset U.g; its neighbours are the n coset
 vertices G_i.g.  A C-vertex carries a factor index i and a coset
 representative; its canonical representative has no leading G_i syllable,
-which pins the right coset G_i.g uniquely.  Geodesics are computed
-arithmetically from normal forms (never by search): translating one
-endpoint to the basepoint and reading the connecting word syllable by
-syllable emits the alternating U/C chain.  The exponential BFS oracle
-below exists to validate that arithmetic.
+which pins the right coset G_i.g uniquely.
+
+Geodesics are read off the canonical reps (never by search).  Root the
+tree at U(1): the path from U(1) to U(s_1 ... s_k) visits U of every suffix
+of the rep, each pair joined by the C-vertex of the syllable in between,
+so U(r) sits at depth 2|r| and C_i(r) one step past U(r), at depth 2|r|+1.
+Every vertex on the path between p and q therefore has a suffix of p's or
+q's rep as its rep: the path runs down p's root path to where the two root
+paths meet and up q's root path from there.  The meet lies at depth 2t for
+a common rep suffix of t syllables, plus one when the next syllables on
+both sides lie in the same factor (a used-up C endpoint's next syllable is
+its own factor).  The exponential BFS oracle below exists to validate that
+arithmetic.
 """
 
 from __future__ import annotations
@@ -18,7 +26,7 @@ from dataclasses import dataclass
 
 from .errors import OracleUnavailableError, SystemMismatchError
 from .factors import FactorElement
-from .words import Word, empty_word, normal_form
+from .words import Word, normal_form
 
 
 @dataclass(frozen=True)
@@ -66,88 +74,51 @@ def _check_system(p: TreeVertex, q: TreeVertex) -> None:
         raise SystemMismatchError("vertices belong to different factor systems")
 
 
-def _strip_leading(w: Word, factor: int) -> Word:
-    if w.syllables and w.syllables[0].factor == factor:
-        return Word(w.system, w.syllables[1:])
-    return w
+def _depth(v: TreeVertex) -> int:
+    """Distance from the root U(1): 2|r| for U(r), 2|r|+1 for C_i(r)."""
+    return 2 * len(v.rep.syllables) + (v.kind == "c")
 
 
-def _strip_trailing(w: Word, factor: int) -> Word:
-    if w.syllables and w.syllables[-1].factor == factor:
-        return Word(w.system, w.syllables[:-1])
-    return w
+def _meet(p: TreeVertex, q: TreeVertex) -> int:
+    """Depth of the deepest vertex shared by the root paths of p and q."""
+    _check_system(p, q)
+    a, b = p.rep.syllables, q.rep.syllables
+    t = 0
+    while t < min(len(a), len(b)) and a[-t - 1] == b[-t - 1]:
+        t += 1
+    # Factor of the next C-vertex on each root path past the common suffix;
+    # a used-up rep continues with the vertex's own factor (0: none for U).
+    f = a[-t - 1].factor if t < len(a) else p.factor
+    g = b[-t - 1].factor if t < len(b) else q.factor
+    return 2 * t + (f != 0 and f == g)
+
+
+def _root_path_vertex(v: TreeVertex, d: int) -> TreeVertex:
+    """The vertex at depth d on the path from U(1) to v."""
+    if d == _depth(v):
+        return v
+    syllables = v.rep.syllables
+    j = d // 2
+    suffix = Word(v.rep.system, syllables[len(syllables) - j:])
+    if d % 2 == 0:
+        return TreeVertex("u", 0, suffix)
+    return TreeVertex("c", syllables[-j - 1].factor, suffix)
 
 
 def distance(p: TreeVertex, q: TreeVertex) -> int:
-    """Tree distance, computed from the normal form of the connecting word.
-
-    distance(U(x), U(y)) = 2*syllables(y x^-1); a C endpoint first absorbs
-    one syllable of its own factor and contributes one extra edge.
-    """
-    _check_system(p, q)
-    if p.kind == "u" and q.kind == "u":
-        return 2 * (q.rep * p.rep.inverse()).syllable_count()
-    if p.kind == "u" and q.kind == "c":
-        core = _strip_leading(q.rep * p.rep.inverse(), q.factor)
-        return 2 * core.syllable_count() + 1
-    if p.kind == "c" and q.kind == "u":
-        return distance(q, p)
-    if p == q:
-        return 0
-    core = _strip_leading(q.rep * p.rep.inverse(), q.factor)
-    core = _strip_trailing(core, p.factor)
-    return 2 * core.syllable_count() + 2
-
-
-def _origin_to_u(w: Word) -> list[TreeVertex]:
-    """Geodesic vertex chain from U(1) to U(w), built from suffixes of w."""
-    system = w.system
-    chain = [u_vertex(empty_word(system))]
-    suffix = empty_word(system)
-    for s in reversed(w.syllables):
-        chain.append(TreeVertex("c", s.factor, suffix))
-        suffix = Word(system, (s,) + suffix.syllables)
-        chain.append(u_vertex(suffix))
-    return chain
-
-
-def _origin_to_c(factor: int, rep: Word) -> list[TreeVertex]:
-    chain = _origin_to_u(rep)
-    chain.append(TreeVertex("c", factor, rep))
-    return chain
+    """Tree distance: both root-path depths minus twice the depth of their meet."""
+    return _depth(p) + _depth(q) - 2 * _meet(p, q)
 
 
 def geodesic(p: TreeVertex, q: TreeVertex) -> tuple[TreeVertex, ...]:
-    """The unique path from p to q, both endpoints included."""
-    _check_system(p, q)
-    if p == q:
-        return (p,)
-    if p.kind == "u":
-        shift = p.rep
-        moved = act_vertex(q, shift.inverse())
-        if moved.kind == "u":
-            chain = _origin_to_u(moved.rep)
-        else:
-            chain = _origin_to_c(moved.factor, moved.rep)
-        return tuple(act_vertex(v, shift) for v in chain)
-    if q.kind == "u":
-        return tuple(reversed(geodesic(q, p)))
-    # C to C: pick the nearest U-neighbour of the source by absorbing a
-    # trailing syllable of the source factor from the connecting word.
-    shift = p.rep
-    moved = act_vertex(q, shift.inverse())
-    w = moved.rep
-    system = w.system
-    if w.syllables and w.syllables[-1].factor == p.factor:
-        c = Word(system, (w.syllables[-1],))
-        w_short = Word(system, w.syllables[:-1])
-    else:
-        c = empty_word(system)
-        w_short = w
-    inner = _origin_to_c(moved.factor, w_short)
-    chain = [TreeVertex("c", p.factor, empty_word(system))]
-    chain.extend(act_vertex(v, c) for v in inner)
-    return tuple(act_vertex(v, shift) for v in chain)
+    """The unique path from p to q, both endpoints included.
+
+    It runs down p's root path to the meet, then up q's root path.
+    """
+    m = _meet(p, q)
+    down = [_root_path_vertex(p, d) for d in range(_depth(p), m - 1, -1)]
+    up = [_root_path_vertex(q, d) for d in range(m + 1, _depth(q) + 1)]
+    return tuple(down + up)
 
 
 def lies_between(x: TreeVertex, p: TreeVertex, q: TreeVertex) -> bool:

@@ -7,6 +7,8 @@ from whitefact import jsonio
 from whitefact.autos import factorize, identity_auto, tuple_auto
 from whitefact.words import word
 
+from conftest import s3_table
+
 
 K3_SYSTEM = {
     "factors": [
@@ -171,14 +173,35 @@ class TestExplore:
         assert first == second
 
 
-class TestEnvironment:
-    def test_threads_env_validated(self, capsys, system_file, monkeypatch):
-        monkeypatch.setenv("WHITEFACT_THREADS", "banana")
-        code, _, err = run(capsys, "--system", system_file, "normalize", "[]")
-        assert code == 2
-        assert "WHITEFACT_THREADS" in err
+S3_TABLE = [list(row) for row in s3_table().table]
 
-    def test_threads_env_accepted(self, capsys, system_file, monkeypatch):
-        monkeypatch.setenv("WHITEFACT_THREADS", "4")
-        code, _, _ = run(capsys, "--system", system_file, "normalize", "[]")
-        assert code == 0
+
+def _table_system(**overrides):
+    entry = {"kind": "table", "table": S3_TABLE, "identity": 0, **overrides}
+    return {"factors": [entry] + K3_SYSTEM["factors"][1:]}
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize(
+        "system, argv",
+        [
+            (
+                _table_system(table=[S3_TABLE[0], S3_TABLE[1][:5] + ["a"]] + S3_TABLE[2:]),
+                ["normalize", "[]"],
+            ),
+            (_table_system(identity="x"), ["normalize", "[]"]),
+            (_table_system(table=S3_TABLE[:5] + [7]), ["normalize", "[]"]),
+            (
+                _table_system(elements=["e", "a"]),
+                ["--format", "text", "normalize", "[[1,3]]"],
+            ),
+            (K3_SYSTEM, ["distance", "U:[]", "C²:[]"]),
+        ],
+        ids=["table-entry", "identity", "table-row", "short-elements", "vertex-factor"],
+    )
+    def test_schema_error_exit(self, capsys, tmp_path, system, argv):
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps(system))
+        code, _, err = run(capsys, "--system", str(path), *argv)
+        assert code == 2
+        assert err.startswith("error: ")

@@ -3,6 +3,8 @@ import random
 import pytest
 
 from whitefact.errors import OracleUnavailableError
+from whitefact.factors import CyclicBackend, FactorElement, FactorSystem, IntBackend
+from whitefact.sampling import random_nontrivial_element, random_word
 from whitefact.tree import (
     act_vertex,
     ball_distances,
@@ -15,6 +17,8 @@ from whitefact.tree import (
     vertex_canon,
 )
 from whitefact.words import empty_word, letter, word
+
+from conftest import s3_table
 
 
 @pytest.fixture(scope="module")
@@ -214,3 +218,93 @@ class TestStabilizerLaw:
             assert len(path) % 2 == 1
             assert path[(len(path) - 1) // 2] == vk
             done += 1
+
+
+@pytest.fixture(scope="module", params=["mixed_system", "s3_z2_z_z5"])
+def infinite_system(request):
+    if request.param == "mixed_system":
+        return request.getfixturevalue("mixed_system")
+    return FactorSystem([s3_table(), CyclicBackend(2), IntBackend(), CyclicBackend(5)])
+
+
+def _pair_with_shared_suffix(system, rng):
+    shared = random_word(system, rng, 10)
+    p = _random_vertex(system, rng)
+    q = _random_vertex(system, rng)
+    return (
+        vertex_canon(p.kind, p.factor, p.rep * shared),
+        vertex_canon(q.kind, q.factor, q.rep * shared),
+    )
+
+
+class TestInfiniteFactors:
+    """Tree laws where the BFS oracle cannot run; act_vertex is the reference."""
+
+    def test_geodesic_commutes_with_translation(self, infinite_system):
+        rng = random.Random(41)
+        for _ in range(150):
+            p, q = _pair_with_shared_suffix(infinite_system, rng)
+            g = random_word(infinite_system, rng, 6)
+            path = geodesic(act_vertex(p, g), act_vertex(q, g))
+            assert path == tuple(act_vertex(v, g) for v in geodesic(p, q))
+
+    def test_distance_invariant_and_matches_path(self, infinite_system):
+        rng = random.Random(43)
+        for _ in range(150):
+            p, q = _pair_with_shared_suffix(infinite_system, rng)
+            g = random_word(infinite_system, rng, 6)
+            d = distance(p, q)
+            assert distance(act_vertex(p, g), act_vertex(q, g)) == d
+            assert distance(q, p) == d
+            assert len(geodesic(p, q)) - 1 == d
+
+    def test_consecutive_path_vertices_adjacent(self, infinite_system):
+        rng = random.Random(47)
+        for _ in range(100):
+            path = geodesic(*_pair_with_shared_suffix(infinite_system, rng))
+            for left, right in zip(path, path[1:]):
+                assert left.kind != right.kind
+                assert distance(left, right) == 1
+
+    def test_cosets_of_one_rep(self, infinite_system):
+        r = random_word(infinite_system, random.Random(53), 6, length=6)
+        free = [i for i in range(1, infinite_system.n + 1) if i != r.leading_factor()]
+        i, j = free[:2]
+        path = geodesic(c_vertex(i, r), c_vertex(j, r))
+        assert path == (c_vertex(i, r), u_vertex(r), c_vertex(j, r))
+        assert distance(c_vertex(i, r), c_vertex(j, r)) == 2
+
+    def test_coset_against_own_factor_translate(self, infinite_system):
+        rng = random.Random(59)
+        for i in range(1, infinite_system.n + 1):
+            r = random_word(infinite_system, rng, 5, length=5)
+            v = c_vertex(i, r)
+            x = letter(infinite_system, random_nontrivial_element(infinite_system, i, rng))
+            target = u_vertex(x * v.rep)
+            assert distance(v, target) == 1
+            assert geodesic(v, target) == (v, target)
+            assert geodesic(target, v) == (target, v)
+
+    def test_long_shared_suffix(self, mixed_system):
+        s = word(mixed_system, [(3, 10**12), (1, 2), (3, -7), (2, 1)] * 5)
+        a = letter(mixed_system, FactorElement(1, 1)) * s
+        b = letter(mixed_system, FactorElement(2, 1)) * s
+        assert geodesic(u_vertex(a), c_vertex(3, b)) == (
+            u_vertex(a),
+            c_vertex(1, s),
+            u_vertex(s),
+            c_vertex(2, s),
+            u_vertex(b),
+            c_vertex(3, b),
+        )
+        assert distance(u_vertex(a), c_vertex(3, b)) == 5
+        assert distance(c_vertex(3, a), c_vertex(3, b)) == 6
+        # a C endpoint absorbs a leading syllable of its own factor
+        assert distance(c_vertex(1, a), c_vertex(2, b)) == 2
+
+    def test_equal_vertices(self, infinite_system):
+        rng = random.Random(61)
+        for _ in range(40):
+            v = _random_vertex(infinite_system, rng)
+            assert distance(v, v) == 0
+            assert geodesic(v, v) == (v,)
