@@ -55,8 +55,13 @@ def _expect(condition: bool, message: str) -> None:
 # -- factor systems ---------------------------------------------------------
 
 
+def _is_int(x) -> bool:
+    """A JSON integer: Python parses true/false as bools, which are ints too."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _all_ints(values: list) -> bool:
-    return all(isinstance(x, int) for x in values)
+    return all(_is_int(x) for x in values)
 
 
 def system_to_json(system: FactorSystem) -> dict:
@@ -87,7 +92,7 @@ def system_from_json(obj) -> FactorSystem:
         _expect(isinstance(entry, dict) and "kind" in entry, f"factor {k}: missing kind")
         kind = entry["kind"]
         if kind == "cyclic":
-            _expect(isinstance(entry.get("order"), int), f"factor {k}: integer order required")
+            _expect(_is_int(entry.get("order")), f"factor {k}: integer order required")
             backends.append(CyclicBackend(entry["order"]))
         elif kind == "int":
             backends.append(IntBackend())
@@ -99,7 +104,7 @@ def system_from_json(obj) -> FactorSystem:
                 f"factor {k}: table rows must be lists of integers",
             )
             identity = entry.get("identity", 0)
-            _expect(isinstance(identity, int), f"factor {k}: integer identity required")
+            _expect(_is_int(identity), f"factor {k}: integer identity required")
             names = entry.get("elements")
             _expect(
                 names is None or (isinstance(names, list) and len(names) == len(table)),
@@ -141,12 +146,12 @@ def word_from_json(system: FactorSystem, obj) -> Word:
     pairs = []
     for entry in obj:
         _expect(
-            isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], int),
+            isinstance(entry, list) and len(entry) == 2 and _is_int(entry[0]),
             f"bad word letter {entry!r}",
         )
         factor, payload = entry
         _expect(1 <= factor <= system.n, f"factor index {factor} out of range")
-        _expect(isinstance(payload, int), f"payload {payload!r} must be an integer")
+        _expect(_is_int(payload), f"payload {payload!r} must be an integer")
         pairs.append((factor, payload))
     try:
         return word(system, pairs)
@@ -211,7 +216,7 @@ def apex_from_json(system: FactorSystem, obj) -> ApexLabel:
     body = obj["A"]
     apex = body.get("apex")
     slots = body.get("tuple")
-    _expect(isinstance(apex, int) and 1 <= apex <= system.n, "bad apex index")
+    _expect(_is_int(apex) and 1 <= apex <= system.n, "bad apex index")
     _expect(isinstance(slots, list) and len(slots) == system.n, f"need {system.n} slots")
     return apex_label(system, apex, [word_from_json(system, s) for s in slots])
 
@@ -234,14 +239,19 @@ def phi_from_json(system: FactorSystem, factor: int, obj) -> FactorAutoPart:
     kind = obj["kind"]
     if kind == "mult":
         _expect(backend.kind == "cyclic", f"factor {factor}: mult needs a cyclic factor")
+        _expect(_is_int(obj.get("value")), f"factor {factor}: integer mult value required")
         part = FactorAutoPart(factor, obj.get("value"))
     elif kind == "sign":
         _expect(backend.kind == "int", f"factor {factor}: sign needs an int factor")
+        _expect(_is_int(obj.get("value")), f"factor {factor}: integer sign value required")
         part = FactorAutoPart(factor, obj.get("value"))
     elif kind == "perm":
         _expect(backend.kind == "table", f"factor {factor}: perm needs a table factor")
         image = obj.get("map")
-        _expect(isinstance(image, list), f"factor {factor}: perm map required")
+        _expect(
+            isinstance(image, list) and _all_ints(image),
+            f"factor {factor}: perm map must be a list of integers",
+        )
         part = FactorAutoPart(factor, tuple(image))
     else:
         raise SchemaError(f"factor {factor}: unknown phi kind {kind!r}")
@@ -284,11 +294,16 @@ def whitehead_from_json(system: FactorSystem, obj) -> WhiteheadAuto:
         isinstance(obj, dict) and "Y" in obj and "x" in obj,
         "expected {'Y': [...], 'x': [factor, payload]}",
     )
-    x = obj["x"]
-    _expect(isinstance(x, list) and len(x) == 2, "bad whitehead element")
+    moved, x = obj["Y"], obj["x"]
+    _expect(
+        isinstance(moved, list)
+        and all(_is_int(j) and 1 <= j <= system.n for j in moved),
+        f"whitehead Y must list factor indices in 1..{system.n}",
+    )
+    _expect(isinstance(x, list) and len(x) == 2 and _all_ints(x), "bad whitehead element")
     try:
         element = system.element(x[0], x[1])
-        return whitehead_auto(system, obj["Y"], element)
+        return whitehead_auto(system, moved, element)
     except (ValueError, EngineError) as exc:
         raise SchemaError(f"bad whitehead automorphism: {exc}") from exc
 
@@ -309,6 +324,7 @@ def factorization_from_json(system: FactorSystem, obj) -> Factorization:
         and "inner" in obj,
         "expected {'whitehead':..., 'factor':..., 'inner':...}",
     )
+    _expect(isinstance(obj["whitehead"], list), "whitehead must be a list of moves")
     whiteheads = tuple(whitehead_from_json(system, w) for w in obj["whitehead"])
     parts = obj["factor"]
     _expect(

@@ -3,10 +3,25 @@
 A star labelling assigns the conjugate G_j^{g_j} to the j-th leaf of the
 star with a trivial hub; an apex labelling puts one factor at the hub
 instead.  Slot words are stored coset-canonically (leading syllable of the
-slot's own factor absorbed), but labels are not class-canonical: class
-identity is decided by the equivalence procedures below.
+slot's own factor absorbed).
 
-The double-coset core rule underpins both deciders: stripping at most one
+Class identity is decided by one hashable key per class kind, so two
+labellings are equivalent exactly when their keys are equal:
+
+- star_key translates L by g_L = g_1^-1 a^-1, where a is the trailing G_1
+  syllable of g_2 g_1^-1, and takes the canonical slots.  Slot 1 is pinned:
+  the translates with slot 1 in G_1 are g_1^-1 G_1.  Among them only g_L
+  leaves slot 2's coset rep ending in no G_1 syllable, because the
+  G_1-stabilizer of slot 2's core is trivial (conjugates of distinct
+  factors meet trivially).  So every member of a class reaches the same
+  translate, and the key is complete.
+- apex_key is the apex i plus, for each other slot j, the double-coset
+  core of g_j g_i^-1.  Translating by g_i^-1 puts G_i itself at the hub;
+  the remaining freedom is G_j on the left of slot j and G_i on its right,
+  independently per slot, so equivalence is the equality of the double
+  cosets G_j (g_j g_i^-1) G_i, and the core names each one.
+
+The double-coset core rule underpins both keys: stripping at most one
 leading G_j syllable and one trailing G_i syllable from a normal form
 yields a canonical representative of the double coset G_j w G_i.
 """
@@ -113,29 +128,42 @@ def _single_factor_element(w: Word, factor: int) -> FactorElement | None:
     return None
 
 
+def _star_translation(L: StarLabel) -> Word:
+    """The translation g_L = g_1^-1 a^-1 pinning L's class representative.
+
+    a is the trailing G_1 syllable of w = g_2 g_1^-1 (the identity when w has
+    none).  L . g_L has slot 1 in G_1, and its slot-2 coset rep is the core
+    of w, which ends in no G_1 syllable; every other translate with slot 1
+    in G_1 ends slot 2 in one, so g_L is determined by the class.
+    """
+    system = L.system
+    w = L.slot(2) * L.slot(1).inverse()
+    if w.trailing_factor() == 1:
+        return L.slot(1).inverse() * letter(system, system.inverse(w.syllables[-1]))
+    return L.slot(1).inverse()
+
+
+def star_key(L: StarLabel) -> tuple:
+    """Complete class invariant: the canonical slots of L . g_L as syllables."""
+    g = _star_translation(L)
+    return tuple(
+        w.syllables
+        for w in _canonical_slots(L.system, [slot * g for slot in L.conjugators])
+    )
+
+
 def _star_witness(L1: StarLabel, L2: StarLabel):
     """Witness g with G_j^{L2_j} = G_j^{L1_j . g} for all j, or (None, slot).
 
-    Slots 1 and 2 pin the only possible candidate: conjugates of distinct
-    factors intersect trivially, so the coset constraints from two slots
-    meet in at most one element, found by comparing double-coset cores of
-    w = g_2 g_1^-1 and w' = g_2' g_1'^-1.
+    The only candidate is g_{L1} g_{L2}^-1, since both translations pin the
+    same representative of a class; each slot's leftover must then be a
+    single own-factor element, which certifies g.  Slot 1 always passes, so
+    distinct slot-2 cores are reported at slot 2.
     """
     if L1.system != L2.system:
         raise SystemMismatchError("labels belong to different factor systems")
-    system = L1.system
-    w = L1.slot(2) * L1.slot(1).inverse()
-    wp = L2.slot(2) * L2.slot(1).inverse()
-    b, core, a = _split_lead_core_trail(w, lead=2, trail=1)
-    bp, corep, ap = _split_lead_core_trail(wp, lead=2, trail=1)
-    if core != corep:
-        return None, 2
-    u = system.mul(
-        system.inverse(a) if a is not None else system.identity(1),
-        ap if ap is not None else system.identity(1),
-    )
-    g = L1.slot(1).inverse() * letter(system, u) * L2.slot(1)
-    for j in range(1, system.n + 1):
+    g = _star_translation(L1) * _star_translation(L2).inverse()
+    for j in range(1, L1.system.n + 1):
         leftover = L1.slot(j) * g * L2.slot(j).inverse()
         if _single_factor_element(leftover, j) is None:
             return None, j
@@ -148,27 +176,32 @@ def star_equivalent(L1: StarLabel, L2: StarLabel) -> Word | None:
     return witness
 
 
+def apex_key(M: ApexLabel) -> tuple:
+    """Complete class invariant: the apex i, then per non-apex slot j the
+    syllables of the double-coset core of g_j g_i^-1 in G_j . G_i."""
+    i = M.apex
+    shift = M.slot(i).inverse()
+    return (i,) + tuple(
+        double_coset_core(M.slot(j) * shift, lead=j, trail=i).syllables
+        for j in range(1, M.system.n + 1)
+        if j != i
+    )
+
+
 def _apex_obstruction(M1: ApexLabel, M2: ApexLabel) -> int | None:
     """First slot obstructing apex-label equivalence, or None when equivalent.
 
-    After right-translating each tuple by its apex conjugator inverse the
-    condition decouples into double-coset equality G_j w_j G_i = G_j w'_j G_i
-    per non-apex slot, decided by core comparison.
+    Slot 0 stands for differing apexes; otherwise the first non-apex slot
+    whose key component differs.
     """
     if M1.system != M2.system:
         raise SystemMismatchError("labels belong to different factor systems")
-    if M1.apex != M2.apex:
+    key1, key2 = apex_key(M1), apex_key(M2)
+    if key1[0] != key2[0]:
         return 0  # apex mismatch reported as slot 0
-    system = M1.system
-    i = M1.apex
-    shift1 = M1.slot(i).inverse()
-    shift2 = M2.slot(i).inverse()
-    for j in range(1, system.n + 1):
-        if j == i:
-            continue
-        w1 = M1.slot(j) * shift1
-        w2 = M2.slot(j) * shift2
-        if double_coset_core(w1, lead=j, trail=i) != double_coset_core(w2, lead=j, trail=i):
+    others = [j for j in range(1, M1.system.n + 1) if j != M1.apex]
+    for j, core1, core2 in zip(others, key1[1:], key2[1:]):
+        if core1 != core2:
             return j
     return None
 

@@ -91,8 +91,10 @@ def reduce_step(L: StarLabel, x: Word | None = None) -> tuple[StarLabel, MoveRec
         raise AlreadyBaseError("already base-equivalent: volume is minimal")
     fold = find_fold(L, basepoint)
     if fold is None:
+        slots = ", ".join(str(w) for w in L.conjugators)
         raise NonSplittingError(
-            "non-splitting input: no fold exists although volume exceeds n"
+            "non-splitting input: no fold exists although volume exceeds n "
+            f"(volume {before} at slots [{slots}])"
         )
     new_words = list(L.conjugators)
     new_words[fold.j - 1] = L.slot(fold.j) * fold.z.inverse() * fold.y

@@ -88,6 +88,7 @@ class TestVolumeAndReduce:
         code, _, err = run(capsys, "--system", system_file, "reduce", label)
         assert code == 1
         assert "non-splitting" in err
+        assert "volume 7 at slots [1, 1, 2:1.3:1]" in err
 
 
 class TestFactorizeAndVerify:
@@ -181,6 +182,19 @@ def _table_system(**overrides):
     return {"factors": [entry] + K3_SYSTEM["factors"][1:]}
 
 
+MULT_ONE = {"kind": "mult", "value": 1}
+
+
+def _auto(first_phi=MULT_ONE):
+    parts = [{"phi": first_phi, "g": []}] + [{"phi": MULT_ONE, "g": []}] * 2
+    return json.dumps({"parts": parts})
+
+
+def _verify_argv(whitehead):
+    fact = {"whitehead": whitehead, "factor": [MULT_ONE] * 3, "inner": []}
+    return ["verify", _auto(), json.dumps(fact)]
+
+
 class TestMalformedInput:
     @pytest.mark.parametrize(
         "system, argv",
@@ -196,8 +210,37 @@ class TestMalformedInput:
                 ["--format", "text", "normalize", "[[1,3]]"],
             ),
             (K3_SYSTEM, ["distance", "U:[]", "C²:[]"]),
+            (K3_SYSTEM, ["normalize", "[[true,true]]"]),
+            (K3_SYSTEM, ["normalize", "[[1,false]]"]),
+            (K3_SYSTEM, ["factorize", _auto({"kind": "mult", "value": True})]),
+            (
+                _table_system(),
+                ["factorize", _auto({"kind": "perm", "map": [[0], 1, 2, 3, 4, 5]})],
+            ),
+            (K3_SYSTEM, _verify_argv([{"Y": 7, "x": [1, 1]}])),
+            (K3_SYSTEM, _verify_argv([{"Y": [1.5], "x": [1, 1]}])),
+            (K3_SYSTEM, _verify_argv([{"Y": "ab", "x": [1, 1]}])),
+            (K3_SYSTEM, _verify_argv([{"Y": [True], "x": [2, 1]}])),
+            (K3_SYSTEM, _verify_argv([{"Y": [2], "x": ["a", 1]}])),
+            (K3_SYSTEM, _verify_argv(7)),
         ],
-        ids=["table-entry", "identity", "table-row", "short-elements", "vertex-factor"],
+        ids=[
+            "table-entry",
+            "identity",
+            "table-row",
+            "short-elements",
+            "vertex-factor",
+            "bool-letter",
+            "bool-payload",
+            "bool-mult",
+            "perm-map-entry",
+            "whitehead-Y-int",
+            "whitehead-Y-float",
+            "whitehead-Y-string",
+            "whitehead-Y-bool",
+            "whitehead-x-string",
+            "whitehead-not-list",
+        ],
     )
     def test_schema_error_exit(self, capsys, tmp_path, system, argv):
         path = tmp_path / "system.json"

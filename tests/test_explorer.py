@@ -5,6 +5,7 @@ import pytest
 from whitefact.errors import EngineError, NonSplittingError, OracleUnavailableError
 from whitefact.explorer import SnBall, check_ball, enumerate_ball
 from whitefact.labellings import (
+    apex_label,
     base_label,
     star_equivalent,
     star_label,
@@ -50,11 +51,21 @@ class TestEnumerate:
         assert len(ball.a_classes) == 9
         assert len(ball.edges) == 12
 
-    def test_counts_match_brute_force(self, triple_z2):
-        for bound in (3, 5, 7):
-            ball = enumerate_ball(triple_z2, bound)
-            brute = brute_alpha_classes(triple_z2, bound)
+    def test_counts_match_brute_force(self, triple_z2, z342):
+        for system, bound in ((triple_z2, 3), (triple_z2, 5), (triple_z2, 7), (z342, 5)):
+            ball = enumerate_ball(system, bound)
+            brute = brute_alpha_classes(system, bound)
             assert len(ball.alpha_classes) == len(brute)
+            matched = []
+            for label in ball.alpha_classes:
+                hits = [
+                    index
+                    for index, rep in enumerate(brute)
+                    if star_equivalent(label, rep) is not None
+                ]
+                assert len(hits) == 1, (bound, label)
+                matched.extend(hits)
+            assert sorted(matched) == list(range(len(brute)))
 
     def test_every_class_within_bound(self, triple_z2):
         ball = enumerate_ball(triple_z2, 7)
@@ -131,6 +142,21 @@ class TestCheck:
         )
         report = check_ball(mutated)
         assert any("duplicate" in failure for failure in report.failures)
+
+    def test_duplicate_a_class_flagged(self, triple_z2):
+        ball = enumerate_ball(triple_z2, 3)
+        a = word(triple_z2, [(1, 1)])
+        translated = apex_label(triple_z2, 1, [a, a, a])
+        mutated = SnBall(
+            ball.system,
+            ball.bound,
+            ball.alpha_classes,
+            ball.a_classes + (translated,),
+            ball.edges,
+        )
+        report = check_ball(mutated)
+        assert "duplicate A classes survived dedup" in report.failures
+        assert "duplicate alpha classes survived dedup" not in report.failures
 
     def test_stats_reported(self, triple_z2):
         report = check_ball(enumerate_ball(triple_z2, 5))

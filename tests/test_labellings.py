@@ -7,6 +7,7 @@ from whitefact.factors import FactorElement
 from whitefact.labellings import (
     act_on_label,
     apex_equivalent,
+    apex_key,
     apex_label,
     base_label,
     base_witness_by_volume,
@@ -15,6 +16,7 @@ from whitefact.labellings import (
     is_base,
     spoke_graph,
     star_equivalent,
+    star_key,
     star_label,
     volume,
 )
@@ -148,6 +150,7 @@ class TestStarEquivalence:
             fast = star_equivalent(L1, L2)
             slow = brute_star_equivalent(L1, L2)
             assert (fast is None) == (slow is None)
+            assert (star_key(L1) == star_key(L2)) == (slow is not None)
             if fast is not None:
                 agreements += 1
                 assert fast == slow  # the witness is unique
@@ -161,6 +164,7 @@ class TestStarEquivalence:
             moved = star_label(z342, [s * shift for s in L1.conjugators])
             witness = star_equivalent(L1, moved)
             assert witness is not None
+            assert star_key(L1) == star_key(moved)
             for j in range(1, 4):
                 leftover = L1.slot(j) * witness * moved.slot(j).inverse()
                 assert leftover.is_identity() or (
@@ -222,7 +226,9 @@ class TestApexEquivalence:
             apex = rng.randint(1, 3)
             M1 = apex_label(system, apex, [random_word(system, rng, 2) for _ in range(3)])
             M2 = apex_label(system, apex, [random_word(system, rng, 2) for _ in range(3)])
-            assert apex_equivalent(M1, M2) == brute_apex_equivalent(M1, M2)
+            slow = brute_apex_equivalent(M1, M2)
+            assert apex_equivalent(M1, M2) == slow
+            assert (apex_key(M1) == apex_key(M2)) == slow
 
 
 class TestCollapses:

@@ -89,8 +89,9 @@ class TestReduceStep:
 
     def test_nonsplitting_step_rejected(self, triple_z2, w):
         label = star_label(triple_z2, [w["eps"], w["eps"], w["b"] * w["c"]])
-        with pytest.raises(NonSplittingError, match="non-splitting"):
+        with pytest.raises(NonSplittingError, match="non-splitting") as raised:
             reduce_step(label)
+        assert "volume 7 at slots [1, 1, 2:1.3:1]" in str(raised.value)
 
     @pytest.mark.parametrize("fixture", ["triple_z2", "z342"])
     def test_decrease_even_and_legal(self, request, fixture):
