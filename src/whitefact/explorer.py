@@ -14,9 +14,11 @@ reduction walk runs per distinct class, on its least member, since
 generating the whole group is a class property.  A classes are indexed by
 apex_key.  On Z2*Z2*Z2 the in-budget tuples number 1023, 2815, 7423 and
 18943 at bounds 13, 15, 17 and 19 (the full products: 0.25 M, 2.0 M, 17 M
-and 133 M), and enumerate_ball took 0.13, 0.38, 0.80 and 3.0 s (CPython
-3.11, 2-vCPU shared host); most of it is the reduction walks of the
-non-splitting classes (6913 classes, 82 of them splitting, at bound 19).
+and 133 M), and enumerate_ball took 0.06, 0.19, 0.48 and 1.4 s (best of
+3, CPython 3.11, 2-vCPU shared host).  Since folds are read off the slot
+words, the reduction walks (6913 classes, 82 of them splitting, at bound
+19) take about 15 % of that; about 60 % is star_key's word products on
+every in-budget tuple, and 10 % the candidate sort.
 """
 
 from __future__ import annotations

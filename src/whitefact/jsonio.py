@@ -144,14 +144,15 @@ def word_to_json(w: Word) -> list:
 def word_from_json(system: FactorSystem, obj) -> Word:
     _expect(isinstance(obj, list), "word must be a list of [factor, payload] pairs")
     pairs = []
+    # Messages are formatted only on failure: this loop runs per letter.
     for entry in obj:
-        _expect(
-            isinstance(entry, list) and len(entry) == 2 and _is_int(entry[0]),
-            f"bad word letter {entry!r}",
-        )
+        if not (isinstance(entry, list) and len(entry) == 2 and _is_int(entry[0])):
+            raise SchemaError(f"bad word letter {entry!r}")
         factor, payload = entry
-        _expect(1 <= factor <= system.n, f"factor index {factor} out of range")
-        _expect(_is_int(payload), f"payload {payload!r} must be an integer")
+        if not 1 <= factor <= system.n:
+            raise SchemaError(f"factor index {factor} out of range")
+        if not _is_int(payload):
+            raise SchemaError(f"payload {payload!r} must be an integer")
         pairs.append((factor, payload))
     try:
         return word(system, pairs)

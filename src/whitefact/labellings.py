@@ -33,7 +33,7 @@ from typing import Sequence
 
 from .errors import SystemMismatchError
 from .factors import FactorElement, FactorSystem
-from .tree import TreeVertex, c_vertex, distance, geodesic, u_vertex
+from .tree import TreeVertex, c_vertex, geodesic, u_vertex
 from .words import Word, empty_word, letter
 
 
@@ -241,11 +241,15 @@ def spoke_graph(L: StarLabel, x: Word | None = None) -> SpokeGraph:
 
 
 def volume(L: StarLabel, x: Word | None = None) -> int:
-    system = L.system
-    center = u_vertex(x if x is not None else empty_word(system))
-    return sum(
-        distance(center, c_vertex(i, L.slot(i))) for i in range(1, system.n + 1)
-    )
+    """Total spoke length at U(x): n + 2 sum |canonical(g_i x^-1)|.
+
+    Translating by x^-1 moves U(x) to the root U(1), where C_i(r) sits at
+    depth 2|r|+1, so no tree vertex is needed.
+    """
+    if x is not None:
+        shift = x.inverse()
+        L = star_label(L.system, [w * shift for w in L.conjugators])
+    return L.system.n + 2 * sum(w.syllable_count() for w in L.conjugators)
 
 
 def is_base(L: StarLabel) -> bool:

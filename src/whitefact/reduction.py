@@ -1,11 +1,23 @@
 """Volume reduction: fold detection and the walk back to the base labelling.
 
-When a spoke of a star labelling passes through another slot's coset
-vertex, the offending slot can be re-conjugated by an element stabilizing
-that vertex, shortening the spoke by an even amount of at least 2.  For a
-genuine splitting a fold exists whenever the volume exceeds n, so repeated
-steps terminate at the base tuple.  Tuples whose conjugated factors do not
-generate the whole group get stuck with volume above n and are rejected.
+Everything is read off the canonical slots g_1 .. g_n at the root U(1),
+with no tree vertices built.  C_i(r) sits at depth 2|r|+1, so spoke i has
+length 2|g_i|+1 and the volume is n + 2 sum |g_i|.  Spoke j is the root
+path of C_j(g_j): past U(1) it visits U(r) for every suffix r of g_j and,
+between U(r) and U(s r), the coset vertex C_f(r) of the factor f of the
+syllable s.  That vertex is slot i's own vertex C_i(g_i) exactly when g_i
+is a proper suffix of g_j and the syllable s just before it lies in G_i
+(then i differs from j, because |g_i| < |g_j|).  Each suffix length names
+one syllable s, hence one factor i, so the fold there is unique; the scan
+takes the lowest j first and then the shortest such g_i.
+
+The fold re-conjugates slot j by s^-1, which stabilizes C_i(g_i): writing
+g_j = p s g_i, the new slot is the normal form of p g_i.  It has at most
+|g_j| - 1 syllables (only the seam between p and g_i can merge), so the
+volume drops by an even amount of at least 2.  For a genuine splitting a
+fold exists whenever the volume exceeds n, so repeated steps terminate at
+the base tuple.  Tuples whose conjugated factors do not generate the whole
+group get stuck with volume above n and are rejected.
 """
 
 from __future__ import annotations
@@ -15,15 +27,14 @@ from dataclasses import dataclass
 from .errors import AlreadyBaseError, NonSplittingError
 from .factors import FactorElement
 from .labellings import StarLabel, star_label, volume
-from .tree import c_vertex, geodesic, u_vertex
-from .words import Word, empty_word
+from .words import Word, normal_form
 
 
 @dataclass(frozen=True)
 class FoldWitness:
     """Spoke j passes through the coset vertex of slot i, flanked by U(y), U(z).
 
-    element is g_i z^-1 y g_i^-1, the G_i syllable that stabilizes that vertex.
+    y = g_i, z = s.g_i, element = s^-1.
     """
 
     i: int
@@ -44,62 +55,45 @@ class MoveRecord:
     volume_after: int
 
 
-def _stabilizing_element(L: StarLabel, i: int, c: Word) -> FactorElement | None:
-    """g_i c g_i^-1 as a single G_i syllable, or None when c is not elliptic."""
-    gi = L.slot(i)
-    w = gi * c * gi.inverse()
-    if w.syllable_count() == 1 and w.syllables[0].factor == i:
-        return w.syllables[0]
-    return None
-
-
-def find_fold(L: StarLabel, x: Word | None = None) -> FoldWitness | None:
+def find_fold(L: StarLabel) -> FoldWitness | None:
     """First fold under the deterministic scan order, or None.
 
     Spokes are scanned by ascending slot index j; on a spoke, the fold
-    vertex closest to the center wins.  For splittings a fold exists
-    exactly when the volume exceeds n; the witness invariants are checked
-    rather than assumed, so raw non-splitting tuples simply yield None.
+    vertex closest to the center (the shortest suffix g_i) wins.  Raw
+    non-splitting tuples may have no fold at all and yield None.
     """
     system = L.system
-    center = u_vertex(x if x is not None else empty_word(system))
-    slot_vertices = {
-        i: c_vertex(i, L.slot(i)) for i in range(1, system.n + 1)
-    }
-    for j in range(1, system.n + 1):
-        spoke = geodesic(center, slot_vertices[j])
-        for pos in range(1, len(spoke) - 1, 2):
-            v = spoke[pos]
-            i = v.factor
-            if i == j or v != slot_vertices[i]:
-                continue
-            y = spoke[pos - 1].rep
-            z = spoke[pos + 1].rep
-            element = _stabilizing_element(L, i, z.inverse() * y)
-            if element is None:
-                continue
-            return FoldWitness(i=i, j=j, y=y, z=z, element=element)
+    slots = L.conjugators
+    for j, gj in enumerate(slots, start=1):
+        a = gj.syllables
+        for t in range(len(a)):
+            s = a[-t - 1]
+            gi = slots[s.factor - 1]
+            if len(gi.syllables) == t and gi.syllables == a[len(a) - t:]:
+                z = Word(system, a[len(a) - t - 1:])
+                return FoldWitness(s.factor, j, gi, z, system.inverse(s))
     return None
 
 
-def reduce_step(L: StarLabel, x: Word | None = None) -> tuple[StarLabel, MoveRecord]:
-    """Apply one fold: slot j becomes g_j z^-1 y, dropping the volume by >= 2."""
+def reduce_step(L: StarLabel) -> tuple[StarLabel, MoveRecord]:
+    """Apply one fold: slot j = p.s.g_i becomes p.g_i, dropping the volume by >= 2."""
     system = L.system
-    basepoint = x if x is not None else empty_word(system)
-    before = volume(L, basepoint)
+    before = volume(L)
     if before == system.n:
         raise AlreadyBaseError("already base-equivalent: volume is minimal")
-    fold = find_fold(L, basepoint)
+    fold = find_fold(L)
     if fold is None:
         slots = ", ".join(str(w) for w in L.conjugators)
         raise NonSplittingError(
             "non-splitting input: no fold exists although volume exceeds n "
             f"(volume {before} at slots [{slots}])"
         )
+    old = L.slot(fold.j).syllables
+    prefix = old[: len(old) - fold.z.syllable_count()]
     new_words = list(L.conjugators)
-    new_words[fold.j - 1] = L.slot(fold.j) * fold.z.inverse() * fold.y
+    new_words[fold.j - 1] = normal_form(system, prefix + fold.y.syllables)
     moved = star_label(system, new_words)
-    after = volume(moved, basepoint)
+    after = before - 2 * (len(old) - moved.slot(fold.j).syllable_count())
     record = MoveRecord(fold.i, fold.j, fold.element, before, after)
     return moved, record
 

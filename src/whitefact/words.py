@@ -98,10 +98,6 @@ def word_inv(u: Word) -> Word:
     return u.inverse()
 
 
-def syllable_length(u: Word) -> int:
-    return u.syllable_count()
-
-
 def leading_factor(u: Word) -> int | None:
     return u.leading_factor()
 

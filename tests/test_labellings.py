@@ -20,7 +20,7 @@ from whitefact.labellings import (
     star_label,
     volume,
 )
-from whitefact.sampling import random_splitting_label, random_word
+from whitefact.sampling import random_nontrivial_element, random_splitting_label, random_word
 from whitefact.words import empty_word, letter, word
 
 
@@ -330,6 +330,34 @@ class TestVolume:
                 assert (len(spoke) - 1) % 2 == 1
             assert graph.volume == sum(len(s) - 1 for s in graph.spokes)
             assert graph.volume >= z342.n
+
+    @pytest.mark.parametrize("fixture", ["triple_z2", "z342", "z3422", "mixed_system"])
+    def test_matches_tree_distances(self, request, fixture):
+        # The independent oracle: the spokes' tree distances from U(x).
+        from whitefact.tree import c_vertex, distance, u_vertex
+
+        system = request.getfixturevalue(fixture)
+        rng = random.Random(61)
+        for _ in range(150):
+            label = star_label(
+                system, [random_word(system, rng, 4) for _ in range(system.n)]
+            )
+            x = random_word(system, rng, 4)
+            if rng.random() < 0.4:
+                # x = r.a.g_k with a in G_k: g_k x^-1 = a^-1 r^-1, so the
+                # leading own-factor syllable is stripped when r is trivial
+                k = rng.randint(1, system.n)
+                a = letter(system, random_nontrivial_element(system, k, rng))
+                x = random_word(system, rng, 1) * a * label.slot(k)
+            expected = sum(
+                distance(u_vertex(x), c_vertex(i, label.slot(i)))
+                for i in range(1, system.n + 1)
+            )
+            assert volume(label, x) == expected
+            assert volume(label) == sum(
+                distance(u_vertex(empty_word(system)), c_vertex(i, label.slot(i)))
+                for i in range(1, system.n + 1)
+            )
 
 
 class TestIsBase:

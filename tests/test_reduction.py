@@ -12,8 +12,89 @@ from whitefact.labellings import (
     volume,
 )
 from whitefact.reduction import find_fold, reduce_step, reduce_to_base
-from whitefact.sampling import random_splitting_label
-from whitefact.words import empty_word, word
+from whitefact.sampling import random_nontrivial_element, random_splitting_label, random_word
+from whitefact.tree import c_vertex, distance, geodesic, u_vertex
+from whitefact.words import empty_word, letter, word
+
+SYSTEMS = ["triple_z2", "z342", "z3422", "mixed_system"]
+
+
+def tree_volume(label):
+    """Sum of the spokes' tree distances from U(1)."""
+    center = u_vertex(empty_word(label.system))
+    return sum(
+        distance(center, c_vertex(i, label.slot(i)))
+        for i in range(1, label.system.n + 1)
+    )
+
+
+def reference_find_fold(label):
+    """Geodesic scan: walk each spoke and test each coset vertex on it.
+
+    Returns (i, j, y, z, element) for the first fold, or None.
+    """
+    system = label.system
+    center = u_vertex(empty_word(system))
+    slot_vertices = {i: c_vertex(i, label.slot(i)) for i in range(1, system.n + 1)}
+    for j in range(1, system.n + 1):
+        spoke = geodesic(center, slot_vertices[j])
+        for pos in range(1, len(spoke) - 1, 2):
+            v = spoke[pos]
+            i = v.factor
+            if i == j or v != slot_vertices[i]:
+                continue
+            y = spoke[pos - 1].rep
+            z = spoke[pos + 1].rep
+            gi = label.slot(i)
+            stab = gi * z.inverse() * y * gi.inverse()
+            if stab.syllable_count() == 1 and stab.leading_factor() == i:
+                return i, j, y, z, stab.syllables[0]
+    return None
+
+
+def reference_reduce(label):
+    """Fold with the geodesic scan until volume n: (final, records), or None
+    when a tuple above volume n has no fold."""
+    system = label.system
+    records = []
+    while tree_volume(label) > system.n:
+        fold = reference_find_fold(label)
+        if fold is None:
+            return None
+        i, j, y, z, element = fold
+        words = list(label.conjugators)
+        words[j - 1] = label.slot(j) * z.inverse() * y
+        moved = star_label(system, words)
+        records.append((i, j, element, tree_volume(label), tree_volume(moved)))
+        label = moved
+    return label, records
+
+
+def sample_tuples(system, seed, count=300):
+    """Seeded tuples: random slot words (mostly non-splitting), products of
+    random fold inverses from the base (splitting, with seams that merge),
+    and translates of those, some with one slot perturbed."""
+    rng = random.Random(seed)
+    n = system.n
+    out = []
+    for k in range(count):
+        if k % 3 == 0:
+            words = [random_word(system, rng, 4) for _ in range(n)]
+        else:
+            words = [empty_word(system)] * n
+            for _ in range(rng.randint(1, 7)):
+                i, j = rng.sample(range(1, n + 1), 2)
+                a = letter(system, random_nontrivial_element(system, i, rng))
+                gi = words[i - 1]
+                words[j - 1] = words[j - 1] * gi.inverse() * a * gi
+            if k % 3 == 2:
+                x = random_word(system, rng, 3)
+                words = [g * x for g in words]
+                if rng.random() < 0.3:
+                    j = rng.randrange(n)
+                    words[j] = words[j] * random_word(system, rng, 2)
+        out.append(star_label(system, words))
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -59,6 +140,20 @@ class TestFindFold:
             assert lies_between(pivot, center, target)
             conj = label.slot(fold.i) * (fold.z.inverse() * fold.y) * label.slot(fold.i).inverse()
             assert conj.syllable_count() == 1 and conj.leading_factor() == fold.i
+
+    @pytest.mark.parametrize("fixture", SYSTEMS)
+    def test_matches_geodesic_scan(self, request, fixture):
+        system = request.getfixturevalue(fixture)
+        found = 0
+        for label in sample_tuples(system, seed=71):
+            fold = find_fold(label)
+            expected = reference_find_fold(label)
+            if fold is None:
+                assert expected is None
+                continue
+            found += 1
+            assert (fold.i, fold.j, fold.y, fold.z, fold.element) == expected
+        assert found > 100
 
     def test_nonsplitting_tuple_has_no_fold(self, triple_z2, w):
         label = star_label(triple_z2, [w["eps"], w["eps"], w["b"] * w["c"]])
@@ -109,6 +204,23 @@ class TestReduceStep:
                 assert apex_equivalent(before, after)
                 assert collapses(current)[record.i - 1].conjugators == current.conjugators
                 current = moved
+
+    @pytest.mark.parametrize("fixture", SYSTEMS)
+    def test_volumes_are_tree_volumes(self, request, fixture):
+        system = request.getfixturevalue(fixture)
+        seam_merges = 0
+        for label in sample_tuples(system, seed=73, count=200):
+            current = label
+            for _ in range(tree_volume(label)):
+                try:
+                    moved, record = reduce_step(current)
+                except (AlreadyBaseError, NonSplittingError):
+                    break
+                assert record.volume_before == tree_volume(current)
+                assert record.volume_after == tree_volume(moved)
+                seam_merges += record.volume_before - record.volume_after > 2
+                current = moved
+        assert seam_merges > 0
 
 
 class TestReduceToBase:
@@ -163,3 +275,21 @@ class TestReduceToBase:
             label = random_splitting_label(mixed_system, rng, 4)
             final, moves = reduce_to_base(label)
             assert final == base_label(mixed_system)
+
+    @pytest.mark.parametrize("fixture", SYSTEMS)
+    def test_matches_reference_walk(self, request, fixture):
+        system = request.getfixturevalue(fixture)
+        stuck = 0
+        for label in sample_tuples(system, seed=79):
+            expected = reference_reduce(label)
+            if expected is None:
+                stuck += 1
+                with pytest.raises(NonSplittingError, match="no fold exists"):
+                    reduce_to_base(label)
+                continue
+            final, moves = reduce_to_base(label)
+            records = [
+                (m.i, m.j, m.element, m.volume_before, m.volume_after) for m in moves
+            ]
+            assert (final, records) == expected
+        assert 0 < stuck < 300
