@@ -323,19 +323,46 @@ def invert(psi: PureSymmetricAuto) -> PureSymmetricAuto:
 
 
 def verify_factorization(psi: PureSymmetricAuto, f: Factorization) -> bool:
-    """Exact agreement with psi on every factor element (generator for Z)."""
+    """Exact agreement of the factorization with psi, checked on generators.
+
+    Both sides are homomorphisms out of the free product when every factor
+    part involved is an automorphism.  psi.apply, and each stage of
+    evaluate_factorization (inner conjugation, factor parts, one Whitehead
+    move), maps every syllable by a homomorphism of its factor and then
+    takes the normal form; that is the homomorphism the universal property
+    of the free product gives.  Two such maps that agree on a generating
+    set of each factor are equal, so factor k is checked only on
+    system.factor(k).generators().  The identity maps to the identity
+    under any homomorphism, and every other element is a product of
+    generators, so both are skipped.  Z is generated by 1 as a group: maps
+    that agree on 1 agree on -1 and on every integer, so [1] suffices for
+    the int backend as for a cyclic one.
+
+    The argument fails when a part is no automorphism: a map that fixes
+    S3's two generators but swaps its 3-cycles agrees with the identity
+    on generators only.  Library callers can build a FactorAutoPart
+    directly, so the answer is False when any part of f or of psi fails
+    part_validate; that costs at most |G_k|^2 table lookups per factor.
+    """
+    return _verification_failure(psi, f) is None
+
+
+def _verification_failure(psi: PureSymmetricAuto, f: Factorization) -> str | None:
+    """One line naming the first invalid part or disagreeing generator."""
     system = psi.system
+    for side, parts in (("factorization", f.factor), ("psi", [p for p, _ in psi.parts])):
+        for part in parts:
+            message = system.part_validate(part)
+            if message is not None:
+                return f"{side} part {part.factor}: {message}"
     for k in range(1, system.n + 1):
-        backend = system.factor(k)
-        if backend.is_finite():
-            payloads = list(backend.payloads())
-        else:
-            payloads = [1]
-        for payload in payloads:
+        for payload in system.factor(k).generators():
             w = letter(system, FactorElement(k, payload))
-            if evaluate_factorization(system, f, w) != psi.apply(w):
-                return False
-    return True
+            got = evaluate_factorization(system, f, w)
+            want = psi.apply(w)
+            if got != want:
+                return f"generator {w}: factorization gives {got}, psi gives {want}"
+    return None
 
 
 def is_inner(psi: PureSymmetricAuto) -> Word | None:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from . import jsonio, selfcheck
 from .errors import EngineError, SchemaError
 from .explorer import enumerate_ball
-from .autos import factorize, verify_factorization
+from .autos import _verification_failure, factorize
 from .labellings import volume
 from .reduction import reduce_to_base
 from .tree import distance, geodesic
@@ -121,10 +121,12 @@ def _cmd_verify(config: RunConfig, args) -> int:
     system = _require_system(config)
     psi = jsonio.auto_from_json(system, _load_payload(args.auto))
     fact = jsonio.factorization_from_json(system, _load_payload(args.factorization))
-    if verify_factorization(psi, fact):
+    failure = _verification_failure(psi, fact)
+    if failure is None:
         print("OK")
         return 0
     print("FAIL")
+    print(failure, file=sys.stderr)
     return 1
 
 

@@ -62,6 +62,10 @@ class FactorBackend:
     def payloads(self) -> Iterator[int]:
         raise NotImplementedError
 
+    def generators(self) -> list[int]:
+        """Payloads that generate the group."""
+        raise NotImplementedError
+
     def normalize(self, payload: int) -> int:
         raise NotImplementedError
 
@@ -124,6 +128,9 @@ class CyclicBackend(FactorBackend):
     def payloads(self):
         return iter(range(self._order))
 
+    def generators(self):
+        return [1]
+
     def normalize(self, payload):
         return int(payload) % self._order
 
@@ -180,6 +187,9 @@ class IntBackend(FactorBackend):
 
     def payloads(self):
         raise OracleUnavailableError("oracle requires finite factors")
+
+    def generators(self):
+        return [1]
 
     def normalize(self, payload):
         return int(payload)
@@ -261,6 +271,24 @@ class TableBackend(FactorBackend):
 
     def payloads(self):
         return iter(range(self.size))
+
+    def generators(self):
+        """Greedy: the least element not yet spanned, then close the span."""
+        gens: list[int] = []
+        span = {self.identity}
+        for x in range(self.size):
+            if x in span:
+                continue
+            gens.append(x)
+            queue = list(span)
+            while queue:
+                a = queue.pop()
+                for g in gens:
+                    b = self.table[a][g]
+                    if b not in span:
+                        span.add(b)
+                        queue.append(b)
+        return gens
 
     def normalize(self, payload):
         payload = int(payload)
@@ -372,6 +400,7 @@ class FactorSystem:
             raise ValueError("a factor system needs at least 3 factors")
         self.n = len(self.backends)
         self.signature = tuple(b.describe() for b in self.backends)
+        self.identity_payloads = tuple(b.identity_payload for b in self.backends)
         self._hash = hash(self.signature)
 
     def __eq__(self, other):

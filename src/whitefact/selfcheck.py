@@ -138,7 +138,10 @@ def criterion_volume_decrease(seed: int = 0) -> CriterionResult:
                     system, rng, 4, min_volume=system.n + 2
                 )
                 current = label
-                while volume(current) > system.n:
+                bound = (volume(label) - system.n) // 2
+                for _ in range(bound):
+                    if volume(current) <= system.n:
+                        break
                     moved, record = reduce_step(current)
                     steps += 1
                     drop = record.volume_before - record.volume_after
@@ -149,6 +152,8 @@ def criterion_volume_decrease(seed: int = 0) -> CriterionResult:
                     if not apex_equivalent(before, after):
                         return False, "step is not a legal collapse path"
                     current = moved
+                if volume(current) > system.n:
+                    return False, f"not at the base after {bound} steps"
         return True, f"1000 labels, {steps} steps"
 
     passed, detail, seconds = _timed(run)
@@ -303,11 +308,14 @@ def _mutate(system, fact, index, rng):
     yield Factorization(deleted, fact.factor, fact.inner)
 
     target = fact.whitehead[index]
-    alternates = [
-        p
-        for p in system.nontrivial_payloads(target.operating)
-        if p != target.element.payload
-    ]
+    if system.factor(target.operating).is_finite():
+        alternates = [
+            p
+            for p in system.nontrivial_payloads(target.operating)
+            if p != target.element.payload
+        ]
+    else:
+        alternates = [-target.element.payload]
     if alternates:
         changed = WhiteheadAuto(
             system, target.moved, FactorElement(target.operating, rng.choice(alternates))

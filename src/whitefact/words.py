@@ -56,14 +56,19 @@ def _check_same_system(u: Word, v: Word) -> None:
 
 def normal_form(system: FactorSystem, letters: Iterable[FactorElement]) -> Word:
     """Reduce a letter sequence to the unique normal form of its product."""
+    ident = system.identity_payloads
+    n = system.n
     out: list[FactorElement] = []
     for s in letters:
-        if system.is_identity(s):
+        f = s.factor
+        if not 0 < f <= n:
+            system.factor(f)  # raises FactorMismatchError
+        e = ident[f - 1]
+        if s.payload == e:
             continue
-        if out and out[-1].factor == s.factor:
-            merged = system.mul(out[-1], s)
-            out.pop()
-            if not system.is_identity(merged):
+        if out and out[-1].factor == f:
+            merged = system.mul(out.pop(), s)
+            if merged.payload != e:
                 out.append(merged)
         else:
             out.append(s)

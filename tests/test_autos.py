@@ -23,10 +23,24 @@ from whitefact.autos import (
     whitehead_to_auto,
 )
 from whitefact.errors import NotAStabilizerError
-from whitefact.factors import FactorAutoPart, FactorElement
+from whitefact.factors import (
+    CyclicBackend,
+    FactorAutoPart,
+    FactorElement,
+    FactorSystem,
+    IntBackend,
+)
 from whitefact.labellings import act_on_label, base_label, star_equivalent, star_label, volume
-from whitefact.sampling import random_pure_auto, random_word
+from whitefact.sampling import (
+    random_nontrivial_element,
+    random_part,
+    random_pure_auto,
+    random_word,
+)
+from whitefact.selfcheck import _mutate
 from whitefact.words import empty_word, letter, word
+
+from conftest import s3_table
 
 
 @pytest.fixture(scope="module")
@@ -373,6 +387,81 @@ class TestVerify:
         )
         out = evaluate_factorization(triple_z2, fact, w["c"])
         assert out == w["a"] * w["b"] * w["c"] * w["b"] * w["a"]
+
+
+def all_elements_verify(psi, f):
+    """Reference check: agreement on every element of every finite factor
+    (and on -3..3 for Z), with no homomorphism argument."""
+    system = psi.system
+    for k in range(1, system.n + 1):
+        backend = system.factor(k)
+        payloads = backend.payloads() if backend.is_finite() else range(-3, 4)
+        for payload in payloads:
+            w = letter(system, FactorElement(k, payload))
+            if evaluate_factorization(system, f, w) != psi.apply(w):
+                return False
+    return True
+
+
+def random_factorization(system, rng):
+    moves = []
+    for _ in range(rng.randint(0, 4)):
+        x = random_nontrivial_element(system, rng.randint(1, system.n), rng)
+        others = [j for j in range(1, system.n + 1) if j != x.factor]
+        moves.append(whitehead_auto(system, rng.sample(others, rng.randint(1, 2)), x))
+    parts = tuple(random_part(system, k, rng) for k in range(1, system.n + 1))
+    return Factorization(tuple(moves), parts, random_word(system, rng, 3))
+
+
+VERIFY_SYSTEMS = {
+    "Z3*Z4*Z2*Z2": lambda: FactorSystem([CyclicBackend(m) for m in (3, 4, 2, 2)]),
+    "S3*Z2*Z2": lambda: FactorSystem([s3_table(), CyclicBackend(2), CyclicBackend(2)]),
+    "S3*Z2*Z*Z5": lambda: FactorSystem(
+        [s3_table(), CyclicBackend(2), IntBackend(), CyclicBackend(5)]
+    ),
+}
+
+
+class TestVerifyOnGenerators:
+    @pytest.mark.parametrize("name", VERIFY_SYSTEMS)
+    def test_agrees_with_all_elements(self, name):
+        system = VERIFY_SYSTEMS[name]()
+        rng = random.Random(41)
+        outcomes = []
+        for _ in range(25):
+            psi = random_pure_auto(system, rng, 4)
+            fact = factorize(psi)
+            cases = [(psi, fact)]
+            for index in range(len(fact.whitehead)):
+                cases.extend((psi, m) for m in _mutate(system, fact, index, rng))
+            made = random_factorization(system, rng)
+            cases.append((recompose_factorization(system, made), made))
+            cases.append((psi, made))
+            for target, candidate in cases:
+                expected = all_elements_verify(target, candidate)
+                assert verify_factorization(target, candidate) == expected
+                outcomes.append(expected)
+        assert True in outcomes and False in outcomes
+
+    def test_non_homomorphism_part_rejected(self):
+        system = VERIFY_SYSTEMS["S3*Z2*Z2"]()
+        # swaps (123) and (132) and fixes the generators (12), (13): agrees
+        # with the identity on generators, but is no automorphism of S3
+        bad = FactorAutoPart(1, (0, 1, 2, 3, 5, 4))
+        assert system.part_validate(bad) is not None
+        good = tuple(system.part_identity(k) for k in range(1, 4))
+        parts = (bad,) + good[1:]
+        identity = Factorization((), good, empty_word(system))
+        fact = Factorization((), parts, empty_word(system))
+        psi = factor_only_auto(system, parts)
+        # the bad part on either side against the identity
+        for target, candidate in ((identity_auto(system), fact), (psi, identity)):
+            assert not all_elements_verify(target, candidate)
+            assert not verify_factorization(target, candidate)
+        # the same map on both sides agrees on every element, yet neither
+        # side is an automorphism
+        assert all_elements_verify(psi, fact)
+        assert not verify_factorization(psi, fact)
 
 
 class TestPureAutoValidation:

@@ -1,10 +1,15 @@
+import contextlib
+import io
 import json
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from whitefact.cli import main
 from whitefact import jsonio
 from whitefact.autos import factorize, identity_auto, tuple_auto
+from whitefact.sampling import random_pure_auto
 from whitefact.words import word
 
 from conftest import s3_table
@@ -140,6 +145,28 @@ class TestFactorizeAndVerify:
         )
         assert code == 1 and out.strip() == "FAIL"
 
+    def test_verify_failure_names_generator(self, capsys, system_file):
+        system = jsonio.system_from_json(K3_SYSTEM)
+        psi = tuple_auto(
+            system,
+            [word(system, []), word(system, []), word(system, [(2, 1), (1, 1)])],
+        )
+        payload = jsonio.factorization_to_json(system, factorize(psi))
+        payload["whitehead"] = payload["whitehead"][1:]
+        code, out, err = run(
+            capsys,
+            "--system",
+            system_file,
+            "verify",
+            json.dumps(jsonio.auto_to_json(psi)),
+            json.dumps(payload),
+        )
+        assert code == 1 and out.strip() == "FAIL"
+        assert err == (
+            "generator 3:1: factorization gives 1:1.3:1.1:1, "
+            "psi gives 1:1.2:1.3:1.2:1.1:1\n"
+        )
+
 
 class TestExplore:
     def test_json_output(self, capsys, system_file):
@@ -248,3 +275,102 @@ class TestMalformedInput:
         code, _, err = run(capsys, "--system", str(path), *argv)
         assert code == 2
         assert err.startswith("error: ")
+
+
+# -- fuzzing every command with JSON mutated from valid inputs -----------------
+
+MIXED_SYSTEM = _table_system()
+MIXED_SYSTEM["factors"][2] = {"kind": "int"}
+
+
+def _valid_inputs():
+    """(system JSON, command, JSON arguments) for every command but selftest,
+    which reads no outside input beyond --seed and runs the whole suite."""
+    cases = []
+    for system_obj in (K3_SYSTEM, MIXED_SYSTEM):
+        system = jsonio.system_from_json(system_obj)
+        psi = random_pure_auto(system, random.Random(5), 3)
+        fact = jsonio.factorization_to_json(system, factorize(psi))
+        auto = jsonio.auto_to_json(psi)
+        label = {"alpha": [[], [], [[2, 1], [1, 1]]]}
+        cases += [
+            (system_obj, "normalize", [[[1, 1], [2, 1], [2, 1], [3, -1]]]),
+            (system_obj, "distance", [["U", []], ["C3", [[2, 1], [1, 1]]]]),
+            (system_obj, "geodesic", [["U", [[1, 1]]], ["C2", [[3, 1]]]]),
+            (system_obj, "volume", [label, [[1, 1]]]),
+            (system_obj, "reduce", [label]),
+            (system_obj, "factorize", [auto]),
+            (system_obj, "verify", [auto, fact]),
+            (system_obj, "explore", [5]),
+        ]
+    return cases
+
+
+VALID_INPUTS = _valid_inputs()
+
+JSON_VALUES = st.integers(-4, 9) | st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-4, 9)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=3),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=3), children, max_size=3),
+    max_leaves=5,
+)
+
+
+def _mutate(draw, value):
+    """Replace one node of a JSON value, or drop one list entry or key.
+
+    Deep nodes are likelier than shallow ones, so most mutants keep the
+    outer shape and reach the checks past the first schema test.
+    """
+    if isinstance(value, (list, dict)) and value and draw(st.integers(0, 3)):
+        copy = list(value) if isinstance(value, list) else dict(value)
+        key = draw(st.sampled_from(range(len(copy)) if isinstance(copy, list) else sorted(copy)))
+        if not draw(st.integers(0, 3)):
+            del copy[key]
+        else:
+            copy[key] = _mutate(draw, copy[key])
+        return copy
+    return draw(JSON_VALUES)
+
+
+def _vertex_name(value):
+    if isinstance(value, list) and len(value) == 2 and isinstance(value[0], str):
+        return f"{value[0]}:{json.dumps(value[1])}"
+    return json.dumps(value)
+
+
+def _argv(system_obj, command, args):
+    argv = ["--system", json.dumps(system_obj), command]
+    if command in ("distance", "geodesic"):
+        return argv + [_vertex_name(a) for a in args]
+    if command == "volume":
+        return argv + [json.dumps(args[0]), "--basepoint", json.dumps(args[1])]
+    if command == "explore":
+        return argv + ["--max-volume", json.dumps(args[0])]
+    return argv + [json.dumps(a) for a in args]
+
+
+class TestFuzz:
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_every_command_exits_0_1_or_2(self, data):
+        system_obj, command, args = data.draw(st.sampled_from(VALID_INPUTS))
+        if data.draw(st.booleans()):
+            system_obj = _mutate(data.draw, system_obj)
+        else:
+            args = list(args)
+            index = data.draw(st.integers(0, len(args) - 1))
+            args[index] = _mutate(data.draw, args[index])
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(_argv(system_obj, command, args))
+            except SystemExit as exc:  # argparse rejects the command line
+                code = exc.code
+        assert code in (0, 1, 2)
+        if code != 0:
+            assert err.getvalue().strip()

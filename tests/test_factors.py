@@ -159,3 +159,54 @@ class TestAutomorphismParts:
         part = triple_z2.part_identity(1)
         with pytest.raises(FactorMismatchError):
             triple_z2.part_apply(part, triple_z2.element(2, 1))
+
+
+def span(backend, gens):
+    """Test-local closure: every product of the generators and their inverses."""
+    seen = {backend.identity_payload}
+    frontier = list(seen)
+    while frontier:
+        a = frontier.pop()
+        for g in gens:
+            for b in (backend.op(a, g), backend.op(a, backend.inv(g))):
+                if b not in seen:
+                    seen.add(b)
+                    frontier.append(b)
+    return seen
+
+
+KLEIN = [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]]
+
+
+class TestGenerators:
+    def test_s3_needs_two_transpositions(self):
+        backend = s3_table()
+        assert backend.generators() == [idx("(12)"), idx("(13)")]
+        assert span(backend, backend.generators()) == set(range(6))
+
+    @pytest.mark.parametrize("identity", [0, 3])
+    def test_cyclic_table_is_spanned(self, identity):
+        # Z6 relabelled so that the identity sits at the given index
+        relabel = [(k + identity) % 6 for k in range(6)]
+        table = [[0] * 6 for _ in range(6)]
+        for a in range(6):
+            for b in range(6):
+                table[relabel[a]][relabel[b]] = relabel[(a + b) % 6]
+        backend = TableBackend(table, identity=identity)
+        assert validate_factor_group(backend) is None
+        gens = backend.generators()
+        assert identity not in gens
+        assert span(backend, gens) == set(range(6))
+        if identity == 0:
+            assert gens == [1]
+
+    def test_klein_four_needs_two(self):
+        backend = TableBackend(KLEIN, identity=0)
+        assert backend.generators() == [1, 2]
+        assert span(backend, [1, 2]) == set(range(4))
+        assert all(span(backend, [g]) != set(range(4)) for g in range(4))
+
+    def test_cyclic_and_int_generated_by_one(self, mixed_system):
+        assert CyclicBackend(7).generators() == [1]
+        assert mixed_system.factor(3).generators() == [1]
+        assert span(CyclicBackend(7), [1]) == set(range(7))

@@ -195,7 +195,10 @@ class TestReduceStep:
         for _ in range(60):
             label = random_splitting_label(system, rng, 4, min_volume=system.n + 2)
             current = label
-            while volume(current) > system.n:
+            bound = (volume(label) - system.n) // 2
+            for _ in range(bound):
+                if volume(current) <= system.n:
+                    break
                 moved, record = reduce_step(current)
                 drop = record.volume_before - record.volume_after
                 assert drop >= 2 and drop % 2 == 0
@@ -204,6 +207,7 @@ class TestReduceStep:
                 assert apex_equivalent(before, after)
                 assert collapses(current)[record.i - 1].conjugators == current.conjugators
                 current = moved
+            assert volume(current) <= system.n, f"{label} not at the base after {bound} steps"
 
     @pytest.mark.parametrize("fixture", SYSTEMS)
     def test_volumes_are_tree_volumes(self, request, fixture):

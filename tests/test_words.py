@@ -3,7 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from whitefact.errors import SystemMismatchError
+from whitefact.errors import FactorMismatchError, SystemMismatchError
 from whitefact.factors import CyclicBackend, FactorElement, FactorSystem
 from whitefact.words import (
     empty_word,
@@ -57,6 +57,50 @@ class TestReduce:
         for left, right in zip(w.syllables, w.syllables[1:]):
             assert left.factor != right.factor
         assert not any(k3.is_identity(s) for s in w.syllables)
+
+
+def reference_normal_form(system, letters):
+    """Reference loop: two is_identity calls per letter, no identity lookup."""
+    out = []
+    for s in letters:
+        if system.is_identity(s):
+            continue
+        if out and out[-1].factor == s.factor:
+            merged = system.mul(out[-1], s)
+            out.pop()
+            if not system.is_identity(merged):
+                out.append(merged)
+        else:
+            out.append(s)
+    return tuple(out)
+
+
+def mixed_letters(system):
+    """Letters over S3*Z2*Z with identities, and blocks that cancel to 1."""
+    wrap = {1: lambda p: p % 6, 2: lambda p: p % 2, 3: lambda p: p}
+    letter = st.builds(
+        lambda f, p: FactorElement(f, wrap[f](p)), st.integers(1, 3), st.integers(-3, 5)
+    )
+    cancelling = st.lists(letter, min_size=1, max_size=3).map(
+        lambda ls: ls + [system.inverse(s) for s in reversed(ls)]
+    )
+    block = st.one_of(letter.map(lambda s: [s]), cancelling)
+    return st.lists(block, max_size=6).map(lambda bs: [s for b in bs for s in b])
+
+
+class TestKernel:
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_matches_reference_loop(self, mixed_system, data):
+        letters = data.draw(mixed_letters(mixed_system))
+        w = normal_form(mixed_system, letters)
+        assert w.syllables == reference_normal_form(mixed_system, letters)
+
+    @pytest.mark.parametrize("factor", [0, 4])
+    @pytest.mark.parametrize("payload", [0, 1])
+    def test_out_of_range_factor(self, mixed_system, factor, payload):
+        with pytest.raises(FactorMismatchError):
+            normal_form(mixed_system, [FactorElement(2, 1), FactorElement(factor, payload)])
 
 
 class TestArithmetic:
