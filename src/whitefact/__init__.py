@@ -23,7 +23,6 @@ from .factors import (
     FactorSystem,
     IntBackend,
     TableBackend,
-    validate_factor_group,
 )
 from .words import (
     Word,
@@ -32,7 +31,6 @@ from .words import (
     letter,
     normal_form,
     word,
-    word_inv,
     word_mul,
 )
 from .tree import (
@@ -44,23 +42,19 @@ from .tree import (
     c_vertex,
     distance,
     geodesic,
-    lies_between,
     u_vertex,
     vertex_canon,
 )
 from .labellings import (
     ApexLabel,
-    SpokeGraph,
     StarLabel,
     act_on_label,
     apex_equivalent,
     apex_label,
     base_label,
-    base_witness_by_volume,
     collapses,
     double_coset_core,
     is_base,
-    spoke_graph,
     star_equivalent,
     star_label,
     volume,

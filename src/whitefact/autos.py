@@ -15,17 +15,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import (
-    FactorMismatchError,
-    NonSplittingError,
-    NotAStabilizerError,
-    SystemMismatchError,
-)
+from .errors import FactorMismatchError, NotAStabilizerError, SystemMismatchError
 from .factors import FactorAutoPart, FactorElement, FactorSystem
 from .labellings import (
     StarLabel,
     _apex_obstruction,
     _single_factor_element,
+    _split_own_head,
     _star_witness,
     apex_equivalent,
     apex_label,
@@ -174,11 +170,9 @@ def _split_canonical(psi: PureSymmetricAuto):
     words = []
     parts = []
     for k in range(1, system.n + 1):
-        conj = psi.conjugator(k)
+        head, conj = _split_own_head(psi.conjugator(k), k)
         part = psi.phi(k)
-        if conj.syllables and conj.syllables[0].factor == k:
-            head = conj.syllables[0]
-            conj = Word(system, conj.syllables[1:])
+        if head is not None:
             part = system.part_compose(system.conjugation_part(head), part)
         words.append(conj)
         parts.append(part)
@@ -247,11 +241,16 @@ def evaluate_factorization(system: FactorSystem, f: Factorization, w: Word) -> W
 def factorize(psi: PureSymmetricAuto) -> Factorization:
     """Express psi as Whitehead moves, a factor automorphism, and an inner.
 
-    The conjugator tuple is walked back to the base labelling; every fold
-    move (i, j, a) contributes the Whitehead move ({G_j}, a), conjugated
-    forward past the slot canonicalizations absorbed along the way.  When
-    the tuple is already base-equivalent the walk is skipped and psi splits
-    directly as factor-part times inner.
+    The conjugator tuple is walked back to the base labelling, and the
+    moves are read off the walk in reverse.  A fold move (i, j, a) rewrites
+    the tuple automorphism as the new tuple's, composed with conjugation of
+    G_j by the move's shed syllable b when there is one, composed with the
+    Whitehead move ({G_j}, a^-1).  Conjugating G_j by its own element b is
+    an inner automorphism of G_j, so it joins factor j's correction rather
+    than the Whitehead list; moving the corrections right past the moves
+    maps each move's element through the correction of its operating factor.
+    When the tuple is already base-equivalent the walk is skipped and psi
+    splits directly as factor-part times inner.
     """
     system = psi.system
     words, parts0 = _split_canonical(psi)
@@ -265,33 +264,15 @@ def factorize(psi: PureSymmetricAuto) -> Factorization:
         return Factorization((), parts, h)
 
     _, moves = reduce_to_base(label)
-
-    # Replay the moves on the canonical tuple, remembering which own-factor
-    # prefix each update sheds; those prefixes become factor-part corrections.
-    slots = list(words)
-    replay = []
-    for mv in moves:
-        gi = slots[mv.i - 1]
-        c = gi.inverse() * letter(system, mv.element) * gi
-        raw = slots[mv.j - 1] * c
-        stripped = None
-        if raw.syllables and raw.syllables[0].factor == mv.j:
-            stripped = raw.syllables[0]
-            raw = Word(system, raw.syllables[1:])
-        slots[mv.j - 1] = raw
-        replay.append((mv.i, mv.j, mv.element, stripped))
-    if any(not s.is_identity() for s in slots):
-        raise NonSplittingError("reduction did not land on the base tuple")
-
     correction = [system.part_identity(k) for k in range(1, system.n + 1)]
     whitehead: list[WhiteheadAuto] = []
-    for i, j, element, stripped in reversed(replay):
-        if stripped is not None:
-            correction[j - 1] = system.part_compose(
-                correction[j - 1], system.conjugation_part(stripped)
+    for mv in reversed(moves):
+        if mv.shed is not None:
+            correction[mv.j - 1] = system.part_compose(
+                correction[mv.j - 1], system.conjugation_part(mv.shed)
             )
-        moved_element = system.part_apply(correction[i - 1], system.inverse(element))
-        whitehead.append(WhiteheadAuto(system, (j,), moved_element))
+        moved_element = system.part_apply(correction[mv.i - 1], system.inverse(mv.element))
+        whitehead.append(WhiteheadAuto(system, (mv.j,), moved_element))
     factor_parts = tuple(
         system.part_compose(correction[k - 1], parts0[k - 1])
         for k in range(1, system.n + 1)

@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from . import jsonio, selfcheck
 from .errors import EngineError, SchemaError
@@ -22,13 +21,6 @@ from .labellings import volume
 from .reduction import reduce_to_base
 from .tree import distance, geodesic
 from .words import empty_word
-
-
-@dataclass
-class RunConfig:
-    system_path: str | None
-    output_format: str
-    seed: int
 
 
 def _load_payload(argument: str):
@@ -44,46 +36,46 @@ def _load_payload(argument: str):
         raise SchemaError(f"invalid JSON in {argument!r}: {exc}") from exc
 
 
-def _require_system(config: RunConfig):
-    if config.system_path is None:
+def _require_system(args):
+    if args.system is None:
         raise SchemaError("this command needs --system <file>")
-    return jsonio.system_from_json(_load_payload(config.system_path))
+    return jsonio.system_from_json(_load_payload(args.system))
 
 
-def _emit(config: RunConfig, payload, text_lines=None) -> None:
-    if config.output_format == "text" and text_lines is not None:
+def _emit(args, payload, text_lines=None) -> None:
+    if args.format == "text" and text_lines is not None:
         for line in text_lines:
             print(line)
     else:
         print(jsonio.dumps(payload))
 
 
-def _cmd_normalize(config: RunConfig, args) -> int:
-    system = _require_system(config)
+def _cmd_normalize(args) -> int:
+    system = _require_system(args)
     w = jsonio.word_from_json(system, _load_payload(args.word))
-    _emit(config, jsonio.word_to_json(w), [str(w)])
+    _emit(args, jsonio.word_to_json(w), [str(w)])
     return 0
 
 
-def _cmd_distance(config: RunConfig, args) -> int:
-    system = _require_system(config)
+def _cmd_distance(args) -> int:
+    system = _require_system(args)
     p = jsonio.vertex_from_name(system, args.first)
     q = jsonio.vertex_from_name(system, args.second)
     print(distance(p, q))
     return 0
 
 
-def _cmd_geodesic(config: RunConfig, args) -> int:
-    system = _require_system(config)
+def _cmd_geodesic(args) -> int:
+    system = _require_system(args)
     p = jsonio.vertex_from_name(system, args.first)
     q = jsonio.vertex_from_name(system, args.second)
     names = [jsonio.vertex_name(v) for v in geodesic(p, q)]
-    _emit(config, names, names)
+    _emit(args, names, names)
     return 0
 
 
-def _cmd_volume(config: RunConfig, args) -> int:
-    system = _require_system(config)
+def _cmd_volume(args) -> int:
+    system = _require_system(args)
     label = jsonio.star_from_json(system, _load_payload(args.label))
     basepoint = empty_word(system)
     if args.basepoint is not None:
@@ -92,8 +84,8 @@ def _cmd_volume(config: RunConfig, args) -> int:
     return 0
 
 
-def _cmd_reduce(config: RunConfig, args) -> int:
-    system = _require_system(config)
+def _cmd_reduce(args) -> int:
+    system = _require_system(args)
     label = jsonio.star_from_json(system, _load_payload(args.label))
     final, moves = reduce_to_base(label)
     payload = {
@@ -105,20 +97,20 @@ def _cmd_reduce(config: RunConfig, args) -> int:
         f"{m.volume_before} -> {m.volume_after}"
         for k, m in enumerate(moves, start=1)
     ] + [f"final: {jsonio.dumps(payload['final'])}"]
-    _emit(config, payload, lines)
+    _emit(args, payload, lines)
     return 0
 
 
-def _cmd_factorize(config: RunConfig, args) -> int:
-    system = _require_system(config)
+def _cmd_factorize(args) -> int:
+    system = _require_system(args)
     psi = jsonio.auto_from_json(system, _load_payload(args.auto))
     fact = factorize(psi)
-    _emit(config, jsonio.factorization_to_json(system, fact))
+    _emit(args, jsonio.factorization_to_json(system, fact))
     return 0
 
 
-def _cmd_verify(config: RunConfig, args) -> int:
-    system = _require_system(config)
+def _cmd_verify(args) -> int:
+    system = _require_system(args)
     psi = jsonio.auto_from_json(system, _load_payload(args.auto))
     fact = jsonio.factorization_from_json(system, _load_payload(args.factorization))
     failure = _verification_failure(psi, fact)
@@ -130,18 +122,18 @@ def _cmd_verify(config: RunConfig, args) -> int:
     return 1
 
 
-def _cmd_explore(config: RunConfig, args) -> int:
-    system = _require_system(config)
+def _cmd_explore(args) -> int:
+    system = _require_system(args)
     ball = enumerate_ball(system, args.max_volume)
-    if config.output_format == "dot":
+    if args.format == "dot":
         sys.stdout.write(jsonio.sn_ball_to_dot(ball))
     else:
         print(jsonio.dumps(jsonio.sn_ball_to_json(ball)))
     return 0
 
 
-def _cmd_selftest(config: RunConfig, args) -> int:
-    results = selfcheck.run_all(config.seed)
+def _cmd_selftest(args) -> int:
+    results = selfcheck.run_all(args.seed)
     for result in results:
         print(result.line())
     return 0 if all(r.passed for r in results) else 1
@@ -208,12 +200,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = RunConfig(
-            system_path=args.system,
-            output_format=args.format,
-            seed=args.seed,
-        )
-        return args.func(config, args)
+        return args.func(args)
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -490,8 +490,3 @@ class FactorSystem:
             if message is not None:
                 reports.append(f"factor {i}: {message}")
         return reports
-
-
-def validate_factor_group(backend: FactorBackend) -> str | None:
-    """Check the backend's group axioms; None means every axiom holds."""
-    return backend.validate()

@@ -39,7 +39,7 @@ from .factors import (
     TableBackend,
 )
 from .labellings import ApexLabel, StarLabel, apex_label, star_label
-from .tree import Ball, TreeVertex, vertex_canon
+from .tree import TreeVertex, vertex_canon
 from .words import Word, word
 
 
@@ -351,34 +351,6 @@ def moves_to_json(moves) -> list:
         }
         for m in moves
     ]
-
-
-def tree_ball_to_json(ball: Ball) -> dict:
-    return {
-        "center": vertex_name(ball.center),
-        "radius": ball.radius,
-        "adjacency": {
-            vertex_name(v): [vertex_name(w) for w in ball.adjacency[v]]
-            for v in ball.vertices
-        },
-    }
-
-
-def tree_ball_to_dot(ball: Ball) -> str:
-    lines = ["graph ball {", "  node [fontsize=10];"]
-    for v in ball.vertices:
-        shape = "circle" if v.kind == "u" else "box"
-        lines.append(f'  "{vertex_name(v)}" [shape={shape}];')
-    seen = set()
-    for v in ball.vertices:
-        for w in ball.adjacency[v]:
-            key = tuple(sorted((vertex_name(v), vertex_name(w))))
-            if key in seen:
-                continue
-            seen.add(key)
-            lines.append(f'  "{key[0]}" -- "{key[1]}";')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
 
 
 def sn_ball_to_json(ball: SnBall) -> dict:

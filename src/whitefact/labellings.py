@@ -33,7 +33,6 @@ from typing import Sequence
 
 from .errors import SystemMismatchError
 from .factors import FactorElement, FactorSystem
-from .tree import TreeVertex, c_vertex, geodesic, u_vertex
 from .words import Word, empty_word, letter
 
 
@@ -60,13 +59,12 @@ class ApexLabel:
         return self.conjugators[j - 1]
 
 
-@dataclass(frozen=True)
-class SpokeGraph:
-    """Wedge of the n spokes at a chosen U-vertex; volume counts all edges."""
-
-    center: TreeVertex
-    spokes: tuple[tuple[TreeVertex, ...], ...]
-    volume: int
+def _split_own_head(w: Word, j: int) -> tuple[FactorElement | None, Word]:
+    """(b, r) with w = b . r: b is w's leading G_j syllable (None when it has
+    none) and r the coset-canonical rep of G_j w, the slot word for slot j."""
+    if w.syllables and w.syllables[0].factor == j:
+        return w.syllables[0], Word(w.system, w.syllables[1:])
+    return None, w
 
 
 def _canonical_slots(system: FactorSystem, words: Sequence[Word]) -> tuple[Word, ...]:
@@ -76,9 +74,7 @@ def _canonical_slots(system: FactorSystem, words: Sequence[Word]) -> tuple[Word,
     for j, w in enumerate(words, start=1):
         if w.system != system:
             raise SystemMismatchError("slot word from a different factor system")
-        if w.syllables and w.syllables[0].factor == j:
-            w = Word(system, w.syllables[1:])
-        slots.append(w)
+        slots.append(_split_own_head(w, j)[1])
     return tuple(slots)
 
 
@@ -103,20 +99,6 @@ def double_coset_core(w: Word, lead: int, trail: int) -> Word:
     if syllables and syllables[-1].factor == trail:
         syllables = syllables[:-1]
     return Word(w.system, syllables)
-
-
-def _split_lead_core_trail(w: Word, lead: int, trail: int):
-    """Decompose w = b . core . a with b in G_lead and a in G_trail (or None)."""
-    syllables = w.syllables
-    b = None
-    a = None
-    if syllables and syllables[0].factor == lead:
-        b = syllables[0]
-        syllables = syllables[1:]
-    if syllables and syllables[-1].factor == trail:
-        a = syllables[-1]
-        syllables = syllables[:-1]
-    return b, Word(w.system, syllables), a
 
 
 def _single_factor_element(w: Word, factor: int) -> FactorElement | None:
@@ -230,16 +212,6 @@ def act_on_label(label, psi):
     return apex_label(system, label.apex, new_words)
 
 
-def spoke_graph(L: StarLabel, x: Word | None = None) -> SpokeGraph:
-    system = L.system
-    center = u_vertex(x if x is not None else empty_word(system))
-    spokes = tuple(
-        geodesic(center, c_vertex(i, L.slot(i))) for i in range(1, system.n + 1)
-    )
-    total = sum(len(s) - 1 for s in spokes)
-    return SpokeGraph(center, spokes, total)
-
-
 def volume(L: StarLabel, x: Word | None = None) -> int:
     """Total spoke length at U(x): n + 2 sum |canonical(g_i x^-1)|.
 
@@ -255,21 +227,3 @@ def volume(L: StarLabel, x: Word | None = None) -> int:
 def is_base(L: StarLabel) -> bool:
     return star_equivalent(L, base_label(L.system)) is not None
 
-
-def base_witness_by_volume(L: StarLabel) -> Word | None:
-    """The unique x that could give volume n, if it exists and does.
-
-    Any such x lies in G_1 g_1 and G_2 g_2 simultaneously, which pins a
-    single candidate; independent of the equivalence decision procedure.
-    """
-    system = L.system
-    # Solve u . g_1 = v . g_2 with u in G_1, v in G_2: v^-1 u = g_2 g_1^-1.
-    target = L.slot(2) * L.slot(1).inverse()
-    b, core, a = _split_lead_core_trail(target, lead=2, trail=1)
-    if not core.is_identity():
-        return None
-    u = a if a is not None else system.identity(1)
-    x = letter(system, u) * L.slot(1)
-    if volume(L, x) == system.n:
-        return x
-    return None

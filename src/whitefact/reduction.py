@@ -18,6 +18,13 @@ volume drops by an even amount of at least 2.  For a genuine splitting a
 fold exists whenever the volume exceeds n, so repeated steps terminate at
 the base tuple.  Tuples whose conjugated factors do not generate the whole
 group get stuck with volume above n and are rejected.
+
+The normal form of p g_i can begin with a G_j syllable b (when p is empty
+or cancels completely into g_i).  Slot j is a coset rep of G_j g_j, so the
+canonical slot drops b, and the move records it as shed: the raw product
+g_j . g_i^-1 a g_i equals b times the new slot.  Conjugating G_j by its own
+element b is an inner automorphism of G_j, not a Whitehead move, which is
+why factorize turns each shed syllable into a factor-part correction.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from dataclasses import dataclass
 
 from .errors import AlreadyBaseError, NonSplittingError
 from .factors import FactorElement
-from .labellings import StarLabel, star_label, volume
+from .labellings import StarLabel, _split_own_head, volume
 from .words import Word, normal_form
 
 
@@ -46,13 +53,18 @@ class FoldWitness:
 
 @dataclass(frozen=True)
 class MoveRecord:
-    """One reduction step: slot j re-conjugated through factor i by element a."""
+    """One reduction step: slot j re-conjugated through factor i by element a.
+
+    shed is the leading G_j syllable that canonicalizing the new slot
+    stripped, or None.
+    """
 
     i: int
     j: int
     element: FactorElement
     volume_before: int
     volume_after: int
+    shed: FactorElement | None
 
 
 def find_fold(L: StarLabel) -> FoldWitness | None:
@@ -90,12 +102,12 @@ def reduce_step(L: StarLabel) -> tuple[StarLabel, MoveRecord]:
         )
     old = L.slot(fold.j).syllables
     prefix = old[: len(old) - fold.z.syllable_count()]
+    shed, slot = _split_own_head(normal_form(system, prefix + fold.y.syllables), fold.j)
     new_words = list(L.conjugators)
-    new_words[fold.j - 1] = normal_form(system, prefix + fold.y.syllables)
-    moved = star_label(system, new_words)
-    after = before - 2 * (len(old) - moved.slot(fold.j).syllable_count())
-    record = MoveRecord(fold.i, fold.j, fold.element, before, after)
-    return moved, record
+    new_words[fold.j - 1] = slot
+    after = before - 2 * (len(old) - slot.syllable_count())
+    record = MoveRecord(fold.i, fold.j, fold.element, before, after, shed)
+    return StarLabel(system, tuple(new_words)), record
 
 
 def reduce_to_base(L: StarLabel) -> tuple[StarLabel, tuple[MoveRecord, ...]]:
@@ -104,14 +116,10 @@ def reduce_to_base(L: StarLabel) -> tuple[StarLabel, tuple[MoveRecord, ...]]:
     The volume drops by at least 2 per step, so at most (volume - n)/2
     moves occur; at volume n every canonical slot is trivial.
     """
-    system = L.system
     current = L
     moves: list[MoveRecord] = []
     current_volume = volume(current)
-    limit = (current_volume - system.n) // 2
-    while current_volume > system.n:
-        if len(moves) > limit:
-            raise NonSplittingError("reduction failed to terminate within its bound")
+    while current_volume > L.system.n:
         current, record = reduce_step(current)
         moves.append(record)
         current_volume = record.volume_after

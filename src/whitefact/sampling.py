@@ -2,7 +2,8 @@
 
 Random conjugator tuples need not define automorphisms (the conjugated
 factors may generate a proper subgroup), so the automorphism generators
-filter candidates through the reduction walk and resample on failure.
+filter candidates through the reduction walk and resample on failure, up
+to MAX_ATTEMPTS candidates per call.
 """
 
 from __future__ import annotations
@@ -10,11 +11,15 @@ from __future__ import annotations
 import random
 
 from .autos import PureSymmetricAuto, pure_auto
-from .errors import NonSplittingError
+from .errors import EngineError, NonSplittingError
 from .factors import FactorAutoPart, FactorElement, FactorSystem
 from .labellings import StarLabel, star_label, volume
 from .reduction import reduce_to_base
-from .words import Word, empty_word
+from .words import Word
+
+# The test suite and selftest need at most 137 candidates in one call (mean
+# 25: Z3*Z4*Z2*Z2 automorphisms with up to 6 syllables per conjugator).
+MAX_ATTEMPTS = 10_000
 
 
 def random_nontrivial_element(system: FactorSystem, i: int, rng: random.Random) -> FactorElement:
@@ -55,7 +60,7 @@ def random_pure_auto(
     max_syllables: int,
 ) -> PureSymmetricAuto:
     """Random parts with random conjugators, resampled until a splitting."""
-    while True:
+    for _ in range(MAX_ATTEMPTS):
         parts = [
             (random_part(system, k, rng), random_word(system, rng, max_syllables))
             for k in range(1, system.n + 1)
@@ -66,6 +71,7 @@ def random_pure_auto(
         except NonSplittingError:
             continue
         return candidate
+    raise _out_of_attempts(system, "automorphism")
 
 
 def random_splitting_label(
@@ -75,7 +81,7 @@ def random_splitting_label(
     min_volume: int | None = None,
 ) -> StarLabel:
     """Random star labelling that is a genuine splitting."""
-    while True:
+    for _ in range(MAX_ATTEMPTS):
         label = star_label(
             system,
             [random_word(system, rng, max_syllables) for _ in range(system.n)],
@@ -87,8 +93,10 @@ def random_splitting_label(
         except NonSplittingError:
             continue
         return label
+    raise _out_of_attempts(system, "star labelling")
 
 
-def random_inner_word(system: FactorSystem, rng: random.Random, max_syllables: int) -> Word:
-    w = random_word(system, rng, max_syllables)
-    return w if not w.is_identity() else empty_word(system)
+def _out_of_attempts(system: FactorSystem, what: str) -> EngineError:
+    return EngineError(
+        f"no splitting {what} over {system!r} within {MAX_ATTEMPTS} attempts"
+    )

@@ -121,11 +121,6 @@ def geodesic(p: TreeVertex, q: TreeVertex) -> tuple[TreeVertex, ...]:
     return tuple(down + up)
 
 
-def lies_between(x: TreeVertex, p: TreeVertex, q: TreeVertex) -> bool:
-    """True when x sits on the geodesic from p to q (endpoints included)."""
-    return x in geodesic(p, q)
-
-
 @dataclass(frozen=True)
 class Ball:
     """Induced subgraph on the metric ball around a center vertex."""

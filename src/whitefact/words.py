@@ -99,14 +99,6 @@ def word_mul(u: Word, v: Word) -> Word:
     return normal_form(u.system, u.syllables + v.syllables)
 
 
-def word_inv(u: Word) -> Word:
-    return u.inverse()
-
-
-def leading_factor(u: Word) -> int | None:
-    return u.leading_factor()
-
-
 def enumerate_words(system: FactorSystem, max_syllables: int) -> Iterator[Word]:
     """Yield every reduced word with at most the given syllable count.
 

@@ -9,7 +9,6 @@ from whitefact.factors import (
     FactorElement,
     FactorSystem,
     TableBackend,
-    validate_factor_group,
 )
 
 from conftest import S3_NAMES, s3_table
@@ -70,14 +69,14 @@ class TestArithmetic:
 class TestValidation:
     def test_valid_backends_pass(self, mixed_system):
         for backend in mixed_system.backends:
-            assert validate_factor_group(backend) is None
+            assert backend.validate() is None
 
     def test_repeated_row_entry_is_not_latin(self):
         backend = s3_table()
         table = [list(row) for row in backend.table]
         table[2][3] = table[2][4]
         broken = TableBackend(table, identity=0, names=S3_NAMES)
-        assert validate_factor_group(broken) == "not a Latin square"
+        assert broken.validate() == "not a Latin square"
 
     def test_wrong_inverse_entry_reported(self):
         backend = s3_table()
@@ -86,10 +85,10 @@ class TestValidation:
         # (123) and (132) are each other's inverses, so swapping those
         # entries keeps the involution but breaks the product condition
         broken = TableBackend(backend.table, identity=0, names=S3_NAMES, inverse=inverse)
-        assert validate_factor_group(broken) == "inverse table inconsistent"
+        assert broken.validate() == "inverse table inconsistent"
 
     def test_cyclic_order_one_rejected(self):
-        assert "at least 2" in validate_factor_group(CyclicBackend(1))
+        assert "at least 2" in CyclicBackend(1).validate()
 
     def test_nonassociative_latin_square_detected(self):
         # a quasigroup with identity that fails associativity
@@ -101,7 +100,7 @@ class TestValidation:
             [4, 3, 1, 2, 0],
         ]
         backend = TableBackend(table, identity=0)
-        assert validate_factor_group(backend) == "not associative"
+        assert backend.validate() == "not associative"
 
     def test_system_needs_three_factors(self):
         with pytest.raises(ValueError):
@@ -193,7 +192,7 @@ class TestGenerators:
             for b in range(6):
                 table[relabel[a]][relabel[b]] = relabel[(a + b) % 6]
         backend = TableBackend(table, identity=identity)
-        assert validate_factor_group(backend) is None
+        assert backend.validate() is None
         gens = backend.generators()
         assert identity not in gens
         assert span(backend, gens) == set(range(6))

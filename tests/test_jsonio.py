@@ -10,7 +10,7 @@ from whitefact.explorer import enumerate_ball
 from whitefact.factors import CyclicBackend, FactorSystem, IntBackend
 from whitefact.labellings import apex_label, star_label
 from whitefact.sampling import random_pure_auto, random_word
-from whitefact.tree import bfs_ball, c_vertex, u_vertex
+from whitefact.tree import c_vertex, u_vertex
 from whitefact.words import empty_word, word
 
 from conftest import s3_table
@@ -157,15 +157,6 @@ class TestAutosAndFactorizations:
 
 
 class TestBallExports:
-    def test_tree_ball_json_and_dot(self, triple_z2):
-        ball = bfs_ball(u_vertex(empty_word(triple_z2)), 2)
-        payload = jsonio.tree_ball_to_json(ball)
-        assert payload["radius"] == 2
-        assert len(payload["adjacency"]) == 7
-        dot = jsonio.tree_ball_to_dot(ball)
-        assert dot.startswith("graph ball {")
-        assert dot.count(" -- ") == 6  # a tree on 7 vertices
-
     def test_sn_ball_json_and_dot(self, triple_z2):
         ball = enumerate_ball(triple_z2, 5)
         payload = jsonio.sn_ball_to_json(ball)

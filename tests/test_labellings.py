@@ -10,18 +10,16 @@ from whitefact.labellings import (
     apex_key,
     apex_label,
     base_label,
-    base_witness_by_volume,
     collapses,
     double_coset_core,
     is_base,
-    spoke_graph,
     star_equivalent,
     star_key,
     star_label,
     volume,
 )
 from whitefact.sampling import random_nontrivial_element, random_splitting_label, random_word
-from whitefact.words import empty_word, letter, word
+from whitefact.words import Word, empty_word, letter, word
 
 
 @pytest.fixture(scope="module")
@@ -322,14 +320,20 @@ class TestVolume:
         assert volume(label) == 7
 
     def test_spoke_lengths_odd(self, z342):
+        from whitefact.tree import c_vertex, geodesic, u_vertex
+
         rng = random.Random(53)
         for _ in range(40):
             label = star_label(z342, [random_word(z342, rng, 3) for _ in range(3)])
-            graph = spoke_graph(label, random_word(z342, rng, 2))
-            for spoke in graph.spokes:
+            x = random_word(z342, rng, 2)
+            spokes = [
+                geodesic(u_vertex(x), c_vertex(i, label.slot(i))) for i in range(1, 4)
+            ]
+            for spoke in spokes:
                 assert (len(spoke) - 1) % 2 == 1
-            assert graph.volume == sum(len(s) - 1 for s in graph.spokes)
-            assert graph.volume >= z342.n
+            total = sum(len(s) - 1 for s in spokes)
+            assert total == volume(label, x)
+            assert total >= z342.n
 
     @pytest.mark.parametrize("fixture", ["triple_z2", "z342", "z3422", "mixed_system"])
     def test_matches_tree_distances(self, request, fixture):
@@ -358,6 +362,39 @@ class TestVolume:
                 distance(u_vertex(empty_word(system)), c_vertex(i, label.slot(i)))
                 for i in range(1, system.n + 1)
             )
+
+
+def _split_lead_core_trail(w, lead, trail):
+    """Decompose w = b . core . a with b in G_lead and a in G_trail (or None)."""
+    syllables = w.syllables
+    b = None
+    a = None
+    if syllables and syllables[0].factor == lead:
+        b = syllables[0]
+        syllables = syllables[1:]
+    if syllables and syllables[-1].factor == trail:
+        a = syllables[-1]
+        syllables = syllables[:-1]
+    return b, Word(w.system, syllables), a
+
+
+def base_witness_by_volume(L):
+    """The unique x that could give volume n, if it exists and does.
+
+    Any such x lies in G_1 g_1 and G_2 g_2 simultaneously, which pins a
+    single candidate; independent of the equivalence decision procedure.
+    """
+    system = L.system
+    # Solve u . g_1 = v . g_2 with u in G_1, v in G_2: v^-1 u = g_2 g_1^-1.
+    target = L.slot(2) * L.slot(1).inverse()
+    b, core, a = _split_lead_core_trail(target, lead=2, trail=1)
+    if not core.is_identity():
+        return None
+    u = a if a is not None else system.identity(1)
+    x = letter(system, u) * L.slot(1)
+    if volume(L, x) == system.n:
+        return x
+    return None
 
 
 class TestIsBase:

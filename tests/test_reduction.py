@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from whitefact.errors import AlreadyBaseError, NonSplittingError
+from whitefact import sampling
+from whitefact.errors import AlreadyBaseError, EngineError, NonSplittingError
 from whitefact.labellings import (
     apex_equivalent,
     apex_label,
@@ -127,7 +128,7 @@ class TestFindFold:
         assert fold.z == w["b"]
 
     def test_fold_witness_invariants(self, z342):
-        from whitefact.tree import c_vertex, lies_between, u_vertex
+        from whitefact.tree import c_vertex, geodesic, u_vertex
 
         rng = random.Random(3)
         for _ in range(40):
@@ -137,7 +138,7 @@ class TestFindFold:
             center = u_vertex(empty_word(z342))
             pivot = c_vertex(fold.i, label.slot(fold.i))
             target = c_vertex(fold.j, label.slot(fold.j))
-            assert lies_between(pivot, center, target)
+            assert pivot in geodesic(center, target)
             conj = label.slot(fold.i) * (fold.z.inverse() * fold.y) * label.slot(fold.i).inverse()
             assert conj.syllable_count() == 1 and conj.leading_factor() == fold.i
 
@@ -208,6 +209,30 @@ class TestReduceStep:
                 assert collapses(current)[record.i - 1].conjugators == current.conjugators
                 current = moved
             assert volume(current) <= system.n, f"{label} not at the base after {bound} steps"
+
+    @pytest.mark.parametrize("fixture", SYSTEMS)
+    def test_shed_times_new_slot_is_raw_product(self, request, fixture):
+        # letter(shed) . new slot j == g_j . g_i^-1 a g_i, not canonicalized
+        system = request.getfixturevalue(fixture)
+        rng = random.Random(83)
+        sheds = 0
+        for _ in range(60):
+            current = random_splitting_label(system, rng, 5, min_volume=system.n + 2)
+            for _ in range((volume(current) - system.n) // 2):
+                if volume(current) <= system.n:
+                    break
+                moved, record = reduce_step(current)
+                gi, gj = current.slot(record.i), current.slot(record.j)
+                raw = gj * gi.inverse() * letter(system, record.element) * gi
+                if record.shed is None:
+                    assert moved.slot(record.j) == raw
+                else:
+                    sheds += 1
+                    assert record.shed.factor == record.j
+                    assert letter(system, record.shed) * moved.slot(record.j) == raw
+                assert star_label(system, moved.conjugators) == moved
+                current = moved
+        assert sheds > 0
 
     @pytest.mark.parametrize("fixture", SYSTEMS)
     def test_volumes_are_tree_volumes(self, request, fixture):
@@ -297,3 +322,19 @@ class TestReduceToBase:
             ]
             assert (final, records) == expected
         assert 0 < stuck < 300
+
+
+class TestSamplingCap:
+    def test_resampling_stops_at_the_cap(self, monkeypatch, mixed_system):
+        def never_splits(label):
+            raise NonSplittingError("stub")
+
+        monkeypatch.setattr(sampling, "reduce_to_base", never_splits)
+        rng = random.Random(89)
+        cap = f"{mixed_system!r} within {sampling.MAX_ATTEMPTS} attempts"
+        with pytest.raises(EngineError, match="automorphism") as raised:
+            sampling.random_pure_auto(mixed_system, rng, 3)
+        assert cap in str(raised.value)
+        with pytest.raises(EngineError, match="star labelling") as raised:
+            sampling.random_splitting_label(mixed_system, rng, 3)
+        assert cap in str(raised.value)

@@ -12,7 +12,6 @@ from whitefact.tree import (
     c_vertex,
     distance,
     geodesic,
-    lies_between,
     u_vertex,
     vertex_canon,
 )
@@ -110,9 +109,9 @@ class TestGeodesic:
 
     def test_lies_between(self, k3_words):
         eps, a, b = k3_words["eps"], k3_words["a"], k3_words["b"]
-        assert lies_between(c_vertex(1, eps), u_vertex(eps), c_vertex(3, b * a))
-        assert lies_between(u_vertex(eps), u_vertex(eps), c_vertex(3, b * a))
-        assert not lies_between(c_vertex(2, eps), u_vertex(eps), c_vertex(1, eps))
+        assert c_vertex(1, eps) in geodesic(u_vertex(eps), c_vertex(3, b * a))
+        assert u_vertex(eps) in geodesic(u_vertex(eps), c_vertex(3, b * a))
+        assert c_vertex(2, eps) not in geodesic(u_vertex(eps), c_vertex(1, eps))
 
 
 def _random_vertex(system, rng):
@@ -132,6 +131,8 @@ class TestBall:
     def test_radius_two_count(self, triple_z2):
         ball = bfs_ball(u_vertex(empty_word(triple_z2)), 2)
         assert len(ball.vertices) == 7
+        # a tree on 7 vertices: 6 edges, each listed from both ends
+        assert sum(len(ball.adjacency[v]) for v in ball.vertices) == 2 * 6
 
     def test_u_valency_is_n(self, z342):
         ball = bfs_ball(u_vertex(empty_word(z342)), 3)
