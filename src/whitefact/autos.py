@@ -21,7 +21,6 @@ from .labellings import (
     StarLabel,
     _apex_obstruction,
     _single_factor_element,
-    _split_own_head,
     _star_witness,
     apex_equivalent,
     apex_label,
@@ -29,7 +28,7 @@ from .labellings import (
     star_label,
 )
 from .reduction import reduce_to_base
-from .words import Word, empty_word, letter, normal_form
+from .words import Word, empty_word, letter, normal_form, split_own_head
 
 
 @dataclass(frozen=True)
@@ -73,11 +72,7 @@ def pure_auto(system: FactorSystem, parts) -> PureSymmetricAuto:
 
 
 def identity_auto(system: FactorSystem) -> PureSymmetricAuto:
-    eps = empty_word(system)
-    return PureSymmetricAuto(
-        system,
-        tuple((system.part_identity(k), eps) for k in range(1, system.n + 1)),
-    )
+    return inner_auto(system, empty_word(system))
 
 
 def inner_auto(system: FactorSystem, h: Word) -> PureSymmetricAuto:
@@ -170,7 +165,7 @@ def _split_canonical(psi: PureSymmetricAuto):
     words = []
     parts = []
     for k in range(1, system.n + 1):
-        head, conj = _split_own_head(psi.conjugator(k), k)
+        head, conj = split_own_head(psi.conjugator(k), k)
         part = psi.phi(k)
         if head is not None:
             part = system.part_compose(system.conjugation_part(head), part)
@@ -387,9 +382,7 @@ def decompose_apex_stabilizer(psi: PureSymmetricAuto, i: int):
     system.factor(i)
     words, parts0 = _split_canonical(psi)
     own = apex_label(system, i, words)
-    base_apex = apex_label(
-        system, i, [empty_word(system) for _ in range(system.n)]
-    )
+    base_apex = apex_label(system, i, [empty_word(system)] * system.n)
     if not apex_equivalent(own, base_apex):
         raise NotAStabilizerError(_apex_obstruction(own, base_apex))
     shift = own.slot(i).inverse()
@@ -399,17 +392,10 @@ def decompose_apex_stabilizer(psi: PureSymmetricAuto, i: int):
         if j == i:
             parts.append(parts0[j - 1])
             continue
-        w = own.slot(j) * shift
-        syllables = w.syllables
-        b = system.identity(j)
-        c = system.identity(i)
-        if len(syllables) == 1:
-            if syllables[0].factor == j:
-                b = syllables[0]
-            else:
-                c = syllables[0]
-        elif len(syllables) == 2:
-            b, c = syllables
+        # own.slot(j) * shift = b c with b in G_j and c in G_i (empty core)
+        b, rest = split_own_head(own.slot(j) * shift, j)
+        b = system.identity(j) if b is None else b
+        c = rest.syllables[0] if rest.syllables else system.identity(i)
         parts.append(system.part_compose(system.conjugation_part(b), parts0[j - 1]))
         if not system.is_identity(c):
             whiteheads.append(WhiteheadAuto(system, (j,), c))

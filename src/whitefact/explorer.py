@@ -2,32 +2,27 @@
 
 For a finite factor system this materializes every star-labelling class
 whose volume at the basepoint stays within a bound, all their collapse
-neighbours, and the bipartite collapse edges between them.  Candidate
-tuples whose conjugated factors fail to generate the whole group are not
-labellings at all and are filtered out by attempting the reduction walk.
+neighbours, and the bipartite collapse edges between them.  The ball is
+grown from the base tuple by inverse folds, the reduction walk run
+backwards, so every tuple it meets is a labelling.
 
-Cost model: the work grows with the number of in-budget tuples, not with
-the product of the per-slot word lists.  Each slot's words are bucketed by
-syllable count and only the count vectors within budget are expanded; each
-tuple is keyed once (star_key) and deduplicated by set lookup, and one
-reduction walk runs per distinct class, on its least member, since
-generating the whole group is a class property.  A classes are indexed by
-apex_key.  On Z2*Z2*Z2 the in-budget tuples number 1023, 2815, 7423 and
-18943 at bounds 13, 15, 17 and 19 (the full products: 0.25 M, 2.0 M, 17 M
-and 133 M), and enumerate_ball took 0.06, 0.19, 0.48 and 1.4 s (best of
-3, CPython 3.11, 2-vCPU shared host).  Since folds are read off the slot
-words, the reduction walks (6913 classes, 82 of them splitting, at bound
-19) take about 15 % of that; about 60 % is star_key's word products on
-every in-budget tuple, and 10 % the candidate sort.
+Cost model: the work grows with the visited tuples, the splitting tuples
+within the syllable budget.  Each one below the full budget is expanded by
+n(n-1) slot pairs times the nontrivial elements of the pushing factor, one
+normal form each, and each is keyed once (star_key).  On Z2*Z2*Z2 the
+visited tuples number 244, 382, 574, 814, 1162 and 1630 at bounds 15 to 25,
+against 2815 in-budget tuples at bound 15 and 18 943 at bound 19.  Z3*Z4*Z2*Z2
+visits 45 304 at bound 14, taking 8.3 s and 106 MB peak RSS (CPython 3.11,
+2-vCPU shared host); MAX_VISITED caps a call near that size.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 from .autos import invert, tuple_auto
 from .errors import EngineError, NonSplittingError, OracleUnavailableError
+from .factors import FactorElement
 from .labellings import (
     ApexLabel,
     StarLabel,
@@ -39,11 +34,12 @@ from .labellings import (
     collapses,
     star_equivalent,
     star_key,
-    star_label,
     volume,
 )
 from .reduction import reduce_to_base
-from .words import Word, empty_word, enumerate_words
+from .words import Word, empty_word, normal_form, split_own_head
+
+MAX_VISITED = 50_000  # tuples one enumerate_ball may visit; see the cost model
 
 
 @dataclass(frozen=True)
@@ -65,64 +61,83 @@ class BallReport:
         return not self.failures
 
 
-def _word_sort_key(w: Word):
-    return (w.syllable_count(), tuple((s.factor, s.payload) for s in w.syllables))
-
-
 def _tuple_sort_key(words):
-    return (
-        sum(w.syllable_count() for w in words),
-        tuple(_word_sort_key(w) for w in words),
+    """Total length, then per slot its length and its (factor, payload) pairs."""
+    slots = tuple(
+        (len(w.syllables), tuple((s.factor, s.payload) for s in w.syllables)) for w in words
     )
+    return (sum(length for length, _ in slots), slots)
 
 
-def _slot_buckets(system, slot: int, budget: int) -> list[list[Word]]:
-    """Slot candidates (no leading own-factor syllable) by syllable count."""
-    buckets: list[list[Word]] = [[] for _ in range(budget + 1)]
-    for w in enumerate_words(system, budget):
-        if w.leading_factor() != slot:
-            buckets[w.syllable_count()].append(w)
-    return buckets
+def _grow_from_base(system, max_volume: int) -> list[tuple[Word, ...]]:
+    """Every splitting canonical slot tuple with volume at most max_volume.
+
+    Breadth-first from the base tuple by inverse folds (j, i, s): slot j
+    becomes canonical(g_j . g_i^-1 s g_i) for s in G_i nontrivial, i != j,
+    kept when slot j gets longer and the volume stays in bound.
+    """
+    budget = (max_volume - system.n) // 2
+    letters = [
+        [FactorElement(i, p) for p in system.nontrivial_payloads(i)]
+        for i in range(1, system.n + 1)
+    ]
+    base = base_label(system).conjugators
+    visited = {tuple(w.syllables for w in base): base}
+    frontier = [base]
+    while frontier:
+        grown_level = []
+        for slots in frontier:
+            spare = budget - sum(len(w.syllables) for w in slots)
+            for i, gi in enumerate(slots, start=1):
+                head, tail = gi.inverse().syllables, gi.syllables
+                for s in letters[i - 1] if spare else ():  # every fold adds a syllable
+                    for j, gj in enumerate(slots, start=1):
+                        if j == i:
+                            continue
+                        new = normal_form(system, gj.syllables + head + (s,) + tail)
+                        new = split_own_head(new, j)[1]
+                        if not 0 < len(new.syllables) - len(gj.syllables) <= spare:
+                            continue
+                        grown = slots[: j - 1] + (new,) + slots[j:]
+                        key = tuple(w.syllables for w in grown)
+                        if key in visited:
+                            continue
+                        visited[key] = grown
+                        grown_level.append(grown)
+                        if len(visited) > MAX_VISITED:
+                            raise EngineError(
+                                f"explore over {system!r} at volume bound {max_volume} "
+                                f"visited {len(visited)} tuples, over the cap of {MAX_VISITED}"
+                            )
+        frontier = grown_level
+    return list(visited.values())
 
 
 def enumerate_ball(system, max_volume: int) -> SnBall:
     """All star classes with volume(., 1) <= max_volume, plus their collapses.
 
-    Representatives are the least members found, ordered by total syllable
-    length and then lexicographically, so output is reproducible.
+    Representatives are the least members, ordered by total syllable length
+    and then lexicographically, so output is reproducible.  They are the
+    least tuples of each star_key among the grown ones, which are exactly
+    the in-budget splitting tuples:
+
+    - Every in-budget splitting tuple folds to the base through tuples of
+      lower volume, and the inverse fold undoes each fold, so it is grown.
+    - Every grown tuple splits: c = g_i^-1 s g_i lies in G_i^{g_i}, so
+      G_j^{g_j c} is conjugate to G_j^{g_j} by an element of the subgroup
+      the tuple generates, which therefore does not change.
+    - Splitting is a class property, so the least in-budget member of a
+      splitting class is the least grown tuple with that key.
     """
     if not system.all_finite:
         raise OracleUnavailableError("oracle requires finite factors")
     if max_volume < system.n:
-        raise EngineError(
-            f"volume bound {max_volume} below the minimum {system.n}"
-        )
-    budget = (max_volume - system.n) // 2
-    per_slot = [_slot_buckets(system, j, budget) for j in range(1, system.n + 1)]
-    candidates = [
-        combo
-        for counts in itertools.product(range(budget + 1), repeat=system.n)
-        if sum(counts) <= budget
-        for combo in itertools.product(
-            *(buckets[c] for buckets, c in zip(per_slot, counts))
-        )
-    ]
-    candidates.sort(key=_tuple_sort_key)
-
-    # Splitting is a class property, so only a class's least member is walked.
-    alpha_reps: list[StarLabel] = []
-    seen: set[tuple] = set()
-    for combo in candidates:
-        label = star_label(system, combo)
-        key = star_key(label)
-        if key in seen:
-            continue
-        seen.add(key)
-        try:
-            reduce_to_base(label)
-        except NonSplittingError:
-            continue
-        alpha_reps.append(label)
+        raise EngineError(f"volume bound {max_volume} below the minimum {system.n}")
+    reps: dict[tuple, StarLabel] = {}
+    for slots in sorted(_grow_from_base(system, max_volume), key=_tuple_sort_key):
+        label = StarLabel(system, slots)
+        reps.setdefault(star_key(label), label)  # the least member of each class
+    alpha_reps = list(reps.values())
 
     a_reps: list[ApexLabel] = []
     a_index: dict[tuple, int] = {}

@@ -357,10 +357,7 @@ def sn_ball_to_json(ball: SnBall) -> dict:
     return {
         "bound": ball.bound,
         "alpha_classes": [star_to_json(label)["alpha"] for label in ball.alpha_classes],
-        "a_classes": [
-            {"apex": label.apex, "tuple": [word_to_json(w) for w in label.conjugators]}
-            for label in ball.a_classes
-        ],
+        "a_classes": [apex_to_json(label)["A"] for label in ball.a_classes],
         "edges": [list(edge) for edge in ball.edges],
     }
 
@@ -371,9 +368,7 @@ def sn_ball_to_dot(ball: SnBall) -> str:
         name = dumps(star_to_json(label)["alpha"])
         lines.append(f'  a{index} [shape=ellipse, label="{name}"];')
     for index, label in enumerate(ball.a_classes):
-        name = f"apex {label.apex}: " + dumps(
-            [word_to_json(w) for w in label.conjugators]
-        )
+        name = f"apex {label.apex}: " + dumps(apex_to_json(label)["A"]["tuple"])
         lines.append(f'  b{index} [shape=box, label="{name}"];')
     for alpha_index, a_index in ball.edges:
         lines.append(f"  a{alpha_index} -- b{a_index};")

@@ -33,7 +33,7 @@ from typing import Sequence
 
 from .errors import SystemMismatchError
 from .factors import FactorElement, FactorSystem
-from .words import Word, empty_word, letter
+from .words import Word, empty_word, letter, split_own_head
 
 
 @dataclass(frozen=True)
@@ -59,14 +59,6 @@ class ApexLabel:
         return self.conjugators[j - 1]
 
 
-def _split_own_head(w: Word, j: int) -> tuple[FactorElement | None, Word]:
-    """(b, r) with w = b . r: b is w's leading G_j syllable (None when it has
-    none) and r the coset-canonical rep of G_j w, the slot word for slot j."""
-    if w.syllables and w.syllables[0].factor == j:
-        return w.syllables[0], Word(w.system, w.syllables[1:])
-    return None, w
-
-
 def _canonical_slots(system: FactorSystem, words: Sequence[Word]) -> tuple[Word, ...]:
     if len(words) != system.n:
         raise ValueError(f"expected {system.n} slot words, got {len(words)}")
@@ -74,7 +66,7 @@ def _canonical_slots(system: FactorSystem, words: Sequence[Word]) -> tuple[Word,
     for j, w in enumerate(words, start=1):
         if w.system != system:
             raise SystemMismatchError("slot word from a different factor system")
-        slots.append(_split_own_head(w, j)[1])
+        slots.append(split_own_head(w, j)[1])
     return tuple(slots)
 
 
@@ -93,12 +85,10 @@ def base_label(system: FactorSystem) -> StarLabel:
 
 def double_coset_core(w: Word, lead: int, trail: int) -> Word:
     """Canonical representative of G_lead . w . G_trail."""
-    syllables = w.syllables
-    if syllables and syllables[0].factor == lead:
-        syllables = syllables[1:]
-    if syllables and syllables[-1].factor == trail:
-        syllables = syllables[:-1]
-    return Word(w.system, syllables)
+    core = split_own_head(w, lead)[1]
+    if core.trailing_factor() == trail:
+        return Word(w.system, core.syllables[:-1])
+    return core
 
 
 def _single_factor_element(w: Word, factor: int) -> FactorElement | None:

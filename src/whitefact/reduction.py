@@ -33,8 +33,8 @@ from dataclasses import dataclass
 
 from .errors import AlreadyBaseError, NonSplittingError
 from .factors import FactorElement
-from .labellings import StarLabel, _split_own_head, volume
-from .words import Word, normal_form
+from .labellings import StarLabel, volume
+from .words import Word, normal_form, split_own_head
 
 
 @dataclass(frozen=True)
@@ -102,7 +102,7 @@ def reduce_step(L: StarLabel) -> tuple[StarLabel, MoveRecord]:
         )
     old = L.slot(fold.j).syllables
     prefix = old[: len(old) - fold.z.syllable_count()]
-    shed, slot = _split_own_head(normal_form(system, prefix + fold.y.syllables), fold.j)
+    shed, slot = split_own_head(normal_form(system, prefix + fold.y.syllables), fold.j)
     new_words = list(L.conjugators)
     new_words[fold.j - 1] = slot
     after = before - 2 * (len(old) - slot.syllable_count())

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from .errors import OracleUnavailableError, SystemMismatchError
 from .factors import FactorElement
-from .words import Word, normal_form
+from .words import Word, normal_form, split_own_head
 
 
 @dataclass(frozen=True)
@@ -48,9 +48,7 @@ def u_vertex(rep: Word) -> TreeVertex:
 def c_vertex(factor: int, rep: Word) -> TreeVertex:
     """Canonical coset vertex: a leading syllable of the own factor is absorbed."""
     rep.system.factor(factor)
-    if rep.syllables and rep.syllables[0].factor == factor:
-        rep = Word(rep.system, rep.syllables[1:])
-    return TreeVertex("c", factor, rep)
+    return TreeVertex("c", factor, split_own_head(rep, factor)[1])
 
 
 def vertex_canon(kind: str, factor: int | None, rep: Word) -> TreeVertex:

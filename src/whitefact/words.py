@@ -75,6 +75,14 @@ def normal_form(system: FactorSystem, letters: Iterable[FactorElement]) -> Word:
     return Word(system, tuple(out))
 
 
+def split_own_head(w: Word, j: int) -> tuple[FactorElement | None, Word]:
+    """(b, r) with w = b . r: b is w's leading G_j syllable (None when it has
+    none) and r the canonical rep of the right coset G_j w."""
+    if w.syllables and w.syllables[0].factor == j:
+        return w.syllables[0], Word(w.system, w.syllables[1:])
+    return None, w
+
+
 def word(system: FactorSystem, pairs: Sequence[tuple[int, int]]) -> Word:
     """Build a word from (factor, payload) pairs, normalizing payloads."""
     return normal_form(system, [system.element(f, p) for f, p in pairs])

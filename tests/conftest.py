@@ -47,5 +47,10 @@ def z3422():
 
 
 @pytest.fixture(scope="session")
+def s3_z2_z2():
+    return FactorSystem([s3_table(), CyclicBackend(2), CyclicBackend(2)])
+
+
+@pytest.fixture(scope="session")
 def mixed_system():
     return FactorSystem([s3_table(), CyclicBackend(2), IntBackend()])

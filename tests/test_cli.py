@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from whitefact.cli import main
-from whitefact import jsonio
+from whitefact import explorer, jsonio
 from whitefact.autos import factorize, identity_auto, tuple_auto
+from whitefact.factors import MAX_TABLE_ORDER
 from whitefact.sampling import random_pure_auto
 from whitefact.words import word
 
@@ -200,6 +201,17 @@ class TestExplore:
         )
         assert first == second
 
+    def test_visit_cap_is_exit_1(self, capsys, system_file, monkeypatch):
+        monkeypatch.setattr(explorer, "MAX_VISITED", 10)
+        code, out, err = run(
+            capsys, "--system", system_file, "explore", "--max-volume", "9"
+        )
+        assert code == 1
+        assert not out
+        assert err.count("\n") == 1
+        assert "FactorSystem(Z2, Z2, Z2)" in err and "bound 9" in err
+        assert "visited 11 tuples" in err
+
 
 S3_TABLE = [list(row) for row in s3_table().table]
 
@@ -220,6 +232,20 @@ def _auto(first_phi=MULT_ONE):
 def _verify_argv(whitehead):
     fact = {"whitehead": whitehead, "factor": [MULT_ONE] * 3, "inner": []}
     return ["verify", _auto(), json.dumps(fact)]
+
+
+class TestOversizedTable:
+    def test_table_over_the_limit_is_exit_2(self, capsys):
+        order = MAX_TABLE_ORDER + 1
+        table = [[(a + b) % order for b in range(order)] for a in range(order)]
+        system = {"factors": [{"kind": "table", "table": table}] + K3_SYSTEM["factors"][1:]}
+        code, out, err = run(
+            capsys, "--system", json.dumps(system), "normalize", "[[1,1]]"
+        )
+        assert code == 2
+        assert not out
+        assert err.count("\n") == 1
+        assert f"order {order} exceeds the limit of {MAX_TABLE_ORDER}" in err
 
 
 class TestMalformedInput:

@@ -2,12 +2,17 @@ import itertools
 
 import pytest
 
+from whitefact import explorer
 from whitefact.errors import EngineError, NonSplittingError, OracleUnavailableError
-from whitefact.explorer import SnBall, check_ball, enumerate_ball
+from whitefact.explorer import SnBall, _grow_from_base, check_ball, enumerate_ball
+from whitefact.jsonio import sn_ball_to_json
 from whitefact.labellings import (
+    apex_key,
     apex_label,
     base_label,
+    collapses,
     star_equivalent,
+    star_key,
     star_label,
     volume,
 )
@@ -15,14 +20,14 @@ from whitefact.reduction import reduce_to_base
 from whitefact.words import empty_word, enumerate_words, word
 
 
-def brute_alpha_classes(system, max_volume):
-    """Independent enumeration and dedup, pairwise via the public decider."""
+def brute_splitting_tuples(system, max_volume):
+    """Every in-budget canonical slot tuple whose reduction walk reaches the base."""
     budget = (max_volume - system.n) // 2
     per_slot = [
         [w for w in enumerate_words(system, budget) if w.leading_factor() != j]
         for j in range(1, system.n + 1)
     ]
-    reps = []
+    out = []
     for combo in itertools.product(*per_slot):
         if sum(w.syllable_count() for w in combo) > budget:
             continue
@@ -31,9 +36,68 @@ def brute_alpha_classes(system, max_volume):
             reduce_to_base(label)
         except NonSplittingError:
             continue
+        out.append(label)
+    return out
+
+
+def brute_alpha_classes(system, max_volume):
+    """Independent enumeration and dedup, pairwise via the public decider."""
+    reps = []
+    for label in brute_splitting_tuples(system, max_volume):
         if not any(star_equivalent(label, rep) is not None for rep in reps):
             reps.append(label)
     return reps
+
+
+def keyed_enumerate_ball(system, max_volume):
+    """Reference: the keyed search that growing from the base replaced.
+
+    It keys every in-budget tuple, least first, walks one reduction per
+    class and drops the classes that do not split.
+    """
+    budget = (max_volume - system.n) // 2
+    per_slot = []
+    for j in range(1, system.n + 1):
+        buckets = [[] for _ in range(budget + 1)]
+        for w in enumerate_words(system, budget):
+            if w.leading_factor() != j:
+                buckets[w.syllable_count()].append(w)
+        per_slot.append(buckets)
+    candidates = [
+        combo
+        for counts in itertools.product(range(budget + 1), repeat=system.n)
+        if sum(counts) <= budget
+        for combo in itertools.product(*(b[c] for b, c in zip(per_slot, counts)))
+    ]
+    candidates.sort(
+        key=lambda words: (
+            sum(w.syllable_count() for w in words),
+            tuple(
+                (w.syllable_count(), tuple((s.factor, s.payload) for s in w.syllables))
+                for w in words
+            ),
+        )
+    )
+    alpha_reps, seen = [], set()
+    for combo in candidates:
+        label = star_label(system, combo)
+        key = star_key(label)
+        if key in seen:
+            continue
+        seen.add(key)
+        try:
+            reduce_to_base(label)
+        except NonSplittingError:
+            continue
+        alpha_reps.append(label)
+    a_reps, a_index, edges = [], {}, []
+    for alpha_index, label in enumerate(alpha_reps):
+        for collapsed in collapses(label):
+            match = a_index.setdefault(apex_key(collapsed), len(a_reps))
+            if match == len(a_reps):
+                a_reps.append(collapsed)
+            edges.append((alpha_index, match))
+    return SnBall(system, max_volume, tuple(alpha_reps), tuple(a_reps), tuple(edges))
 
 
 class TestEnumerate:
@@ -100,6 +164,53 @@ class TestEnumerate:
 
     def test_deterministic(self, triple_z2):
         assert enumerate_ball(triple_z2, 7) == enumerate_ball(triple_z2, 7)
+
+
+class TestGrowth:
+    @pytest.mark.parametrize(
+        "name, bound",
+        [("triple_z2", 11), ("triple_z2", 13), ("z3422", 6), ("s3_z2_z2", 7)],
+    )
+    def test_same_bytes_as_keyed_search(self, request, name, bound):
+        system = request.getfixturevalue(name)
+        expected = sn_ball_to_json(keyed_enumerate_ball(system, bound))
+        assert sn_ball_to_json(enumerate_ball(system, bound)) == expected
+
+    @pytest.mark.parametrize("name, bound", [("triple_z2", 7), ("s3_z2_z2", 7)])
+    def test_visits_exactly_the_splitting_tuples(self, request, name, bound):
+        system = request.getfixturevalue(name)
+        grown = [
+            tuple(w.syllables for w in slots) for slots in _grow_from_base(system, bound)
+        ]
+        brute = [
+            tuple(w.syllables for w in L.conjugators)
+            for L in brute_splitting_tuples(system, bound)
+        ]
+        assert len(grown) == len(set(grown))
+        assert set(grown) == set(brute)
+
+    def test_visited_count_is_pinned(self, triple_z2):
+        # a search that quietly widens or narrows changes this count
+        assert len(_grow_from_base(triple_z2, 19)) == 574
+
+    def test_visit_cap_names_system_bound_and_count(self, triple_z2, monkeypatch):
+        monkeypatch.setattr(explorer, "MAX_VISITED", 100)
+        with pytest.raises(EngineError) as caught:
+            enumerate_ball(triple_z2, 19)
+        message = str(caught.value)
+        assert "FactorSystem(Z2, Z2, Z2)" in message
+        assert "bound 19" in message and "visited 101 tuples" in message
+
+    def test_oracles_do_not_grow(self, triple_z2, z342, monkeypatch):
+        balls = [enumerate_ball(triple_z2, 7), enumerate_ball(z342, 5)]
+
+        def forbidden(*args):
+            raise AssertionError("an oracle called the growth")
+
+        monkeypatch.setattr(explorer, "_grow_from_base", forbidden)
+        for ball in balls:
+            assert check_ball(ball).passed
+            assert len(brute_alpha_classes(ball.system, ball.bound)) == len(ball.alpha_classes)
 
 
 class TestCheck:

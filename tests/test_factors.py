@@ -8,6 +8,8 @@ from whitefact.factors import (
     FactorAutoPart,
     FactorElement,
     FactorSystem,
+    IntBackend,
+    MAX_TABLE_ORDER,
     TableBackend,
 )
 
@@ -102,9 +104,33 @@ class TestValidation:
         backend = TableBackend(table, identity=0)
         assert backend.validate() == "not associative"
 
+    def test_table_order_limit_checked_first(self):
+        order = MAX_TABLE_ORDER + 1
+        table = [[(a + b) % order for b in range(order)] for a in range(order)]
+        table[0][0] = 1  # not even a Latin square: the size is reported first
+        message = TableBackend(table).validate()
+        assert message == f"Cayley table of order {order} exceeds the limit of {MAX_TABLE_ORDER}"
+
+    def test_table_at_the_limit_passes(self):
+        order = MAX_TABLE_ORDER
+        table = [[(a + b) % order for b in range(order)] for a in range(order)]
+        assert TableBackend(table).validate() is None
+
     def test_system_needs_three_factors(self):
         with pytest.raises(ValueError):
             FactorSystem([CyclicBackend(2), CyclicBackend(2)])
+
+
+class TestRepr:
+    def test_cyclic_systems_print_their_orders(self):
+        z222 = FactorSystem([CyclicBackend(2), CyclicBackend(2), CyclicBackend(2)])
+        z342 = FactorSystem([CyclicBackend(3), CyclicBackend(4), CyclicBackend(2)])
+        assert repr(z222) != repr(z342)
+        assert repr(z342) == "FactorSystem(Z3, Z4, Z2)"
+
+    def test_int_and_table_factors(self):
+        system = FactorSystem([s3_table(), CyclicBackend(2), IntBackend()])
+        assert repr(system) == "FactorSystem(table6, Z2, Z)"
 
 
 class TestAutomorphismParts:
