@@ -47,10 +47,14 @@ class PureSymmetricAuto:
         if w.system != self.system:
             raise SystemMismatchError("word from a different factor system")
         system = self.system
+        inverses: dict[int, tuple[FactorElement, ...]] = {}
         letters: list[FactorElement] = []
         for s in w.syllables:
             part, conj = self.parts[s.factor - 1]
-            letters.extend(conj.inverse().syllables)
+            conj_inv = inverses.get(s.factor)
+            if conj_inv is None:
+                conj_inv = inverses[s.factor] = conj.inverse().syllables
+            letters.extend(conj_inv)
             letters.append(system.part_apply(part, s))
             letters.extend(conj.syllables)
         return normal_form(system, letters)
@@ -100,12 +104,25 @@ class WhiteheadAuto:
 
     The operating factor is the factor of x; it is fixed pointwise.  Y must
     be nonempty and x nontrivial, otherwise the value would collapse to the
-    identity and outer classes would lose their unique representatives.
+    identity and outer classes would lose their unique representatives, and
+    the operating factor must lie outside Y.  Construction raises
+    ValueError otherwise.
     """
 
     system: FactorSystem
     moved: tuple[int, ...]
     element: FactorElement
+
+    def __post_init__(self):
+        # _apply_whitehead's one-pass normal form relies on the last two checks.
+        if not self.moved:
+            raise ValueError("a Whitehead automorphism needs a nonempty moved set")
+        if self.system.is_identity(self.element):
+            raise ValueError("a Whitehead automorphism needs a nontrivial element")
+        if self.element.factor in self.moved:
+            raise ValueError(
+                f"operating factor {self.element.factor} cannot belong to the moved set"
+            )
 
     @property
     def operating(self) -> int:
@@ -114,16 +131,8 @@ class WhiteheadAuto:
 
 def whitehead_auto(system: FactorSystem, moved, element: FactorElement) -> WhiteheadAuto:
     moved = tuple(sorted(set(moved)))
-    if not moved:
-        raise ValueError("a Whitehead automorphism needs a nonempty moved set")
-    if system.is_identity(element):
-        raise ValueError("a Whitehead automorphism needs a nontrivial element")
     for j in moved:
         system.factor(j)
-        if j == element.factor:
-            raise ValueError(
-                f"operating factor {j} cannot belong to the moved set"
-            )
     return WhiteheadAuto(system, moved, system.element(element.factor, element.payload))
 
 
@@ -206,16 +215,43 @@ class Factorization:
 
 
 def _apply_whitehead(w: WhiteheadAuto, word_in: Word) -> Word:
+    """Normal form of the move (Y, x) applied to a reduced word, in one pass.
+
+    Let x lie in G_i, x nontrivial and i not in Y.  The image replaces each
+    syllable s of a factor in Y by x^-1 s x and keeps every other syllable.
+    Neighbours of a reduced word lie in different factors and i is not in
+    Y, so letters merge only where x or x^-1 meets a G_i letter: a fixed
+    G_i syllable t next to moved syllables becomes x t, t x^-1 or x t x^-1
+    (a conjugate of t, never trivial), and x x^-1 between two adjacent
+    moved syllables cancels.  A product that cancels leaves side by side
+    either two syllables adjacent in the input, or a moved syllable of some
+    G_j (j in Y) and a letter outside G_j: x^-1, x, or a fixed syllable,
+    which is not in G_j because all of G_j moves.  So nothing cascades, and
+    one left-to-right pass with at most one G_i product per input syllable
+    yields the normal form.
+    """
     system = w.system
+    moved = w.moved
     x = w.element
+    i = x.factor
     x_inv = system.inverse(x)
-    letters: list[FactorElement] = []
+    e = system.identity_payloads[i - 1]
+    out: list[FactorElement] = []
     for s in word_in.syllables:
-        if s.factor in w.moved:
-            letters.extend((x_inv, s, x))
+        is_moved = s.factor in moved
+        head = x_inv if is_moved else s
+        if head.factor == i and out and out[-1].factor == i:
+            merged = system.mul(out[-1], head)
+            if merged.payload == e:
+                out.pop()
+            else:
+                out[-1] = merged
         else:
-            letters.append(s)
-    return normal_form(system, letters)
+            out.append(head)
+        if is_moved:
+            out.append(s)
+            out.append(x)
+    return Word(system, tuple(out))
 
 
 def _apply_parts(parts, word_in: Word) -> Word:

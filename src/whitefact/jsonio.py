@@ -16,6 +16,14 @@ Schemas:
   move trace      [{"i":..., "j":..., "a": [factor, payload],
                     "vol_before":..., "vol_after":...}, ...]
 Vertex names are "U:<word>" and "C<i>:<word>" with the word in compact JSON.
+
+Words cross the wire in one pass each way.  Decoding checks every letter
+(shape, factor index, integer payload) before it normalizes any payload, so
+the first malformed letter is reported whatever follows it; a second loop
+then normalizes each payload with its backend, drops identities and merges
+same-factor neighbours, which is the free-product normal form without an
+intermediate element list.  Vertex names join "[factor,payload]" fragments;
+normalized payloads are plain ints, so the bytes equal dumps of the word.
 """
 
 from __future__ import annotations
@@ -34,13 +42,14 @@ from .explorer import SnBall
 from .factors import (
     CyclicBackend,
     FactorAutoPart,
+    FactorElement,
     FactorSystem,
     IntBackend,
     TableBackend,
 )
 from .labellings import ApexLabel, StarLabel, apex_label, star_label
 from .tree import TreeVertex, vertex_canon
-from .words import Word, word
+from .words import Word
 
 
 def dumps(obj) -> str:
@@ -143,28 +152,48 @@ def word_to_json(w: Word) -> list:
 
 def word_from_json(system: FactorSystem, obj) -> Word:
     _expect(isinstance(obj, list), "word must be a list of [factor, payload] pairs")
-    pairs = []
-    # Messages are formatted only on failure: this loop runs per letter.
+    n = system.n
+    # Messages are formatted only on failure: these loops run per letter.
     for entry in obj:
-        if not (isinstance(entry, list) and len(entry) == 2 and _is_int(entry[0])):
+        if not (
+            isinstance(entry, list)
+            and len(entry) == 2
+            and (type(entry[0]) is int or _is_int(entry[0]))
+        ):
             raise SchemaError(f"bad word letter {entry!r}")
         factor, payload = entry
-        if not 1 <= factor <= system.n:
+        if not 1 <= factor <= n:
             raise SchemaError(f"factor index {factor} out of range")
-        if not _is_int(payload):
+        if not (type(payload) is int or _is_int(payload)):
             raise SchemaError(f"payload {payload!r} must be an integer")
-        pairs.append((factor, payload))
+    backends = system.backends
+    ident = system.identity_payloads
+    out: list[FactorElement] = []
     try:
-        return word(system, pairs)
+        for factor, payload in obj:
+            backend = backends[factor - 1]
+            e = ident[factor - 1]
+            payload = backend.normalize(payload)
+            if payload == e:
+                continue
+            if out and out[-1].factor == factor:
+                merged = backend.op(out[-1].payload, payload)
+                if merged == e:
+                    out.pop()
+                else:
+                    out[-1] = FactorElement(factor, merged)
+            else:
+                out.append(FactorElement(factor, payload))
     except ValueError as exc:
         raise SchemaError(str(exc)) from exc
+    return Word(system, tuple(out))
 
 
 def vertex_name(v: TreeVertex) -> str:
-    body = dumps(word_to_json(v.rep))
+    body = ",".join([f"[{s.factor},{s.payload}]" for s in v.rep.syllables])
     if v.kind == "u":
-        return f"U:{body}"
-    return f"C{v.factor}:{body}"
+        return f"U:[{body}]"
+    return f"C{v.factor}:[{body}]"
 
 
 def vertex_from_name(system: FactorSystem, name: str) -> TreeVertex:

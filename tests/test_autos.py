@@ -1,11 +1,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from whitefact.autos import (
     Factorization,
     WhiteheadAuto,
     _apply_parts,
+    _apply_whitehead,
     _split_canonical,
     _star_split,
     compose,
@@ -43,7 +45,7 @@ from whitefact.sampling import (
     random_word,
 )
 from whitefact.selfcheck import _mutate
-from whitefact.words import Word, empty_word, letter, word
+from whitefact.words import Word, empty_word, letter, normal_form, word
 
 from conftest import s3_table
 
@@ -544,10 +546,133 @@ class TestPureAutoValidation:
         with pytest.raises(FactorMismatchError):
             pure_auto(triple_z2, parts)
 
-    def test_whitehead_requires_nontrivial_element(self, triple_z2):
+    def test_whitehead_requires_nontrivial_element(self, triple_z2, z342):
         with pytest.raises(ValueError, match="nontrivial"):
             whitehead_auto(triple_z2, (2,), FactorElement(1, 0))
+        # the check reads the normalized element: 3 is the identity of Z3
+        with pytest.raises(ValueError, match="nontrivial"):
+            whitehead_auto(z342, (2,), FactorElement(1, 3))
 
     def test_whitehead_requires_disjoint_operating_factor(self, triple_z2):
         with pytest.raises(ValueError, match="operating"):
             whitehead_auto(triple_z2, (1, 2), FactorElement(1, 1))
+
+    def test_direct_whitehead_needs_nontrivial_element(self, triple_z2):
+        with pytest.raises(ValueError, match="nontrivial"):
+            WhiteheadAuto(triple_z2, (2,), FactorElement(1, 0))
+
+    def test_direct_whitehead_needs_disjoint_operating_factor(self, triple_z2):
+        with pytest.raises(ValueError, match="operating"):
+            WhiteheadAuto(triple_z2, (1, 2), FactorElement(1, 1))
+
+
+# -- the one-pass Whitehead kernel ----------------------------------------------
+
+
+def reference_apply_whitehead(w, word_in):
+    """The kernel before the one-pass rewrite: x^-1 s x per moved syllable,
+    then the normal form of the whole letter sequence."""
+    system = w.system
+    x = w.element
+    x_inv = system.inverse(x)
+    letters = []
+    for s in word_in.syllables:
+        if s.factor in w.moved:
+            letters.extend((x_inv, s, x))
+        else:
+            letters.append(s)
+    return normal_form(system, letters)
+
+
+KERNEL_SYSTEMS = {
+    "Z3*Z4*Z2*Z2": VERIFY_SYSTEMS["Z3*Z4*Z2*Z2"](),
+    "S3*Z2*Z*Z5": VERIFY_SYSTEMS["S3*Z2*Z*Z5"](),
+    "Z2*Z2*Z2": SHED_SYSTEMS["Z2*Z2*Z2"](),
+}
+RELATION_SYSTEMS = {
+    "Z3*Z4*Z2*Z2": KERNEL_SYSTEMS["Z3*Z4*Z2*Z2"],
+    "S3*Z2*Z2": VERIFY_SYSTEMS["S3*Z2*Z2"](),
+}
+
+
+def _nontrivial(system, i):
+    if system.factor(i).is_finite():
+        return st.sampled_from(system.nontrivial_payloads(i))
+    return st.integers(-6, 6).filter(bool)
+
+
+def _reduced_words(system, max_size=10):
+    """Reduced words, negative Z payloads included; neighbours of the same
+    factor are drawn often so that the input letters merge and cancel."""
+    def payload(f):
+        backend = system.factor(f)
+        return st.integers(-6, 6) if not backend.is_finite() else st.integers(0, backend.order() - 1)
+
+    letters = st.integers(1, system.n).flatmap(
+        lambda f: payload(f).map(lambda p: (f, p))
+    )
+    return st.lists(letters, max_size=max_size).map(lambda pairs: word(system, pairs))
+
+
+@st.composite
+def _moves(draw, system):
+    i = draw(st.integers(1, system.n))
+    others = [j for j in range(1, system.n + 1) if j != i]
+    moved = draw(st.lists(st.sampled_from(others), min_size=1, unique=True))
+    x = FactorElement(i, draw(_nontrivial(system, i)))
+    return whitehead_auto(system, moved, x)
+
+
+class TestWhiteheadKernel:
+    @pytest.mark.parametrize("name", KERNEL_SYSTEMS)
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_matches_reference(self, name, data):
+        system = KERNEL_SYSTEMS[name]
+        move = data.draw(_moves(system))
+        w = data.draw(_reduced_words(system))
+        got = _apply_whitehead(move, w)
+        assert got == reference_apply_whitehead(move, w)
+        assert got == whitehead_to_auto(move).apply(w)
+
+    @pytest.mark.parametrize("name", RELATION_SYSTEMS)
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_same_moved_factor_multiplies(self, name, data):
+        # ({j}, b) o ({j}, a) = ({j}, b.a), the identity when b.a = 1
+        system = RELATION_SYSTEMS[name]
+        i = data.draw(st.integers(1, system.n))
+        j = data.draw(st.sampled_from([k for k in range(1, system.n + 1) if k != i]))
+        a = FactorElement(i, data.draw(_nontrivial(system, i)))
+        b = FactorElement(i, data.draw(_nontrivial(system, i)))
+        w = data.draw(_reduced_words(system))
+        first = whitehead_auto(system, (j,), a)
+        second = whitehead_auto(system, (j,), b)
+        ba = system.mul(b, a)
+        if system.is_identity(ba):
+            want_word, want_auto = w, identity_auto(system)
+        else:
+            product = whitehead_auto(system, (j,), ba)
+            want_word = _apply_whitehead(product, w)
+            want_auto = whitehead_to_auto(product)
+        assert _apply_whitehead(second, _apply_whitehead(first, w)) == want_word
+        assert compose(whitehead_to_auto(second), whitehead_to_auto(first)) == want_auto
+
+    @pytest.mark.parametrize("name", RELATION_SYSTEMS)
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_moved_sets_join(self, name, data):
+        # ({j}, a) o ({k}, a) = ({j, k}, a)
+        system = RELATION_SYSTEMS[name]
+        i = data.draw(st.integers(1, system.n))
+        others = [k for k in range(1, system.n + 1) if k != i]
+        j, k = data.draw(st.lists(st.sampled_from(others), min_size=2, max_size=2, unique=True))
+        a = FactorElement(i, data.draw(_nontrivial(system, i)))
+        w = data.draw(_reduced_words(system))
+        first = whitehead_auto(system, (k,), a)
+        second = whitehead_auto(system, (j,), a)
+        joined = whitehead_auto(system, (j, k), a)
+        assert _apply_whitehead(second, _apply_whitehead(first, w)) == _apply_whitehead(joined, w)
+        assert compose(whitehead_to_auto(second), whitehead_to_auto(first)) == whitehead_to_auto(
+            joined
+        )
