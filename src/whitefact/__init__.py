@@ -43,7 +43,6 @@ from .tree import (
     distance,
     geodesic,
     u_vertex,
-    vertex_canon,
 )
 from .labellings import (
     ApexLabel,

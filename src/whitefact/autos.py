@@ -17,16 +17,7 @@ from dataclasses import dataclass
 
 from .errors import FactorMismatchError, NotAStabilizerError, SystemMismatchError
 from .factors import FactorAutoPart, FactorElement, FactorSystem
-from .labellings import (
-    StarLabel,
-    _apex_obstruction,
-    _single_factor_element,
-    _star_witness,
-    apex_equivalent,
-    apex_label,
-    base_label,
-    star_label,
-)
+from .labellings import StarLabel, _star_pin, star_label
 from .reduction import reduce_to_base
 from .words import Word, empty_word, letter, normal_form, split_own_head
 
@@ -188,23 +179,22 @@ def _star_split(label: StarLabel, parts0):
 
     label and parts0 are psi's canonical slot words and factor parts, as
     _split_canonical returns them.  The split exists exactly when label is
-    base-equivalent: every slot is then b_k . witness with b_k in G_k, and
-    parts_k = conj(b_k) o parts0_k.
+    base-equivalent, i.e. every core of its pin is empty: every slot is
+    then b_k . witness with b_k in G_k the pin's stripped head,
+    witness = g_label^-1, and parts_k = conj(b_k) o parts0_k.
     """
     system = label.system
-    witness, _ = _star_witness(base_label(system), label)
-    if witness is None:
+    g, pins = _star_pin(label)
+    if any(core.syllables for _, core in pins):
         return None
     parts = tuple(
         system.part_compose(
-            system.conjugation_part(
-                _single_factor_element(label.slot(k) * witness.inverse(), k)
-            ),
+            system.conjugation_part(system.identity(k) if b is None else b),
             parts0[k - 1],
         )
-        for k in range(1, system.n + 1)
+        for k, (b, _) in enumerate(pins, start=1)
     )
-    return parts, witness
+    return parts, g.inverse()
 
 
 @dataclass(frozen=True)
@@ -397,14 +387,18 @@ def decompose_star_stabilizer(psi: PureSymmetricAuto):
 
     Returns (parts, g) with psi(G_k) = G_k^g for every k and parts the
     restriction of conjugation-by-g^-1 composed with psi.  Raises
-    NotAStabilizerError naming the obstructing slot otherwise.
+    NotAStabilizerError naming the first slot whose star-key core is
+    non-empty otherwise.
     """
     system = psi.system
     words, parts0 = _split_canonical(psi)
     label = star_label(system, words)
     split = _star_split(label, parts0)
     if split is None:
-        raise NotAStabilizerError(_star_witness(base_label(system), label)[1])
+        _, pins = _star_pin(label)
+        raise NotAStabilizerError(
+            next(j for j, (_, core) in enumerate(pins, start=1) if core.syllables)
+        )
     return split
 
 
@@ -412,27 +406,31 @@ def decompose_apex_stabilizer(psi: PureSymmetricAuto, i: int):
     """Split an apex-class stabilizer into Whitehead moves with operating
     factor i plus factor parts; the pair recomposes to psi up to inner.
 
-    Raises NotAStabilizerError naming the obstructing slot otherwise.
+    psi stabilizes the base apex class exactly when every apex_key core is
+    empty: each g_j g_i^-1 is then b c with b in G_j and c in G_i, which
+    give conj(b) o parts0_j and the move ({j}, c).  Raises
+    NotAStabilizerError naming the first slot with a non-empty core
+    otherwise.
     """
     system = psi.system
     system.factor(i)
     words, parts0 = _split_canonical(psi)
-    own = apex_label(system, i, words)
-    base_apex = apex_label(system, i, [empty_word(system)] * system.n)
-    if not apex_equivalent(own, base_apex):
-        raise NotAStabilizerError(_apex_obstruction(own, base_apex))
-    shift = own.slot(i).inverse()
+    shift = words[i - 1].inverse()
     whiteheads = []
     parts = []
     for j in range(1, system.n + 1):
         if j == i:
             parts.append(parts0[j - 1])
             continue
-        # own.slot(j) * shift = b c with b in G_j and c in G_i (empty core)
-        b, rest = split_own_head(own.slot(j) * shift, j)
-        b = system.identity(j) if b is None else b
-        c = rest.syllables[0] if rest.syllables else system.identity(i)
-        parts.append(system.part_compose(system.conjugation_part(b), parts0[j - 1]))
-        if not system.is_identity(c):
-            whiteheads.append(WhiteheadAuto(system, (j,), c))
+        b, rest = split_own_head(words[j - 1] * shift, j)
+        if rest.syllable_count() > 1 or rest.trailing_factor() not in (None, i):
+            raise NotAStabilizerError(j)
+        parts.append(
+            system.part_compose(
+                system.conjugation_part(system.identity(j) if b is None else b),
+                parts0[j - 1],
+            )
+        )
+        if rest.syllables:
+            whiteheads.append(WhiteheadAuto(system, (j,), rest.syllables[0]))
     return whiteheads, tuple(parts)

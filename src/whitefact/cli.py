@@ -26,14 +26,19 @@ from .words import empty_word
 def _load_payload(argument: str):
     """File contents when the argument names a file, else inline JSON."""
     if os.path.exists(argument):
-        with open(argument, "r", encoding="utf-8") as handle:
-            text = handle.read()
+        try:
+            with open(argument, "r", encoding="utf-8") as handle:
+                text = handle.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise SchemaError(f"cannot read {argument!r}: {exc}") from exc
     else:
         text = argument
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid JSON in {argument!r}: {exc}") from exc
+    except RecursionError as exc:
+        raise SchemaError(f"JSON nested too deeply in {argument!r}") from exc
 
 
 def _require_system(args):

@@ -48,7 +48,7 @@ from .factors import (
     TableBackend,
 )
 from .labellings import ApexLabel, StarLabel, apex_label, star_label
-from .tree import TreeVertex, vertex_canon
+from .tree import TreeVertex, c_vertex, u_vertex
 from .words import Word
 
 
@@ -204,7 +204,7 @@ def vertex_from_name(system: FactorSystem, name: str) -> TreeVertex:
     except json.JSONDecodeError as exc:
         raise SchemaError(f"bad vertex word in {name!r}") from exc
     if head == "U":
-        return vertex_canon("u", None, rep)
+        return u_vertex(rep)
     digits = head[1:]
     _expect(
         head.startswith("C") and digits.isascii() and digits.isdigit(),
@@ -212,7 +212,7 @@ def vertex_from_name(system: FactorSystem, name: str) -> TreeVertex:
     )
     factor = int(digits)
     _expect(1 <= factor <= system.n, f"factor index {factor} out of range")
-    return vertex_canon("c", factor, rep)
+    return c_vertex(factor, rep)
 
 
 # -- labellings ---------------------------------------------------------------
@@ -332,8 +332,7 @@ def whitehead_from_json(system: FactorSystem, obj) -> WhiteheadAuto:
     )
     _expect(isinstance(x, list) and len(x) == 2 and _all_ints(x), "bad whitehead element")
     try:
-        element = system.element(x[0], x[1])
-        return whitehead_auto(system, moved, element)
+        return whitehead_auto(system, moved, FactorElement(x[0], x[1]))
     except (ValueError, EngineError) as exc:
         raise SchemaError(f"bad whitehead automorphism: {exc}") from exc
 

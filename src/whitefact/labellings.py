@@ -14,7 +14,10 @@ labellings are equivalent exactly when their keys are equal:
   leaves slot 2's coset rep ending in no G_1 syllable, because the
   G_1-stabilizer of slot 2's core is trivial (conjugates of distinct
   factors meet trivially).  So every member of a class reaches the same
-  translate, and the key is complete.
+  translate, and the key is complete.  Equal keys certify the witness
+  g = g_{L1} g_{L2}^-1 on their own: slot j of L1 . g_{L1} and of
+  L2 . g_{L2} differ by a G_j syllable on the left, so L1_j . g is that
+  G_j element times L2_j and conjugates G_j onto the same subgroup.
 - apex_key is the apex i plus, for each other slot j, the double-coset
   core of g_j g_i^-1.  Translating by g_i^-1 puts G_i itself at the hub;
   the remaining freedom is G_j on the left of slot j and G_i on its right,
@@ -91,61 +94,38 @@ def double_coset_core(w: Word, lead: int, trail: int) -> Word:
     return core
 
 
-def _single_factor_element(w: Word, factor: int) -> FactorElement | None:
-    """The element of G_factor that w reduces to, or None when it does not."""
-    if w.is_identity():
-        return w.system.identity(factor)
-    if w.syllable_count() == 1 and w.syllables[0].factor == factor:
-        return w.syllables[0]
-    return None
+def _star_pin(L: StarLabel) -> tuple[Word, list[tuple[FactorElement | None, Word]]]:
+    """g_L and, per slot j, the split (b_j, core_j) of L_j . g_L.
 
-
-def _star_translation(L: StarLabel) -> Word:
-    """The translation g_L = g_1^-1 a^-1 pinning L's class representative.
-
-    a is the trailing G_1 syllable of w = g_2 g_1^-1 (the identity when w has
-    none).  L . g_L has slot 1 in G_1, and its slot-2 coset rep is the core
-    of w, which ends in no G_1 syllable; every other translate with slot 1
-    in G_1 ends slot 2 in one, so g_L is determined by the class.
+    g_L = g_1^-1 a^-1, where a is the trailing G_1 syllable of
+    w = g_2 g_1^-1 (the identity when w has none).  L . g_L has slot 1 in
+    G_1, and its slot-2 coset rep is the core of w, which ends in no G_1
+    syllable; every other translate with slot 1 in G_1 ends slot 2 in one,
+    so g_L is determined by the class.  b_j is the stripped G_j head.
     """
     system = L.system
-    w = L.slot(2) * L.slot(1).inverse()
+    g = L.slot(1).inverse()
+    w = L.slot(2) * g
     if w.trailing_factor() == 1:
-        return L.slot(1).inverse() * letter(system, system.inverse(w.syllables[-1]))
-    return L.slot(1).inverse()
+        g = g * letter(system, system.inverse(w.syllables[-1]))
+    return g, [split_own_head(slot * g, j) for j, slot in enumerate(L.conjugators, start=1)]
 
 
 def star_key(L: StarLabel) -> tuple:
     """Complete class invariant: the canonical slots of L . g_L as syllables."""
-    g = _star_translation(L)
-    return tuple(
-        w.syllables
-        for w in _canonical_slots(L.system, [slot * g for slot in L.conjugators])
-    )
-
-
-def _star_witness(L1: StarLabel, L2: StarLabel):
-    """Witness g with G_j^{L2_j} = G_j^{L1_j . g} for all j, or (None, slot).
-
-    The only candidate is g_{L1} g_{L2}^-1, since both translations pin the
-    same representative of a class; each slot's leftover must then be a
-    single own-factor element, which certifies g.  Slot 1 always passes, so
-    distinct slot-2 cores are reported at slot 2.
-    """
-    if L1.system != L2.system:
-        raise SystemMismatchError("labels belong to different factor systems")
-    g = _star_translation(L1) * _star_translation(L2).inverse()
-    for j in range(1, L1.system.n + 1):
-        leftover = L1.slot(j) * g * L2.slot(j).inverse()
-        if _single_factor_element(leftover, j) is None:
-            return None, j
-    return g, None
+    return tuple(core.syllables for _, core in _star_pin(L)[1])
 
 
 def star_equivalent(L1: StarLabel, L2: StarLabel) -> Word | None:
-    """Equivalence of star labellings; returns the witness conjugator g."""
-    witness, _ = _star_witness(L1, L2)
-    return witness
+    """Equivalence of star labellings; returns the witness conjugator
+    g = g_{L1} g_{L2}^-1 with G_j^{L2_j} = G_j^{L1_j . g} for all j."""
+    if L1.system != L2.system:
+        raise SystemMismatchError("labels belong to different factor systems")
+    g1, pins1 = _star_pin(L1)
+    g2, pins2 = _star_pin(L2)
+    if any(c1.syllables != c2.syllables for (_, c1), (_, c2) in zip(pins1, pins2)):
+        return None
+    return g1 * g2.inverse()
 
 
 def apex_key(M: ApexLabel) -> tuple:
@@ -160,26 +140,10 @@ def apex_key(M: ApexLabel) -> tuple:
     )
 
 
-def _apex_obstruction(M1: ApexLabel, M2: ApexLabel) -> int | None:
-    """First slot obstructing apex-label equivalence, or None when equivalent.
-
-    Slot 0 stands for differing apexes; otherwise the first non-apex slot
-    whose key component differs.
-    """
+def apex_equivalent(M1: ApexLabel, M2: ApexLabel) -> bool:
     if M1.system != M2.system:
         raise SystemMismatchError("labels belong to different factor systems")
-    key1, key2 = apex_key(M1), apex_key(M2)
-    if key1[0] != key2[0]:
-        return 0  # apex mismatch reported as slot 0
-    others = [j for j in range(1, M1.system.n + 1) if j != M1.apex]
-    for j, core1, core2 in zip(others, key1[1:], key2[1:]):
-        if core1 != core2:
-            return j
-    return None
-
-
-def apex_equivalent(M1: ApexLabel, M2: ApexLabel) -> bool:
-    return _apex_obstruction(M1, M2) is None
+    return apex_key(M1) == apex_key(M2)
 
 
 def collapses(L: StarLabel) -> list[ApexLabel]:
@@ -215,5 +179,5 @@ def volume(L: StarLabel, x: Word | None = None) -> int:
 
 
 def is_base(L: StarLabel) -> bool:
-    return star_equivalent(L, base_label(L.system)) is not None
+    return not any(star_key(L))
 

@@ -51,14 +51,6 @@ def c_vertex(factor: int, rep: Word) -> TreeVertex:
     return TreeVertex("c", factor, split_own_head(rep, factor)[1])
 
 
-def vertex_canon(kind: str, factor: int | None, rep: Word) -> TreeVertex:
-    if kind == "u":
-        return u_vertex(rep)
-    if kind == "c" and factor is not None:
-        return c_vertex(factor, rep)
-    raise ValueError(f"unknown vertex kind {kind!r}")
-
-
 def act_vertex(v: TreeVertex, g: Word) -> TreeVertex:
     """Right action by g; the result is canonical."""
     moved = v.rep * g

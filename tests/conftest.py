@@ -54,3 +54,8 @@ def s3_z2_z2():
 @pytest.fixture(scope="session")
 def mixed_system():
     return FactorSystem([s3_table(), CyclicBackend(2), IntBackend()])
+
+
+@pytest.fixture(scope="session")
+def s3_z2_z_z5():
+    return FactorSystem([s3_table(), CyclicBackend(2), IntBackend(), CyclicBackend(5)])

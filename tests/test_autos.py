@@ -36,7 +36,14 @@ from whitefact.factors import (
     FactorSystem,
     IntBackend,
 )
-from whitefact.labellings import act_on_label, base_label, star_equivalent, star_label, volume
+from whitefact.labellings import (
+    act_on_label,
+    apex_label,
+    base_label,
+    star_equivalent,
+    star_label,
+    volume,
+)
 from whitefact.reduction import reduce_to_base
 from whitefact.sampling import (
     random_nontrivial_element,
@@ -48,6 +55,7 @@ from whitefact.selfcheck import _mutate
 from whitefact.words import Word, empty_word, letter, normal_form, word
 
 from conftest import s3_table
+from test_labellings import KEY_SYSTEMS, old_apex_obstruction, old_star_witness
 
 
 @pytest.fixture(scope="module")
@@ -301,6 +309,72 @@ class TestStabilizers:
                 rebuilt = compose(whitehead_to_auto(move), rebuilt)
             assert all(m.operating == apex for m in moves)
             assert is_inner(compose(psi, invert(rebuilt))) is not None
+
+
+def _move_through(system, op, rng):
+    """A Whitehead move with operating factor op and a random moved set."""
+    others = [j for j in range(1, system.n + 1) if j != op]
+    moved = rng.sample(others, rng.randint(1, len(others)))
+    return whitehead_to_auto(
+        whitehead_auto(system, moved, random_nontrivial_element(system, op, rng))
+    )
+
+
+def _stabilizer_candidates(system, rng, count):
+    """Apex stabilizers (moves through one operating factor, factor parts and
+    an inner), half of them spoiled by a move through another factor, and
+    random automorphisms, splitting or not."""
+    n = system.n
+    out = []
+    for k in range(count):
+        if k % 2:
+            parts = [random_part(system, j, rng) for j in range(1, n + 1)]
+            out.append(pure_auto(system, [(p, random_word(system, rng, 3)) for p in parts]))
+            continue
+        i = rng.randint(1, n)
+        psi = factor_only_auto(system, [random_part(system, j, rng) for j in range(1, n + 1)])
+        for _ in range(rng.randint(0, 3)):
+            psi = compose(_move_through(system, i, rng), psi)
+        psi = compose(psi, inner_auto(system, random_word(system, rng, 3)))
+        if rng.random() < 0.5:
+            op = rng.choice([j for j in range(1, n + 1) if j != i])
+            psi = compose(_move_through(system, op, rng), psi)
+        out.append(psi)
+    return out
+
+
+def _error_slot(decompose, *args):
+    """The NotAStabilizerError slot of a decomposition, or None on success."""
+    try:
+        decompose(*args)
+    except NotAStabilizerError as err:
+        return err.slot
+    return None
+
+
+class TestStabilizerErrorSlot:
+    """Both decompositions name the slot the pairwise deciders obstruct at."""
+
+    @pytest.mark.parametrize("fixture", KEY_SYSTEMS)
+    def test_matches_pairwise_obstruction(self, request, fixture):
+        system = request.getfixturevalue(fixture)
+        n = system.n
+        eps = empty_word(system)
+        rng = random.Random(71)
+        seen = {"star": set(), "apex": set()}
+        for psi in _stabilizer_candidates(system, rng, 160):
+            words = _split_canonical(psi)[0]
+            expected = old_star_witness(base_label(system), star_label(system, words))[1]
+            assert _error_slot(decompose_star_stabilizer, psi) == expected
+            seen["star"].add(expected)
+            for i in range(1, n + 1):
+                base_apex = apex_label(system, i, [eps] * n)
+                expected = old_apex_obstruction(apex_label(system, i, words), base_apex)
+                assert _error_slot(decompose_apex_stabilizer, psi, i) == expected
+                seen["apex"].add(expected)
+        # successes, and errors at more than one slot, on both sides
+        assert None in seen["star"] and len(seen["star"]) >= 3
+        assert None in seen["apex"] and len(seen["apex"]) >= 3
 
 
 class TestFactorize:

@@ -302,6 +302,21 @@ class TestMalformedInput:
         assert code == 2
         assert err.startswith("error: ")
 
+    @pytest.mark.parametrize("kind", ["directory", "not-utf8", "deep-nesting"])
+    def test_unreadable_file_exit(self, capsys, tmp_path, kind):
+        path = tmp_path / "system.json"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "not-utf8":
+            path.write_bytes(b"\xff\xfe{")
+        else:
+            path.write_text("[" * 100_000)
+        code, out, err = run(capsys, "--system", str(path), "normalize", "[]")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and str(path) in err
+        assert err.count("\n") == 1
+
 
 # -- fuzzing every command with JSON mutated from valid inputs -----------------
 

@@ -157,6 +157,27 @@ class TestAutosAndFactorizations:
         with pytest.raises(SchemaError, match="whitehead"):
             jsonio.whitehead_from_json(z342, {"Y": [2], "x": [1, 0]})
 
+    @pytest.mark.parametrize(
+        "obj, message",
+        [
+            ({"Y": [2], "x": [4, 1]}, "factor index 4 out of range 1..3"),
+            ({"Y": [2], "x": [1, 6]}, "table index 6 out of range 0..5"),
+            (
+                {"Y": [2], "x": [1, 0]},
+                "a Whitehead automorphism needs a nontrivial element",
+            ),
+            (
+                {"Y": [1, 2], "x": [1, 4]},
+                "operating factor 1 cannot belong to the moved set",
+            ),
+        ],
+        ids=["x-factor", "table-index", "identity", "operating-in-Y"],
+    )
+    def test_whitehead_error_texts(self, mixed, obj, message):
+        with pytest.raises(SchemaError) as err:
+            jsonio.whitehead_from_json(mixed, obj)
+        assert str(err.value) == f"bad whitehead automorphism: {message}"
+
 
 class TestBallExports:
     def test_sn_ball_json_and_dot(self, triple_z2):

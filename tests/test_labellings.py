@@ -413,3 +413,101 @@ class TestIsBase:
             assert (witness is not None) == is_base(label)
             if witness is not None:
                 assert volume(label, witness) == 3
+
+
+# -- the pairwise deciders the class keys replaced, kept as oracles -----------
+
+
+def _old_single_factor_element(w, factor):
+    if w.is_identity():
+        return w.system.identity(factor)
+    if w.syllable_count() == 1 and w.syllables[0].factor == factor:
+        return w.syllables[0]
+    return None
+
+
+def _old_star_translation(L):
+    system = L.system
+    w = L.slot(2) * L.slot(1).inverse()
+    if w.trailing_factor() == 1:
+        return L.slot(1).inverse() * letter(system, system.inverse(w.syllables[-1]))
+    return L.slot(1).inverse()
+
+
+def old_star_witness(L1, L2):
+    """(g, None) from the per-slot leftover test, or (None, first bad slot)."""
+    g = _old_star_translation(L1) * _old_star_translation(L2).inverse()
+    for j in range(1, L1.system.n + 1):
+        leftover = L1.slot(j) * g * L2.slot(j).inverse()
+        if _old_single_factor_element(leftover, j) is None:
+            return None, j
+    return g, None
+
+
+def old_apex_obstruction(M1, M2):
+    """0 for differing apexes, else the first slot whose core differs."""
+    key1, key2 = apex_key(M1), apex_key(M2)
+    if key1[0] != key2[0]:
+        return 0
+    others = [j for j in range(1, M1.system.n + 1) if j != M1.apex]
+    for j, core1, core2 in zip(others, key1[1:], key2[1:]):
+        if core1 != core2:
+            return j
+    return None
+
+
+KEY_SYSTEMS = ["triple_z2", "z3422", "s3_z2_z2", "s3_z2_z_z5"]
+
+
+def _partner_words(system, words, rng):
+    """A translate of words with random own-factor heads, perturbed in one
+    slot a third of the time, or an unrelated tuple a quarter of the time."""
+    if rng.random() < 0.25:
+        return [random_word(system, rng, 3) for _ in words]
+    g = random_word(system, rng, 4)
+    out = []
+    for j, slot in enumerate(words, start=1):
+        head = empty_word(system)
+        if rng.random() < 0.5:
+            head = letter(system, random_nontrivial_element(system, j, rng))
+        out.append(head * slot * g)
+    if rng.random() < 0.33:
+        k = rng.randrange(len(out))
+        f = rng.randint(1, system.n)
+        out[k] = out[k] * letter(system, random_nontrivial_element(system, f, rng))
+    return out
+
+
+class TestKeyRuleMatchesPairwiseDeciders:
+    @pytest.mark.parametrize("fixture", KEY_SYSTEMS)
+    def test_star_witness_and_is_base(self, request, fixture):
+        system = request.getfixturevalue(fixture)
+        base = base_label(system)
+        rng = random.Random(61)
+        equivalent = 0
+        for _ in range(300):
+            words = [random_word(system, rng, rng.choice([1, 2, 4])) for _ in range(system.n)]
+            L1 = star_label(system, words)
+            L2 = star_label(system, _partner_words(system, words, rng))
+            witness = star_equivalent(L1, L2)
+            assert witness == old_star_witness(L1, L2)[0]
+            for label in (L1, L2):
+                assert is_base(label) == (old_star_witness(base, label)[0] is not None)
+            equivalent += witness is not None
+        assert 0 < equivalent < 300
+
+    @pytest.mark.parametrize("fixture", KEY_SYSTEMS)
+    def test_apex_equivalent(self, request, fixture):
+        system = request.getfixturevalue(fixture)
+        rng = random.Random(67)
+        equivalent = 0
+        for _ in range(300):
+            words = [random_word(system, rng, rng.choice([1, 2, 4])) for _ in range(system.n)]
+            i = rng.randint(1, system.n)
+            i2 = i if rng.random() < 0.9 else rng.randint(1, system.n)
+            M1 = apex_label(system, i, words)
+            M2 = apex_label(system, i2, _partner_words(system, words, rng))
+            same = apex_equivalent(M1, M2)
+            assert same == (old_apex_obstruction(M1, M2) is None)
+            equivalent += same
+        assert 0 < equivalent < 300

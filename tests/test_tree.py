@@ -3,7 +3,7 @@ import random
 import pytest
 
 from whitefact.errors import OracleUnavailableError
-from whitefact.factors import CyclicBackend, FactorElement, FactorSystem, IntBackend
+from whitefact.factors import FactorElement
 from whitefact.sampling import random_nontrivial_element, random_word
 from whitefact.tree import (
     act_vertex,
@@ -13,11 +13,8 @@ from whitefact.tree import (
     distance,
     geodesic,
     u_vertex,
-    vertex_canon,
 )
 from whitefact.words import empty_word, letter, word
-
-from conftest import s3_table
 
 
 @pytest.fixture(scope="module")
@@ -45,8 +42,8 @@ class TestCanonical:
         assert u_vertex(w).rep == w
 
     def test_vertex_canon_idempotent(self, k3_words):
-        v = vertex_canon("c", 1, k3_words["a"] * k3_words["b"])
-        assert vertex_canon("c", 1, v.rep) == v
+        v = c_vertex(1, k3_words["a"] * k3_words["b"])
+        assert c_vertex(1, v.rep) == v
 
 
 class TestAction:
@@ -223,18 +220,16 @@ class TestStabilizerLaw:
 
 @pytest.fixture(scope="module", params=["mixed_system", "s3_z2_z_z5"])
 def infinite_system(request):
-    if request.param == "mixed_system":
-        return request.getfixturevalue("mixed_system")
-    return FactorSystem([s3_table(), CyclicBackend(2), IntBackend(), CyclicBackend(5)])
+    return request.getfixturevalue(request.param)
 
 
 def _pair_with_shared_suffix(system, rng):
     shared = random_word(system, rng, 10)
     p = _random_vertex(system, rng)
     q = _random_vertex(system, rng)
-    return (
-        vertex_canon(p.kind, p.factor, p.rep * shared),
-        vertex_canon(q.kind, q.factor, q.rep * shared),
+    return tuple(
+        u_vertex(v.rep * shared) if v.kind == "u" else c_vertex(v.factor, v.rep * shared)
+        for v in (p, q)
     )
 
 
