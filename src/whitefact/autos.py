@@ -9,6 +9,11 @@ i.e. compose(f, g).apply(w) == f.apply(g.apply(w)).  A Factorization with
 whitehead list [W1, ..., WK], factor parts F and inner word h represents
 psi = W1 o W2 o ... o WK o F o (conjugation by h) under the same
 convention: the inner conjugation acts first, WK next, W1 last.
+
+Every split of psi is one rule, _conjugated: inner-by-g o psi has the
+conjugators g_k . g, and each one's stripped G_k head b_k joins the factor
+part as conj(b_k) o phi_k.  g = 1 gives the canonical split, g = g_L (the
+star pin) the base-class stabilizer split, and g = g_i^-1 the apex one.
 """
 
 from __future__ import annotations
@@ -17,9 +22,9 @@ from dataclasses import dataclass
 
 from .errors import FactorMismatchError, NotAStabilizerError, SystemMismatchError
 from .factors import FactorAutoPart, FactorElement, FactorSystem
-from .labellings import StarLabel, _star_pin, star_label
+from .labellings import StarLabel, _star_pin, _translate
 from .reduction import reduce_to_base
-from .words import Word, empty_word, letter, normal_form, split_own_head
+from .words import Word, empty_word, letter, normal_form
 
 
 @dataclass(frozen=True)
@@ -155,46 +160,38 @@ def compose(f: PureSymmetricAuto, g: PureSymmetricAuto) -> PureSymmetricAuto:
     return PureSymmetricAuto(system, tuple(parts))
 
 
+def _conjugated(system: FactorSystem, words, parts, g: Word):
+    """Lazily, per factor k, the canonical (slot, part) of inner-by-g o psi
+    for psi given by its conjugators and parts: g_k . g = b_k . r_k, and
+    r_k^-1 b_k^-1 phi_k(x) b_k r_k puts conj(b_k) o phi_k on the slot r_k."""
+    for (b, slot), part in zip(_translate(words, g), parts):
+        if b is not None:
+            part = system.part_compose(system.conjugation_part(b), part)
+        yield slot, part
+
+
 def _split_canonical(psi: PureSymmetricAuto):
-    """psi == tuple_auto(words) o factor_only(parts), slots coset-canonical.
+    """psi == tuple_auto(words) o factor_only(parts), slots coset-canonical:
+    the conjugated split with g = 1."""
+    phis, conjugators = zip(*psi.parts)
+    return tuple(zip(*_conjugated(psi.system, conjugators, phis, empty_word(psi.system))))
 
-    A leading own-factor syllable of a conjugator is absorbed into the
-    factor part as an inner conjugation of that factor.
+
+def _star_split(system: FactorSystem, words, parts0):
+    """(parts, witness) with psi = inner-by-witness o factor_only(parts).
+
+    words and parts0 are psi's canonical split.  It exists exactly when
+    every core of their star pin is empty: inner-by-g_L o psi is then
+    factor_only(parts), and witness = g_L^-1.  Raises NotAStabilizerError
+    at the first non-empty core otherwise.
     """
-    system = psi.system
-    words = []
+    g, _ = _star_pin(StarLabel(system, words))
     parts = []
-    for k in range(1, system.n + 1):
-        head, conj = split_own_head(psi.conjugator(k), k)
-        part = psi.phi(k)
-        if head is not None:
-            part = system.part_compose(system.conjugation_part(head), part)
-        words.append(conj)
+    for k, (core, part) in enumerate(_conjugated(system, words, parts0, g), start=1):
+        if core.syllables:
+            raise NotAStabilizerError(k)
         parts.append(part)
-    return tuple(words), tuple(parts)
-
-
-def _star_split(label: StarLabel, parts0):
-    """(parts, witness) with psi = inner-by-witness o parts, or None.
-
-    label and parts0 are psi's canonical slot words and factor parts, as
-    _split_canonical returns them.  The split exists exactly when label is
-    base-equivalent, i.e. every core of its pin is empty: every slot is
-    then b_k . witness with b_k in G_k the pin's stripped head,
-    witness = g_label^-1, and parts_k = conj(b_k) o parts0_k.
-    """
-    system = label.system
-    g, pins = _star_pin(label)
-    if any(core.syllables for _, core in pins):
-        return None
-    parts = tuple(
-        system.part_compose(
-            system.conjugation_part(system.identity(k) if b is None else b),
-            parts0[k - 1],
-        )
-        for k, (b, _) in enumerate(pins, start=1)
-    )
-    return parts, g.inverse()
+    return tuple(parts), g.inverse()
 
 
 @dataclass(frozen=True)
@@ -275,16 +272,17 @@ def factorize(psi: PureSymmetricAuto) -> Factorization:
     """
     system = psi.system
     words, parts0 = _split_canonical(psi)
-    label = star_label(system, words)
-    split = _star_split(label, parts0)
-    if split is not None:
+    try:
+        parts, witness = _star_split(system, words, parts0)
+    except NotAStabilizerError:
+        pass
+    else:
         # psi = inner-by-witness o F, rewritten as F o inner with
         # inner = F^-1(witness).
-        parts, witness = split
         h = _apply_parts([system.part_invert(p) for p in parts], witness)
         return Factorization((), parts, h)
 
-    _, moves = reduce_to_base(label)
+    _, moves = reduce_to_base(StarLabel(system, words))
     correction = [system.part_identity(k) for k in range(1, system.n + 1)]
     whitehead: list[WhiteheadAuto] = []
     for mv in reversed(moves):
@@ -375,11 +373,11 @@ def is_inner(psi: PureSymmetricAuto) -> Word | None:
     factor automorphism is never inner); h is then the witness.
     """
     system = psi.system
-    words, parts0 = _split_canonical(psi)
-    split = _star_split(star_label(system, words), parts0)
-    if split is None or not all(system.part_is_identity(p) for p in split[0]):
+    try:
+        parts, witness = _star_split(system, *_split_canonical(psi))
+    except NotAStabilizerError:
         return None
-    return split[1]
+    return witness if all(system.part_is_identity(p) for p in parts) else None
 
 
 def decompose_star_stabilizer(psi: PureSymmetricAuto):
@@ -390,16 +388,7 @@ def decompose_star_stabilizer(psi: PureSymmetricAuto):
     NotAStabilizerError naming the first slot whose star-key core is
     non-empty otherwise.
     """
-    system = psi.system
-    words, parts0 = _split_canonical(psi)
-    label = star_label(system, words)
-    split = _star_split(label, parts0)
-    if split is None:
-        _, pins = _star_pin(label)
-        raise NotAStabilizerError(
-            next(j for j, (_, core) in enumerate(pins, start=1) if core.syllables)
-        )
-    return split
+    return _star_split(psi.system, *_split_canonical(psi))
 
 
 def decompose_apex_stabilizer(psi: PureSymmetricAuto, i: int):
@@ -407,30 +396,21 @@ def decompose_apex_stabilizer(psi: PureSymmetricAuto, i: int):
     factor i plus factor parts; the pair recomposes to psi up to inner.
 
     psi stabilizes the base apex class exactly when every apex_key core is
-    empty: each g_j g_i^-1 is then b c with b in G_j and c in G_i, which
-    give conj(b) o parts0_j and the move ({j}, c).  Raises
-    NotAStabilizerError naming the first slot with a non-empty core
-    otherwise.
+    empty: inner-by-g_i^-1 o psi, with g_i the canonical slot i, then has
+    every slot empty or a single G_i syllable c, which gives the move
+    ({j}, c).  Raises NotAStabilizerError naming the first slot with a
+    non-empty core otherwise.
     """
     system = psi.system
     system.factor(i)
     words, parts0 = _split_canonical(psi)
-    shift = words[i - 1].inverse()
     whiteheads = []
     parts = []
-    for j in range(1, system.n + 1):
-        if j == i:
-            parts.append(parts0[j - 1])
-            continue
-        b, rest = split_own_head(words[j - 1] * shift, j)
-        if rest.syllable_count() > 1 or rest.trailing_factor() not in (None, i):
-            raise NotAStabilizerError(j)
-        parts.append(
-            system.part_compose(
-                system.conjugation_part(system.identity(j) if b is None else b),
-                parts0[j - 1],
-            )
-        )
+    shifted = _conjugated(system, words, parts0, words[i - 1].inverse())
+    for j, (rest, part) in enumerate(shifted, start=1):
         if rest.syllables:
+            if len(rest.syllables) > 1 or rest.syllables[0].factor != i:
+                raise NotAStabilizerError(j)
             whiteheads.append(WhiteheadAuto(system, (j,), rest.syllables[0]))
+        parts.append(part)
     return whiteheads, tuple(parts)

@@ -35,7 +35,7 @@ def _load_payload(argument: str):
         text = argument
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or past the int-string limit
         raise SchemaError(f"invalid JSON in {argument!r}: {exc}") from exc
     except RecursionError as exc:
         raise SchemaError(f"JSON nested too deeply in {argument!r}") from exc

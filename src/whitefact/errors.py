@@ -1,5 +1,7 @@
 """Exception types shared across the engine."""
 
+import sys
+
 
 class EngineError(Exception):
     """Domain-level failure; the CLI maps these to exit code 1."""
@@ -31,6 +33,14 @@ class NotAStabilizerError(EngineError):
     def __init__(self, slot: int, message: str | None = None):
         self.slot = slot
         super().__init__(message or f"not a stabilizer: slot {slot} obstructs")
+
+
+class UnprintableAnswerError(EngineError):
+    """An answer holds an integer past CPython's int-to-string digit limit."""
+
+    def __init__(self):
+        limit = sys.get_int_max_str_digits()
+        super().__init__(f"answer holds an integer of more than {limit} digits; it cannot be printed")
 
 
 class SchemaError(Exception):

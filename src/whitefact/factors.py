@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .errors import FactorMismatchError, OracleUnavailableError
+from .errors import FactorMismatchError, OracleUnavailableError, UnprintableAnswerError
 
 
 @dataclass(frozen=True)
@@ -77,7 +77,10 @@ class FactorBackend:
         raise NotImplementedError
 
     def element_name(self, payload: int) -> str:
-        return str(payload)
+        try:
+            return str(payload)
+        except ValueError as exc:  # past the int-string digit limit
+            raise UnprintableAnswerError() from exc
 
     # -- automorphism representations ------------------------------------
 

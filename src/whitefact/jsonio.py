@@ -37,7 +37,7 @@ from .autos import (
     pure_auto,
     whitehead_auto,
 )
-from .errors import EngineError, SchemaError
+from .errors import EngineError, SchemaError, UnprintableAnswerError
 from .explorer import SnBall
 from .factors import (
     CyclicBackend,
@@ -53,7 +53,10 @@ from .words import Word
 
 
 def dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    try:
+        return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    except ValueError as exc:  # past the int-string digit limit
+        raise UnprintableAnswerError() from exc
 
 
 def _expect(condition: bool, message: str) -> None:
@@ -190,7 +193,10 @@ def word_from_json(system: FactorSystem, obj) -> Word:
 
 
 def vertex_name(v: TreeVertex) -> str:
-    body = ",".join([f"[{s.factor},{s.payload}]" for s in v.rep.syllables])
+    try:
+        body = ",".join([f"[{s.factor},{s.payload}]" for s in v.rep.syllables])
+    except ValueError as exc:  # past the int-string digit limit
+        raise UnprintableAnswerError() from exc
     if v.kind == "u":
         return f"U:[{body}]"
     return f"C{v.factor}:[{body}]"
@@ -201,7 +207,7 @@ def vertex_from_name(system: FactorSystem, name: str) -> TreeVertex:
     head, _, body = name.partition(":")
     try:
         rep = word_from_json(system, json.loads(body))
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also too deep, or past the int-string limit
         raise SchemaError(f"bad vertex word in {name!r}") from exc
     if head == "U":
         return u_vertex(rep)
@@ -210,7 +216,10 @@ def vertex_from_name(system: FactorSystem, name: str) -> TreeVertex:
         head.startswith("C") and digits.isascii() and digits.isdigit(),
         f"bad vertex name {name!r}",
     )
-    factor = int(digits)
+    try:
+        factor = int(digits)
+    except ValueError as exc:  # past the int-string digit limit
+        raise SchemaError(f"factor index out of range in {name!r}") from exc
     _expect(1 <= factor <= system.n, f"factor index {factor} out of range")
     return c_vertex(factor, rep)
 

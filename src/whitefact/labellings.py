@@ -27,12 +27,17 @@ labellings are equivalent exactly when their keys are equal:
 The double-coset core rule underpins both keys: stripping at most one
 leading G_j syllable and one trailing G_i syllable from a normal form
 yields a canonical representative of the double coset G_j w G_i.
+
+Translating a tuple by g has one rule, _translate: slot j times g splits
+into its leading G_j syllable and the canonical slot.  star_key,
+star_equivalent, is_base, volume at a basepoint and the splits in autos
+all read it, lazily, so a decision stops at the first core that settles it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .errors import SystemMismatchError
 from .factors import FactorElement, FactorSystem
@@ -94,21 +99,28 @@ def double_coset_core(w: Word, lead: int, trail: int) -> Word:
     return core
 
 
-def _star_pin(L: StarLabel) -> tuple[Word, list[tuple[FactorElement | None, Word]]]:
-    """g_L and, per slot j, the split (b_j, core_j) of L_j . g_L.
+def _translate(words: Sequence[Word], g: Word) -> Iterator[tuple[FactorElement | None, Word]]:
+    """Lazily, per slot j, (b_j, r_j) = split_own_head(g_j . g, j): the
+    stripped G_j head and the canonical slot of the translate by g."""
+    return (split_own_head(w * g, j) for j, w in enumerate(words, start=1))
+
+
+def _star_pin(L: StarLabel) -> tuple[Word, Iterator[tuple[FactorElement | None, Word]]]:
+    """g_L and the translate of L by g_L.
 
     g_L = g_1^-1 a^-1, where a is the trailing G_1 syllable of
     w = g_2 g_1^-1 (the identity when w has none).  L . g_L has slot 1 in
     G_1, and its slot-2 coset rep is the core of w, which ends in no G_1
     syllable; every other translate with slot 1 in G_1 ends slot 2 in one,
-    so g_L is determined by the class.  b_j is the stripped G_j head.
+    so g_L is determined by the class.  The cores are the translate's
+    canonical slots; callers that decide on one core stop there.
     """
     system = L.system
     g = L.slot(1).inverse()
     w = L.slot(2) * g
     if w.trailing_factor() == 1:
         g = g * letter(system, system.inverse(w.syllables[-1]))
-    return g, [split_own_head(slot * g, j) for j, slot in enumerate(L.conjugators, start=1)]
+    return g, _translate(L.conjugators, g)
 
 
 def star_key(L: StarLabel) -> tuple:
@@ -121,9 +133,9 @@ def star_equivalent(L1: StarLabel, L2: StarLabel) -> Word | None:
     g = g_{L1} g_{L2}^-1 with G_j^{L2_j} = G_j^{L1_j . g} for all j."""
     if L1.system != L2.system:
         raise SystemMismatchError("labels belong to different factor systems")
-    g1, pins1 = _star_pin(L1)
-    g2, pins2 = _star_pin(L2)
-    if any(c1.syllables != c2.syllables for (_, c1), (_, c2) in zip(pins1, pins2)):
+    g1, cores1 = _star_pin(L1)
+    g2, cores2 = _star_pin(L2)
+    if any(c1.syllables != c2.syllables for (_, c1), (_, c2) in zip(cores1, cores2)):
         return None
     return g1 * g2.inverse()
 
@@ -172,12 +184,12 @@ def volume(L: StarLabel, x: Word | None = None) -> int:
     Translating by x^-1 moves U(x) to the root U(1), where C_i(r) sits at
     depth 2|r|+1, so no tree vertex is needed.
     """
+    slots = L.conjugators
     if x is not None:
-        shift = x.inverse()
-        L = star_label(L.system, [w * shift for w in L.conjugators])
-    return L.system.n + 2 * sum(w.syllable_count() for w in L.conjugators)
+        slots = [core for _, core in _translate(slots, x.inverse())]
+    return L.system.n + 2 * sum(w.syllable_count() for w in slots)
 
 
 def is_base(L: StarLabel) -> bool:
-    return not any(star_key(L))
+    return not any(core.syllables for _, core in _star_pin(L)[1])
 

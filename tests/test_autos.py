@@ -6,10 +6,7 @@ from hypothesis import given, settings, strategies as st
 from whitefact.autos import (
     Factorization,
     WhiteheadAuto,
-    _apply_parts,
     _apply_whitehead,
-    _split_canonical,
-    _star_split,
     compose,
     decompose_apex_stabilizer,
     decompose_star_stabilizer,
@@ -37,6 +34,7 @@ from whitefact.factors import (
     IntBackend,
 )
 from whitefact.labellings import (
+    StarLabel,
     act_on_label,
     apex_label,
     base_label,
@@ -55,7 +53,12 @@ from whitefact.selfcheck import _mutate
 from whitefact.words import Word, empty_word, letter, normal_form, word
 
 from conftest import s3_table
-from test_labellings import KEY_SYSTEMS, old_apex_obstruction, old_star_witness
+from test_labellings import (
+    KEY_SYSTEMS,
+    _old_star_translation,
+    old_apex_obstruction,
+    old_star_witness,
+)
 
 
 @pytest.fixture(scope="module")
@@ -311,6 +314,86 @@ class TestStabilizers:
             assert is_inner(compose(psi, invert(rebuilt))) is not None
 
 
+# -- the split helpers as they stood before the conjugated split, kept as
+# oracles: each strips heads, pins and absorbs by its own hand-written loop.
+
+
+def _strip_head(w, k):
+    if w.syllables and w.syllables[0].factor == k:
+        return w.syllables[0], Word(w.system, w.syllables[1:])
+    return None, w
+
+
+def old_split_canonical(psi):
+    system = psi.system
+    words = []
+    parts = []
+    for k in range(1, system.n + 1):
+        head, conj = _strip_head(psi.conjugator(k), k)
+        part = psi.phi(k)
+        if head is not None:
+            part = system.part_compose(system.conjugation_part(head), part)
+        words.append(conj)
+        parts.append(part)
+    return tuple(words), tuple(parts)
+
+
+def old_star_split(system, words, parts0):
+    """((parts, witness), None), or (None, first slot with a non-empty core)."""
+    g = _old_star_translation(StarLabel(system, words))
+    pins = [_strip_head(slot * g, j) for j, slot in enumerate(words, start=1)]
+    for j, (_, core) in enumerate(pins, start=1):
+        if core.syllables:
+            return None, j
+    parts = tuple(
+        system.part_compose(
+            system.conjugation_part(system.identity(k) if b is None else b),
+            parts0[k - 1],
+        )
+        for k, (b, _) in enumerate(pins, start=1)
+    )
+    return (parts, g.inverse()), None
+
+
+def old_apply_parts(parts, word_in):
+    system = word_in.system
+    letters = [system.part_apply(parts[s.factor - 1], s) for s in word_in.syllables]
+    return normal_form(system, letters)
+
+
+def old_is_inner(psi):
+    system = psi.system
+    split, _ = old_star_split(system, *old_split_canonical(psi))
+    if split is None or not all(system.part_is_identity(p) for p in split[0]):
+        return None
+    return split[1]
+
+
+def old_apex_split(psi, i):
+    """(moves, parts), or the first slot whose double-coset core is non-empty."""
+    system = psi.system
+    words, parts0 = old_split_canonical(psi)
+    shift = words[i - 1].inverse()
+    moves = []
+    parts = []
+    for j in range(1, system.n + 1):
+        if j == i:
+            parts.append(parts0[j - 1])
+            continue
+        b, rest = _strip_head(words[j - 1] * shift, j)
+        if rest.syllable_count() > 1 or rest.trailing_factor() not in (None, i):
+            return j
+        parts.append(
+            system.part_compose(
+                system.conjugation_part(system.identity(j) if b is None else b),
+                parts0[j - 1],
+            )
+        )
+        if rest.syllables:
+            moves.append(WhiteheadAuto(system, (j,), rest.syllables[0]))
+    return moves, tuple(parts)
+
+
 def _move_through(system, op, rng):
     """A Whitehead move with operating factor op and a random moved set."""
     others = [j for j in range(1, system.n + 1) if j != op]
@@ -363,7 +446,7 @@ class TestStabilizerErrorSlot:
         rng = random.Random(71)
         seen = {"star": set(), "apex": set()}
         for psi in _stabilizer_candidates(system, rng, 160):
-            words = _split_canonical(psi)[0]
+            words = old_split_canonical(psi)[0]
             expected = old_star_witness(base_label(system), star_label(system, words))[1]
             assert _error_slot(decompose_star_stabilizer, psi) == expected
             seen["star"].add(expected)
@@ -375,6 +458,53 @@ class TestStabilizerErrorSlot:
         # successes, and errors at more than one slot, on both sides
         assert None in seen["star"] and len(seen["star"]) >= 3
         assert None in seen["apex"] and len(seen["apex"]) >= 3
+
+
+def _split_candidates(system, rng, count):
+    """Star stabilizers (factor parts and an inner on either side, a third of
+    them inner only), then the apex-stabilizer and random candidates."""
+    n = system.n
+    out = []
+    for k in range(count):
+        parts = [
+            random_part(system, j, rng) if k % 3 else system.part_identity(j)
+            for j in range(1, n + 1)
+        ]
+        inner = inner_auto(system, random_word(system, rng, 4))
+        factor = factor_only_auto(system, parts)
+        out.append(compose(inner, factor) if rng.random() < 0.5 else compose(factor, inner))
+    return out + _stabilizer_candidates(system, rng, count)
+
+
+class TestConjugatedSplit:
+    """The star, apex and inner splits give the results of the hand-written
+    loops they replaced, successes included.  Only a non-abelian factor
+    tells conj(b) o phi from phi o conj(b), so S3 systems get more cases."""
+
+    @pytest.mark.parametrize("fixture", KEY_SYSTEMS)
+    def test_matches_old_splits(self, request, fixture):
+        system = request.getfixturevalue(fixture)
+        rng = random.Random(73)
+        count = 120 if fixture.startswith("s3") else 40
+        successes = {"star": 0, "apex": 0, "inner": 0}
+        for psi in _split_candidates(system, rng, count):
+            split, slot = old_star_split(system, *old_split_canonical(psi))
+            if split is None:
+                assert _error_slot(decompose_star_stabilizer, psi) == slot
+            else:
+                assert decompose_star_stabilizer(psi) == split
+                successes["star"] += 1
+            inner = old_is_inner(psi)
+            assert is_inner(psi) == inner
+            successes["inner"] += inner is not None
+            for i in range(1, system.n + 1):
+                expected = old_apex_split(psi, i)
+                if isinstance(expected, int):
+                    assert _error_slot(decompose_apex_stabilizer, psi, i) == expected
+                else:
+                    assert decompose_apex_stabilizer(psi, i) == expected
+                    successes["apex"] += 1
+        assert min(successes.values()) >= count // 4
 
 
 class TestFactorize:
@@ -549,12 +679,12 @@ def replay_factorize(psi):
     """Reference factorize that ignores MoveRecord.shed: it replays every
     move on the canonical tuple and strips the own-factor syllable itself."""
     system = psi.system
-    words, parts0 = _split_canonical(psi)
+    words, parts0 = old_split_canonical(psi)
     label = star_label(system, words)
-    split = _star_split(label, parts0)
+    split, _ = old_star_split(system, words, parts0)
     if split is not None:
         parts, witness = split
-        h = _apply_parts([system.part_invert(p) for p in parts], witness)
+        h = old_apply_parts([system.part_invert(p) for p in parts], witness)
         return Factorization((), parts, h)
     _, moves = reduce_to_base(label)
     slots = list(words)
@@ -603,7 +733,7 @@ class TestShedSyllable:
         for _ in range(150 if s3 else 40):
             psi = random_pure_auto(system, rng, 5)
             assert factorize(psi) == replay_factorize(psi)
-            _, moves = reduce_to_base(star_label(system, _split_canonical(psi)[0]))
+            _, moves = reduce_to_base(star_label(system, old_split_canonical(psi)[0]))
             s3_sheds += sum(m.shed is not None and m.shed.factor == 1 for m in moves)
         assert s3_sheds > 0 or not s3
 

@@ -317,6 +317,45 @@ class TestMalformedInput:
         assert err.startswith("error: ") and str(path) in err
         assert err.count("\n") == 1
 
+    # CPython converts at most 4300 digits between int and str by default.
+    @pytest.mark.parametrize(
+        "system, argv",
+        [
+            (None, ["distance", "U:" + "[" * 100_000, "U:[]"]),
+            (None, ["normalize", "[[3," + "9" * 5000 + "]]"]),
+            (None, ["distance", "U:[[3," + "9" * 5000 + "]]", "U:[]"]),
+            (None, ["distance", "C" + "1" * 5000 + ":[]", "U:[]"]),
+            ('{"factors": [{"kind": "cyclic", "order": ' + "9" * 5000 + "}]}", ["normalize", "[]"]),
+        ],
+        ids=[
+            "deep-vertex",
+            "long-int-argument",
+            "long-int-vertex",
+            "long-vertex-factor",
+            "long-int-system",
+        ],
+    )
+    def test_input_past_python_limits_exit_2(self, capsys, system, argv):
+        code, out, err = run(capsys, "--system", system or json.dumps(MIXED_SYSTEM), *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    @pytest.mark.parametrize("command", ["normalize", "geodesic"])
+    def test_unprintable_answer_exit_1(self, capsys, command, fmt):
+        # Each payload prints, but their sum has 4301 digits.
+        letter = "[3," + "9" * 4300 + "]"
+        argv = {
+            "normalize": ["normalize", f"[{letter},{letter}]"],
+            "geodesic": ["geodesic", f"U:[{letter},{letter}]", "U:[]"],
+        }[command]
+        code, out, err = run(capsys, "--system", json.dumps(MIXED_SYSTEM), "--format", fmt, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "it cannot be printed" in err
+
 
 # -- fuzzing every command with JSON mutated from valid inputs -----------------
 
