@@ -10,6 +10,11 @@ whitehead list [W1, ..., WK], factor parts F and inner word h represents
 psi = W1 o W2 o ... o WK o F o (conjugation by h) under the same
 convention: the inner conjugation acts first, WK next, W1 last.
 
+Left-composing with a move (Y, x) is one rule, _push_moves: slot k of
+(Y, x) o psi is [x if k in Y] . (Y, x)(g_k), every part stays, and the
+kernel _apply_whitehead forms it in one pass.  invert and
+recompose_factorization push their move lists through it.
+
 Every split of psi is one rule, _conjugated: inner-by-g o psi has the
 conjugators g_k . g, and each one's stripped G_k head b_k joins the factor
 part as conj(b_k) o phi_k.  g = 1 gives the canonical split, g = g_L (the
@@ -60,9 +65,7 @@ def pure_auto(system: FactorSystem, parts) -> PureSymmetricAuto:
     packed = []
     for k, (part, conj) in enumerate(parts, start=1):
         if part.factor != k:
-            raise FactorMismatchError(
-                f"part for factor {part.factor} placed in slot {k}"
-            )
+            raise FactorMismatchError(f"part for factor {part.factor} placed in slot {k}")
         if conj.system != system:
             raise SystemMismatchError("conjugator from a different factor system")
         packed.append((part, conj))
@@ -88,10 +91,7 @@ def factor_only_auto(system: FactorSystem, parts) -> PureSymmetricAuto:
 
 
 def tuple_auto(system: FactorSystem, words) -> PureSymmetricAuto:
-    return pure_auto(
-        system,
-        [(system.part_identity(k), w) for k, w in enumerate(words, start=1)],
-    )
+    return pure_auto(system, [(system.part_identity(k), w) for k, w in enumerate(words, start=1)])
 
 
 @dataclass(frozen=True)
@@ -133,13 +133,8 @@ def whitehead_auto(system: FactorSystem, moved, element: FactorElement) -> White
 
 
 def whitehead_to_auto(w: WhiteheadAuto) -> PureSymmetricAuto:
-    system = w.system
-    x = letter(system, w.element)
-    eps = empty_word(system)
-    parts = []
-    for k in range(1, system.n + 1):
-        conj = x if k in w.moved else eps
-        parts.append((system.part_identity(k), conj))
+    system, x, eps = w.system, letter(w.system, w.element), empty_word(w.system)
+    parts = [(system.part_identity(k), x if k in w.moved else eps) for k in range(1, system.n + 1)]
     return PureSymmetricAuto(system, tuple(parts))
 
 
@@ -201,8 +196,8 @@ class Factorization:
     inner: Word
 
 
-def _apply_whitehead(w: WhiteheadAuto, word_in: Word) -> Word:
-    """Normal form of the move (Y, x) applied to a reduced word, in one pass.
+def _apply_whitehead(w: WhiteheadAuto, word_in: Word, lead: bool = False) -> Word:
+    """One-pass normal form of (Y, x)(word_in), or with lead of x . (Y, x)(word_in).
 
     Let x lie in G_i, x nontrivial and i not in Y.  The image replaces each
     syllable s of a factor in Y by x^-1 s x and keeps every other syllable.
@@ -215,7 +210,8 @@ def _apply_whitehead(w: WhiteheadAuto, word_in: Word) -> Word:
     G_j (j in Y) and a letter outside G_j: x^-1, x, or a fixed syllable,
     which is not in G_j because all of G_j moves.  So nothing cascades, and
     one left-to-right pass with at most one G_i product per input syllable
-    yields the normal form.
+    yields the normal form.  A leading x meets only the first head, and
+    when that product cancels nothing is left for it to cascade into.
     """
     system = w.system
     moved = w.moved
@@ -223,7 +219,7 @@ def _apply_whitehead(w: WhiteheadAuto, word_in: Word) -> Word:
     i = x.factor
     x_inv = system.inverse(x)
     e = system.identity_payloads[i - 1]
-    out: list[FactorElement] = []
+    out: list[FactorElement] = [x] if lead else []
     for s in word_in.syllables:
         is_moved = s.factor in moved
         head = x_inv if is_moved else s
@@ -259,16 +255,9 @@ def evaluate_factorization(system: FactorSystem, f: Factorization, w: Word) -> W
 def factorize(psi: PureSymmetricAuto) -> Factorization:
     """Express psi as Whitehead moves, a factor automorphism, and an inner.
 
-    The conjugator tuple is walked back to the base labelling, and the
-    moves are read off the walk in reverse.  A fold move (i, j, a) rewrites
-    the tuple automorphism as the new tuple's, composed with conjugation of
-    G_j by the move's shed syllable b when there is one, composed with the
-    Whitehead move ({G_j}, a^-1).  Conjugating G_j by its own element b is
-    an inner automorphism of G_j, so it joins factor j's correction rather
-    than the Whitehead list; moving the corrections right past the moves
-    maps each move's element through the correction of its operating factor.
-    When the tuple is already base-equivalent the walk is skipped and psi
-    splits directly as factor-part times inner.
+    When the canonical tuple is base-equivalent psi splits directly as
+    factor part times inner; otherwise it is walked back to the base
+    labelling and _factorization_from_walk reads the moves off the walk.
     """
     system = psi.system
     words, parts0 = _split_canonical(psi)
@@ -283,6 +272,20 @@ def factorize(psi: PureSymmetricAuto) -> Factorization:
         return Factorization((), parts, h)
 
     _, moves = reduce_to_base(StarLabel(system, words))
+    return _factorization_from_walk(system, moves, parts0)
+
+
+def _factorization_from_walk(system: FactorSystem, moves, parts0) -> Factorization:
+    """The factorization read, in reverse, off the reduction walk (moves) of
+    a canonical split's slots, whose factor parts are parts0.
+
+    A fold move (i, j, a) rewrites the tuple automorphism as the new tuple's,
+    composed with conjugation of G_j by the move's shed syllable b if any,
+    composed with ({G_j}, a^-1).  Conjugation of G_j by its own b is inner
+    in G_j, so it joins factor j's correction, not the Whitehead list;
+    moving the corrections right past the moves maps each move's element
+    through the correction of its operating factor.
+    """
     correction = [system.part_identity(k) for k in range(1, system.n + 1)]
     whitehead: list[WhiteheadAuto] = []
     for mv in reversed(moves):
@@ -292,34 +295,41 @@ def factorize(psi: PureSymmetricAuto) -> Factorization:
             )
         moved_element = system.part_apply(correction[mv.i - 1], system.inverse(mv.element))
         whitehead.append(WhiteheadAuto(system, (mv.j,), moved_element))
-    factor_parts = tuple(
-        system.part_compose(correction[k - 1], parts0[k - 1])
-        for k in range(1, system.n + 1)
-    )
+    factor_parts = tuple(map(system.part_compose, correction, parts0))
     return Factorization(tuple(whitehead), factor_parts, empty_word(system))
 
 
+def _push_moves(system: FactorSystem, moves, slots) -> list[Word]:
+    """Conjugators of Wm o ... o W1 o psi for psi with conjugators slots:
+    each move (Y, x), first to last, maps slot k to [x if k in Y] . (Y, x)(g_k)."""
+    slots = list(slots)
+    for w in moves:
+        for k, g in enumerate(slots, start=1):
+            slots[k - 1] = _apply_whitehead(w, g, lead=k in w.moved)
+    return slots
+
+
 def recompose_factorization(system: FactorSystem, f: Factorization) -> PureSymmetricAuto:
-    result = compose(factor_only_auto(system, f.factor), inner_auto(system, f.inner))
-    for wh in reversed(f.whitehead):
-        result = compose(whitehead_to_auto(wh), result)
-    return result
+    """W1 o ... o WK o F o inner-by-h: F o inner-by-h has every slot F(h),
+    and WK, ..., W1 are pushed onto it in turn."""
+    start = [_apply_parts(f.factor, f.inner)] * system.n
+    slots = _push_moves(system, reversed(f.whitehead), start)
+    return PureSymmetricAuto(system, tuple(zip(f.factor, slots)))
+
+
+def _invert_factorization(system: FactorSystem, f: Factorization) -> PureSymmetricAuto:
+    """inner-by-h^-1 o F^-1 o WK^-1 o ... o W1^-1: W1^-1, ..., WK^-1 pushed
+    onto the identity, F^-1 on each slot, then c . h^-1 on each slot c."""
+    parts = [system.part_invert(p) for p in f.factor]
+    eps, h_inv = empty_word(system), f.inner.inverse()
+    slots = _push_moves(system, map(whitehead_inverse, f.whitehead), [eps] * system.n)
+    conjugators = [_apply_parts(parts, g) * h_inv for g in slots]
+    return PureSymmetricAuto(system, tuple(zip(parts, conjugators)))
 
 
 def invert(psi: PureSymmetricAuto) -> PureSymmetricAuto:
-    """Inverse automorphism, assembled from the Whitehead factorization.
-
-    With psi = W1 o ... o WK o F o inner, the inverse applies W1^-1 first,
-    so the inverted Whitehead moves are appended innermost-first.
-    """
-    system = psi.system
-    f = factorize(psi)
-    result = inner_auto(system, f.inner.inverse())
-    inverse_parts = factor_only_auto(system, [system.part_invert(p) for p in f.factor])
-    result = compose(result, inverse_parts)
-    for wh in reversed(f.whitehead):
-        result = compose(result, whitehead_to_auto(whitehead_inverse(wh)))
-    return result
+    """Inverse automorphism, assembled from the Whitehead factorization."""
+    return _invert_factorization(psi.system, factorize(psi))
 
 
 def verify_factorization(psi: PureSymmetricAuto, f: Factorization) -> bool:

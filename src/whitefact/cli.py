@@ -24,21 +24,28 @@ from .words import empty_word
 
 
 def _load_payload(argument: str):
-    """File contents when the argument names a file, else inline JSON."""
+    """File contents when the argument names a file, else inline JSON.
+
+    Messages name a file in full and inline text by jsonio.echo.
+    """
     if os.path.exists(argument):
+        source = repr(argument)
         try:
             with open(argument, "r", encoding="utf-8") as handle:
                 text = handle.read()
         except (OSError, UnicodeDecodeError) as exc:
-            raise SchemaError(f"cannot read {argument!r}: {exc}") from exc
+            raise SchemaError(f"cannot read {source}: {exc}") from exc
     else:
-        text = argument
+        text, source = argument, jsonio.echo(argument)
     try:
         return json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or past the int-string limit
-        raise SchemaError(f"invalid JSON in {argument!r}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"invalid JSON in {source}: {exc}") from exc
+    except ValueError as exc:  # past the int-string limit
+        limit = sys.get_int_max_str_digits()
+        raise SchemaError(f"integer of more than {limit} digits in {source}") from exc
     except RecursionError as exc:
-        raise SchemaError(f"JSON nested too deeply in {argument!r}") from exc
+        raise SchemaError(f"JSON nested too deeply in {source}") from exc
 
 
 def _require_system(args):

@@ -13,31 +13,32 @@ normal form each, and each is keyed once (star_key).  On Z2*Z2*Z2 the
 visited tuples number 244, 382, 574, 814, 1162 and 1630 at bounds 15 to 25,
 against 2815 in-budget tuples at bound 15 and 18 943 at bound 19.  Z3*Z4*Z2*Z2
 visits 45 304 at bound 14, taking 8.3 s and 106 MB peak RSS (CPython 3.11,
-2-vCPU shared host); MAX_VISITED caps a call near that size.
+2-vCPU shared host); MAX_VISITED caps a call near that size.  check_ball
+runs one reduction walk per star class and reads the class's automorphism
+and its inverse off it, one kernel pass per move and slot, with one
+star_key per star class and one apex_key per A class.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .autos import invert, tuple_auto
+from .autos import _factorization_from_walk, _invert_factorization, tuple_auto
 from .errors import EngineError, NonSplittingError, OracleUnavailableError
 from .factors import FactorElement
 from .labellings import (
     ApexLabel,
     StarLabel,
     act_on_label,
-    apex_equivalent,
     apex_key,
     apex_label,
     base_label,
     collapses,
-    star_equivalent,
     star_key,
     volume,
 )
 from .reduction import reduce_to_base
-from .words import Word, empty_word, normal_form, split_own_head
+from .words import Word, normal_form, split_own_head
 
 MAX_VISITED = 50_000  # tuples one enumerate_ball may visit; see the cost model
 
@@ -157,8 +158,8 @@ def check_ball(ball: SnBall) -> BallReport:
     Verifies the bipartite collapse structure, that every star class walks
     back to the base class through volumes that never leave the ball, that
     the base class has exactly the n expected collapse neighbours, and that
-    the automorphism reconstructed from each reduction path really carries
-    the class to the base cell.
+    the automorphism read off each class's reduction walk, the same walk
+    the volume checks run, really carries the class to the base cell.
     """
     report = BallReport()
     system = ball.system
@@ -169,11 +170,10 @@ def check_ball(ball: SnBall) -> BallReport:
     for alpha_index, a_index in ball.edges:
         if not (0 <= alpha_index < len(ball.alpha_classes)):
             report.failures.append(f"edge references missing alpha class {alpha_index}")
-            continue
-        if not (0 <= a_index < len(ball.a_classes)):
+        elif not (0 <= a_index < len(ball.a_classes)):
             report.failures.append(f"edge references missing A class {a_index}")
-            continue
-        incident[alpha_index].append(a_index)
+        else:
+            incident[alpha_index].append(a_index)
     for alpha_index, touched in incident.items():
         if len(touched) != n or len(set(touched)) != n:
             report.failures.append(
@@ -187,18 +187,22 @@ def check_ball(ball: SnBall) -> BallReport:
             )
 
     # dedup sanity: no class key repeats among the representatives
-    star_keys = {star_key(label) for label in ball.alpha_classes}
-    if len(star_keys) < len(ball.alpha_classes):
+    keys = [star_key(label) for label in ball.alpha_classes]
+    if len(set(keys)) < len(keys):
         report.failures.append("duplicate alpha classes survived dedup")
-    apex_keys = {apex_key(label) for label in ball.a_classes}
-    if len(apex_keys) < len(ball.a_classes):
+    a_keys = [apex_key(label) for label in ball.a_classes]
+    if len(set(a_keys)) < len(a_keys):
         report.failures.append("duplicate A classes survived dedup")
 
-    # every class reaches the base class inside the ball
+    # every class reaches the base class inside the ball, and the walk's
+    # automorphism carries it home (reported after the base-class checks)
     base = base_label(system)
+    base_key = star_key(base)
+    identity = [system.part_identity(k) for k in range(1, n + 1)]
     base_index = None
-    for alpha_index, label in enumerate(ball.alpha_classes):
-        if star_equivalent(label, base) is not None:
+    homing: list[str] = []
+    for alpha_index, (label, key) in enumerate(zip(ball.alpha_classes, keys)):
+        if key == base_key:
             base_index = alpha_index
         try:
             final, moves = reduce_to_base(label)
@@ -207,42 +211,28 @@ def check_ball(ball: SnBall) -> BallReport:
             continue
         volumes = [volume(label)] + [m.volume_after for m in moves]
         if any(v > ball.bound for v in volumes):
-            report.failures.append(
-                f"alpha class #{alpha_index} leaves the ball during reduction"
-            )
+            report.failures.append(f"alpha class #{alpha_index} leaves the ball during reduction")
         if any(b <= a for a, b in zip(volumes[1:], volumes)):
-            report.failures.append(
-                f"alpha class #{alpha_index} has a non-decreasing step"
-            )
+            report.failures.append(f"alpha class #{alpha_index} has a non-decreasing step")
         if final != base:
-            report.failures.append(
-                f"alpha class #{alpha_index} did not land on the base tuple"
-            )
+            report.failures.append(f"alpha class #{alpha_index} did not land on the base tuple")
+        # tuple_auto(slots) splits canonically as the slots with identity
+        # parts, so its factorization is read off this walk
+        walked = _factorization_from_walk(system, moves, identity)
+        if star_key(act_on_label(label, _invert_factorization(system, walked))) != base_key:
+            homing.append(f"alpha class #{alpha_index} is not carried to the base cell")
+        round_trip = act_on_label(base, tuple_auto(system, label.conjugators))
+        if star_key(round_trip) != key:
+            homing.append(f"alpha class #{alpha_index} is not reached from the base cell")
     if base_index is None:
         report.failures.append("base class missing from the ball")
     else:
-        base_neighbours = {a for alpha, a in ball.edges if alpha == base_index}
-        expected = []
-        for i in range(1, n + 1):
-            target = apex_label(system, i, [empty_word(system)] * n)
-            found = [a for a in base_neighbours if apex_equivalent(ball.a_classes[a], target)]
-            expected.extend(found)
+        base_neighbours = set(incident[base_index])
+        targets = {apex_key(apex_label(system, i, base.conjugators)) for i in range(1, n + 1)}
+        expected = [a for a in base_neighbours if a_keys[a] in targets]
         if len(base_neighbours) != n or len(expected) != n:
             report.failures.append("base class collapse neighbours are not the n expected")
-
-    # fundamental domain: the reconstructed automorphism carries the class home
-    for alpha_index, label in enumerate(ball.alpha_classes):
-        psi = tuple_auto(system, label.conjugators)
-        moved_back = act_on_label(label, invert(psi))
-        if star_equivalent(moved_back, base) is None:
-            report.failures.append(
-                f"alpha class #{alpha_index} is not carried to the base cell"
-            )
-        round_trip = act_on_label(base, psi)
-        if star_equivalent(round_trip, label) is None:
-            report.failures.append(
-                f"alpha class #{alpha_index} is not reached from the base cell"
-            )
+    report.failures.extend(homing)
 
     report.stats = {
         "alpha_classes": len(ball.alpha_classes),

@@ -59,6 +59,19 @@ def dumps(obj) -> str:
         raise UnprintableAnswerError() from exc
 
 
+ECHO_CHARS = 80  # longest repr of an outside value that an error message repeats
+
+
+def echo(value) -> str:
+    """repr(value) for a one-line message: past ECHO_CHARS characters, a
+    prefix of it and the length of the string (or of the repr)."""
+    shown = repr(value)
+    if len(shown) <= ECHO_CHARS:
+        return shown
+    size = len(value) if isinstance(value, str) else len(shown)
+    return f"{shown[:ECHO_CHARS]}... ({size} characters)"
+
+
 def _expect(condition: bool, message: str) -> None:
     if not condition:
         raise SchemaError(message)
@@ -136,7 +149,7 @@ def system_from_json(obj) -> FactorSystem:
                 )
             )
         else:
-            raise SchemaError(f"factor {k}: unknown kind {kind!r}")
+            raise SchemaError(f"factor {k}: unknown kind {echo(kind)}")
     try:
         system = FactorSystem(backends)
     except ValueError as exc:
@@ -163,12 +176,12 @@ def word_from_json(system: FactorSystem, obj) -> Word:
             and len(entry) == 2
             and (type(entry[0]) is int or _is_int(entry[0]))
         ):
-            raise SchemaError(f"bad word letter {entry!r}")
+            raise SchemaError(f"bad word letter {echo(entry)}")
         factor, payload = entry
         if not 1 <= factor <= n:
             raise SchemaError(f"factor index {factor} out of range")
         if not (type(payload) is int or _is_int(payload)):
-            raise SchemaError(f"payload {payload!r} must be an integer")
+            raise SchemaError(f"payload {echo(payload)} must be an integer")
     backends = system.backends
     ident = system.identity_payloads
     out: list[FactorElement] = []
@@ -203,23 +216,23 @@ def vertex_name(v: TreeVertex) -> str:
 
 
 def vertex_from_name(system: FactorSystem, name: str) -> TreeVertex:
-    _expect(isinstance(name, str) and ":" in name, f"bad vertex name {name!r}")
+    # messages are formatted only on failure: names are decoded per request
+    if not (isinstance(name, str) and ":" in name):
+        raise SchemaError(f"bad vertex name {echo(name)}")
     head, _, body = name.partition(":")
     try:
         rep = word_from_json(system, json.loads(body))
     except (ValueError, RecursionError) as exc:  # also too deep, or past the int-string limit
-        raise SchemaError(f"bad vertex word in {name!r}") from exc
+        raise SchemaError(f"bad vertex word in {echo(name)}") from exc
     if head == "U":
         return u_vertex(rep)
     digits = head[1:]
-    _expect(
-        head.startswith("C") and digits.isascii() and digits.isdigit(),
-        f"bad vertex name {name!r}",
-    )
+    if not (head.startswith("C") and digits.isascii() and digits.isdigit()):
+        raise SchemaError(f"bad vertex name {echo(name)}")
     try:
         factor = int(digits)
     except ValueError as exc:  # past the int-string digit limit
-        raise SchemaError(f"factor index out of range in {name!r}") from exc
+        raise SchemaError(f"factor index out of range in {echo(name)}") from exc
     _expect(1 <= factor <= system.n, f"factor index {factor} out of range")
     return c_vertex(factor, rep)
 
@@ -293,7 +306,7 @@ def phi_from_json(system: FactorSystem, factor: int, obj) -> FactorAutoPart:
         )
         part = FactorAutoPart(factor, tuple(image))
     else:
-        raise SchemaError(f"factor {factor}: unknown phi kind {kind!r}")
+        raise SchemaError(f"factor {factor}: unknown phi kind {echo(kind)}")
     message = system.part_validate(part)
     _expect(message is None, f"factor {factor}: {message}")
     return part

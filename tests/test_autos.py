@@ -738,6 +738,48 @@ class TestShedSyllable:
         assert s3_sheds > 0 or not s3
 
 
+def old_recompose_factorization(system, f):
+    """The compose loop that recompose_factorization replaced."""
+    result = compose(factor_only_auto(system, f.factor), inner_auto(system, f.inner))
+    for wh in reversed(f.whitehead):
+        result = compose(whitehead_to_auto(wh), result)
+    return result
+
+
+def old_invert(psi):
+    """The compose loop that invert replaced."""
+    system = psi.system
+    f = factorize(psi)
+    result = inner_auto(system, f.inner.inverse())
+    inverse_parts = factor_only_auto(system, [system.part_invert(p) for p in f.factor])
+    result = compose(result, inverse_parts)
+    for wh in reversed(f.whitehead):
+        result = compose(result, whitehead_to_auto(whitehead_inverse(wh)))
+    return result
+
+
+class TestKernelComposition:
+    """invert and recompose_factorization push moves through the kernel and
+    give the bytes of the compose loops they replaced.  Only a non-abelian
+    factor tells a product from its wrong-side twin, so S3 gets more cases."""
+
+    @pytest.mark.parametrize("name", SHED_SYSTEMS)
+    def test_matches_compose_loops(self, name):
+        system = SHED_SYSTEMS[name]()
+        rng = random.Random(53)
+        for _ in range(100 if name.startswith("S3") else 30):
+            psi = random_pure_auto(system, rng, rng.randint(1, 6))
+            made = random_factorization(system, rng)
+            rebuilt = recompose_factorization(system, made)
+            assert repr(rebuilt) == repr(old_recompose_factorization(system, made))
+            for target in (psi, rebuilt):
+                assert repr(invert(target)) == repr(old_invert(target))
+                f = factorize(target)
+                assert repr(recompose_factorization(system, f)) == repr(
+                    old_recompose_factorization(system, f)
+                )
+
+
 class TestPureAutoValidation:
     def test_misplaced_part_rejected(self, triple_z2):
         from whitefact.errors import FactorMismatchError
@@ -838,6 +880,7 @@ class TestWhiteheadKernel:
         got = _apply_whitehead(move, w)
         assert got == reference_apply_whitehead(move, w)
         assert got == whitehead_to_auto(move).apply(w)
+        assert _apply_whitehead(move, w, lead=True) == letter(system, move.element) * got
 
     @pytest.mark.parametrize("name", RELATION_SYSTEMS)
     @settings(max_examples=100, derandomize=True, deadline=None)

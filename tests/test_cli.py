@@ -341,6 +341,29 @@ class TestMalformedInput:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "argv, size",
+        [
+            (["distance", "U:" + "[" * 100_000, "U:[]"], 100_002),
+            (["normalize", "[[3," + "9" * 5000 + "]]"], 5006),
+            (["distance", "U:[[3," + "9" * 5000 + "]]", "U:[]"], 5008),
+            (["distance", "C" + "1" * 5000 + ":[]", "U:[]"], 5004),
+            (["distance", "V" * 5000 + ":[]", "U:[]"], 5003),
+            (["normalize", "[[1," + "[0]," * 5000 + "0]]"], None),
+        ],
+        ids=["deep-vertex", "long-int-argument", "long-int-vertex", "long-vertex-factor",
+             "long-vertex-kind", "long-letter"],
+    )
+    def test_long_argument_echo_is_bounded(self, capsys, argv, size):
+        code, out, err = run(capsys, "--system", json.dumps(MIXED_SYSTEM), *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert len(err) < 200
+        assert "set_int_max_str_digits" not in err
+        if size is not None:
+            assert f"... ({size} characters)" in err
+
     @pytest.mark.parametrize("fmt", ["json", "text"])
     @pytest.mark.parametrize("command", ["normalize", "geodesic"])
     def test_unprintable_answer_exit_1(self, capsys, command, fmt):

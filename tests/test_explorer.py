@@ -1,8 +1,9 @@
+import dataclasses
 import itertools
 
 import pytest
 
-from whitefact import explorer
+from whitefact import autos, explorer, labellings
 from whitefact.errors import EngineError, NonSplittingError, OracleUnavailableError
 from whitefact.explorer import SnBall, _grow_from_base, check_ball, enumerate_ball
 from whitefact.jsonio import sn_ball_to_json
@@ -273,3 +274,89 @@ class TestCheck:
         report = check_ball(enumerate_ball(triple_z2, 5))
         assert report.stats["alpha_classes"] == 4
         assert report.stats["base_index"] == 0
+
+    def test_nonsplitting_class_reported(self, triple_z2):
+        ball = enumerate_ball(triple_z2, 7)
+        a, b, eps = word(triple_z2, [(1, 1)]), word(triple_z2, [(2, 1)]), empty_word(triple_z2)
+        stuck = star_label(triple_z2, [b, a, eps])  # G1^b, G2^a, G3: volume 7, no fold
+        with pytest.raises(NonSplittingError):
+            reduce_to_base(stuck)
+        report = check_ball(dataclasses.replace(ball, alpha_classes=ball.alpha_classes + (stuck,)))
+        index = len(ball.alpha_classes)
+        assert f"alpha class #{index} does not reduce" in report.failures
+        assert not any("base cell" in failure for failure in report.failures)
+
+    def test_reduction_outside_bound_flagged(self, triple_z2):
+        ball = enumerate_ball(triple_z2, 7)
+        report = check_ball(dataclasses.replace(ball, bound=5))
+        outside = [k for k, label in enumerate(ball.alpha_classes) if volume(label) > 5]
+        assert outside
+        assert report.failures == [
+            f"alpha class #{k} leaves the ball during reduction" for k in outside
+        ]
+
+    def test_missing_base_class_flagged(self, triple_z2):
+        ball = enumerate_ball(triple_z2, 7)
+        assert check_ball(ball).stats["base_index"] == 0
+        mutated = dataclasses.replace(
+            ball,
+            alpha_classes=ball.alpha_classes[1:],
+            edges=tuple((alpha - 1, a) for alpha, a in ball.edges if alpha != 0),
+        )
+        report = check_ball(mutated)
+        assert report.failures == ["base class missing from the ball"]
+        assert report.stats["base_index"] is None
+
+    def test_wrong_base_neighbour_flagged(self, triple_z2):
+        ball = enumerate_ball(triple_z2, 7)
+        edges = list(ball.edges)
+        k = next(k for k, (alpha, _) in enumerate(edges) if alpha == 0)
+        apex = ball.a_classes[edges[k][1]].apex
+        # another A class with the same apex keeps the apex set complete
+        other = next(
+            a for a, m in enumerate(ball.a_classes) if m.apex == apex and a != edges[k][1]
+        )
+        edges[k] = (0, other)
+        report = check_ball(dataclasses.replace(ball, edges=tuple(edges)))
+        assert report.failures == ["base class collapse neighbours are not the n expected"]
+
+    def test_broken_inverse_flagged(self, triple_z2, monkeypatch):
+        ball = enumerate_ball(triple_z2, 7)
+        walk = explorer._factorization_from_walk
+
+        def drop_first_move(system, moves, parts0):
+            return walk(system, moves[1:], parts0)
+
+        monkeypatch.setattr(explorer, "_factorization_from_walk", drop_first_move)
+        report = check_ball(ball)
+        moved = [k for k, label in enumerate(ball.alpha_classes) if volume(label) > 3]
+        assert moved
+        assert report.failures == [
+            f"alpha class #{k} is not carried to the base cell" for k in moved
+        ]
+
+    def test_one_walk_per_class(self, triple_z2, z342, monkeypatch):
+        balls = [enumerate_ball(triple_z2, 9), enumerate_ball(z342, 6)]
+        walks = []
+        walk = explorer.reduce_to_base
+
+        def counted(label):
+            walks.append(label)
+            return walk(label)
+
+        def forbidden(*args):
+            raise AssertionError("check_ball left its one walk per class")
+
+        monkeypatch.setattr(explorer, "reduce_to_base", counted)
+        for module, name in [
+            (autos, "factorize"),
+            (autos, "compose"),
+            (autos, "reduce_to_base"),
+            (labellings, "star_equivalent"),
+            (labellings, "apex_equivalent"),
+        ]:
+            monkeypatch.setattr(module, name, forbidden)
+        for ball in balls:
+            walks.clear()
+            assert check_ball(ball).passed
+            assert walks == list(ball.alpha_classes)
