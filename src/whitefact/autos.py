@@ -279,22 +279,24 @@ def _factorization_from_walk(system: FactorSystem, moves, parts0) -> Factorizati
     """The factorization read, in reverse, off the reduction walk (moves) of
     a canonical split's slots, whose factor parts are parts0.
 
-    A fold move (i, j, a) rewrites the tuple automorphism as the new tuple's,
-    composed with conjugation of G_j by the move's shed syllable b if any,
-    composed with ({G_j}, a^-1).  Conjugation of G_j by its own b is inner
-    in G_j, so it joins factor j's correction, not the Whitehead list;
+    A fold move (i, Y, a) rewrites the tuple automorphism as the new tuple's,
+    composed with conjugation of each G_k, k in Y, by its shed syllable b_k
+    if any, composed with (Y, a^-1).  Conjugation of G_k by its own b_k is
+    inner in G_k, so it joins factor k's correction, not the Whitehead list;
     moving the corrections right past the moves maps each move's element
-    through the correction of its operating factor.
+    through the correction of its operating factor i.  i is not in Y, so
+    the sheds of a move's own slots leave that correction alone.
     """
     correction = [system.part_identity(k) for k in range(1, system.n + 1)]
     whitehead: list[WhiteheadAuto] = []
     for mv in reversed(moves):
-        if mv.shed is not None:
-            correction[mv.j - 1] = system.part_compose(
-                correction[mv.j - 1], system.conjugation_part(mv.shed)
-            )
+        for k, shed in zip(mv.moved, mv.shed):
+            if shed is not None:
+                correction[k - 1] = system.part_compose(
+                    correction[k - 1], system.conjugation_part(shed)
+                )
         moved_element = system.part_apply(correction[mv.i - 1], system.inverse(mv.element))
-        whitehead.append(WhiteheadAuto(system, (mv.j,), moved_element))
+        whitehead.append(WhiteheadAuto(system, mv.moved, moved_element))
     factor_parts = tuple(map(system.part_compose, correction, parts0))
     return Factorization(tuple(whitehead), factor_parts, empty_word(system))
 

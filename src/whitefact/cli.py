@@ -105,7 +105,7 @@ def _cmd_reduce(args) -> int:
         "moves": jsonio.moves_to_json(moves),
     }
     lines = [
-        f"move {k}: slot {m.j} through factor {m.i}, volume "
+        f"move {k}: {_slots(m.moved)} through factor {m.i}, volume "
         f"{m.volume_before} -> {m.volume_after}"
         for k, m in enumerate(moves, start=1)
     ] + [f"final: {jsonio.dumps(payload['final'])}"]
@@ -113,11 +113,19 @@ def _cmd_reduce(args) -> int:
     return 0
 
 
+def _slots(moved) -> str:
+    return ("slot " if len(moved) == 1 else "slots ") + ", ".join(map(str, moved))
+
+
 def _cmd_factorize(args) -> int:
     system = _require_system(args)
     psi = jsonio.auto_from_json(system, _load_payload(args.auto))
-    fact = factorize(psi)
-    _emit(args, jsonio.factorization_to_json(system, fact))
+    payload = jsonio.factorization_to_json(system, factorize(psi))
+    lines = [
+        f"move {k}: Y {{{', '.join(map(str, m['Y']))}}} by {jsonio.dumps(m['x'])}"
+        for k, m in enumerate(payload["whitehead"], start=1)
+    ] + [f"factor: {jsonio.dumps(payload['factor'])}", f"inner: {jsonio.dumps(payload['inner'])}"]
+    _emit(args, payload, lines)
     return 0
 
 

@@ -14,16 +14,22 @@ visited tuples number 244, 382, 574, 814, 1162 and 1630 at bounds 15 to 25,
 against 2815 in-budget tuples at bound 15 and 18 943 at bound 19.  Z3*Z4*Z2*Z2
 visits 45 304 at bound 14, taking 8.3 s and 106 MB peak RSS (CPython 3.11,
 2-vCPU shared host); MAX_VISITED caps a call near that size.  check_ball
-runs one reduction walk per star class and reads the class's automorphism
-and its inverse off it, one kernel pass per move and slot, with one
-star_key per star class and one apex_key per A class.
+runs one reduction walk per star class, reads the class's factorization
+off it and builds both the inverse and the automorphism from that, one
+kernel pass per move and slot each, with one star_key per star class and
+one apex_key per A class.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .autos import _factorization_from_walk, _invert_factorization, tuple_auto
+from .autos import (
+    _factorization_from_walk,
+    _invert_factorization,
+    _split_canonical,
+    recompose_factorization,
+)
 from .errors import EngineError, NonSplittingError, OracleUnavailableError
 from .factors import FactorElement
 from .labellings import (
@@ -159,7 +165,8 @@ def check_ball(ball: SnBall) -> BallReport:
     back to the base class through volumes that never leave the ball, that
     the base class has exactly the n expected collapse neighbours, and that
     the automorphism read off each class's reduction walk, the same walk
-    the volume checks run, really carries the class to the base cell.
+    the volume checks run, really carries the class to the base cell and,
+    recomposed from its moves, is the class's own tuple automorphism.
     """
     report = BallReport()
     system = ball.system
@@ -198,7 +205,7 @@ def check_ball(ball: SnBall) -> BallReport:
     # automorphism carries it home (reported after the base-class checks)
     base = base_label(system)
     base_key = star_key(base)
-    identity = [system.part_identity(k) for k in range(1, n + 1)]
+    identity = tuple(system.part_identity(k) for k in range(1, n + 1))
     base_index = None
     homing: list[str] = []
     for alpha_index, (label, key) in enumerate(zip(ball.alpha_classes, keys)):
@@ -217,12 +224,13 @@ def check_ball(ball: SnBall) -> BallReport:
         if final != base:
             report.failures.append(f"alpha class #{alpha_index} did not land on the base tuple")
         # tuple_auto(slots) splits canonically as the slots with identity
-        # parts, so its factorization is read off this walk
+        # parts, so its factorization is read off this walk; recomposed, the
+        # walk's moves must give that split back
         walked = _factorization_from_walk(system, moves, identity)
         if star_key(act_on_label(label, _invert_factorization(system, walked))) != base_key:
             homing.append(f"alpha class #{alpha_index} is not carried to the base cell")
-        round_trip = act_on_label(base, tuple_auto(system, label.conjugators))
-        if star_key(round_trip) != key:
+        recomposed = _split_canonical(recompose_factorization(system, walked))
+        if recomposed != (label.conjugators, identity):
             homing.append(f"alpha class #{alpha_index} is not reached from the base cell")
     if base_index is None:
         report.failures.append("base class missing from the ball")

@@ -13,7 +13,7 @@ Schemas:
                   | {"kind": "sign", "value": s}
   whitehead       {"Y": [...], "x": [factor, payload]}
   factorization   {"whitehead": [...], "factor": [phi, ...], "inner": word}
-  move trace      [{"i":..., "j":..., "a": [factor, payload],
+  move trace      [{"i":..., "Y": [...], "a": [factor, payload],
                     "vol_before":..., "vol_after":...}, ...]
 Vertex names are "U:<word>" and "C<i>:<word>" with the word in compact JSON.
 
@@ -394,7 +394,7 @@ def moves_to_json(moves) -> list:
     return [
         {
             "i": m.i,
-            "j": m.j,
+            "Y": list(m.moved),
             "a": [m.element.factor, m.element.payload],
             "vol_before": m.volume_before,
             "vol_after": m.volume_after,

@@ -11,20 +11,32 @@ is a proper suffix of g_j and the syllable s just before it lies in G_i
 one syllable s, hence one factor i, so the fold there is unique; the scan
 takes the lowest j first and then the shortest such g_i.
 
-The fold re-conjugates slot j by s^-1, which stabilizes C_i(g_i): writing
-g_j = p s g_i, the new slot is the normal form of p g_i.  It has at most
-|g_j| - 1 syllables (only the seam between p and g_i can merge), so the
-volume drops by an even amount of at least 2.  For a genuine splitting a
-fold exists whenever the volume exceeds n, so repeated steps terminate at
-the base tuple.  Tuples whose conjugated factors do not generate the whole
-group get stuck with volume above n and are rejected.
+A fold re-conjugates slot j by s^-1, which stabilizes C_i(g_i): writing
+g_j = p s g_i, the new slot is the normal form of p g_i.  Every other spoke
+k whose slot ends in s g_i passes the same vertex through the same
+syllable, so one step folds them all with the same element: the step is
+one move (Y, a) of the paper, with Y the folded slots and a = s^-1.  The
+scan passed the spokes below j without a fold, so Y holds j and spokes
+above it only, and never i, whose slot is shorter than s g_i.  Every fold
+reads g_i alone, which no slot in Y changes, so the order of the folds
+within a step does not matter.  Each folded slot keeps at most |g_k| - 1
+syllables (only the seam between p and g_i can merge), so each drops the
+volume by an even amount of at least 2, and a step by at least 2|Y|.  For a
+genuine splitting a fold exists whenever the volume exceeds n, so repeated
+steps terminate at the base tuple within (volume - n)/2 steps.  Tuples
+whose conjugated factors do not generate the whole group get stuck with
+volume above n and are rejected.  Folding a vertex at once is greedy: it
+takes far fewer steps than one spoke per step, but not on every tuple, as
+a spoke folded early can miss a deeper fold that a later step would open
+for it.
 
-The normal form of p g_i can begin with a G_j syllable b (when p is empty
-or cancels completely into g_i).  Slot j is a coset rep of G_j g_j, so the
-canonical slot drops b, and the move records it as shed: the raw product
-g_j . g_i^-1 a g_i equals b times the new slot.  Conjugating G_j by its own
-element b is an inner automorphism of G_j, not a Whitehead move, which is
-why factorize turns each shed syllable into a factor-part correction.
+The normal form of p g_i can begin with a G_k syllable b (when p is empty
+or cancels completely into g_i).  Slot k is a coset rep of G_k g_k, so the
+canonical slot drops b, and the move records it as slot k's shed: the raw
+product g_k . g_i^-1 a g_i equals b times the new slot.  Conjugating G_k by
+its own element b is an inner automorphism of G_k, not a Whitehead move,
+which is why factorize turns each shed syllable into a factor-part
+correction.
 """
 
 from __future__ import annotations
@@ -53,18 +65,19 @@ class FoldWitness:
 
 @dataclass(frozen=True)
 class MoveRecord:
-    """One reduction step: slot j re-conjugated through factor i by element a.
+    """One reduction step: every slot in moved re-conjugated through slot
+    i's vertex by the same element a.
 
-    shed is the leading G_j syllable that canonicalizing the new slot
-    stripped, or None.
+    shed is aligned with moved: the leading G_k syllable that canonicalizing
+    the new slot k stripped, or None.
     """
 
     i: int
-    j: int
+    moved: tuple[int, ...]
     element: FactorElement
     volume_before: int
     volume_after: int
-    shed: FactorElement | None
+    shed: tuple[FactorElement | None, ...]
 
 
 def find_fold(L: StarLabel) -> FoldWitness | None:
@@ -88,7 +101,8 @@ def find_fold(L: StarLabel) -> FoldWitness | None:
 
 
 def reduce_step(L: StarLabel) -> tuple[StarLabel, MoveRecord]:
-    """Apply one fold: slot j = p.s.g_i becomes p.g_i, dropping the volume by >= 2."""
+    """Fold every spoke through the first fold's vertex: each slot k = p.s.g_i
+    becomes p.g_i, dropping the volume by >= 2 per slot."""
     system = L.system
     before = volume(L)
     if before == system.n:
@@ -100,20 +114,31 @@ def reduce_step(L: StarLabel) -> tuple[StarLabel, MoveRecord]:
             "non-splitting input: no fold exists although volume exceeds n "
             f"(volume {before} at slots [{slots}])"
         )
-    old = L.slot(fold.j).syllables
-    prefix = old[: len(old) - fold.z.syllable_count()]
-    shed, slot = split_own_head(normal_form(system, prefix + fold.y.syllables), fold.j)
+    y, z = fold.y.syllables, fold.z.syllables
+    cut = len(z)
     new_words = list(L.conjugators)
-    new_words[fold.j - 1] = slot
-    after = before - 2 * (len(old) - slot.syllable_count())
-    record = MoveRecord(fold.i, fold.j, fold.element, before, after, shed)
+    moved: list[int] = []
+    sheds: list[FactorElement | None] = []
+    dropped = 0
+    for k in range(fold.j, system.n + 1):
+        old = new_words[k - 1].syllables
+        if len(old) < cut or old[-cut:] != z:  # cut >= 1: z is s.g_i
+            continue
+        shed, slot = split_own_head(normal_form(system, old[:-cut] + y), k)
+        new_words[k - 1] = slot
+        moved.append(k)
+        sheds.append(shed)
+        dropped += len(old) - slot.syllable_count()
+    record = MoveRecord(
+        fold.i, tuple(moved), fold.element, before, before - 2 * dropped, tuple(sheds)
+    )
     return StarLabel(system, tuple(new_words)), record
 
 
 def reduce_to_base(L: StarLabel) -> tuple[StarLabel, tuple[MoveRecord, ...]]:
     """Iterate folds at the basepoint U(1) until the tuple is the base itself.
 
-    The volume drops by at least 2 per step, so at most (volume - n)/2
+    The volume drops by at least 2 per folded slot, so at most (volume - n)/2
     moves occur; at volume n every canonical slot is trivial.
     """
     current = L

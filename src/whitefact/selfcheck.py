@@ -319,22 +319,21 @@ def _mutate(system, fact, index, rng):
         ]
     else:
         alternates = [-target.element.payload]
+    candidates = [
+        j for j in range(1, system.n + 1) if j != target.operating and j not in target.moved
+    ]
     if alternates:
         changed = WhiteheadAuto(
             system, target.moved, FactorElement(target.operating, rng.choice(alternates))
         )
-    else:
+    elif candidates:
         # no other nontrivial element: move a different factor instead
-        candidates = [
-            j
-            for j in range(1, system.n + 1)
-            if j != target.operating and j not in target.moved
-        ]
-        changed = WhiteheadAuto(
-            system,
-            (rng.choice(candidates),),
-            target.element,
-        )
+        changed = WhiteheadAuto(system, (rng.choice(candidates),), target.element)
+    else:
+        # Y holds every other factor (n >= 3, so at least two): keep all but one
+        dropped = rng.choice(target.moved)
+        moved = tuple(j for j in target.moved if j != dropped)
+        changed = WhiteheadAuto(system, moved, target.element)
     mutated = fact.whitehead[:index] + (changed,) + fact.whitehead[index + 1 :]
     yield Factorization(mutated, fact.factor, fact.inner)
 

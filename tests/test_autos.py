@@ -53,6 +53,7 @@ from whitefact.selfcheck import _mutate
 from whitefact.words import Word, empty_word, letter, normal_form, word
 
 from conftest import s3_table
+from test_reduction import assert_vertex_steps, single_slot_walk
 from test_labellings import (
     KEY_SYSTEMS,
     _old_star_translation,
@@ -675,9 +676,40 @@ class TestVerifyOnGenerators:
         assert not verify_factorization(psi, fact)
 
 
-def replay_factorize(psi):
+class TestMutate:
+    def test_full_moved_set_with_z2_element(self, triple_z2):
+        # ({2, 3}, x) with x in Z2: x has no alternate and every other factor
+        # is already moved, so the mutant drops a factor from Y instead
+        move = whitehead_auto(triple_z2, (2, 3), FactorElement(1, 1))
+        parts = tuple(triple_z2.part_identity(k) for k in range(1, 4))
+        fact = Factorization((move,), parts, empty_word(triple_z2))
+        psi = recompose_factorization(triple_z2, fact)
+        for seed in range(4):
+            deleted, changed = _mutate(triple_z2, fact, 0, random.Random(seed))
+            assert deleted.whitehead == ()
+            (mutant,) = changed.whitehead
+            assert mutant.element == move.element
+            assert mutant.moved in ((2,), (3,))
+            assert (changed.factor, changed.inner) == (fact.factor, fact.inner)
+            for candidate in (deleted, changed):
+                assert not verify_factorization(psi, candidate)
+
+
+def vertex_walk(label):
+    """(i, Y, a) per step of the library's walk."""
+    return [(m.i, m.moved, m.element) for m in reduce_to_base(label)[1]]
+
+
+def spoke_walk(label):
+    """(i, {j}, a) per step of the single-slot walk."""
+    return [(i, (j,), element) for i, j, element, *_ in single_slot_walk(label)[1]]
+
+
+def replay_factorize(psi, walk):
     """Reference factorize that ignores MoveRecord.shed: it replays every
-    move on the canonical tuple and strips the own-factor syllable itself."""
+    move (i, Y, a) of walk on the canonical tuple and strips each slot's
+    own-factor syllable itself.  With spoke_walk it is the factorize of the
+    single-slot walk."""
     system = psi.system
     words, parts0 = old_split_canonical(psi)
     label = star_label(system, words)
@@ -686,28 +718,29 @@ def replay_factorize(psi):
         parts, witness = split
         h = old_apply_parts([system.part_invert(p) for p in parts], witness)
         return Factorization((), parts, h)
-    _, moves = reduce_to_base(label)
     slots = list(words)
     replay = []
-    for mv in moves:
-        gi = slots[mv.i - 1]
-        raw = slots[mv.j - 1] * (gi.inverse() * letter(system, mv.element) * gi)
-        stripped = None
-        if raw.syllables and raw.syllables[0].factor == mv.j:
-            stripped = raw.syllables[0]
-            raw = Word(system, raw.syllables[1:])
-        slots[mv.j - 1] = raw
-        replay.append((mv.i, mv.j, mv.element, stripped))
+    for i, moved, element in walk(label):
+        gi = slots[i - 1]
+        c = gi.inverse() * letter(system, element) * gi
+        stripped = []
+        for j in moved:
+            raw = slots[j - 1] * c
+            if raw.syllables and raw.syllables[0].factor == j:
+                stripped.append((j, raw.syllables[0]))
+                raw = Word(system, raw.syllables[1:])
+            slots[j - 1] = raw
+        replay.append((i, moved, element, stripped))
     assert all(s.is_identity() for s in slots)
     correction = [system.part_identity(k) for k in range(1, system.n + 1)]
     whitehead = []
-    for i, j, element, stripped in reversed(replay):
-        if stripped is not None:
+    for i, moved, element, stripped in reversed(replay):
+        for j, b in stripped:
             correction[j - 1] = system.part_compose(
-                correction[j - 1], system.conjugation_part(stripped)
+                correction[j - 1], system.conjugation_part(b)
             )
         moved_element = system.part_apply(correction[i - 1], system.inverse(element))
-        whitehead.append(WhiteheadAuto(system, (j,), moved_element))
+        whitehead.append(WhiteheadAuto(system, moved, moved_element))
     factor_parts = tuple(
         system.part_compose(correction[k - 1], parts0[k - 1])
         for k in range(1, system.n + 1)
@@ -725,17 +758,50 @@ class TestShedSyllable:
     @pytest.mark.parametrize("name", SHED_SYSTEMS)
     def test_matches_replay(self, name):
         # Conjugation by a shed syllable is trivial on abelian factors, so
-        # only the S3 factor tells a wrong shed apart: sample it more.
+        # only the S3 factor tells a wrong shed apart: sample it more.  The
+        # single-slot walk's factorization is the oracle: both verify, and
+        # on this sample the vertex walk never has more moves (not a
+        # theorem: a few tuples take one step more, see test_reduction).
         system = SHED_SYSTEMS[name]()
         s3 = name.startswith("S3")
         rng = random.Random(47)
         s3_sheds = 0
+        counts = [0, 0, 0]
         for _ in range(150 if s3 else 40):
             psi = random_pure_auto(system, rng, 5)
-            assert factorize(psi) == replay_factorize(psi)
-            _, moves = reduce_to_base(star_label(system, old_split_canonical(psi)[0]))
-            s3_sheds += sum(m.shed is not None and m.shed.factor == 1 for m in moves)
+            fact = factorize(psi)
+            assert fact == replay_factorize(psi, vertex_walk)
+            single = replay_factorize(psi, spoke_walk)
+            assert verify_factorization(psi, fact) and verify_factorization(psi, single)
+            assert len(fact.whitehead) <= len(single.whitehead)
+            for index in range(len(fact.whitehead)):
+                kept = fact.whitehead[:index] + fact.whitehead[index + 1 :]
+                deleted = Factorization(kept, fact.factor, fact.inner)
+                assert not verify_factorization(psi, deleted)
+            moves = assert_vertex_steps(star_label(system, old_split_canonical(psi)[0]))
+            s3_sheds += sum(b is not None and b.factor == 1 for m in moves for b in m.shed)
+            counts[0] += len(fact.whitehead)
+            counts[1] += len(single.whitehead)
+            counts[2] += sum(len(m.moved) > 1 for m in fact.whitehead)
         assert s3_sheds > 0 or not s3
+        assert counts[0] < counts[1] and counts[2] > 0
+
+    def test_shed_of_a_later_slot(self):
+        # Slots 1 and 3 end in b.c, so they fold through C_2(c) together, and
+        # slot 3 sheds c = (12).  The sampled systems hold S3 as factor 1,
+        # which comes first in any Y that holds it, so only here does a shed
+        # of a later slot of Y change the answer: the correction of factor 3,
+        # and through it the elements of the moves operating in G_3.
+        system = FactorSystem([CyclicBackend(2), CyclicBackend(2), s3_table()])
+        b, c, d = (word(system, [(f, p)]) for f, p in ((2, 1), (3, 1), (3, 2)))
+        slots = [d * b * c, c, b * c]
+        _, moves = reduce_to_base(star_label(system, slots))
+        assert (moves[0].moved, moves[0].shed) == ((1, 3), (None, FactorElement(3, 1)))
+        psi = tuple_auto(system, slots)
+        fact = factorize(psi)
+        assert fact == replay_factorize(psi, vertex_walk)
+        assert verify_factorization(psi, fact)
+        assert fact.factor[2] == system.conjugation_part(FactorElement(3, 1))
 
 
 def old_recompose_factorization(system, f):

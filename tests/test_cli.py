@@ -89,6 +89,22 @@ class TestVolumeAndReduce:
         assert [m["vol_before"] for m in payload["moves"]] == [7, 5]
         assert payload["moves"][0]["a"] == [1, 1]
 
+    def test_reduce_two_slot_fold(self, capsys, system_file):
+        label = '{"alpha":[[],[[1,1]],[[2,1],[1,1]]]}'
+        code, out, _ = run(capsys, "--system", system_file, "reduce", label)
+        assert code == 0
+        assert json.loads(out)["moves"] == [
+            {"i": 1, "Y": [2, 3], "a": [1, 1], "vol_before": 9, "vol_after": 5},
+            {"i": 2, "Y": [3], "a": [2, 1], "vol_before": 5, "vol_after": 3},
+        ]
+        code, out, _ = run(capsys, "--system", system_file, "--format", "text", "reduce", label)
+        assert code == 0
+        assert out.splitlines() == [
+            "move 1: slots 2, 3 through factor 1, volume 9 -> 5",
+            "move 2: slot 3 through factor 2, volume 5 -> 3",
+            "final: [[],[],[]]",
+        ]
+
     def test_nonsplitting_is_exit_1(self, capsys, system_file):
         label = '{"alpha":[[],[],[[2,1],[3,1]]]}'
         code, _, err = run(capsys, "--system", system_file, "reduce", label)
@@ -106,6 +122,27 @@ class TestFactorizeAndVerify:
         assert code == 0
         payload = json.loads(out)
         assert payload["whitehead"] == [] and payload["inner"] == []
+
+    def test_factorize_two_slot_move(self, capsys, system_file):
+        system = jsonio.system_from_json(K3_SYSTEM)
+        psi = tuple_auto(
+            system,
+            [word(system, []), word(system, [(1, 1)]), word(system, [(2, 1), (1, 1)])],
+        )
+        auto = json.dumps(jsonio.auto_to_json(psi))
+        code, out, _ = run(capsys, "--system", system_file, "factorize", auto)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["whitehead"] == [{"Y": [3], "x": [2, 1]}, {"Y": [2, 3], "x": [1, 1]}]
+        code, out, _ = run(capsys, "--system", system_file, "--format", "text", "factorize", auto)
+        assert code == 0
+        identity = '{"kind":"mult","value":1}'
+        assert out.splitlines() == [
+            "move 1: Y {3} by [2,1]",
+            "move 2: Y {2, 3} by [1,1]",
+            f"factor: [{identity},{identity},{identity}]",
+            "inner: []",
+        ]
 
     def test_verify_roundtrip(self, capsys, system_file, tmp_path):
         system = jsonio.system_from_json(K3_SYSTEM)

@@ -331,8 +331,29 @@ class TestCheck:
         report = check_ball(ball)
         moved = [k for k, label in enumerate(ball.alpha_classes) if volume(label) > 3]
         assert moved
+        # the recomposed automorphism reads the same broken walk
         assert report.failures == [
-            f"alpha class #{k} is not carried to the base cell" for k in moved
+            failure
+            for k in moved
+            for failure in (
+                f"alpha class #{k} is not carried to the base cell",
+                f"alpha class #{k} is not reached from the base cell",
+            )
+        ]
+
+    def test_unreached_class_flagged(self, triple_z2, monkeypatch):
+        ball = enumerate_ball(triple_z2, 7)
+        recompose = explorer.recompose_factorization
+
+        def drop_first_move(system, f):
+            return recompose(system, dataclasses.replace(f, whitehead=f.whitehead[1:]))
+
+        monkeypatch.setattr(explorer, "recompose_factorization", drop_first_move)
+        report = check_ball(ball)
+        moved = [k for k, label in enumerate(ball.alpha_classes) if volume(label) > 3]
+        assert moved
+        assert report.failures == [
+            f"alpha class #{k} is not reached from the base cell" for k in moved
         ]
 
     def test_one_walk_per_class(self, triple_z2, z342, monkeypatch):

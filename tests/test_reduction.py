@@ -5,6 +5,7 @@ import pytest
 from whitefact import sampling
 from whitefact.errors import AlreadyBaseError, EngineError, NonSplittingError
 from whitefact.labellings import (
+    StarLabel,
     apex_equivalent,
     apex_label,
     base_label,
@@ -12,10 +13,10 @@ from whitefact.labellings import (
     star_label,
     volume,
 )
-from whitefact.reduction import find_fold, reduce_step, reduce_to_base
+from whitefact.reduction import FoldWitness, find_fold, reduce_step, reduce_to_base
 from whitefact.sampling import random_nontrivial_element, random_splitting_label, random_word
 from whitefact.tree import c_vertex, distance, geodesic, u_vertex
-from whitefact.words import empty_word, letter, word
+from whitefact.words import empty_word, letter, normal_form, split_own_head, word
 
 SYSTEMS = ["triple_z2", "z342", "z3422", "mixed_system"]
 
@@ -69,6 +70,81 @@ def reference_reduce(label):
         records.append((i, j, element, tree_volume(label), tree_volume(moved)))
         label = moved
     return label, records
+
+
+def single_slot_fold(label, fold):
+    """Fold spoke fold.j alone through slot fold.i's vertex, as the
+    single-slot walk did: (new label, (i, j, element, volume before,
+    volume after, shed))."""
+    system = label.system
+    before = volume(label)
+    old = label.slot(fold.j).syllables
+    prefix = old[: len(old) - fold.z.syllable_count()]
+    shed, slot = split_own_head(normal_form(system, prefix + fold.y.syllables), fold.j)
+    new_words = list(label.conjugators)
+    new_words[fold.j - 1] = slot
+    after = before - 2 * (len(old) - slot.syllable_count())
+    record = (fold.i, fold.j, fold.element, before, after, shed)
+    return StarLabel(system, tuple(new_words)), record
+
+
+def single_slot_walk(label):
+    """The single-slot walk: each step folds only the first fold's spoke.
+    (final, records) as single_slot_fold gives them."""
+    records = []
+    bound = (volume(label) - label.system.n) // 2
+    while volume(label) > label.system.n:
+        assert len(records) < bound, "more steps than (volume - n)/2"
+        fold = find_fold(label)
+        if fold is None:
+            raise NonSplittingError("no fold exists")
+        label, record = single_slot_fold(label, fold)
+        records.append(record)
+    return label, records
+
+
+def ends_in(label, z):
+    """The slots whose canonical word ends in the word z."""
+    cut = z.syllable_count()
+    return tuple(
+        k
+        for k, g in enumerate(label.conjugators, start=1)
+        if g.syllable_count() >= cut and g.syllables[g.syllable_count() - cut :] == z.syllables
+    )
+
+
+def assert_vertex_steps(label):
+    """Step label to the base and check every step against the geodesic
+    scan and the single-slot oracle; return the records.
+
+    Each record's first fold is the geodesic scan's, its volumes are tree
+    volumes, Y is every spoke that ended in s.g_i before the step, and the
+    step equals its |Y| single-slot folds through that vertex: the same
+    element, the same new slots, the same sheds, each dropping the volume
+    by an even amount of at least 2.
+    """
+    records = []
+    current = label
+    bound = (volume(label) - label.system.n) // 2
+    while volume(current) > label.system.n:
+        assert len(records) < bound, "more steps than (volume - n)/2"
+        moved, record = reduce_step(current)
+        i, j, y, z, element = reference_find_fold(current)
+        assert (record.i, record.moved[0], record.element) == (i, j, element)
+        assert record.moved == ends_in(current, z)
+        assert record.volume_before == tree_volume(current)
+        assert record.volume_after == tree_volume(moved)
+        expanded = current
+        for k, shed in zip(record.moved, record.shed, strict=True):
+            expanded, single = single_slot_fold(expanded, FoldWitness(i, k, y, z, element))
+            drop = single[3] - single[4]
+            assert single[2] == record.element and single[5] == shed
+            assert drop >= 2 and drop % 2 == 0
+        assert expanded == moved
+        records.append(record)
+        current = moved
+    assert tuple(records) == reduce_to_base(label)[1]
+    return records
 
 
 def sample_tuples(system, seed, count=300):
@@ -167,7 +243,7 @@ class TestReduceStep:
         label = star_label(triple_z2, [w["eps"], w["eps"], w["b"] * w["a"]])
         moved, record = reduce_step(label)
         assert moved == star_label(triple_z2, [w["eps"], w["eps"], w["b"]])
-        assert (record.i, record.j) == (1, 3)
+        assert (record.i, record.moved, record.shed) == (1, (3,), (None,))
         assert record.element == triple_z2.element(1, 1)
         assert (record.volume_before, record.volume_after) == (7, 5)
 
@@ -175,7 +251,7 @@ class TestReduceStep:
         label = star_label(triple_z2, [w["eps"], w["eps"], w["b"]])
         moved, record = reduce_step(label)
         assert moved == base_label(triple_z2)
-        assert (record.i, record.j) == (2, 3)
+        assert (record.i, record.moved, record.shed) == (2, (3,), (None,))
         assert record.element == triple_z2.element(2, 1)
         assert (record.volume_before, record.volume_after) == (5, 3)
 
@@ -222,14 +298,18 @@ class TestReduceStep:
                 if volume(current) <= system.n:
                     break
                 moved, record = reduce_step(current)
-                gi, gj = current.slot(record.i), current.slot(record.j)
-                raw = gj * gi.inverse() * letter(system, record.element) * gi
-                if record.shed is None:
-                    assert moved.slot(record.j) == raw
-                else:
-                    sheds += 1
-                    assert record.shed.factor == record.j
-                    assert letter(system, record.shed) * moved.slot(record.j) == raw
+                gi = current.slot(record.i)
+                c = gi.inverse() * letter(system, record.element) * gi
+                for j, shed in zip(record.moved, record.shed, strict=True):
+                    raw = current.slot(j) * c
+                    if shed is None:
+                        assert moved.slot(j) == raw
+                    else:
+                        sheds += 1
+                        assert shed.factor == j
+                        assert letter(system, shed) * moved.slot(j) == raw
+                for k in set(range(1, system.n + 1)) - set(record.moved):
+                    assert moved.slot(k) == current.slot(k)
                 assert star_label(system, moved.conjugators) == moved
                 current = moved
         assert sheds > 0
@@ -263,7 +343,27 @@ class TestReduceToBase:
         final, moves = reduce_to_base(label)
         assert final == base_label(triple_z2)
         assert len(moves) == 2
-        assert [(m.i, m.j) for m in moves] == [(1, 3), (2, 3)]
+        assert [(m.i, m.moved) for m in moves] == [(1, (3,)), (2, (3,))]
+
+    def test_two_slot_fold(self, triple_z2, w):
+        # slots 2 and 3 both end in a, so they pass C_1(1) together
+        label = star_label(triple_z2, [w["eps"], w["a"], w["b"] * w["a"]])
+        final, moves = reduce_to_base(label)
+        assert final == base_label(triple_z2)
+        assert [(m.i, m.moved, m.element, m.shed) for m in moves] == [
+            (1, (2, 3), triple_z2.element(1, 1), (None, None)),
+            (2, (3,), triple_z2.element(2, 1), (None,)),
+        ]
+        assert [(m.volume_before, m.volume_after) for m in moves] == [(9, 5), (5, 3)]
+        assert len(single_slot_walk(label)[1]) == 3
+
+    def test_three_slot_fold(self, z3422):
+        a, b, c = (word(z3422, [(f, 1)]) for f in (1, 2, 3))
+        label = star_label(z3422, [empty_word(z3422), a, b * a, c * a])
+        final, moves = reduce_to_base(label)
+        assert final == base_label(z3422)
+        assert [(m.i, m.moved) for m in moves] == [(1, (2, 3, 4)), (2, (3,)), (3, (4,))]
+        assert len(single_slot_walk(label)[1]) == 5
 
     def test_translate_of_base(self, triple_z2, w):
         # (a, a, a) canonicalizes to (eps, a, a) with volume 7 at the origin
@@ -307,8 +407,15 @@ class TestReduceToBase:
 
     @pytest.mark.parametrize("fixture", SYSTEMS)
     def test_matches_reference_walk(self, request, fixture):
+        # The single-slot walk through the geodesic scan is the reference:
+        # the same tuples get stuck, the same final tuple, and every step is
+        # a vertex's worth of its single-slot folds.  Per tuple the step
+        # count is not ordered (z3422 has a tuple that takes 9 steps against
+        # 8), so fewer moves are asserted over the whole sample.
         system = request.getfixturevalue(fixture)
         stuck = 0
+        cofolds = 0
+        steps = [0, 0]
         for label in sample_tuples(system, seed=79):
             expected = reference_reduce(label)
             if expected is None:
@@ -316,12 +423,14 @@ class TestReduceToBase:
                 with pytest.raises(NonSplittingError, match="no fold exists"):
                     reduce_to_base(label)
                 continue
-            final, moves = reduce_to_base(label)
-            records = [
-                (m.i, m.j, m.element, m.volume_before, m.volume_after) for m in moves
-            ]
-            assert (final, records) == expected
+            records = assert_vertex_steps(label)
+            assert reduce_to_base(label)[0] == expected[0]
+            cofolds += sum(len(m.moved) > 1 for m in records)
+            steps[0] += len(records)
+            steps[1] += len(expected[1])
         assert 0 < stuck < 300
+        assert cofolds > 0
+        assert steps[0] < steps[1]
 
 
 class TestSamplingCap:
