@@ -11,9 +11,12 @@ psi = W1 o W2 o ... o WK o F o (conjugation by h) under the same
 convention: the inner conjugation acts first, WK next, W1 last.
 
 Left-composing with a move (Y, x) is one rule, _push_moves: slot k of
-(Y, x) o psi is [x if k in Y] . (Y, x)(g_k), every part stays, and the
-kernel _apply_whitehead forms it in one pass.  invert and
-recompose_factorization push their move lists through it.
+(Y, x) o psi is [x if k in Y] . (Y, x)(g_k), and every part stays.  The
+kernel _push_move sets a move up once and forms that normal form in one
+pass over each slot's syllables; Words are built only after the last move.
+_apply_whitehead is the kernel on one word.  invert,
+recompose_factorization, verify_factorization and check_ball's homing
+checks push their move lists through it.
 
 Every split of psi is one rule, _conjugated: inner-by-g o psi has the
 conjugators g_k . g, and each one's stripped G_k head b_k joins the factor
@@ -155,11 +158,12 @@ def compose(f: PureSymmetricAuto, g: PureSymmetricAuto) -> PureSymmetricAuto:
     return PureSymmetricAuto(system, tuple(parts))
 
 
-def _conjugated(system: FactorSystem, words, parts, g: Word):
+def _conjugated(system: FactorSystem, translates, parts):
     """Lazily, per factor k, the canonical (slot, part) of inner-by-g o psi
-    for psi given by its conjugators and parts: g_k . g = b_k . r_k, and
+    for psi given by its parts and the translates (b_k, r_k) of its
+    conjugators by g (_translate): g_k . g = b_k . r_k, and
     r_k^-1 b_k^-1 phi_k(x) b_k r_k puts conj(b_k) o phi_k on the slot r_k."""
-    for (b, slot), part in zip(_translate(words, g), parts):
+    for (b, slot), part in zip(translates, parts):
         if b is not None:
             part = system.part_compose(system.conjugation_part(b), part)
         yield slot, part
@@ -169,7 +173,8 @@ def _split_canonical(psi: PureSymmetricAuto):
     """psi == tuple_auto(words) o factor_only(parts), slots coset-canonical:
     the conjugated split with g = 1."""
     phis, conjugators = zip(*psi.parts)
-    return tuple(zip(*_conjugated(psi.system, conjugators, phis, empty_word(psi.system))))
+    translates = _translate(conjugators, empty_word(psi.system))
+    return tuple(zip(*_conjugated(psi.system, translates, phis)))
 
 
 def _star_split(system: FactorSystem, words, parts0):
@@ -180,9 +185,9 @@ def _star_split(system: FactorSystem, words, parts0):
     factor_only(parts), and witness = g_L^-1.  Raises NotAStabilizerError
     at the first non-empty core otherwise.
     """
-    g, _ = _star_pin(StarLabel(system, words))
+    g, translates = _star_pin(StarLabel(system, words))
     parts = []
-    for k, (core, part) in enumerate(_conjugated(system, words, parts0, g), start=1):
+    for k, (core, part) in enumerate(_conjugated(system, translates, parts0), start=1):
         if core.syllables:
             raise NotAStabilizerError(k)
         parts.append(part)
@@ -196,8 +201,9 @@ class Factorization:
     inner: Word
 
 
-def _apply_whitehead(w: WhiteheadAuto, word_in: Word, lead: bool = False) -> Word:
-    """One-pass normal form of (Y, x)(word_in), or with lead of x . (Y, x)(word_in).
+def _push_move(w: WhiteheadAuto, slots, leads) -> list[tuple[FactorElement, ...]]:
+    """The Whitehead kernel: per syllable tuple g of slots and flag of
+    leads, the normal form of (Y, x)(g), or with the flag of x . (Y, x)(g).
 
     Let x lie in G_i, x nontrivial and i not in Y.  The image replaces each
     syllable s of a factor in Y by x^-1 s x and keeps every other syllable.
@@ -212,6 +218,7 @@ def _apply_whitehead(w: WhiteheadAuto, word_in: Word, lead: bool = False) -> Wor
     one left-to-right pass with at most one G_i product per input syllable
     yields the normal form.  A leading x meets only the first head, and
     when that product cancels nothing is left for it to cascade into.
+    The move's letters and G_i's product are set up once for all slots.
     """
     system = w.system
     moved = w.moved
@@ -219,22 +226,31 @@ def _apply_whitehead(w: WhiteheadAuto, word_in: Word, lead: bool = False) -> Wor
     i = x.factor
     x_inv = system.inverse(x)
     e = system.identity_payloads[i - 1]
-    out: list[FactorElement] = [x] if lead else []
-    for s in word_in.syllables:
-        is_moved = s.factor in moved
-        head = x_inv if is_moved else s
-        if head.factor == i and out and out[-1].factor == i:
-            merged = system.mul(out[-1], head)
-            if merged.payload == e:
-                out.pop()
+    op = system.factor(i).op
+    pushed = []
+    for syllables, lead in zip(slots, leads):
+        out: list[FactorElement] = [x] if lead else []
+        for s in syllables:
+            is_moved = s.factor in moved
+            head = x_inv if is_moved else s
+            if head.factor == i and out and out[-1].factor == i:
+                payload = op(out[-1].payload, head.payload)
+                if payload == e:
+                    out.pop()
+                else:
+                    out[-1] = FactorElement(i, payload)
             else:
-                out[-1] = merged
-        else:
-            out.append(head)
-        if is_moved:
-            out.append(s)
-            out.append(x)
-    return Word(system, tuple(out))
+                out.append(head)
+            if is_moved:
+                out.append(s)
+                out.append(x)
+        pushed.append(tuple(out))
+    return pushed
+
+
+def _apply_whitehead(w: WhiteheadAuto, word_in: Word, lead: bool = False) -> Word:
+    """Normal form of (Y, x)(word_in), or with lead of x . (Y, x)(word_in)."""
+    return Word(w.system, _push_move(w, (word_in.syllables,), (lead,))[0])
 
 
 def _apply_parts(parts, word_in: Word) -> Word:
@@ -304,11 +320,11 @@ def _factorization_from_walk(system: FactorSystem, moves, parts0) -> Factorizati
 def _push_moves(system: FactorSystem, moves, slots) -> list[Word]:
     """Conjugators of Wm o ... o W1 o psi for psi with conjugators slots:
     each move (Y, x), first to last, maps slot k to [x if k in Y] . (Y, x)(g_k)."""
-    slots = list(slots)
+    syllables = [g.syllables for g in slots]
+    ks = range(1, len(syllables) + 1)
     for w in moves:
-        for k, g in enumerate(slots, start=1):
-            slots[k - 1] = _apply_whitehead(w, g, lead=k in w.moved)
-    return slots
+        syllables = _push_move(w, syllables, [k in w.moved for k in ks])
+    return [Word(system, g) for g in syllables]
 
 
 def recompose_factorization(system: FactorSystem, f: Factorization) -> PureSymmetricAuto:
@@ -319,61 +335,90 @@ def recompose_factorization(system: FactorSystem, f: Factorization) -> PureSymme
     return PureSymmetricAuto(system, tuple(zip(f.factor, slots)))
 
 
-def _invert_factorization(system: FactorSystem, f: Factorization) -> PureSymmetricAuto:
-    """inner-by-h^-1 o F^-1 o WK^-1 o ... o W1^-1: W1^-1, ..., WK^-1 pushed
-    onto the identity, F^-1 on each slot, then c . h^-1 on each slot c."""
+def _invert_factorization(system: FactorSystem, f: Factorization, slots) -> PureSymmetricAuto:
+    """inner-by-h^-1 o F^-1 o WK^-1 o ... o W1^-1 o tuple_auto(slots):
+    W1^-1, ..., WK^-1 pushed onto slots, F^-1 on each slot, then c . h^-1
+    on each slot c.  Empty slots give the inverse of f itself."""
     parts = [system.part_invert(p) for p in f.factor]
-    eps, h_inv = empty_word(system), f.inner.inverse()
-    slots = _push_moves(system, map(whitehead_inverse, f.whitehead), [eps] * system.n)
+    h_inv = f.inner.inverse()
+    slots = _push_moves(system, map(whitehead_inverse, f.whitehead), slots)
     conjugators = [_apply_parts(parts, g) * h_inv for g in slots]
     return PureSymmetricAuto(system, tuple(zip(parts, conjugators)))
 
 
 def invert(psi: PureSymmetricAuto) -> PureSymmetricAuto:
     """Inverse automorphism, assembled from the Whitehead factorization."""
-    return _invert_factorization(psi.system, factorize(psi))
+    system = psi.system
+    return _invert_factorization(system, factorize(psi), [empty_word(system)] * system.n)
 
 
 def verify_factorization(psi: PureSymmetricAuto, f: Factorization) -> bool:
-    """Exact agreement of the factorization with psi, checked on generators.
+    """Exact agreement of the factorization with psi, by one recomposition.
 
-    Both sides are homomorphisms out of the free product when every factor
-    part involved is an automorphism.  psi.apply, and each stage of
-    evaluate_factorization (inner conjugation, factor parts, one Whitehead
-    move), maps every syllable by a homomorphism of its factor and then
-    takes the normal form; that is the homomorphism the universal property
-    of the free product gives.  Two such maps that agree on a generating
-    set of each factor are equal, so factor k is checked only on
-    system.factor(k).generators().  The identity maps to the identity
-    under any homomorphism, and every other element is a product of
-    generators, so both are skipped.  Z is generated by 1 as a group: maps
-    that agree on 1 agree on -1 and on every integer, so [1] suffices for
-    the int backend as for a cyclic one.
+    recompose_factorization pushes the moves of f onto F o inner-by-h, and
+    both sides are then compared by their canonical splits,
+    psi = tuple_auto(r) o factor_only(phi) with every slot r_k coset-
+    canonical (no leading G_k syllable).  On a factor G_k with at least two
+    elements that split is unique: if r_k^-1 phi_k(x) r_k and
+    r'_k^-1 phi'_k(x) r'_k agree for every x in G_k, then r_k r'_k^-1
+    normalizes G_k, and a nontrivial free factor is its own normalizer, so
+    r_k and r'_k lie in one right coset G_k r'_k, whose canonical rep is
+    unique; then phi_k = phi'_k.  So equal splits mean equal automorphisms
+    and unequal ones differ on G_k.  A one-element factor has no
+    generators and nothing to compare, so it is skipped.  A slot k whose
+    splits differ is read on system.factor(k).generators(): the image
+    r_k^-1 phi_k(x) r_k of a nontrivial x is already in normal form, and
+    the first generator whose images differ is the one reported.  Parts
+    that differ only in their encoding agree on every generator and pass.
 
     The argument fails when a part is no automorphism: a map that fixes
     S3's two generators but swaps its 3-cycles agrees with the identity
-    on generators only.  Library callers can build a FactorAutoPart
-    directly, so the answer is False when any part of f or of psi fails
-    part_validate; that costs at most |G_k|^2 table lookups per factor.
+    on generators only.  Library callers can build a FactorAutoPart or a
+    Factorization directly, so the answer is False when f or psi does not
+    carry one part per factor, in order, or any part fails part_validate;
+    that costs at most |G_k|^2 table lookups per factor.  An inner word or
+    a move over another factor system raises SystemMismatchError.
+
+    No message is formatted here; _verification_failure formats it.
     """
-    return _verification_failure(psi, f) is None
+    return _first_fault(psi, f) is None
 
 
 def _verification_failure(psi: PureSymmetricAuto, f: Factorization) -> str | None:
     """One line naming the first invalid part or disagreeing generator."""
+    fault = _first_fault(psi, f)
+    return None if fault is None else fault[0].format(*fault[1:])
+
+
+def _first_fault(psi: PureSymmetricAuto, f: Factorization) -> tuple | None:
+    """None when f equals psi, else the failure line's template and values."""
     system = psi.system
+    if f.inner.system != system or any(w.system != system for w in f.whitehead):
+        raise SystemMismatchError("factorization from a different factor system")
     for side, parts in (("factorization", f.factor), ("psi", [p for p, _ in psi.parts])):
-        for part in parts:
+        if len(parts) != system.n:
+            return "{} parts: {} for {} factors", side, len(parts), system.n
+        for k, part in enumerate(parts, start=1):
+            if part.factor != k:
+                return "{} part {}: belongs to factor {}", side, k, part.factor
             message = system.part_validate(part)
             if message is not None:
-                return f"{side} part {part.factor}: {message}"
-    for k in range(1, system.n + 1):
+                return "{} part {}: {}", side, k, message
+    got_split = zip(*_split_canonical(recompose_factorization(system, f)))
+    want_split = zip(*_split_canonical(psi))
+    for k, ((r, phi), (r_psi, phi_psi)) in enumerate(zip(got_split, want_split), start=1):
+        if r.syllables == r_psi.syllables and phi == phi_psi:
+            continue
         for payload in system.factor(k).generators():
-            w = letter(system, FactorElement(k, payload))
-            got = evaluate_factorization(system, f, w)
-            want = psi.apply(w)
-            if got != want:
-                return f"generator {w}: factorization gives {got}, psi gives {want}"
+            x = FactorElement(k, payload)
+            y, y_psi = system.part_apply(phi, x), system.part_apply(phi_psi, x)
+            if (r.syllables, y) != (r_psi.syllables, y_psi):
+                return (
+                    "generator {}: factorization gives {}, psi gives {}",
+                    letter(system, x),
+                    Word(system, r.inverse().syllables + (y,) + r.syllables),
+                    Word(system, r_psi.inverse().syllables + (y_psi,) + r_psi.syllables),
+                )
     return None
 
 
@@ -418,7 +463,7 @@ def decompose_apex_stabilizer(psi: PureSymmetricAuto, i: int):
     words, parts0 = _split_canonical(psi)
     whiteheads = []
     parts = []
-    shifted = _conjugated(system, words, parts0, words[i - 1].inverse())
+    shifted = _conjugated(system, _translate(words, words[i - 1].inverse()), parts0)
     for j, (rest, part) in enumerate(shifted, start=1):
         if rest.syllables:
             if len(rest.syllables) > 1 or rest.syllables[0].factor != i:

@@ -14,10 +14,10 @@ visited tuples number 244, 382, 574, 814, 1162 and 1630 at bounds 15 to 25,
 against 2815 in-budget tuples at bound 15 and 18 943 at bound 19.  Z3*Z4*Z2*Z2
 visits 45 304 at bound 14, taking 8.3 s and 106 MB peak RSS (CPython 3.11,
 2-vCPU shared host); MAX_VISITED caps a call near that size.  check_ball
-runs one reduction walk per star class, reads the class's factorization
-off it and builds both the inverse and the automorphism from that, one
-kernel pass per move and slot each, with one star_key per star class and
-one apex_key per A class.
+runs one reduction walk per star class and reads the class's
+factorization off it.  It pushes the inverse moves onto the class's own
+slots and recomposes the automorphism from the base, one kernel pass per
+move each, with one star_key per star class and one apex_key per A class.
 """
 
 from __future__ import annotations
@@ -35,12 +35,13 @@ from .factors import FactorElement
 from .labellings import (
     ApexLabel,
     StarLabel,
-    act_on_label,
     apex_key,
     apex_label,
     base_label,
     collapses,
+    is_base,
     star_key,
+    star_label,
     volume,
 )
 from .reduction import reduce_to_base
@@ -224,10 +225,13 @@ def check_ball(ball: SnBall) -> BallReport:
         if final != base:
             report.failures.append(f"alpha class #{alpha_index} did not land on the base tuple")
         # tuple_auto(slots) splits canonically as the slots with identity
-        # parts, so its factorization is read off this walk; recomposed, the
-        # walk's moves must give that split back
+        # parts, so its factorization is read off this walk.  Its inverse
+        # psi acts on the class as psi o tuple_auto(slots) does on the base,
+        # and must carry it there; recomposed, the walk's moves must give
+        # the split back
         walked = _factorization_from_walk(system, moves, identity)
-        if star_key(act_on_label(label, _invert_factorization(system, walked))) != base_key:
+        carried = _invert_factorization(system, walked, label.conjugators)
+        if not is_base(star_label(system, [g for _, g in carried.parts])):
             homing.append(f"alpha class #{alpha_index} is not carried to the base cell")
         recomposed = _split_canonical(recompose_factorization(system, walked))
         if recomposed != (label.conjugators, identity):

@@ -37,11 +37,12 @@ all read it, lazily, so a decision stops at the first core that settles it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterator, Sequence
 
 from .errors import SystemMismatchError
 from .factors import FactorElement, FactorSystem
-from .words import Word, empty_word, letter, split_own_head
+from .words import Word, empty_word, split_own_head
 
 
 @dataclass(frozen=True)
@@ -99,10 +100,13 @@ def double_coset_core(w: Word, lead: int, trail: int) -> Word:
     return core
 
 
-def _translate(words: Sequence[Word], g: Word) -> Iterator[tuple[FactorElement | None, Word]]:
-    """Lazily, per slot j, (b_j, r_j) = split_own_head(g_j . g, j): the
-    stripped G_j head and the canonical slot of the translate by g."""
-    return (split_own_head(w * g, j) for j, w in enumerate(words, start=1))
+def _translate(
+    words: Sequence[Word], g: Word, start: int = 1
+) -> Iterator[tuple[FactorElement | None, Word]]:
+    """Lazily, per slot j (the first numbered start), (b_j, r_j) =
+    split_own_head(g_j . g, j): the stripped G_j head and the canonical slot
+    of the translate by g."""
+    return (split_own_head(w * g, j) for j, w in enumerate(words, start=start))
 
 
 def _star_pin(L: StarLabel) -> tuple[Word, Iterator[tuple[FactorElement | None, Word]]]:
@@ -114,13 +118,23 @@ def _star_pin(L: StarLabel) -> tuple[Word, Iterator[tuple[FactorElement | None, 
     syllable; every other translate with slot 1 in G_1 ends slot 2 in one,
     so g_L is determined by the class.  The cores are the translate's
     canonical slots; callers that decide on one core stop there.
+
+    The first two translates are read off w, so w is the only product
+    before slot 3: slot 1 becomes g_1 g_L = a^-1, split as (a^-1, 1), and
+    slot 2 becomes g_2 g_L = w a^-1, which is w with its trailing a
+    dropped.  Slot 1 is canonical, as in every StarLabel, so g_1^-1 ends in
+    no G_1 syllable and g_1^-1 a^-1 is already reduced as written.
     """
     system = L.system
     g = L.slot(1).inverse()
     w = L.slot(2) * g
+    a_inv = None
     if w.trailing_factor() == 1:
-        g = g * letter(system, system.inverse(w.syllables[-1]))
-    return g, _translate(L.conjugators, g)
+        a_inv = system.inverse(w.syllables[-1])
+        g = Word(system, g.syllables + (a_inv,))
+        w = Word(system, w.syllables[:-1])
+    pinned = ((a_inv, empty_word(system)), split_own_head(w, 2))
+    return g, chain(pinned, _translate(L.conjugators[2:], g, start=3))
 
 
 def star_key(L: StarLabel) -> tuple:

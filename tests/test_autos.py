@@ -5,8 +5,10 @@ from hypothesis import given, settings, strategies as st
 
 from whitefact.autos import (
     Factorization,
+    PureSymmetricAuto,
     WhiteheadAuto,
     _apply_whitehead,
+    _verification_failure,
     compose,
     decompose_apex_stabilizer,
     decompose_star_stabilizer,
@@ -25,13 +27,14 @@ from whitefact.autos import (
     whitehead_inverse,
     whitehead_to_auto,
 )
-from whitefact.errors import NotAStabilizerError
+from whitefact.errors import NotAStabilizerError, SystemMismatchError
 from whitefact.factors import (
     CyclicBackend,
     FactorAutoPart,
     FactorElement,
     FactorSystem,
     IntBackend,
+    TableBackend,
 )
 from whitefact.labellings import (
     StarLabel,
@@ -59,6 +62,7 @@ from test_labellings import (
     _old_star_translation,
     old_apex_obstruction,
     old_star_witness,
+    pin_candidates,
 )
 
 
@@ -600,6 +604,50 @@ class TestVerify:
         out = evaluate_factorization(triple_z2, fact, w["c"])
         assert out == w["a"] * w["b"] * w["c"] * w["b"] * w["a"]
 
+    def test_bool_formats_nothing(self, triple_z2, w, monkeypatch):
+        psi = tuple_auto(triple_z2, [w["eps"], w["eps"], w["b"] * w["a"]])
+        fact = factorize(psi)
+        mutated = Factorization(fact.whitehead[1:], fact.factor, fact.inner)
+
+        def refuse(word):
+            raise AssertionError("a word was formatted")
+
+        monkeypatch.setattr(Word, "__str__", refuse)
+        assert not verify_factorization(psi, mutated)
+        with pytest.raises(AssertionError, match="formatted"):
+            _verification_failure(psi, mutated)
+
+    def test_malformed_parts_fail(self, z342):
+        # library-built values: parts missing, or placed in another factor's slot
+        eps = empty_word(z342)
+        parts = tuple(z342.part_identity(k) for k in range(1, 4))
+        swapped = (parts[1], parts[0], parts[2])
+        psi = identity_auto(z342)
+        fact = Factorization((), parts, eps)
+        cases = [
+            (psi, Factorization((), parts[:2], eps), "factorization parts: 2 for 3 factors"),
+            (psi, Factorization((), swapped, eps), "factorization part 1: belongs to factor 2"),
+            (PureSymmetricAuto(z342, psi.parts[:2]), fact, "psi parts: 2 for 3 factors"),
+            (
+                PureSymmetricAuto(z342, tuple((p, eps) for p in swapped)),
+                fact,
+                "psi part 1: belongs to factor 2",
+            ),
+        ]
+        for target, candidate, line in cases:
+            assert _verification_failure(target, candidate) == line
+            assert not verify_factorization(target, candidate)
+
+    def test_foreign_factorization_raises(self, z342, triple_z2):
+        parts = tuple(z342.part_identity(k) for k in range(1, 4))
+        foreign_inner = Factorization((), parts, word(triple_z2, [(1, 1)]))
+        foreign_move = Factorization(
+            (whitehead_auto(triple_z2, (2,), FactorElement(1, 1)),), parts, empty_word(z342)
+        )
+        for candidate in (foreign_inner, foreign_move):
+            with pytest.raises(SystemMismatchError):
+                verify_factorization(identity_auto(z342), candidate)
+
 
 def all_elements_verify(psi, f):
     """Reference check: agreement on every element of every finite factor
@@ -674,6 +722,113 @@ class TestVerifyOnGenerators:
         # side is an automorphism
         assert all_elements_verify(psi, fact)
         assert not verify_factorization(psi, fact)
+
+
+# -- the generator-evaluating check that the recomposition replaced, kept as
+# the oracle for verify's answers and failure lines
+
+
+def old_verification_failure(psi, f):
+    system = psi.system
+    for side, parts in (("factorization", f.factor), ("psi", [p for p, _ in psi.parts])):
+        for part in parts:
+            message = system.part_validate(part)
+            if message is not None:
+                return f"{side} part {part.factor}: {message}"
+    for k in range(1, system.n + 1):
+        for payload in system.factor(k).generators():
+            w = letter(system, FactorElement(k, payload))
+            got = evaluate_factorization(system, f, w)
+            want = psi.apply(w)
+            if got != want:
+                return f"generator {w}: factorization gives {got}, psi gives {want}"
+    return None
+
+
+ORACLE_SYSTEMS = {
+    "Z2*Z2*Z2": lambda: FactorSystem([CyclicBackend(2)] * 3),
+    "Z3*Z4*Z2*Z2": VERIFY_SYSTEMS["Z3*Z4*Z2*Z2"],
+    "S3*Z2*Z*Z5": VERIFY_SYSTEMS["S3*Z2*Z*Z5"],
+    "Z2*1*Z3*Z2": lambda: FactorSystem(
+        [CyclicBackend(2), TableBackend([[0]]), CyclicBackend(3), CyclicBackend(2)]
+    ),
+}
+
+
+def live_factorization(system, rng):
+    """random_factorization whose elements avoid one-element factors; any
+    factor may be moved."""
+    live = [k for k in range(1, system.n + 1) if system.factor(k).order() != 1]
+    moves = []
+    for _ in range(rng.randint(0, 4)):
+        x = random_nontrivial_element(system, rng.choice(live), rng)
+        others = [j for j in range(1, system.n + 1) if j != x.factor]
+        moves.append(whitehead_auto(system, rng.sample(others, rng.randint(1, len(others))), x))
+    parts = tuple(random_part(system, k, rng) for k in range(1, system.n + 1))
+    letters = [random_nontrivial_element(system, rng.choice(live), rng) for _ in range(3)]
+    return Factorization(tuple(moves), parts, normal_form(system, letters))
+
+
+class TestVerifyMatchesGeneratorOracle:
+    """The recomposition gives the generator check's bool and failure line."""
+
+    @pytest.mark.parametrize("name", ORACLE_SYSTEMS)
+    def test_bool_and_message(self, name):
+        system = ORACLE_SYSTEMS[name]()
+        rng = random.Random(43)
+        live = [k for k in range(1, system.n + 1) if system.factor(k).order() != 1]
+        outcomes = []
+        for _ in range(30):
+            psi = recompose_factorization(system, live_factorization(system, rng))
+            fact = factorize(psi)
+            extra = letter(system, random_nontrivial_element(system, rng.choice(live), rng))
+            cases = [
+                fact,
+                Factorization(fact.whitehead[::-1], fact.factor, fact.inner),
+                Factorization(fact.whitehead, fact.factor, fact.inner * extra),
+                live_factorization(system, rng),
+            ]
+            for index in range(len(fact.whitehead)):
+                cases.extend(_mutate(system, fact, index, rng))
+            for candidate in cases:
+                expected = old_verification_failure(psi, candidate)
+                assert _verification_failure(psi, candidate) == expected
+                assert verify_factorization(psi, candidate) == (expected is None)
+                outcomes.append(expected is None)
+        assert True in outcomes and False in outcomes
+
+    def test_one_element_factor_slot_skipped(self):
+        # conjugating the one-element factor 2 changes nothing, though the
+        # canonical slot 2 differs from the identity's
+        system = ORACLE_SYSTEMS["Z2*1*Z3*Z2"]()
+        eps = empty_word(system)
+        psi = tuple_auto(system, [eps, word(system, [(1, 1), (3, 2)]), eps, eps])
+        identity = Factorization(
+            (), tuple(system.part_identity(k) for k in range(1, 5)), eps
+        )
+        assert old_verification_failure(psi, identity) is None
+        assert verify_factorization(psi, identity)
+
+
+class TestStarPinSplit:
+    """decompose_star_stabilizer, on the pin read off w, gives the split and
+    the failing slot of the product-formed pin."""
+
+    @pytest.mark.parametrize("fixture", KEY_SYSTEMS)
+    def test_matches_old_pin(self, request, fixture):
+        system = request.getfixturevalue(fixture)
+        rng = random.Random(89)
+        slots = []
+        for words in pin_candidates(system, rng, 200):
+            parts = [random_part(system, k, rng) for k in range(1, system.n + 1)]
+            psi = pure_auto(system, list(zip(parts, words)))
+            split, slot = old_star_split(system, *old_split_canonical(psi))
+            if split is None:
+                assert _error_slot(decompose_star_stabilizer, psi) == slot
+            else:
+                assert decompose_star_stabilizer(psi) == split
+            slots.append(slot)
+        assert None in slots and len(set(slots)) >= 3
 
 
 class TestMutate:

@@ -5,6 +5,7 @@ import pytest
 from whitefact.autos import inner_auto, whitehead_auto, whitehead_to_auto
 from whitefact.factors import FactorElement
 from whitefact.labellings import (
+    _star_pin,
     act_on_label,
     apex_equivalent,
     apex_key,
@@ -19,7 +20,7 @@ from whitefact.labellings import (
     volume,
 )
 from whitefact.sampling import random_nontrivial_element, random_splitting_label, random_word
-from whitefact.words import Word, empty_word, letter, word
+from whitefact.words import Word, empty_word, letter, split_own_head, word
 
 
 @pytest.fixture(scope="module")
@@ -511,3 +512,49 @@ class TestKeyRuleMatchesPairwiseDeciders:
             assert same == (old_apex_obstruction(M1, M2) is None)
             equivalent += same
         assert 0 < equivalent < 300
+
+
+def old_star_pin(L):
+    """The pin as products: g_L, then every slot's translate by its own product."""
+    g = _old_star_translation(L)
+    return g, [split_own_head(slot * g, j) for j, slot in enumerate(L.conjugators, start=1)]
+
+
+def pin_candidates(system, rng, count):
+    """Slot word lists for the star pin: random tuples, every third with
+    slot 1 empty, and every fourth a translate of the base with random own
+    heads, so that w = g_2 g_1^-1 ends in a G_1 syllable or not and some
+    tuples are base."""
+    base = [empty_word(system)] * system.n
+    for k in range(count):
+        if k % 4 == 3:
+            yield _partner_words(system, base, rng)
+            continue
+        words = [random_word(system, rng, rng.choice([1, 2, 4])) for _ in range(system.n)]
+        if k % 3 == 0:
+            words[0] = base[0]
+        yield words
+
+
+class TestStarPin:
+    """The pin reads its first two translates off w and gives the product
+    pin's g_L, translates, star_key and is_base."""
+
+    @pytest.mark.parametrize("fixture", KEY_SYSTEMS)
+    def test_matches_old_pin(self, request, fixture):
+        system = request.getfixturevalue(fixture)
+        rng = random.Random(83)
+        seen = set()
+        bases = 0
+        for words in pin_candidates(system, rng, 300):
+            L = star_label(system, words)
+            g, translates = _star_pin(L)
+            old_g, old_translates = old_star_pin(L)
+            assert g == old_g
+            assert list(translates) == old_translates
+            assert star_key(L) == tuple(core.syllables for _, core in old_translates)
+            assert is_base(L) == (not any(core.syllables for _, core in old_translates))
+            w = L.slot(2) * L.slot(1).inverse()
+            seen.add((w.trailing_factor() == 1, L.slot(1).is_identity()))
+            bases += is_base(L)
+        assert len(seen) == 4 and bases > 0
