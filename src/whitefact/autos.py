@@ -14,9 +14,10 @@ Left-composing with a move (Y, x) is one rule, _push_moves: slot k of
 (Y, x) o psi is [x if k in Y] . (Y, x)(g_k), and every part stays.  The
 kernel _push_move sets a move up once and forms that normal form in one
 pass over each slot's syllables; Words are built only after the last move.
-_apply_whitehead is the kernel on one word.  invert,
-recompose_factorization, verify_factorization and check_ball's homing
-checks push their move lists through it.
+It is the only code that applies a Whitehead move: invert and
+recompose_factorization push their move lists through it, and
+verify_factorization, evaluate_factorization and check_ball's homing
+checks read a recomposition.
 
 Every split of psi is one rule, _conjugated: inner-by-g o psi has the
 conjugators g_k . g, and each one's stripped G_k head b_k joins the factor
@@ -113,7 +114,7 @@ class WhiteheadAuto:
     element: FactorElement
 
     def __post_init__(self):
-        # _apply_whitehead's one-pass normal form relies on the last two checks.
+        # _push_move's one-pass normal form relies on the last two checks.
         if not self.moved:
             raise ValueError("a Whitehead automorphism needs a nonempty moved set")
         if self.system.is_identity(self.element):
@@ -219,6 +220,9 @@ def _push_move(w: WhiteheadAuto, slots, leads) -> list[tuple[FactorElement, ...]
     yields the normal form.  A leading x meets only the first head, and
     when that product cancels nothing is left for it to cascade into.
     The move's letters and G_i's product are set up once for all slots.
+    The pass stays its own loop: handing its letters to normal_form made
+    the explore and factorize benchmarks 2-12 % slower (CPython 3.11 on a
+    2-vCPU host).
     """
     system = w.system
     moved = w.moved
@@ -248,24 +252,10 @@ def _push_move(w: WhiteheadAuto, slots, leads) -> list[tuple[FactorElement, ...]
     return pushed
 
 
-def _apply_whitehead(w: WhiteheadAuto, word_in: Word, lead: bool = False) -> Word:
-    """Normal form of (Y, x)(word_in), or with lead of x . (Y, x)(word_in)."""
-    return Word(w.system, _push_move(w, (word_in.syllables,), (lead,))[0])
-
-
 def _apply_parts(parts, word_in: Word) -> Word:
     system = word_in.system
     letters = [system.part_apply(parts[s.factor - 1], s) for s in word_in.syllables]
     return normal_form(system, letters)
-
-
-def evaluate_factorization(system: FactorSystem, f: Factorization, w: Word) -> Word:
-    """Apply inner, then factor parts, then the Whitehead list right to left."""
-    out = f.inner.inverse() * w * f.inner
-    out = _apply_parts(f.factor, out)
-    for wh in reversed(f.whitehead):
-        out = _apply_whitehead(wh, out)
-    return out
 
 
 def factorize(psi: PureSymmetricAuto) -> Factorization:
@@ -333,6 +323,12 @@ def recompose_factorization(system: FactorSystem, f: Factorization) -> PureSymme
     start = [_apply_parts(f.factor, f.inner)] * system.n
     slots = _push_moves(system, reversed(f.whitehead), start)
     return PureSymmetricAuto(system, tuple(zip(f.factor, slots)))
+
+
+def evaluate_factorization(system: FactorSystem, f: Factorization, w: Word) -> Word:
+    """The image of w under f: inner first, then the factor parts, then the
+    Whitehead list right to left."""
+    return recompose_factorization(system, f).apply(w)
 
 
 def _invert_factorization(system: FactorSystem, f: Factorization, slots) -> PureSymmetricAuto:

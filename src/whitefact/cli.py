@@ -1,9 +1,8 @@
 """Command-line front end.
 
-Data arguments accept either a file path or an inline JSON string; the
-factor system always comes from the file named by --system.  Exit codes:
-0 success, 1 domain error (message names the violated precondition),
-2 parse or schema error.
+Data arguments, --system among them, accept either a file path or an
+inline JSON string.  Exit codes: 0 success, 1 domain error (message names
+the violated precondition), 2 parse or schema error.
 """
 
 from __future__ import annotations
@@ -50,7 +49,7 @@ def _load_payload(argument: str):
 
 def _require_system(args):
     if args.system is None:
-        raise SchemaError("this command needs --system <file>")
+        raise SchemaError("this command needs --system <file or JSON>")
     return jsonio.system_from_json(_load_payload(args.system))
 
 
@@ -165,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="free-product automorphism engine: normal forms, tree "
         "geodesics, labelling volumes, and Whitehead factorization",
     )
-    parser.add_argument("--system", help="factor system JSON file")
+    parser.add_argument("--system", help="factor system JSON, a file or inline")
     parser.add_argument(
         "--format",
         choices=("json", "text", "dot"),

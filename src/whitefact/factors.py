@@ -306,8 +306,8 @@ class TableBackend(FactorBackend):
 
     def validate(self):
         n = self.size
-        if n == 0:
-            return "empty Cayley table"
+        if n < 2:
+            return f"Cayley table needs at least 2 elements, got {n}"
         if n > MAX_TABLE_ORDER:
             return f"Cayley table of order {n} exceeds the limit of {MAX_TABLE_ORDER}"
         full = set(range(n))

@@ -17,13 +17,11 @@ Schemas:
                     "vol_before":..., "vol_after":...}, ...]
 Vertex names are "U:<word>" and "C<i>:<word>" with the word in compact JSON.
 
-Words cross the wire in one pass each way.  Decoding checks every letter
-(shape, factor index, integer payload) before it normalizes any payload, so
-the first malformed letter is reported whatever follows it; a second loop
-then normalizes each payload with its backend, drops identities and merges
-same-factor neighbours, which is the free-product normal form without an
-intermediate element list.  Vertex names join "[factor,payload]" fragments;
-normalized payloads are plain ints, so the bytes equal dumps of the word.
+Decoding a word checks every letter (shape, factor index, integer payload)
+before it normalizes any payload, so the first malformed letter is reported
+whatever follows it; the normalized letters then go to words.normal_form.
+Vertex names join "[factor,payload]" fragments; normalized payloads are
+plain ints, so the bytes equal dumps of the word.
 """
 
 from __future__ import annotations
@@ -49,7 +47,7 @@ from .factors import (
 )
 from .labellings import ApexLabel, StarLabel, apex_label, star_label
 from .tree import TreeVertex, c_vertex, u_vertex
-from .words import Word
+from .words import Word, normal_form
 
 
 def dumps(obj) -> str:
@@ -183,26 +181,11 @@ def word_from_json(system: FactorSystem, obj) -> Word:
         if not (type(payload) is int or _is_int(payload)):
             raise SchemaError(f"payload {echo(payload)} must be an integer")
     backends = system.backends
-    ident = system.identity_payloads
-    out: list[FactorElement] = []
     try:
-        for factor, payload in obj:
-            backend = backends[factor - 1]
-            e = ident[factor - 1]
-            payload = backend.normalize(payload)
-            if payload == e:
-                continue
-            if out and out[-1].factor == factor:
-                merged = backend.op(out[-1].payload, payload)
-                if merged == e:
-                    out.pop()
-                else:
-                    out[-1] = FactorElement(factor, merged)
-            else:
-                out.append(FactorElement(factor, payload))
+        letters = [FactorElement(f, backends[f - 1].normalize(p)) for f, p in obj]
     except ValueError as exc:
         raise SchemaError(str(exc)) from exc
-    return Word(system, tuple(out))
+    return normal_form(system, letters)
 
 
 def vertex_name(v: TreeVertex) -> str:

@@ -3,7 +3,9 @@
 A word is an alternating sequence of nontrivial factor elements, read as a
 product left to right.  The empty word is the group identity.  Reduction
 merges adjacent same-factor syllables and drops identities, which yields
-the unique normal form of the free product.
+the unique normal form of the free product.  normal_form is the one loop
+that does so: the wire decoder hands it its letters, and only the
+Whitehead kernel (autos._push_move) keeps a one-pass loop of its own.
 """
 
 from __future__ import annotations
@@ -56,6 +58,7 @@ def _check_same_system(u: Word, v: Word) -> None:
 
 def normal_form(system: FactorSystem, letters: Iterable[FactorElement]) -> Word:
     """Reduce a letter sequence to the unique normal form of its product."""
+    backends = system.backends
     ident = system.identity_payloads
     n = system.n
     out: list[FactorElement] = []
@@ -67,9 +70,11 @@ def normal_form(system: FactorSystem, letters: Iterable[FactorElement]) -> Word:
         if s.payload == e:
             continue
         if out and out[-1].factor == f:
-            merged = system.mul(out.pop(), s)
-            if merged.payload != e:
-                out.append(merged)
+            merged = backends[f - 1].op(out[-1].payload, s.payload)
+            if merged == e:
+                out.pop()
+            else:
+                out[-1] = FactorElement(f, merged)
         else:
             out.append(s)
     return Word(system, tuple(out))

@@ -3,11 +3,12 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from whitefact import autos
 from whitefact.autos import (
     Factorization,
     PureSymmetricAuto,
     WhiteheadAuto,
-    _apply_whitehead,
+    _push_move,
     _verification_failure,
     compose,
     decompose_apex_stabilizer,
@@ -651,14 +652,16 @@ class TestVerify:
 
 def all_elements_verify(psi, f):
     """Reference check: agreement on every element of every finite factor
-    (and on -3..3 for Z), with no homomorphism argument."""
+    (and on -3..3 for Z), with no homomorphism argument.  The factorization
+    side is the compose loop, so the Whitehead kernel is never used."""
     system = psi.system
+    got = old_recompose_factorization(system, f)
     for k in range(1, system.n + 1):
         backend = system.factor(k)
         payloads = backend.payloads() if backend.is_finite() else range(-3, 4)
         for payload in payloads:
             w = letter(system, FactorElement(k, payload))
-            if evaluate_factorization(system, f, w) != psi.apply(w):
+            if got.apply(w) != psi.apply(w):
                 return False
     return True
 
@@ -725,7 +728,8 @@ class TestVerifyOnGenerators:
 
 
 # -- the generator-evaluating check that the recomposition replaced, kept as
-# the oracle for verify's answers and failure lines
+# the oracle for verify's answers and failure lines; its factorization side
+# is the compose loop, not the Whitehead kernel that verify pushes moves with
 
 
 def old_verification_failure(psi, f):
@@ -735,10 +739,11 @@ def old_verification_failure(psi, f):
             message = system.part_validate(part)
             if message is not None:
                 return f"{side} part {part.factor}: {message}"
+    recomposed = old_recompose_factorization(system, f)
     for k in range(1, system.n + 1):
         for payload in system.factor(k).generators():
             w = letter(system, FactorElement(k, payload))
-            got = evaluate_factorization(system, f, w)
+            got = recomposed.apply(w)
             want = psi.apply(w)
             if got != want:
                 return f"generator {w}: factorization gives {got}, psi gives {want}"
@@ -808,6 +813,28 @@ class TestVerifyMatchesGeneratorOracle:
         )
         assert old_verification_failure(psi, identity) is None
         assert verify_factorization(psi, identity)
+
+    def test_oracles_run_without_the_kernel(self, monkeypatch):
+        system = ORACLE_SYSTEMS["S3*Z2*Z*Z5"]()
+        rng = random.Random(47)
+        fact = live_factorization(system, rng)
+        while not fact.whitehead:
+            fact = live_factorization(system, rng)
+        psi = recompose_factorization(system, fact)
+        dropped = Factorization(fact.whitehead[1:], fact.factor, fact.inner)
+        want_line = _verification_failure(psi, dropped)
+        assert want_line is not None
+
+        def refuse(*args):
+            raise AssertionError("the Whitehead kernel was called")
+
+        monkeypatch.setattr(autos, "_push_move", refuse)
+        with pytest.raises(AssertionError, match="kernel"):
+            recompose_factorization(system, fact)
+        assert all_elements_verify(psi, fact)
+        assert old_verification_failure(psi, fact) is None
+        assert not all_elements_verify(psi, dropped)
+        assert old_verification_failure(psi, dropped) == want_line
 
 
 class TestStarPinSplit:
@@ -1036,6 +1063,11 @@ class TestPureAutoValidation:
 # -- the one-pass Whitehead kernel ----------------------------------------------
 
 
+def push(move, word_in, lead=False):
+    """The kernel on one word: (Y, x)(word_in), or with lead x . (Y, x)(word_in)."""
+    return Word(move.system, _push_move(move, (word_in.syllables,), (lead,))[0])
+
+
 def reference_apply_whitehead(w, word_in):
     """The kernel before the one-pass rewrite: x^-1 s x per moved syllable,
     then the normal form of the whole letter sequence."""
@@ -1098,10 +1130,10 @@ class TestWhiteheadKernel:
         system = KERNEL_SYSTEMS[name]
         move = data.draw(_moves(system))
         w = data.draw(_reduced_words(system))
-        got = _apply_whitehead(move, w)
+        got = push(move, w)
         assert got == reference_apply_whitehead(move, w)
         assert got == whitehead_to_auto(move).apply(w)
-        assert _apply_whitehead(move, w, lead=True) == letter(system, move.element) * got
+        assert push(move, w, lead=True) == letter(system, move.element) * got
 
     @pytest.mark.parametrize("name", RELATION_SYSTEMS)
     @settings(max_examples=100, derandomize=True, deadline=None)
@@ -1121,9 +1153,9 @@ class TestWhiteheadKernel:
             want_word, want_auto = w, identity_auto(system)
         else:
             product = whitehead_auto(system, (j,), ba)
-            want_word = _apply_whitehead(product, w)
+            want_word = push(product, w)
             want_auto = whitehead_to_auto(product)
-        assert _apply_whitehead(second, _apply_whitehead(first, w)) == want_word
+        assert push(second, push(first, w)) == want_word
         assert compose(whitehead_to_auto(second), whitehead_to_auto(first)) == want_auto
 
     @pytest.mark.parametrize("name", RELATION_SYSTEMS)
@@ -1140,7 +1172,7 @@ class TestWhiteheadKernel:
         first = whitehead_auto(system, (k,), a)
         second = whitehead_auto(system, (j,), a)
         joined = whitehead_auto(system, (j, k), a)
-        assert _apply_whitehead(second, _apply_whitehead(first, w)) == _apply_whitehead(joined, w)
+        assert push(second, push(first, w)) == push(joined, w)
         assert compose(whitehead_to_auto(second), whitehead_to_auto(first)) == whitehead_to_auto(
             joined
         )

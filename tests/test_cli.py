@@ -285,6 +285,16 @@ class TestOversizedTable:
         assert f"order {order} exceeds the limit of {MAX_TABLE_ORDER}" in err
 
 
+class TestTrivialFactor:
+    def test_one_element_table_is_exit_2(self, capsys):
+        factors = K3_SYSTEM["factors"]
+        system = {"factors": factors[:1] + [{"kind": "table", "table": [[0]]}] + factors[1:]}
+        code, out, err = run(capsys, "--system", json.dumps(system), "normalize", "[]")
+        assert code == 2
+        assert not out
+        assert err == "error: factor 2: Cayley table needs at least 2 elements, got 1\n"
+
+
 class TestMalformedInput:
     @pytest.mark.parametrize(
         "system, argv",

@@ -56,6 +56,20 @@ class TestSystem:
         with pytest.raises(SchemaError, match="Latin"):
             jsonio.system_from_json(payload)
 
+    def test_one_element_table_rejected(self):
+        # G_2 = 1 would make every Whitehead move ({2}, x) the identity
+        payload = {
+            "factors": [
+                {"kind": "cyclic", "order": 2},
+                {"kind": "table", "table": [[0]]},
+                {"kind": "cyclic", "order": 3},
+                {"kind": "cyclic", "order": 2},
+            ]
+        }
+        with pytest.raises(SchemaError) as info:
+            jsonio.system_from_json(payload)
+        assert str(info.value) == "factor 2: Cayley table needs at least 2 elements, got 1"
+
     def test_unknown_kind(self):
         with pytest.raises(SchemaError, match="unknown kind"):
             jsonio.system_from_json({"factors": [{"kind": "free"}] * 3})

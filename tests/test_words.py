@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from whitefact.errors import FactorMismatchError, SystemMismatchError
-from whitefact.factors import CyclicBackend, FactorElement, FactorSystem
+from whitefact.factors import CyclicBackend, FactorElement, FactorSystem, IntBackend, TableBackend
 from whitefact.words import (
     empty_word,
     enumerate_words,
@@ -75,11 +75,13 @@ def reference_normal_form(system, letters):
 
 
 def mixed_letters(system):
-    """Letters over S3*Z2*Z with identities, and blocks that cancel to 1."""
-    wrap = {1: lambda p: p % 6, 2: lambda p: p % 2, 3: lambda p: p}
-    letter = st.builds(
-        lambda f, p: FactorElement(f, wrap[f](p)), st.integers(1, 3), st.integers(-3, 5)
-    )
+    """Letters with identities, and blocks that cancel to 1."""
+
+    def wrap(f, p):
+        backend = system.factor(f)
+        return FactorElement(f, p % backend.order() if backend.is_finite() else p)
+
+    letter = st.builds(wrap, st.integers(1, system.n), st.integers(-3, 5))
     cancelling = st.lists(letter, min_size=1, max_size=3).map(
         lambda ls: ls + [system.inverse(s) for s in reversed(ls)]
     )
@@ -87,13 +89,21 @@ def mixed_letters(system):
     return st.lists(block, max_size=6).map(lambda bs: [s for b in bs for s in b])
 
 
+# Z3 as a table whose identity is index 2 (the T3*Z2*Z system of test_jsonio):
+# a merge must be compared with the factor's identity payload, not with 0.
+T3_Z2_Z = FactorSystem(
+    [TableBackend([[1, 2, 0], [2, 0, 1], [0, 1, 2]], identity=2), CyclicBackend(2), IntBackend()]
+)
+
+
 class TestKernel:
-    @settings(max_examples=100, deadline=None)
-    @given(data=st.data())
-    def test_matches_reference_loop(self, mixed_system, data):
-        letters = data.draw(mixed_letters(mixed_system))
-        w = normal_form(mixed_system, letters)
-        assert w.syllables == reference_normal_form(mixed_system, letters)
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), use_t3=st.booleans())
+    def test_matches_reference_loop(self, mixed_system, data, use_t3):
+        system = T3_Z2_Z if use_t3 else mixed_system
+        letters = data.draw(mixed_letters(system))
+        w = normal_form(system, letters)
+        assert w.syllables == reference_normal_form(system, letters)
 
     @pytest.mark.parametrize("factor", [0, 4])
     @pytest.mark.parametrize("payload", [0, 1])
