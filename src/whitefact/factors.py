@@ -12,14 +12,17 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import FactorMismatchError, OracleUnavailableError, UnprintableAnswerError
 
 
-@dataclass(frozen=True)
-class FactorElement:
-    """Element of one factor: the payload meaning depends on the backend kind."""
+class FactorElement(NamedTuple):
+    """Element of one factor: the payload meaning depends on the backend kind.
+
+    It is a tuple, so it compares equal to, and hashes like, the plain
+    tuple (factor, payload).
+    """
 
     factor: int
     payload: int
@@ -411,6 +414,7 @@ class FactorSystem:
         self.n = len(self.backends)
         self.signature = tuple(b.describe() for b in self.backends)
         self.identity_payloads = tuple(b.identity_payload for b in self.backends)
+        self.orders = tuple(b.order() for b in self.backends)
         self._hash = hash(self.signature)
 
     def __eq__(self, other):

@@ -17,9 +17,14 @@ Schemas:
                     "vol_before":..., "vol_after":...}, ...]
 Vertex names are "U:<word>" and "C<i>:<word>" with the word in compact JSON.
 
-Decoding a word checks every letter (shape, factor index, integer payload)
-before it normalizes any payload, so the first malformed letter is reported
-whatever follows it; the normalized letters then go to words.normal_form.
+Decoding a word is one loop over its letters.  It checks each letter's
+shape, factor index and integer payload.  An exact int payload that is
+already canonical (0 <= p < order on a finite factor, any int on Z) becomes
+a letter without a normalize call; every other payload is normalized.  A
+normalize error is raised only after every letter has passed its checks, so
+the first malformed letter is reported whatever follows it.  The letters
+then go to words.normal_form.  A vertex name's head is checked before its
+word is decoded.
 Vertex names join "[factor,payload]" fragments; normalized payloads are
 plain ints, so the bytes equal dumps of the word.
 """
@@ -167,7 +172,15 @@ def word_to_json(w: Word) -> list:
 def word_from_json(system: FactorSystem, obj) -> Word:
     _expect(isinstance(obj, list), "word must be a list of [factor, payload] pairs")
     n = system.n
-    # Messages are formatted only on failure: these loops run per letter.
+    backends = system.backends
+    orders = system.orders
+    new = tuple.__new__
+    letters = []
+    error = None
+    # Messages are formatted only on failure: this loop runs per letter.  An
+    # exact int already canonical (0 <= p < order, any int on Z) skips
+    # normalize; a normalize error waits until every letter is checked, so
+    # the first malformed letter wins whatever follows it.
     for entry in obj:
         if not (
             isinstance(entry, list)
@@ -178,13 +191,20 @@ def word_from_json(system: FactorSystem, obj) -> Word:
         factor, payload = entry
         if not 1 <= factor <= n:
             raise SchemaError(f"factor index {factor} out of range")
-        if not (type(payload) is int or _is_int(payload)):
+        if type(payload) is int:
+            order = orders[factor - 1]
+            if order is None or 0 <= payload < order:
+                letters.append(new(FactorElement, entry))
+                continue
+        elif not _is_int(payload):
             raise SchemaError(f"payload {echo(payload)} must be an integer")
-    backends = system.backends
-    try:
-        letters = [FactorElement(f, backends[f - 1].normalize(p)) for f, p in obj]
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from exc
+        try:
+            letters.append(FactorElement(factor, backends[factor - 1].normalize(payload)))
+        except ValueError as exc:
+            if error is None:
+                error = exc
+    if error is not None:
+        raise SchemaError(str(error)) from error
     return normal_form(system, letters)
 
 
@@ -203,20 +223,22 @@ def vertex_from_name(system: FactorSystem, name: str) -> TreeVertex:
     if not (isinstance(name, str) and ":" in name):
         raise SchemaError(f"bad vertex name {echo(name)}")
     head, _, body = name.partition(":")
+    factor = None
+    if head != "U":
+        digits = head[1:]
+        if not (head.startswith("C") and digits.isascii() and digits.isdigit()):
+            raise SchemaError(f"bad vertex name {echo(name)}")
+        try:
+            factor = int(digits)
+        except ValueError as exc:  # past the int-string digit limit
+            raise SchemaError(f"factor index out of range in {echo(name)}") from exc
+        _expect(1 <= factor <= system.n, f"factor index {factor} out of range")
     try:
         rep = word_from_json(system, json.loads(body))
     except (ValueError, RecursionError) as exc:  # also too deep, or past the int-string limit
         raise SchemaError(f"bad vertex word in {echo(name)}") from exc
-    if head == "U":
+    if factor is None:
         return u_vertex(rep)
-    digits = head[1:]
-    if not (head.startswith("C") and digits.isascii() and digits.isdigit()):
-        raise SchemaError(f"bad vertex name {echo(name)}")
-    try:
-        factor = int(digits)
-    except ValueError as exc:  # past the int-string digit limit
-        raise SchemaError(f"factor index out of range in {echo(name)}") from exc
-    _expect(1 <= factor <= system.n, f"factor index {factor} out of range")
     return c_vertex(factor, rep)
 
 

@@ -295,6 +295,21 @@ class TestTrivialFactor:
         assert err == "error: factor 2: Cayley table needs at least 2 elements, got 1\n"
 
 
+class TestVertexNames:
+    def test_bad_head_is_named_before_the_word(self, capsys):
+        system = {
+            "factors": [{"kind": "cyclic", "order": 2}, {"kind": "cyclic", "order": 3}, {"kind": "int"}]
+        }
+        cases = {
+            "X:[[9,9]]": "error: bad vertex name 'X:[[9,9]]'\n",
+            "C9:nonsense": "error: factor index 9 out of range\n",
+            "U:[[9,9]]": "error: factor index 9 out of range\n",
+        }
+        for name, message in cases.items():
+            code, out, err = run(capsys, "--system", json.dumps(system), "distance", name, "U:[]")
+            assert (code, out, err) == (2, "", message)
+
+
 class TestMalformedInput:
     @pytest.mark.parametrize(
         "system, argv",

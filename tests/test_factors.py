@@ -132,6 +132,32 @@ class TestRepr:
         system = FactorSystem([s3_table(), CyclicBackend(2), IntBackend()])
         assert repr(system) == "FactorSystem(table6, Z2, Z)"
 
+    def test_orders(self, mixed_system):
+        assert mixed_system.orders == (6, 2, None)
+
+
+class TestFactorElement:
+    """The value semantics that answers, messages and set orders rely on."""
+
+    def test_repr(self):
+        assert repr(FactorElement(1, 2)) == "FactorElement(factor=1, payload=2)"
+
+    def test_fields_are_read_only(self):
+        x = FactorElement(1, 2)
+        with pytest.raises(AttributeError):
+            x.payload = 3
+        with pytest.raises(AttributeError):
+            x.factor = 2
+
+    @pytest.mark.parametrize("factor, payload", [(1, 2), (3, -7), (4, 10**30), (2, 0)])
+    def test_hashes_like_the_plain_tuple(self, factor, payload):
+        assert hash(FactorElement(factor, payload)) == hash((factor, payload))
+
+    def test_equality(self):
+        assert FactorElement(1, 2) == (1, 2)
+        assert FactorElement(1, 2) != FactorElement(1, 3)
+        assert FactorElement(1, 2) != FactorAutoPart(1, 2)
+
 
 class TestAutomorphismParts:
     def test_cyclic_multiplier_apply(self):

@@ -1,3 +1,4 @@
+import enum
 import json
 import random
 
@@ -9,7 +10,13 @@ from whitefact.cli import main
 from whitefact.autos import factorize
 from whitefact.errors import SchemaError
 from whitefact.explorer import enumerate_ball
-from whitefact.factors import CyclicBackend, FactorSystem, IntBackend, TableBackend
+from whitefact.factors import (
+    CyclicBackend,
+    FactorElement,
+    FactorSystem,
+    IntBackend,
+    TableBackend,
+)
 from whitefact.labellings import apex_label, star_label
 from whitefact.sampling import random_pure_auto, random_word
 from whitefact.tree import c_vertex, geodesic, u_vertex
@@ -113,6 +120,27 @@ class TestVertices:
         for name in ("X:[]", "C9:[]", "U:nonsense", "U"):
             with pytest.raises(SchemaError):
                 jsonio.vertex_from_name(triple_z2, name)
+
+    def test_bad_head_is_reported_before_the_word(self, monkeypatch):
+        system = FactorSystem([CyclicBackend(2), CyclicBackend(3), IntBackend()])
+        cases = {
+            "X:[[9,9]]": "bad vertex name 'X:[[9,9]]'",
+            "C9:nonsense": "factor index 9 out of range",
+            "U:[[9,9]]": "factor index 9 out of range",
+            "C2:[[9,9]]": "factor index 9 out of range",
+        }
+        for name, message in cases.items():
+            with pytest.raises(SchemaError) as info:
+                jsonio.vertex_from_name(system, name)
+            assert str(info.value) == message
+
+        def no_decode(system, obj):
+            raise AssertionError("a bad head must cost no decode")
+
+        monkeypatch.setattr(jsonio, "word_from_json", no_decode)
+        for name in ("X:[[1,1]]", "C4:[[1,1]]", "C:[]"):
+            with pytest.raises(SchemaError):
+                jsonio.vertex_from_name(system, name)
 
 
 class TestLabels:
@@ -310,6 +338,28 @@ class TestWireOracle:
             jsonio.word_from_json(mixed, [[1, 9], [2]])
         with pytest.raises(SchemaError, match="table index 9 out of range"):
             jsonio.word_from_json(mixed, [[1, 9], [2, 1]])
+
+    def test_canonical_payload_boundary_matches_reference(self):
+        # the decoder takes an exact int in 0..order-1 (any int on Z) as it
+        # stands and normalizes everything else, int subclasses included
+        class Small(enum.IntEnum):
+            ONE = 1
+
+        for name, system in sorted(WIRE_SYSTEMS.items()):
+            for factor, order in enumerate(system.orders, start=1):
+                payloads = [-1, 0, 10**30, -(10**30), Small.ONE]
+                if order is not None:
+                    payloads += [order - 1, order]
+                other = factor % system.n + 1
+                for payload in payloads:
+                    for obj in ([[factor, payload]], [[other, 1], [factor, payload], [other, 1]]):
+                        outcome = _outcome(jsonio.word_from_json, system, obj)
+                        assert outcome == _outcome(reference_word_from_json, system, obj), (name, obj)
+                        if isinstance(outcome, str):
+                            continue
+                        for s in outcome[0].syllables:
+                            assert type(s) is FactorElement, (name, obj)
+                            assert type(s.payload) is int, (name, obj)
 
     @settings(max_examples=200, derandomize=True, deadline=None)
     @given(data=st.data())
