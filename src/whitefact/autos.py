@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import FactorMismatchError, NotAStabilizerError, SystemMismatchError
-from .factors import FactorAutoPart, FactorElement, FactorSystem
+from .factors import FactorAutoPart, FactorSystem
 from .labellings import StarLabel, _star_pin, _translate
 from .reduction import reduce_to_base
 from .words import Word, empty_word, letter, normal_form
@@ -52,13 +52,14 @@ class PureSymmetricAuto:
         if w.system != self.system:
             raise SystemMismatchError("word from a different factor system")
         system = self.system
-        inverses: dict[int, tuple[FactorElement, ...]] = {}
-        letters: list[FactorElement] = []
+        inverses: dict[int, tuple[tuple[int, int], ...]] = {}
+        letters: list[tuple[int, int]] = []
         for s in w.syllables:
-            part, conj = self.parts[s.factor - 1]
-            conj_inv = inverses.get(s.factor)
+            f = s[0]
+            part, conj = self.parts[f - 1]
+            conj_inv = inverses.get(f)
             if conj_inv is None:
-                conj_inv = inverses[s.factor] = conj.inverse().syllables
+                conj_inv = inverses[f] = conj.inverse().syllables
             letters.extend(conj_inv)
             letters.append(system.part_apply(part, s))
             letters.extend(conj.syllables)
@@ -111,7 +112,7 @@ class WhiteheadAuto:
 
     system: FactorSystem
     moved: tuple[int, ...]
-    element: FactorElement
+    element: tuple[int, int]
 
     def __post_init__(self):
         # _push_move's one-pass normal form relies on the last two checks.
@@ -119,21 +120,21 @@ class WhiteheadAuto:
             raise ValueError("a Whitehead automorphism needs a nonempty moved set")
         if self.system.is_identity(self.element):
             raise ValueError("a Whitehead automorphism needs a nontrivial element")
-        if self.element.factor in self.moved:
+        if self.element[0] in self.moved:
             raise ValueError(
-                f"operating factor {self.element.factor} cannot belong to the moved set"
+                f"operating factor {self.element[0]} cannot belong to the moved set"
             )
 
     @property
     def operating(self) -> int:
-        return self.element.factor
+        return self.element[0]
 
 
-def whitehead_auto(system: FactorSystem, moved, element: FactorElement) -> WhiteheadAuto:
+def whitehead_auto(system: FactorSystem, moved, element: tuple[int, int]) -> WhiteheadAuto:
     moved = tuple(sorted(set(moved)))
     for j in moved:
         system.factor(j)
-    return WhiteheadAuto(system, moved, system.element(element.factor, element.payload))
+    return WhiteheadAuto(system, moved, system.element(*element))
 
 
 def whitehead_to_auto(w: WhiteheadAuto) -> PureSymmetricAuto:
@@ -202,7 +203,7 @@ class Factorization:
     inner: Word
 
 
-def _push_move(w: WhiteheadAuto, slots, leads) -> list[tuple[FactorElement, ...]]:
+def _push_move(w: WhiteheadAuto, slots, leads) -> list[tuple[tuple[int, int], ...]]:
     """The Whitehead kernel: per syllable tuple g of slots and flag of
     leads, the normal form of (Y, x)(g), or with the flag of x . (Y, x)(g).
 
@@ -227,22 +228,22 @@ def _push_move(w: WhiteheadAuto, slots, leads) -> list[tuple[FactorElement, ...]
     system = w.system
     moved = w.moved
     x = w.element
-    i = x.factor
+    i = x[0]
     x_inv = system.inverse(x)
     e = system.identity_payloads[i - 1]
     op = system.factor(i).op
     pushed = []
     for syllables, lead in zip(slots, leads):
-        out: list[FactorElement] = [x] if lead else []
+        out: list[tuple[int, int]] = [x] if lead else []
         for s in syllables:
-            is_moved = s.factor in moved
+            is_moved = s[0] in moved
             head = x_inv if is_moved else s
-            if head.factor == i and out and out[-1].factor == i:
-                payload = op(out[-1].payload, head.payload)
+            if head[0] == i and out and out[-1][0] == i:
+                payload = op(out[-1][1], head[1])
                 if payload == e:
                     out.pop()
                 else:
-                    out[-1] = FactorElement(i, payload)
+                    out[-1] = (i, payload)
             else:
                 out.append(head)
             if is_moved:
@@ -254,7 +255,7 @@ def _push_move(w: WhiteheadAuto, slots, leads) -> list[tuple[FactorElement, ...]
 
 def _apply_parts(parts, word_in: Word) -> Word:
     system = word_in.system
-    letters = [system.part_apply(parts[s.factor - 1], s) for s in word_in.syllables]
+    letters = [system.part_apply(parts[s[0] - 1], s) for s in word_in.syllables]
     return normal_form(system, letters)
 
 
@@ -406,7 +407,7 @@ def _first_fault(psi: PureSymmetricAuto, f: Factorization) -> tuple | None:
         if r.syllables == r_psi.syllables and phi == phi_psi:
             continue
         for payload in system.factor(k).generators():
-            x = FactorElement(k, payload)
+            x = (k, payload)
             y, y_psi = system.part_apply(phi, x), system.part_apply(phi_psi, x)
             if (r.syllables, y) != (r_psi.syllables, y_psi):
                 return (
@@ -462,7 +463,7 @@ def decompose_apex_stabilizer(psi: PureSymmetricAuto, i: int):
     shifted = _conjugated(system, _translate(words, words[i - 1].inverse()), parts0)
     for j, (rest, part) in enumerate(shifted, start=1):
         if rest.syllables:
-            if len(rest.syllables) > 1 or rest.syllables[0].factor != i:
+            if len(rest.syllables) > 1 or rest.syllables[0][0] != i:
                 raise NotAStabilizerError(j)
             whiteheads.append(WhiteheadAuto(system, (j,), rest.syllables[0]))
         parts.append(part)

@@ -31,7 +31,6 @@ from .autos import (
     recompose_factorization,
 )
 from .errors import EngineError, NonSplittingError, OracleUnavailableError
-from .factors import FactorElement
 from .labellings import (
     ApexLabel,
     StarLabel,
@@ -70,10 +69,8 @@ class BallReport:
 
 
 def _tuple_sort_key(words):
-    """Total length, then per slot its length and its (factor, payload) pairs."""
-    slots = tuple(
-        (len(w.syllables), tuple((s.factor, s.payload) for s in w.syllables)) for w in words
-    )
+    """Total length, then per slot its length and its (factor, payload) syllables."""
+    slots = tuple((len(w.syllables), w.syllables) for w in words)
     return (sum(length for length, _ in slots), slots)
 
 
@@ -86,7 +83,7 @@ def _grow_from_base(system, max_volume: int) -> list[tuple[Word, ...]]:
     """
     budget = (max_volume - system.n) // 2
     letters = [
-        [FactorElement(i, p) for p in system.nontrivial_payloads(i)]
+        [(i, p) for p in system.nontrivial_payloads(i)]
         for i in range(1, system.n + 1)
     ]
     base = base_label(system).conjugators

@@ -20,8 +20,11 @@ from .errors import FactorMismatchError, OracleUnavailableError, UnprintableAnsw
 class FactorElement(NamedTuple):
     """Element of one factor: the payload meaning depends on the backend kind.
 
-    It is a tuple, so it compares equal to, and hashes like, the plain
-    tuple (factor, payload).
+    It is the public constructor of a syllable.  It is a tuple, so it
+    compares equal to, and hashes like, the plain tuple (factor, payload).
+    Every syllable the engine builds is that plain tuple, read by unpacking
+    or indexing, never by field name: CPython specializes both on exact
+    tuples only.
     """
 
     factor: int
@@ -439,24 +442,25 @@ class FactorSystem:
 
     # -- element arithmetic ----------------------------------------------
 
-    def element(self, i: int, payload: int) -> FactorElement:
-        return FactorElement(i, self.factor(i).normalize(payload))
+    def element(self, i: int, payload: int) -> tuple[int, int]:
+        return (i, self.factor(i).normalize(payload))
 
-    def identity(self, i: int) -> FactorElement:
-        return FactorElement(i, self.factor(i).identity_payload)
+    def identity(self, i: int) -> tuple[int, int]:
+        return (i, self.factor(i).identity_payload)
 
-    def is_identity(self, x: FactorElement) -> bool:
-        return x.payload == self.factor(x.factor).identity_payload
+    def is_identity(self, x: tuple[int, int]) -> bool:
+        f, p = x
+        return p == self.factor(f).identity_payload
 
-    def mul(self, a: FactorElement, b: FactorElement) -> FactorElement:
-        if a.factor != b.factor:
-            raise FactorMismatchError(
-                f"cross-factor product: factors {a.factor} and {b.factor}"
-            )
-        return FactorElement(a.factor, self.factor(a.factor).op(a.payload, b.payload))
+    def mul(self, a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+        (f, p), (g, q) = a, b
+        if f != g:
+            raise FactorMismatchError(f"cross-factor product: factors {f} and {g}")
+        return (f, self.factor(f).op(p, q))
 
-    def inverse(self, a: FactorElement) -> FactorElement:
-        return FactorElement(a.factor, self.factor(a.factor).inv(a.payload))
+    def inverse(self, a: tuple[int, int]) -> tuple[int, int]:
+        f, p = a
+        return (f, self.factor(f).inv(p))
 
     def nontrivial_payloads(self, i: int) -> list[int]:
         backend = self.factor(i)
@@ -470,13 +474,13 @@ class FactorSystem:
     def part_is_identity(self, part: FactorAutoPart) -> bool:
         return part.rep == self.factor(part.factor).identity_auto()
 
-    def part_apply(self, part: FactorAutoPart, x: FactorElement) -> FactorElement:
-        if part.factor != x.factor:
+    def part_apply(self, part: FactorAutoPart, x: tuple[int, int]) -> tuple[int, int]:
+        f, p = x
+        if part.factor != f:
             raise FactorMismatchError(
-                f"automorphism part for factor {part.factor} applied to factor {x.factor}"
+                f"automorphism part for factor {part.factor} applied to factor {f}"
             )
-        backend = self.factor(x.factor)
-        return FactorElement(x.factor, backend.auto_apply(part.rep, x.payload))
+        return (f, self.factor(f).auto_apply(part.rep, p))
 
     def part_compose(self, f: FactorAutoPart, g: FactorAutoPart) -> FactorAutoPart:
         """Part of x -> f(g(x)); g is applied first."""
@@ -492,9 +496,9 @@ class FactorSystem:
     def part_validate(self, part: FactorAutoPart) -> str | None:
         return self.factor(part.factor).auto_validate(part.rep)
 
-    def conjugation_part(self, a: FactorElement) -> FactorAutoPart:
-        backend = self.factor(a.factor)
-        return FactorAutoPart(a.factor, backend.conjugation_rep(a.payload))
+    def conjugation_part(self, a: tuple[int, int]) -> FactorAutoPart:
+        f, p = a
+        return FactorAutoPart(f, self.factor(f).conjugation_rep(p))
 
     # -- validation ---------------------------------------------------------
 

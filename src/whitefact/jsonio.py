@@ -24,9 +24,16 @@ a letter without a normalize call; every other payload is normalized.  A
 normalize error is raised only after every letter has passed its checks, so
 the first malformed letter is reported whatever follows it.  The letters
 then go to words.normal_form.  A vertex name's head is checked before its
-word is decoded.
+word is decoded.  Every letter becomes a plain (factor, payload) tuple.
+
 Vertex names join "[factor,payload]" fragments; normalized payloads are
-plain ints, so the bytes equal dumps of the word.
+plain ints, so the bytes equal dumps of the word.  The fragments come from
+_letter_text, a memo keyed by letter: a finite factor's alphabet is small,
+so it is full after a warm-up even though every word is new, and a
+geodesic's vertices, which share their reps' suffixes, format no letter
+twice.  It keeps at most LETTER_MEMO_CAP letters and past that formats
+without storing, so Z payloads and large cyclic orders cannot grow it
+without bound.
 """
 
 from __future__ import annotations
@@ -45,7 +52,6 @@ from .explorer import SnBall
 from .factors import (
     CyclicBackend,
     FactorAutoPart,
-    FactorElement,
     FactorSystem,
     IntBackend,
     TableBackend,
@@ -166,7 +172,7 @@ def system_from_json(obj) -> FactorSystem:
 
 
 def word_to_json(w: Word) -> list:
-    return [[s.factor, s.payload] for s in w.syllables]
+    return [[f, p] for f, p in w.syllables]
 
 
 def word_from_json(system: FactorSystem, obj) -> Word:
@@ -174,7 +180,6 @@ def word_from_json(system: FactorSystem, obj) -> Word:
     n = system.n
     backends = system.backends
     orders = system.orders
-    new = tuple.__new__
     letters = []
     error = None
     # Messages are formatted only on failure: this loop runs per letter.  An
@@ -194,12 +199,12 @@ def word_from_json(system: FactorSystem, obj) -> Word:
         if type(payload) is int:
             order = orders[factor - 1]
             if order is None or 0 <= payload < order:
-                letters.append(new(FactorElement, entry))
+                letters.append((factor, payload))
                 continue
         elif not _is_int(payload):
             raise SchemaError(f"payload {echo(payload)} must be an integer")
         try:
-            letters.append(FactorElement(factor, backends[factor - 1].normalize(payload)))
+            letters.append((factor, backends[factor - 1].normalize(payload)))
         except ValueError as exc:
             if error is None:
                 error = exc
@@ -208,9 +213,27 @@ def word_from_json(system: FactorSystem, obj) -> Word:
     return normal_form(system, letters)
 
 
+LETTER_MEMO_CAP = 65_536  # letters _letter_text keeps; see the module docstring
+
+
+class _LetterText(dict):
+    """letter -> "[factor,payload]", stored for the first LETTER_MEMO_CAP
+    letters.  What it holds decides only whether a letter is formatted
+    again, never a name's bytes."""
+
+    def __missing__(self, letter):
+        text = "[%d,%d]" % letter
+        if len(self) < LETTER_MEMO_CAP:
+            self[letter] = text
+        return text
+
+
+_letter_text = _LetterText()
+
+
 def vertex_name(v: TreeVertex) -> str:
     try:
-        body = ",".join([f"[{s.factor},{s.payload}]" for s in v.rep.syllables])
+        body = ",".join(map(_letter_text.__getitem__, v.rep.syllables))
     except ValueError as exc:  # past the int-string digit limit
         raise UnprintableAnswerError() from exc
     if v.kind == "u":
@@ -343,7 +366,7 @@ def auto_from_json(system: FactorSystem, obj) -> PureSymmetricAuto:
 
 
 def whitehead_to_json(w: WhiteheadAuto) -> dict:
-    return {"Y": list(w.moved), "x": [w.element.factor, w.element.payload]}
+    return {"Y": list(w.moved), "x": list(w.element)}
 
 
 def whitehead_from_json(system: FactorSystem, obj) -> WhiteheadAuto:
@@ -359,7 +382,7 @@ def whitehead_from_json(system: FactorSystem, obj) -> WhiteheadAuto:
     )
     _expect(isinstance(x, list) and len(x) == 2 and _all_ints(x), "bad whitehead element")
     try:
-        return whitehead_auto(system, moved, FactorElement(x[0], x[1]))
+        return whitehead_auto(system, moved, x)
     except (ValueError, EngineError) as exc:
         raise SchemaError(f"bad whitehead automorphism: {exc}") from exc
 
@@ -400,7 +423,7 @@ def moves_to_json(moves) -> list:
         {
             "i": m.i,
             "Y": list(m.moved),
-            "a": [m.element.factor, m.element.payload],
+            "a": list(m.element),
             "vol_before": m.volume_before,
             "vol_after": m.volume_after,
         }

@@ -41,7 +41,7 @@ from itertools import chain
 from typing import Iterator, Sequence
 
 from .errors import SystemMismatchError
-from .factors import FactorElement, FactorSystem
+from .factors import FactorSystem
 from .words import Word, empty_word, split_own_head
 
 
@@ -102,14 +102,14 @@ def double_coset_core(w: Word, lead: int, trail: int) -> Word:
 
 def _translate(
     words: Sequence[Word], g: Word, start: int = 1
-) -> Iterator[tuple[FactorElement | None, Word]]:
+) -> Iterator[tuple[tuple[int, int] | None, Word]]:
     """Lazily, per slot j (the first numbered start), (b_j, r_j) =
     split_own_head(g_j . g, j): the stripped G_j head and the canonical slot
     of the translate by g."""
     return (split_own_head(w * g, j) for j, w in enumerate(words, start=start))
 
 
-def _star_pin(L: StarLabel) -> tuple[Word, Iterator[tuple[FactorElement | None, Word]]]:
+def _star_pin(L: StarLabel) -> tuple[Word, Iterator[tuple[tuple[int, int] | None, Word]]]:
     """g_L and the translate of L by g_L.
 
     g_L = g_1^-1 a^-1, where a is the trailing G_1 syllable of

@@ -44,7 +44,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import AlreadyBaseError, NonSplittingError
-from .factors import FactorElement
 from .labellings import StarLabel, volume
 from .words import Word, normal_form, split_own_head
 
@@ -60,7 +59,7 @@ class FoldWitness:
     j: int
     y: Word
     z: Word
-    element: FactorElement
+    element: tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -74,10 +73,10 @@ class MoveRecord:
 
     i: int
     moved: tuple[int, ...]
-    element: FactorElement
+    element: tuple[int, int]
     volume_before: int
     volume_after: int
-    shed: tuple[FactorElement | None, ...]
+    shed: tuple[tuple[int, int] | None, ...]
 
 
 def find_fold(L: StarLabel) -> FoldWitness | None:
@@ -93,10 +92,11 @@ def find_fold(L: StarLabel) -> FoldWitness | None:
         a = gj.syllables
         for t in range(len(a)):
             s = a[-t - 1]
-            gi = slots[s.factor - 1]
+            i = s[0]
+            gi = slots[i - 1]
             if len(gi.syllables) == t and gi.syllables == a[len(a) - t:]:
                 z = Word(system, a[len(a) - t - 1:])
-                return FoldWitness(s.factor, j, gi, z, system.inverse(s))
+                return FoldWitness(i, j, gi, z, system.inverse(s))
     return None
 
 
@@ -118,7 +118,7 @@ def reduce_step(L: StarLabel) -> tuple[StarLabel, MoveRecord]:
     cut = len(z)
     new_words = list(L.conjugators)
     moved: list[int] = []
-    sheds: list[FactorElement | None] = []
+    sheds: list[tuple[int, int] | None] = []
     dropped = 0
     for k in range(fold.j, system.n + 1):
         old = new_words[k - 1].syllables

@@ -12,7 +12,7 @@ import random
 
 from .autos import PureSymmetricAuto, pure_auto
 from .errors import EngineError, NonSplittingError
-from .factors import FactorAutoPart, FactorElement, FactorSystem
+from .factors import FactorAutoPart, FactorSystem
 from .labellings import StarLabel, star_label, volume
 from .reduction import reduce_to_base
 from .words import Word
@@ -22,13 +22,13 @@ from .words import Word
 MAX_ATTEMPTS = 10_000
 
 
-def random_nontrivial_element(system: FactorSystem, i: int, rng: random.Random) -> FactorElement:
+def random_nontrivial_element(system: FactorSystem, i: int, rng: random.Random) -> tuple:
     backend = system.factor(i)
     if backend.is_finite():
         payload = rng.choice(system.nontrivial_payloads(i))
     else:
         payload = rng.choice([-3, -2, -1, 1, 2, 3])
-    return FactorElement(i, payload)
+    return (i, payload)
 
 
 def random_word(

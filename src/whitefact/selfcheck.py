@@ -315,16 +315,16 @@ def _mutate(system, fact, index, rng):
         alternates = [
             p
             for p in system.nontrivial_payloads(target.operating)
-            if p != target.element.payload
+            if p != target.element[1]
         ]
     else:
-        alternates = [-target.element.payload]
+        alternates = [-target.element[1]]
     candidates = [
         j for j in range(1, system.n + 1) if j != target.operating and j not in target.moved
     ]
     if alternates:
         changed = WhiteheadAuto(
-            system, target.moved, FactorElement(target.operating, rng.choice(alternates))
+            system, target.moved, (target.operating, rng.choice(alternates))
         )
     elif candidates:
         # no other nontrivial element: move a different factor instead

@@ -25,7 +25,6 @@ from collections import deque
 from dataclasses import dataclass
 
 from .errors import OracleUnavailableError, SystemMismatchError
-from .factors import FactorElement
 from .words import Word, normal_form, split_own_head
 
 
@@ -78,8 +77,8 @@ def _meet(p: TreeVertex, q: TreeVertex) -> int:
         t += 1
     # Factor of the next C-vertex on each root path past the common suffix;
     # a used-up rep continues with the vertex's own factor (0: none for U).
-    f = a[-t - 1].factor if t < len(a) else p.factor
-    g = b[-t - 1].factor if t < len(b) else q.factor
+    f = a[-t - 1][0] if t < len(a) else p.factor
+    g = b[-t - 1][0] if t < len(b) else q.factor
     return 2 * t + (f != 0 and f == g)
 
 
@@ -92,7 +91,7 @@ def _root_path_vertex(v: TreeVertex, d: int) -> TreeVertex:
     suffix = Word(v.rep.system, syllables[len(syllables) - j:])
     if d % 2 == 0:
         return TreeVertex("u", 0, suffix)
-    return TreeVertex("c", syllables[-j - 1].factor, suffix)
+    return TreeVertex("c", syllables[-j - 1][0], suffix)
 
 
 def distance(p: TreeVertex, q: TreeVertex) -> int:
@@ -122,8 +121,8 @@ class Ball:
 
 
 def _vertex_sort_key(v: TreeVertex):
-    payloads = tuple((s.factor, s.payload) for s in v.rep.syllables)
-    return (v.kind, v.factor, len(payloads), payloads)
+    syllables = v.rep.syllables
+    return (v.kind, v.factor, len(syllables), syllables)
 
 
 def neighbors(v: TreeVertex) -> list[TreeVertex]:
@@ -136,8 +135,7 @@ def neighbors(v: TreeVertex) -> list[TreeVertex]:
         raise OracleUnavailableError("oracle requires finite factors")
     out = []
     for payload in backend.payloads():
-        head = FactorElement(v.factor, payload)
-        out.append(u_vertex(normal_form(system, (head,) + v.rep.syllables)))
+        out.append(u_vertex(normal_form(system, ((v.factor, payload),) + v.rep.syllables)))
     return out
 
 

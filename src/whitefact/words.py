@@ -6,6 +6,11 @@ merges adjacent same-factor syllables and drops identities, which yields
 the unique normal form of the free product.  normal_form is the one loop
 that does so: the wire decoder hands it its letters, and only the
 Whitehead kernel (autos._push_move) keeps a one-pass loop of its own.
+
+A syllable is a plain (factor, payload) tuple.  factors.FactorElement is
+the public constructor and equals, and hashes like, that tuple; every
+syllable the engine builds is the exact tuple, because CPython specializes
+indexing and unpacking on exact tuples only, and hot loops read f, p = s.
 """
 
 from __future__ import annotations
@@ -14,22 +19,22 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .errors import OracleUnavailableError, SystemMismatchError
-from .factors import FactorElement, FactorSystem
+from .factors import FactorSystem
 
 
 @dataclass(frozen=True)
 class Word:
     system: FactorSystem
-    syllables: tuple[FactorElement, ...]
+    syllables: tuple[tuple[int, int], ...]
 
     def syllable_count(self) -> int:
         return len(self.syllables)
 
     def leading_factor(self) -> int | None:
-        return self.syllables[0].factor if self.syllables else None
+        return self.syllables[0][0] if self.syllables else None
 
     def trailing_factor(self) -> int | None:
-        return self.syllables[-1].factor if self.syllables else None
+        return self.syllables[-1][0] if self.syllables else None
 
     def is_identity(self) -> bool:
         return not self.syllables
@@ -45,9 +50,8 @@ class Word:
         if not self.syllables:
             return "1"
         parts = []
-        for s in self.syllables:
-            name = self.system.factor(s.factor).element_name(s.payload)
-            parts.append(f"{s.factor}:{name}")
+        for f, p in self.syllables:
+            parts.append(f"{f}:{self.system.factor(f).element_name(p)}")
         return ".".join(parts)
 
 
@@ -56,34 +60,35 @@ def _check_same_system(u: Word, v: Word) -> None:
         raise SystemMismatchError("words belong to different factor systems")
 
 
-def normal_form(system: FactorSystem, letters: Iterable[FactorElement]) -> Word:
-    """Reduce a letter sequence to the unique normal form of its product."""
+def normal_form(system: FactorSystem, letters: Iterable[tuple[int, int]]) -> Word:
+    """Reduce a letter sequence to the unique normal form of its product;
+    unmerged letters are kept as given, merged ones built as exact tuples."""
     backends = system.backends
     ident = system.identity_payloads
     n = system.n
-    out: list[FactorElement] = []
+    out: list[tuple[int, int]] = []
     for s in letters:
-        f = s.factor
+        f, p = s
         if not 0 < f <= n:
             system.factor(f)  # raises FactorMismatchError
         e = ident[f - 1]
-        if s.payload == e:
+        if p == e:
             continue
-        if out and out[-1].factor == f:
-            merged = backends[f - 1].op(out[-1].payload, s.payload)
+        if out and out[-1][0] == f:
+            merged = backends[f - 1].op(out[-1][1], p)
             if merged == e:
                 out.pop()
             else:
-                out[-1] = FactorElement(f, merged)
+                out[-1] = (f, merged)
         else:
             out.append(s)
     return Word(system, tuple(out))
 
 
-def split_own_head(w: Word, j: int) -> tuple[FactorElement | None, Word]:
+def split_own_head(w: Word, j: int) -> tuple[tuple[int, int] | None, Word]:
     """(b, r) with w = b . r: b is w's leading G_j syllable (None when it has
     none) and r the canonical rep of the right coset G_j w."""
-    if w.syllables and w.syllables[0].factor == j:
+    if w.syllables and w.syllables[0][0] == j:
         return w.syllables[0], Word(w.system, w.syllables[1:])
     return None, w
 
@@ -97,10 +102,11 @@ def empty_word(system: FactorSystem) -> Word:
     return Word(system, ())
 
 
-def letter(system: FactorSystem, element: FactorElement) -> Word:
+def letter(system: FactorSystem, element: tuple[int, int]) -> Word:
     if system.is_identity(element):
         return Word(system, ())
-    return Word(system, (element,))
+    f, p = element
+    return Word(system, ((f, p),))
 
 
 def word_mul(u: Word, v: Word) -> Word:
@@ -130,7 +136,7 @@ def enumerate_words(system: FactorSystem, max_syllables: int) -> Iterator[Word]:
                 if i == last:
                     continue
                 for payload in system.nontrivial_payloads(i):
-                    extended = Word(system, w.syllables + (FactorElement(i, payload),))
+                    extended = Word(system, w.syllables + ((i, payload),))
                     new_frontier.append(extended)
                     yield extended
         frontier = new_frontier

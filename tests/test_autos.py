@@ -325,7 +325,7 @@ class TestStabilizers:
 
 
 def _strip_head(w, k):
-    if w.syllables and w.syllables[0].factor == k:
+    if w.syllables and w.syllables[0][0] == k:
         return w.syllables[0], Word(w.system, w.syllables[1:])
     return None, w
 
@@ -363,7 +363,7 @@ def old_star_split(system, words, parts0):
 
 def old_apply_parts(parts, word_in):
     system = word_in.system
-    letters = [system.part_apply(parts[s.factor - 1], s) for s in word_in.syllables]
+    letters = [system.part_apply(parts[f - 1], (f, p)) for f, p in word_in.syllables]
     return normal_form(system, letters)
 
 
@@ -670,7 +670,7 @@ def random_factorization(system, rng):
     moves = []
     for _ in range(rng.randint(0, 4)):
         x = random_nontrivial_element(system, rng.randint(1, system.n), rng)
-        others = [j for j in range(1, system.n + 1) if j != x.factor]
+        others = [j for j in range(1, system.n + 1) if j != x[0]]
         moves.append(whitehead_auto(system, rng.sample(others, rng.randint(1, 2)), x))
     parts = tuple(random_part(system, k, rng) for k in range(1, system.n + 1))
     return Factorization(tuple(moves), parts, random_word(system, rng, 3))
@@ -767,7 +767,7 @@ def live_factorization(system, rng):
     moves = []
     for _ in range(rng.randint(0, 4)):
         x = random_nontrivial_element(system, rng.choice(live), rng)
-        others = [j for j in range(1, system.n + 1) if j != x.factor]
+        others = [j for j in range(1, system.n + 1) if j != x[0]]
         moves.append(whitehead_auto(system, rng.sample(others, rng.randint(1, len(others))), x))
     parts = tuple(random_part(system, k, rng) for k in range(1, system.n + 1))
     letters = [random_nontrivial_element(system, rng.choice(live), rng) for _ in range(3)]
@@ -908,7 +908,7 @@ def replay_factorize(psi, walk):
         stripped = []
         for j in moved:
             raw = slots[j - 1] * c
-            if raw.syllables and raw.syllables[0].factor == j:
+            if raw.syllables and raw.syllables[0][0] == j:
                 stripped.append((j, raw.syllables[0]))
                 raw = Word(system, raw.syllables[1:])
             slots[j - 1] = raw
@@ -961,7 +961,7 @@ class TestShedSyllable:
                 deleted = Factorization(kept, fact.factor, fact.inner)
                 assert not verify_factorization(psi, deleted)
             moves = assert_vertex_steps(star_label(system, old_split_canonical(psi)[0]))
-            s3_sheds += sum(b is not None and b.factor == 1 for m in moves for b in m.shed)
+            s3_sheds += sum(b is not None and b[0] == 1 for m in moves for b in m.shed)
             counts[0] += len(fact.whitehead)
             counts[1] += len(single.whitehead)
             counts[2] += sum(len(m.moved) > 1 for m in fact.whitehead)
@@ -1076,7 +1076,7 @@ def reference_apply_whitehead(w, word_in):
     x_inv = system.inverse(x)
     letters = []
     for s in word_in.syllables:
-        if s.factor in w.moved:
+        if s[0] in w.moved:
             letters.extend((x_inv, s, x))
         else:
             letters.append(s)

@@ -73,10 +73,7 @@ def keyed_enumerate_ball(system, max_volume):
     candidates.sort(
         key=lambda words: (
             sum(w.syllable_count() for w in words),
-            tuple(
-                (w.syllable_count(), tuple((s.factor, s.payload) for s in w.syllables))
-                for w in words
-            ),
+            tuple((w.syllable_count(), w.syllables) for w in words),
         )
     )
     alpha_reps, seen = [], set()
@@ -381,3 +378,45 @@ class TestCheck:
             walks.clear()
             assert check_ball(ball).passed
             assert walks == list(ball.alpha_classes)
+
+
+def components_and_cycle_rank(ball):
+    """Union-find over the collapse graph of a ball: its star and A classes
+    as vertices, its collapse edges as edges.  Returns the number of
+    components and the cycle rank E - V + components."""
+    alpha = len(ball.alpha_classes)
+    parent = list(range(alpha + len(ball.a_classes)))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for alpha_index, a_index in ball.edges:
+        parent[find(alpha_index)] = find(alpha + a_index)
+    components = sum(find(x) == x for x in range(len(parent)))
+    return components, len(ball.edges) - len(parent) + components
+
+
+class TestBallIsATreeAtThreeFactors:
+    """At n = 3 the McCullough-Miller complex is contractible of dimension
+    n - 2 = 1, so every connected piece of it is a tree.  check_ball catches
+    duplicate classes but not over-merged ones; an apex_key that merges
+    distinct A classes closes cycles in the collapse graph, which this
+    oracle sees.  At n = 4 the two shapes leave cycles, presumably filled by
+    cells they do not hold, so there the cycle rank is pinned as measured."""
+
+    @pytest.mark.parametrize(
+        "name, bound, sizes",
+        [("triple_z2", 15, (52, 105, 156)), ("s3_z2_z2", 9, (92, 185, 276))],
+    )
+    def test_one_component_of_cycle_rank_zero(self, request, name, bound, sizes):
+        ball = enumerate_ball(request.getfixturevalue(name), bound)
+        assert components_and_cycle_rank(ball) == (1, 0)
+        assert (len(ball.alpha_classes), len(ball.a_classes), len(ball.edges)) == sizes
+
+    def test_cycle_rank_at_four_factors_is_pinned(self, z3422):
+        ball = enumerate_ball(z3422, 8)
+        assert components_and_cycle_rank(ball) == (1, 34)
+        assert (len(ball.alpha_classes), len(ball.a_classes), len(ball.edges)) == (200, 567, 800)

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from whitefact import jsonio
 from whitefact.cli import main
 from whitefact.autos import factorize
-from whitefact.errors import SchemaError
+from whitefact.errors import SchemaError, UnprintableAnswerError
 from whitefact.explorer import enumerate_ball
 from whitefact.factors import (
     CyclicBackend,
@@ -20,7 +20,7 @@ from whitefact.factors import (
 from whitefact.labellings import apex_label, star_label
 from whitefact.sampling import random_pure_auto, random_word
 from whitefact.tree import c_vertex, geodesic, u_vertex
-from whitefact.words import empty_word, word
+from whitefact.words import empty_word, normal_form, word
 
 from conftest import s3_table
 
@@ -358,8 +358,8 @@ class TestWireOracle:
                         if isinstance(outcome, str):
                             continue
                         for s in outcome[0].syllables:
-                            assert type(s) is FactorElement, (name, obj)
-                            assert type(s.payload) is int, (name, obj)
+                            assert type(s) is tuple, (name, obj)
+                            assert type(s[1]) is int, (name, obj)
 
     @settings(max_examples=200, derandomize=True, deadline=None)
     @given(data=st.data())
@@ -386,6 +386,69 @@ class TestWireOracle:
             q = u_vertex(random_word(system, rng, 8))
             for v in geodesic(p, q):
                 assert jsonio.vertex_name(v) == reference_vertex_name(v)
+
+
+class TestLetterMemo:
+    """vertex_name formats each letter once, through a memo of at most
+    LETTER_MEMO_CAP letters; the bytes stay those of dumps of the word."""
+
+    @pytest.fixture
+    def memo(self, monkeypatch):
+        fresh = jsonio._LetterText()
+        monkeypatch.setattr(jsonio, "_letter_text", fresh)
+        return fresh
+
+    @staticmethod
+    def random_vertex(system, rng):
+        letters = []
+        for _ in range(rng.randint(0, 12)):
+            f = rng.randint(1, system.n)
+            if system.orders[f - 1] is not None:
+                p = rng.randrange(system.orders[f - 1])
+            else:
+                p = rng.choice([-3, -1, 2, 10**29 + rng.randrange(10**29), -(10**29) - 7])
+            letters.append((f, p))
+        rep = normal_form(system, letters)
+        factor = rng.randint(0, system.n)
+        return u_vertex(rep) if factor == 0 else c_vertex(factor, rep)
+
+    def test_names_equal_dumps_cold_and_warm(self, memo):
+        rng = random.Random(41)
+        for name, system in sorted(WIRE_SYSTEMS.items()):
+            for _ in range(150):
+                v = self.random_vertex(system, rng)
+                want = reference_vertex_name(v)
+                assert jsonio.vertex_name(v) == want, name
+                assert jsonio.vertex_name(v) == want, name  # every letter now memoized
+        assert any(len(str(abs(p))) == 30 for _, p in memo)
+        assert any(p < 0 for _, p in memo)
+
+    def test_memo_stays_at_its_cap(self, memo):
+        system = WIRE_SYSTEMS["S3*Z2*Z*Z5"]
+        cap = jsonio.LETTER_MEMO_CAP
+        for start in range(-500, cap + 500, 1000):
+            letters = []
+            for p in range(start, start + 1000):
+                letters += [(3, p), (2, 1)]
+            v = u_vertex(normal_form(system, letters))
+            assert jsonio.vertex_name(v) == reference_vertex_name(v)
+            assert len(memo) <= cap
+        assert len(memo) == cap
+        v = u_vertex(normal_form(system, [(3, cap + 10**6), (1, 2), (3, -1), (2, 1)]))
+        assert jsonio.vertex_name(v) == reference_vertex_name(v)
+        assert len(memo) == cap
+
+    def test_unprintable_payload_raises_with_cold_and_warm_memo(self, memo):
+        system = WIRE_SYSTEMS["S3*Z2*Z*Z5"]
+        huge = 10**5000
+        v = c_vertex(1, normal_form(system, [(2, 1), (3, huge), (4, 2)]))
+        with pytest.raises(UnprintableAnswerError):
+            jsonio.vertex_name(v)
+        jsonio.vertex_name(u_vertex(normal_form(system, [(2, 1), (4, 2)])))
+        assert (2, 1) in memo and (4, 2) in memo
+        with pytest.raises(UnprintableAnswerError):
+            jsonio.vertex_name(v)
+        assert (3, huge) not in memo
 
 
 GEODESIC_STDOUT = (

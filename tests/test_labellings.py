@@ -370,10 +370,10 @@ def _split_lead_core_trail(w, lead, trail):
     syllables = w.syllables
     b = None
     a = None
-    if syllables and syllables[0].factor == lead:
+    if syllables and syllables[0][0] == lead:
         b = syllables[0]
         syllables = syllables[1:]
-    if syllables and syllables[-1].factor == trail:
+    if syllables and syllables[-1][0] == trail:
         a = syllables[-1]
         syllables = syllables[:-1]
     return b, Word(w.system, syllables), a
@@ -422,7 +422,7 @@ class TestIsBase:
 def _old_single_factor_element(w, factor):
     if w.is_identity():
         return w.system.identity(factor)
-    if w.syllable_count() == 1 and w.syllables[0].factor == factor:
+    if w.syllable_count() == 1 and w.syllables[0][0] == factor:
         return w.syllables[0]
     return None
 

@@ -306,7 +306,7 @@ class TestReduceStep:
                         assert moved.slot(j) == raw
                     else:
                         sheds += 1
-                        assert shed.factor == j
+                        assert shed[0] == j
                         assert letter(system, shed) * moved.slot(j) == raw
                 for k in set(range(1, system.n + 1)) - set(record.moved):
                     assert moved.slot(k) == current.slot(k)

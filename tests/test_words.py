@@ -1,10 +1,20 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from whitefact import jsonio
+from whitefact.autos import _push_move, whitehead_auto
 from whitefact.errors import FactorMismatchError, SystemMismatchError
-from whitefact.factors import CyclicBackend, FactorElement, FactorSystem, IntBackend, TableBackend
+from whitefact.factors import (
+    CyclicBackend,
+    FactorAutoPart,
+    FactorElement,
+    FactorSystem,
+    IntBackend,
+    TableBackend,
+)
 from whitefact.words import (
     empty_word,
     enumerate_words,
@@ -37,7 +47,7 @@ class TestReduce:
 
     def test_alternating_word_unchanged(self, k3):
         w = word(k3, [(1, 1), (2, 1), (1, 1)])
-        assert [(s.factor, s.payload) for s in w.syllables] == [(1, 1), (2, 1), (1, 1)]
+        assert w.syllables == ((1, 1), (2, 1), (1, 1))
 
     def test_identity_letters_dropped(self, k3):
         assert word(k3, [(1, 0), (2, 0)]).is_identity()
@@ -54,7 +64,7 @@ class TestReduce:
     def test_normal_form_alternates(self, k3, data):
         w = normal_form(k3, data.draw(letters_strategy(k3)))
         for left, right in zip(w.syllables, w.syllables[1:]):
-            assert left.factor != right.factor
+            assert left[0] != right[0]
         assert not any(k3.is_identity(s) for s in w.syllables)
 
 
@@ -64,7 +74,7 @@ def reference_normal_form(system, letters):
     for s in letters:
         if system.is_identity(s):
             continue
-        if out and out[-1].factor == s.factor:
+        if out and out[-1][0] == s[0]:
             merged = system.mul(out[-1], s)
             out.pop()
             if not system.is_identity(merged):
@@ -120,12 +130,12 @@ class TestArithmetic:
 
     def test_inverse_reverses(self, k3):
         u = word(k3, [(2, 1), (1, 1)])
-        assert [s.factor for s in u.inverse().syllables] == [1, 2]
+        assert [f for f, _ in u.inverse().syllables] == [1, 2]
 
     def test_mul_without_cancellation(self, k3):
         u = word(k3, [(1, 1), (2, 1)])
         out = word_mul(u, word(k3, [(1, 1)]))
-        assert [s.factor for s in out.syllables] == [1, 2, 1]
+        assert [f for f, _ in out.syllables] == [1, 2, 1]
 
     def test_syllable_queries(self, k3):
         assert empty_word(k3).syllable_count() == 0
@@ -191,6 +201,72 @@ class TestEnumeration:
 
         with pytest.raises(OracleUnavailableError):
             list(enumerate_words(mixed_system, 2))
+
+
+class TestSyllablesAreExactTuples:
+    """Every syllable the engine builds is an exact (factor, payload) tuple,
+    not a FactorElement: CPython specializes indexing and unpacking only on
+    exact tuples.  Each engine path below merges or rebuilds syllables, so
+    one that returns to the subclass fails here."""
+
+    @staticmethod
+    def assert_exact(syllables):
+        for s in syllables:
+            assert type(s) is tuple and len(s) == 2, s
+
+    @staticmethod
+    def random_letters(system, rng, count):
+        """Plain letters over the system's factors, same-factor neighbours common."""
+        letters = []
+        for _ in range(count):
+            f = rng.randint(1, system.n)
+            order = system.orders[f - 1]
+            letters.append((f, rng.randrange(order) if order else rng.randint(-4, 4)))
+        return letters
+
+    def test_normal_form_inverse_and_part_apply(self, s3_z2_z_z5):
+        system = s3_z2_z_z5
+        rng = random.Random(23)
+        merged = 0
+        for _ in range(200):
+            letters = self.random_letters(system, rng, 30)
+            w = normal_form(system, letters)
+            merged += sum(s not in letters for s in w.syllables)
+            self.assert_exact(w.syllables)
+            self.assert_exact(w.inverse().syllables)
+            for f, p in w.syllables:
+                part = FactorAutoPart(f, rng.choice(system.factor(f).automorphism_reps()))
+                self.assert_exact([system.part_apply(part, FactorElement(f, p))])
+            f = rng.randint(1, system.n)
+            self.assert_exact([system.element(f, 1), system.inverse(FactorElement(f, 1))])
+        assert merged > 100
+
+    def test_kernel(self, s3_z2_z_z5):
+        system = s3_z2_z_z5
+        rng = random.Random(29)
+        merged = 0
+        for _ in range(300):
+            i = rng.randint(1, system.n)
+            others = [j for j in range(1, system.n + 1) if j != i]
+            payload = 2 if system.orders[i - 1] != 2 else 1
+            move = whitehead_auto(system, rng.sample(others, 2), FactorElement(i, payload))
+            assert type(move.element) is tuple
+            slots = [normal_form(system, self.random_letters(system, rng, 12)).syllables] * 2
+            pushed = _push_move(move, slots, [True, False])
+            kept = set(itertools.chain(*slots, [move.element, system.inverse(move.element)]))
+            merged += sum(s not in kept for g in pushed for s in g)
+            self.assert_exact(s for g in pushed for s in g)
+        assert merged > 50
+
+    def test_decoder(self, s3_z2_z_z5):
+        system = s3_z2_z_z5
+        rng = random.Random(31)
+        for _ in range(200):
+            # cyclic payloads out of range take the normalize path; a table
+            # index out of range would be a SchemaError, so those are dropped
+            obj = [[f, p + rng.choice([0, 0, 5, -6])] for f, p in self.random_letters(system, rng, 20)]
+            obj = [[f, p] for f, p in obj if system.factor(f).kind != "table" or 0 <= p < 6]
+            self.assert_exact(jsonio.word_from_json(system, obj).syllables)
 
 
 def test_word_str_smoke(k3):
