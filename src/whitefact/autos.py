@@ -19,10 +19,11 @@ recompose_factorization push their move lists through it, and
 verify_factorization, evaluate_factorization and check_ball's homing
 checks read a recomposition.
 
-Every split of psi is one rule, _conjugated: inner-by-g o psi has the
-conjugators g_k . g, and each one's stripped G_k head b_k joins the factor
-part as conj(b_k) o phi_k.  g = 1 gives the canonical split, g = g_L (the
-star pin) the base-class stabilizer split, and g = g_i^-1 the apex one.
+Every split of psi is one rule, _conjugated: inner-by-d^-1 o psi has the
+conjugators g_k . d^-1, and each one's stripped G_k head b_k joins the
+factor part as conj(b_k) o phi_k.  d = 1 gives the canonical split, d the
+star pin's divisor the base-class stabilizer split, and d = g_i the apex
+one.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .errors import FactorMismatchError, NotAStabilizerError, SystemMismatchErro
 from .factors import FactorAutoPart, FactorSystem
 from .labellings import StarLabel, _star_pin, _translate
 from .reduction import reduce_to_base
-from .words import Word, empty_word, letter, normal_form
+from .words import Word, empty_word, letter, normal_form, right_divide
 
 
 @dataclass(frozen=True)
@@ -161,10 +162,11 @@ def compose(f: PureSymmetricAuto, g: PureSymmetricAuto) -> PureSymmetricAuto:
 
 
 def _conjugated(system: FactorSystem, translates, parts):
-    """Lazily, per factor k, the canonical (slot, part) of inner-by-g o psi
-    for psi given by its parts and the translates (b_k, r_k) of its
-    conjugators by g (_translate): g_k . g = b_k . r_k, and
-    r_k^-1 b_k^-1 phi_k(x) b_k r_k puts conj(b_k) o phi_k on the slot r_k."""
+    """Lazily, per factor k, the canonical (slot, part) of inner-by-g o psi,
+    the slot as syllables, for psi given by its parts and the translates
+    (b_k, r_k) of its conjugators by g = d^-1 (_translate): g_k . g =
+    b_k . r_k, and r_k^-1 b_k^-1 phi_k(x) b_k r_k puts conj(b_k) o phi_k on
+    the slot r_k."""
     for (b, slot), part in zip(translates, parts):
         if b is not None:
             part = system.part_compose(system.conjugation_part(b), part)
@@ -174,9 +176,10 @@ def _conjugated(system: FactorSystem, translates, parts):
 def _split_canonical(psi: PureSymmetricAuto):
     """psi == tuple_auto(words) o factor_only(parts), slots coset-canonical:
     the conjugated split with g = 1."""
+    system = psi.system
     phis, conjugators = zip(*psi.parts)
-    translates = _translate(conjugators, empty_word(psi.system))
-    return tuple(zip(*_conjugated(psi.system, translates, phis)))
+    slots, parts = zip(*_conjugated(system, _translate(system, conjugators, ()), phis))
+    return tuple(Word(system, s) for s in slots), parts
 
 
 def _star_split(system: FactorSystem, words, parts0):
@@ -184,16 +187,16 @@ def _star_split(system: FactorSystem, words, parts0):
 
     words and parts0 are psi's canonical split.  It exists exactly when
     every core of their star pin is empty: inner-by-g_L o psi is then
-    factor_only(parts), and witness = g_L^-1.  Raises NotAStabilizerError
-    at the first non-empty core otherwise.
+    factor_only(parts), and witness = g_L^-1, the pin's divisor.  Raises
+    NotAStabilizerError at the first non-empty core otherwise.
     """
-    g, translates = _star_pin(StarLabel(system, words))
+    d, translates = _star_pin(StarLabel(system, words))
     parts = []
     for k, (core, part) in enumerate(_conjugated(system, translates, parts0), start=1):
-        if core.syllables:
+        if core:
             raise NotAStabilizerError(k)
         parts.append(part)
-    return tuple(parts), g.inverse()
+    return tuple(parts), Word(system, d)
 
 
 @dataclass(frozen=True)
@@ -337,9 +340,11 @@ def _invert_factorization(system: FactorSystem, f: Factorization, slots) -> Pure
     W1^-1, ..., WK^-1 pushed onto slots, F^-1 on each slot, then c . h^-1
     on each slot c.  Empty slots give the inverse of f itself."""
     parts = [system.part_invert(p) for p in f.factor]
-    h_inv = f.inner.inverse()
+    h = f.inner.syllables
     slots = _push_moves(system, map(whitehead_inverse, f.whitehead), slots)
-    conjugators = [_apply_parts(parts, g) * h_inv for g in slots]
+    conjugators = [
+        Word(system, right_divide(system, _apply_parts(parts, g).syllables, h)) for g in slots
+    ]
     return PureSymmetricAuto(system, tuple(zip(parts, conjugators)))
 
 
@@ -460,11 +465,11 @@ def decompose_apex_stabilizer(psi: PureSymmetricAuto, i: int):
     words, parts0 = _split_canonical(psi)
     whiteheads = []
     parts = []
-    shifted = _conjugated(system, _translate(words, words[i - 1].inverse()), parts0)
+    shifted = _conjugated(system, _translate(system, words, words[i - 1].syllables), parts0)
     for j, (rest, part) in enumerate(shifted, start=1):
-        if rest.syllables:
-            if len(rest.syllables) > 1 or rest.syllables[0][0] != i:
+        if rest:
+            if len(rest) > 1 or rest[0][0] != i:
                 raise NotAStabilizerError(j)
-            whiteheads.append(WhiteheadAuto(system, (j,), rest.syllables[0]))
+            whiteheads.append(WhiteheadAuto(system, (j,), rest[0]))
         parts.append(part)
     return whiteheads, tuple(parts)

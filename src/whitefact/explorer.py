@@ -8,16 +8,17 @@ backwards, so every tuple it meets is a labelling.
 
 Cost model: the work grows with the visited tuples, the splitting tuples
 within the syllable budget.  Each one below the full budget is expanded by
-n(n-1) slot pairs times the nontrivial elements of the pushing factor, one
-normal form each, and each is keyed once (star_key).  On Z2*Z2*Z2 the
-visited tuples number 244, 382, 574, 814, 1162 and 1630 at bounds 15 to 25,
-against 2815 in-budget tuples at bound 15 and 18 943 at bound 19.  Z3*Z4*Z2*Z2
-visits 45 304 at bound 14, taking 8.3 s and 106 MB peak RSS (CPython 3.11,
-2-vCPU shared host); MAX_VISITED caps a call near that size.  check_ball
-runs one reduction walk per star class and reads the class's
-factorization off it.  It pushes the inverse moves onto the class's own
-slots and recomposes the automorphism from the base, one kernel pass per
-move each, with one star_key per star class and one apex_key per A class.
+n(n-1) slot pairs, one right division each, times the nontrivial elements
+of the pushing factor, one merge test each, and each is keyed once
+(star_key).  On Z2*Z2*Z2 the visited tuples number 244, 382, 574, 814, 1162
+and 1630 at bounds 15 to 25, against 2815 in-budget tuples at bound 15 and
+18 943 at bound 19.  Z3*Z4*Z2*Z2 visits 45 304 at bound 14, taking 4.0 s
+and 75 MB peak RSS (CPython 3.11, 2-vCPU shared host); MAX_VISITED caps a
+call near that size.  check_ball runs one reduction walk per star class
+and reads the class's factorization off it.  It pushes the inverse moves
+onto the class's own slots and recomposes the automorphism from the base,
+one kernel pass per move each, with one star_key per star class and one
+apex_key per A class.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from .labellings import (
     volume,
 )
 from .reduction import reduce_to_base
-from .words import Word, normal_form, split_own_head
+from .words import Word, normal_form, right_divide
 
 MAX_VISITED = 50_000  # tuples one enumerate_ball may visit; see the cost model
 
@@ -79,35 +80,49 @@ def _grow_from_base(system, max_volume: int) -> list[tuple[Word, ...]]:
 
     Breadth-first from the base tuple by inverse folds (j, i, s): slot j
     becomes canonical(g_j . g_i^-1 s g_i) for s in G_i nontrivial, i != j,
-    kept when slot j gets longer and the volume stays in bound.
+    kept when slot j gets longer and the volume stays in bound.  The search
+    runs on syllable tuples, and Words are built once, at the end.  Per slot
+    pair, p = g_j g_i^-1 is one right division.  Slot i is canonical, so g_i
+    begins with no G_i syllable, and p s g_i is p, s, g_i as written unless
+    p ends in a G_i syllable t: then t s merges, and only when t s = 1 does
+    p s g_i need a normal form.
     """
     budget = (max_volume - system.n) // 2
-    letters = [
-        [(i, p) for p in system.nontrivial_payloads(i)]
-        for i in range(1, system.n + 1)
-    ]
-    base = base_label(system).conjugators
-    visited = {tuple(w.syllables for w in base): base}
+    payloads = [system.nontrivial_payloads(i) for i in range(1, system.n + 1)]
+    base = ((),) * system.n
+    visited = {base}
     frontier = [base]
     while frontier:
         grown_level = []
         for slots in frontier:
-            spare = budget - sum(len(w.syllables) for w in slots)
+            spare = budget - sum(map(len, slots))
+            if not spare:  # every fold adds a syllable
+                continue
             for i, gi in enumerate(slots, start=1):
-                head, tail = gi.inverse().syllables, gi.syllables
-                for s in letters[i - 1] if spare else ():  # every fold adds a syllable
-                    for j, gj in enumerate(slots, start=1):
-                        if j == i:
-                            continue
-                        new = normal_form(system, gj.syllables + head + (s,) + tail)
-                        new = split_own_head(new, j)[1]
-                        if not 0 < len(new.syllables) - len(gj.syllables) <= spare:
+                op, e = system.backends[i - 1].op, system.identity_payloads[i - 1]
+                for j, gj in enumerate(slots, start=1):
+                    if j == i:
+                        continue
+                    p = right_divide(system, gj, gi)
+                    if p and p[-1][0] == i:
+                        stem, t = p[:-1], p[-1][1]
+                        merged = (op(t, s) for s in payloads[i - 1])
+                        products = [
+                            stem + ((i, m),) + gi if m != e
+                            else normal_form(system, stem + gi).syllables
+                            for m in merged
+                        ]
+                    else:
+                        products = [p + ((i, s),) + gi for s in payloads[i - 1]]
+                    for new in products:
+                        if new and new[0][0] == j:
+                            new = new[1:]
+                        if not 0 < len(new) - len(gj) <= spare:
                             continue
                         grown = slots[: j - 1] + (new,) + slots[j:]
-                        key = tuple(w.syllables for w in grown)
-                        if key in visited:
+                        if grown in visited:
                             continue
-                        visited[key] = grown
+                        visited.add(grown)
                         grown_level.append(grown)
                         if len(visited) > MAX_VISITED:
                             raise EngineError(
@@ -115,7 +130,7 @@ def _grow_from_base(system, max_volume: int) -> list[tuple[Word, ...]]:
                                 f"visited {len(visited)} tuples, over the cap of {MAX_VISITED}"
                             )
         frontier = grown_level
-    return list(visited.values())
+    return [tuple(Word(system, g) for g in slots) for slots in visited]
 
 
 def enumerate_ball(system, max_volume: int) -> SnBall:

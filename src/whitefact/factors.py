@@ -403,6 +403,29 @@ class TableBackend(FactorBackend):
         return list(reps)
 
 
+LETTER_MEMO_CAP = 65_536
+"""Letters a letter memo keeps: FactorSystem.inverses here, and jsonio's
+letter texts.  Past it a memo computes without storing, so Z payloads and
+large cyclic orders cannot grow it without bound."""
+
+
+class _Inverses(dict):
+    """letter -> its inverse as an exact tuple, stored for the first
+    LETTER_MEMO_CAP letters.  A bad factor index raises system.factor's
+    FactorMismatchError."""
+
+    def __init__(self, system: "FactorSystem"):
+        super().__init__()
+        self.system = system
+
+    def __missing__(self, letter):
+        f, p = letter
+        inverse = (f, self.system.factor(f).inv(p))
+        if len(self) < LETTER_MEMO_CAP:
+            self[letter] = inverse
+        return inverse
+
+
 class FactorSystem:
     """Ordered tuple of factor backends; all engine values hang off one of these.
 
@@ -419,6 +442,7 @@ class FactorSystem:
         self.identity_payloads = tuple(b.identity_payload for b in self.backends)
         self.orders = tuple(b.order() for b in self.backends)
         self._hash = hash(self.signature)
+        self.inverses = _Inverses(self)  # read by words.Word.inverse and right_divide
 
     def __eq__(self, other):
         return isinstance(other, FactorSystem) and self.signature == other.signature
@@ -459,8 +483,7 @@ class FactorSystem:
         return (f, self.factor(f).op(p, q))
 
     def inverse(self, a: tuple[int, int]) -> tuple[int, int]:
-        f, p = a
-        return (f, self.factor(f).inv(p))
+        return self.inverses[a]
 
     def nontrivial_payloads(self, i: int) -> list[int]:
         backend = self.factor(i)

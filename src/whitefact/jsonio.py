@@ -31,9 +31,9 @@ plain ints, so the bytes equal dumps of the word.  The fragments come from
 _letter_text, a memo keyed by letter: a finite factor's alphabet is small,
 so it is full after a warm-up even though every word is new, and a
 geodesic's vertices, which share their reps' suffixes, format no letter
-twice.  It keeps at most LETTER_MEMO_CAP letters and past that formats
-without storing, so Z payloads and large cyclic orders cannot grow it
-without bound.
+twice.  It keeps at most LETTER_MEMO_CAP letters, the cap that
+FactorSystem.inverses shares, and past that formats without storing, so Z
+payloads and large cyclic orders cannot grow it without bound.
 """
 
 from __future__ import annotations
@@ -50,6 +50,7 @@ from .autos import (
 from .errors import EngineError, SchemaError, UnprintableAnswerError
 from .explorer import SnBall
 from .factors import (
+    LETTER_MEMO_CAP,
     CyclicBackend,
     FactorAutoPart,
     FactorSystem,
@@ -211,9 +212,6 @@ def word_from_json(system: FactorSystem, obj) -> Word:
     if error is not None:
         raise SchemaError(str(error)) from error
     return normal_form(system, letters)
-
-
-LETTER_MEMO_CAP = 65_536  # letters _letter_text keeps; see the module docstring
 
 
 class _LetterText(dict):

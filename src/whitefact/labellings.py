@@ -8,16 +8,17 @@ slot's own factor absorbed).
 Class identity is decided by one hashable key per class kind, so two
 labellings are equivalent exactly when their keys are equal:
 
-- star_key translates L by g_L = g_1^-1 a^-1, where a is the trailing G_1
-  syllable of g_2 g_1^-1, and takes the canonical slots.  Slot 1 is pinned:
-  the translates with slot 1 in G_1 are g_1^-1 G_1.  Among them only g_L
-  leaves slot 2's coset rep ending in no G_1 syllable, because the
-  G_1-stabilizer of slot 2's core is trivial (conjugates of distinct
-  factors meet trivially).  So every member of a class reaches the same
-  translate, and the key is complete.  Equal keys certify the witness
-  g = g_{L1} g_{L2}^-1 on their own: slot j of L1 . g_{L1} and of
-  L2 . g_{L2} differ by a G_j syllable on the left, so L1_j . g is that
-  G_j element times L2_j and conjugates G_j onto the same subgroup.
+- star_key translates L by g_L = d^-1, where d = a g_1 and a is the
+  trailing G_1 syllable of g_2 g_1^-1, and takes the canonical slots.  Slot
+  1 is pinned: the translates with slot 1 in G_1 are g_1^-1 G_1.  Among
+  them only g_L leaves slot 2's coset rep ending in no G_1 syllable,
+  because the G_1-stabilizer of slot 2's core is trivial (conjugates of
+  distinct factors meet trivially).  So every member of a class reaches
+  the same translate, and the key is complete.  Equal keys certify the
+  witness g = g_{L1} g_{L2}^-1 = d_1^-1 d_2 on their own: slot j of
+  L1 . g_{L1} and of L2 . g_{L2} differ by a G_j syllable on the left, so
+  L1_j . g is that G_j element times L2_j and conjugates G_j onto the same
+  subgroup.
 - apex_key is the apex i plus, for each other slot j, the double-coset
   core of g_j g_i^-1.  Translating by g_i^-1 puts G_i itself at the hub;
   the remaining freedom is G_j on the left of slot j and G_i on its right,
@@ -28,10 +29,17 @@ The double-coset core rule underpins both keys: stripping at most one
 leading G_j syllable and one trailing G_i syllable from a normal form
 yields a canonical representative of the double coset G_j w G_i.
 
-Translating a tuple by g has one rule, _translate: slot j times g splits
-into its leading G_j syllable and the canonical slot.  star_key,
-star_equivalent, is_base, volume at a basepoint and the splits in autos
-all read it, lazily, so a decision stops at the first core that settles it.
+Every translate here is by an inverse d^-1: the pin's g_L, g_i^-1 for an
+apex, x^-1 for a basepoint, 1 for a canonical split.  So a translate is one
+right division, words.right_divide(g_j, d), on syllable tuples, and
+_translate splits each slot's quotient into its leading G_j syllable and
+the canonical slot, both as syllables; only autos._split_canonical, which
+keeps the slots, builds Words of them.  star_key, star_equivalent,
+is_base, volume at a basepoint and the splits in autos all read it,
+lazily, so a decision stops at the first core that settles it; apex_key
+divides and strips each core on tuples.  Right division skips word_mul's
+system check, so every slot word and divisor is checked against the
+labelling's system first.
 """
 
 from __future__ import annotations
@@ -42,7 +50,7 @@ from typing import Iterator, Sequence
 
 from .errors import SystemMismatchError
 from .factors import FactorSystem
-from .words import Word, empty_word, split_own_head
+from .words import Word, _split_head, _syllables_in, empty_word, right_divide, split_own_head
 
 
 @dataclass(frozen=True)
@@ -92,78 +100,89 @@ def base_label(system: FactorSystem) -> StarLabel:
     return StarLabel(system, tuple(empty_word(system) for _ in range(system.n)))
 
 
+def _double_coset_core(s: tuple, lead: int, trail: int) -> tuple:
+    """double_coset_core on syllable tuples.  The head strip is written out,
+    not a _split_head call: apex_key runs it per slot, and the call made
+    apex_key about a quarter slower."""
+    if s and s[0][0] == lead:
+        s = s[1:]
+    if s and s[-1][0] == trail:
+        s = s[:-1]
+    return s
+
+
 def double_coset_core(w: Word, lead: int, trail: int) -> Word:
     """Canonical representative of G_lead . w . G_trail."""
-    core = split_own_head(w, lead)[1]
-    if core.trailing_factor() == trail:
-        return Word(w.system, core.syllables[:-1])
-    return core
+    return Word(w.system, _double_coset_core(w.syllables, lead, trail))
 
 
 def _translate(
-    words: Sequence[Word], g: Word, start: int = 1
-) -> Iterator[tuple[tuple[int, int] | None, Word]]:
+    system: FactorSystem, words: Sequence[Word], d: tuple, start: int = 1
+) -> Iterator[tuple[tuple[int, int] | None, tuple]]:
     """Lazily, per slot j (the first numbered start), (b_j, r_j) =
-    split_own_head(g_j . g, j): the stripped G_j head and the canonical slot
-    of the translate by g."""
-    return (split_own_head(w * g, j) for j, w in enumerate(words, start=start))
+    split_own_head(g_j . d^-1, j) on syllable tuples: the stripped G_j head
+    and the canonical slot of the translate by d^-1, for d a syllable tuple
+    over system."""
+    for j, w in enumerate(words, start=start):
+        yield _split_head(right_divide(system, _syllables_in(system, w), d), j)
 
 
-def _star_pin(L: StarLabel) -> tuple[Word, Iterator[tuple[tuple[int, int] | None, Word]]]:
-    """g_L and the translate of L by g_L.
+def _star_pin(L: StarLabel) -> tuple[tuple, Iterator[tuple[tuple[int, int] | None, tuple]]]:
+    """The divisor d = g_L^-1 as syllables, and the translate of L by g_L.
 
-    g_L = g_1^-1 a^-1, where a is the trailing G_1 syllable of
-    w = g_2 g_1^-1 (the identity when w has none).  L . g_L has slot 1 in
-    G_1, and its slot-2 coset rep is the core of w, which ends in no G_1
-    syllable; every other translate with slot 1 in G_1 ends slot 2 in one,
-    so g_L is determined by the class.  The cores are the translate's
-    canonical slots; callers that decide on one core stop there.
+    d = a g_1, where a is the trailing G_1 syllable of w = g_2 g_1^-1 (the
+    identity when w has none).  L . g_L has slot 1 in G_1, and its slot-2
+    coset rep is the core of w, which ends in no G_1 syllable; every other
+    translate with slot 1 in G_1 ends slot 2 in one, so d is determined by
+    the class.  The cores are the translate's canonical slots; callers that
+    decide on one core stop there.
 
-    The first two translates are read off w, so w is the only product
-    before slot 3: slot 1 becomes g_1 g_L = a^-1, split as (a^-1, 1), and
-    slot 2 becomes g_2 g_L = w a^-1, which is w with its trailing a
-    dropped.  Slot 1 is canonical, as in every StarLabel, so g_1^-1 ends in
-    no G_1 syllable and g_1^-1 a^-1 is already reduced as written.
+    The first two translates are read off w, so w is the only quotient
+    before slot 3: slot 1 becomes g_1 d^-1 = a^-1, split as (a^-1, 1), and
+    slot 2 becomes g_2 d^-1 = w a^-1, which is w with its trailing a
+    dropped.  Slot 1 is canonical, as in every StarLabel, so g_1 begins
+    with no G_1 syllable and a g_1 is already reduced as written.
     """
     system = L.system
-    g = L.slot(1).inverse()
-    w = L.slot(2) * g
-    a_inv = None
-    if w.trailing_factor() == 1:
-        a_inv = system.inverse(w.syllables[-1])
-        g = Word(system, g.syllables + (a_inv,))
-        w = Word(system, w.syllables[:-1])
-    pinned = ((a_inv, empty_word(system)), split_own_head(w, 2))
-    return g, chain(pinned, _translate(L.conjugators[2:], g, start=3))
+    g1 = _syllables_in(system, L.slot(1))
+    w = right_divide(system, _syllables_in(system, L.slot(2)), g1)
+    d, a_inv = g1, None
+    if w and w[-1][0] == 1:
+        d = w[-1:] + g1
+        a_inv = system.inverses[w[-1]]
+        w = w[:-1]
+    pinned = ((a_inv, ()), _split_head(w, 2))
+    return d, chain(pinned, _translate(system, L.conjugators[2:], d, start=3))
 
 
 def star_key(L: StarLabel) -> tuple:
     """Complete class invariant: the canonical slots of L . g_L as syllables."""
-    return tuple(core.syllables for _, core in _star_pin(L)[1])
+    return tuple(core for _, core in _star_pin(L)[1])
 
 
 def star_equivalent(L1: StarLabel, L2: StarLabel) -> Word | None:
     """Equivalence of star labellings; returns the witness conjugator
-    g = g_{L1} g_{L2}^-1 with G_j^{L2_j} = G_j^{L1_j . g} for all j."""
+    g = g_{L1} g_{L2}^-1 = d_1^-1 d_2 with G_j^{L2_j} = G_j^{L1_j . g} for
+    all j."""
     if L1.system != L2.system:
         raise SystemMismatchError("labels belong to different factor systems")
-    g1, cores1 = _star_pin(L1)
-    g2, cores2 = _star_pin(L2)
-    if any(c1.syllables != c2.syllables for (_, c1), (_, c2) in zip(cores1, cores2)):
+    d1, cores1 = _star_pin(L1)
+    d2, cores2 = _star_pin(L2)
+    if any(c1 != c2 for (_, c1), (_, c2) in zip(cores1, cores2)):
         return None
-    return g1 * g2.inverse()
+    return Word(L1.system, d1).inverse() * Word(L1.system, d2)
 
 
 def apex_key(M: ApexLabel) -> tuple:
     """Complete class invariant: the apex i, then per non-apex slot j the
     syllables of the double-coset core of g_j g_i^-1 in G_j . G_i."""
-    i = M.apex
-    shift = M.slot(i).inverse()
-    return (i,) + tuple(
-        double_coset_core(M.slot(j) * shift, lead=j, trail=i).syllables
-        for j in range(1, M.system.n + 1)
-        if j != i
-    )
+    system, i = M.system, M.apex
+    gi = _syllables_in(system, M.slot(i))
+    key = [i]
+    for j, w in enumerate(M.conjugators, start=1):
+        if j != i:
+            key.append(_double_coset_core(right_divide(system, _syllables_in(system, w), gi), j, i))
+    return tuple(key)
 
 
 def apex_equivalent(M1: ApexLabel, M2: ApexLabel) -> bool:
@@ -198,12 +217,14 @@ def volume(L: StarLabel, x: Word | None = None) -> int:
     Translating by x^-1 moves U(x) to the root U(1), where C_i(r) sits at
     depth 2|r|+1, so no tree vertex is needed.
     """
-    slots = L.conjugators
-    if x is not None:
-        slots = [core for _, core in _translate(slots, x.inverse())]
-    return L.system.n + 2 * sum(w.syllable_count() for w in slots)
+    if x is None:
+        slots = [w.syllables for w in L.conjugators]
+    else:
+        d = _syllables_in(L.system, x)
+        slots = [core for _, core in _translate(L.system, L.conjugators, d)]
+    return L.system.n + 2 * sum(map(len, slots))
 
 
 def is_base(L: StarLabel) -> bool:
-    return not any(core.syllables for _, core in _star_pin(L)[1])
+    return not any(core for _, core in _star_pin(L)[1])
 

@@ -103,8 +103,12 @@ def find_fold(L: StarLabel) -> FoldWitness | None:
 def reduce_step(L: StarLabel) -> tuple[StarLabel, MoveRecord]:
     """Fold every spoke through the first fold's vertex: each slot k = p.s.g_i
     becomes p.g_i, dropping the volume by >= 2 per slot."""
+    return _reduce_step(L, volume(L))
+
+
+def _reduce_step(L: StarLabel, before: int) -> tuple[StarLabel, MoveRecord]:
+    """reduce_step for L of known volume before."""
     system = L.system
-    before = volume(L)
     if before == system.n:
         raise AlreadyBaseError("already base-equivalent: volume is minimal")
     fold = find_fold(L)
@@ -145,7 +149,7 @@ def reduce_to_base(L: StarLabel) -> tuple[StarLabel, tuple[MoveRecord, ...]]:
     moves: list[MoveRecord] = []
     current_volume = volume(current)
     while current_volume > L.system.n:
-        current, record = reduce_step(current)
+        current, record = _reduce_step(current, current_volume)
         moves.append(record)
         current_volume = record.volume_after
     return current, tuple(moves)

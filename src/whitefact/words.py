@@ -11,21 +11,53 @@ A syllable is a plain (factor, payload) tuple.  factors.FactorElement is
 the public constructor and equals, and hashes like, that tuple; every
 syllable the engine builds is the exact tuple, because CPython specializes
 indexing and unpacking on exact tuples only, and hot loops read f, p = s.
+
+Every product u . v^-1 in labellings, explorer and autos is one rule,
+right_divide, on syllable tuples: it cancels the common suffix and makes at
+most one merge, so it needs no normal_form.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .errors import OracleUnavailableError, SystemMismatchError
 from .factors import FactorSystem
 
 
-@dataclass(frozen=True)
 class Word:
+    """A reduced word over system: immutable, compared and hashed by
+    (system, syllables) as a frozen dataclass would be.  It is a slotted
+    class because explore builds about ten thousand Words a pass, and a
+    frozen dataclass's __init__ costs about 0.3 us more each."""
+
+    __slots__ = ("system", "syllables")
     system: FactorSystem
     syllables: tuple[tuple[int, int], ...]
+
+    def __init__(self, system: FactorSystem, syllables: tuple[tuple[int, int], ...]):
+        _set_system(self, system)
+        _set_syllables(self, syllables)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable Word")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an immutable Word")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.system, self.syllables) == (other.system, other.syllables)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.system, self.syllables))
+
+    def __repr__(self):
+        return f"Word(system={self.system!r}, syllables={self.syllables!r})"
+
+    def __reduce__(self):
+        return Word, (self.system, self.syllables)
 
     def syllable_count(self) -> int:
         return len(self.syllables)
@@ -40,8 +72,8 @@ class Word:
         return not self.syllables
 
     def inverse(self) -> "Word":
-        inv = self.system.inverse
-        return Word(self.system, tuple(inv(s) for s in reversed(self.syllables)))
+        inverses = self.system.inverses
+        return Word(self.system, tuple(map(inverses.__getitem__, reversed(self.syllables))))
 
     def __mul__(self, other: "Word") -> "Word":
         return word_mul(self, other)
@@ -55,9 +87,15 @@ class Word:
         return ".".join(parts)
 
 
-def _check_same_system(u: Word, v: Word) -> None:
-    if u.system is not v.system and u.system != v.system:
+_set_system = Word.system.__set__
+_set_syllables = Word.syllables.__set__
+
+
+def _syllables_in(system: FactorSystem, w: Word) -> tuple[tuple[int, int], ...]:
+    """w's syllables, once w is checked to belong to system."""
+    if w.system is not system and w.system != system:
         raise SystemMismatchError("words belong to different factor systems")
+    return w.syllables
 
 
 def normal_form(system: FactorSystem, letters: Iterable[tuple[int, int]]) -> Word:
@@ -85,12 +123,46 @@ def normal_form(system: FactorSystem, letters: Iterable[tuple[int, int]]) -> Wor
     return Word(system, tuple(out))
 
 
+def right_divide(
+    system: FactorSystem, a: tuple[tuple[int, int], ...], b: tuple[tuple[int, int], ...]
+) -> tuple[tuple[int, int], ...]:
+    """The syllables of a . b^-1 for the syllables a and b of reduced words.
+
+    Past their common suffix, a and b end in different syllables, or one of
+    them is empty.  Only those last syllables meet, and only when they lie
+    in one factor; then their quotient is nontrivial, and its neighbours lie
+    in other factors, so nothing cascades.  The caller checks that a and b
+    belong to system (_syllables_in).
+    """
+    if not b:
+        return a
+    if a and a[-1] == b[-1]:
+        k, m = 1, min(len(a), len(b))
+        while k < m and a[-k - 1] == b[-k - 1]:
+            k += 1
+        a, b = a[:-k], b[:-k]
+        if not b:
+            return a
+    tail = tuple(map(system.inverses.__getitem__, reversed(b)))
+    if a and a[-1][0] == tail[0][0]:
+        f = tail[0][0]
+        merged = system.backends[f - 1].op(a[-1][1], tail[0][1])
+        return a[:-1] + ((f, merged),) + tail[1:]
+    return a + tail
+
+
 def split_own_head(w: Word, j: int) -> tuple[tuple[int, int] | None, Word]:
     """(b, r) with w = b . r: b is w's leading G_j syllable (None when it has
     none) and r the canonical rep of the right coset G_j w."""
-    if w.syllables and w.syllables[0][0] == j:
-        return w.syllables[0], Word(w.system, w.syllables[1:])
-    return None, w
+    b, r = _split_head(w.syllables, j)
+    return (None, w) if b is None else (b, Word(w.system, r))
+
+
+def _split_head(s: tuple, j: int) -> tuple[tuple[int, int] | None, tuple]:
+    """split_own_head on syllable tuples."""
+    if s and s[0][0] == j:
+        return s[0], s[1:]
+    return None, s
 
 
 def word(system: FactorSystem, pairs: Sequence[tuple[int, int]]) -> Word:
@@ -110,7 +182,7 @@ def letter(system: FactorSystem, element: tuple[int, int]) -> Word:
 
 
 def word_mul(u: Word, v: Word) -> Word:
-    _check_same_system(u, v)
+    _syllables_in(u.system, v)
     if not u.syllables:
         return v
     if not v.syllables:

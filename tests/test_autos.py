@@ -1176,3 +1176,24 @@ class TestWhiteheadKernel:
         assert compose(whitehead_to_auto(second), whitehead_to_auto(first)) == whitehead_to_auto(
             joined
         )
+
+
+class TestForeignConjugator:
+    """Every split of psi translates its conjugators by right division, which
+    skips word_mul's system check, so a conjugator from another system
+    raises before any split is read."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_every_split_raises(self, triple_z2, z342, k):
+        parts = [(triple_z2.part_identity(j), empty_word(triple_z2)) for j in range(1, 4)]
+        parts[k - 1] = (triple_z2.part_identity(k), word(z342, [(k % 3 + 1, 1)]))
+        psi = PureSymmetricAuto(triple_z2, tuple(parts))
+        splits = (
+            factorize,
+            is_inner,
+            decompose_star_stabilizer,
+            lambda psi: decompose_apex_stabilizer(psi, 1),
+        )
+        for split in splits:
+            with pytest.raises(SystemMismatchError):
+                split(psi)

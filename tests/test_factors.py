@@ -4,6 +4,7 @@ import pytest
 
 from whitefact.errors import FactorMismatchError
 from whitefact.factors import (
+    LETTER_MEMO_CAP,
     CyclicBackend,
     FactorAutoPart,
     FactorElement,
@@ -157,6 +158,40 @@ class TestFactorElement:
         assert FactorElement(1, 2) == (1, 2)
         assert FactorElement(1, 2) != FactorElement(1, 3)
         assert FactorElement(1, 2) != FactorAutoPart(1, 2)
+
+
+class TestInverseMemo:
+    """FactorSystem.inverses: exact-tuple inverses, system.factor's error
+    for a bad factor index, and at most LETTER_MEMO_CAP letters kept."""
+
+    def test_factor_element_keys_give_exact_tuples(self, mixed_system):
+        for x, want in (
+            (FactorElement(1, idx("(123)")), (1, idx("(132)"))),
+            (FactorElement(2, 1), (2, 1)),
+            (FactorElement(3, -(10**30)), (3, 10**30)),
+        ):
+            for got in (mixed_system.inverses[x], mixed_system.inverse(x)):
+                assert got == want and type(got) is tuple
+            assert mixed_system.inverses[want] == tuple(x)
+
+    @pytest.mark.parametrize("factor", [0, 4, -1])
+    def test_bad_factor_index(self, mixed_system, factor):
+        with pytest.raises(FactorMismatchError) as want:
+            mixed_system.factor(factor)
+        for lookup in (mixed_system.inverses.__getitem__, mixed_system.inverse):
+            with pytest.raises(FactorMismatchError) as caught:
+                lookup((factor, 1))
+            assert str(caught.value) == str(want.value)
+        assert (factor, 1) not in mixed_system.inverses
+
+    def test_memo_stays_at_its_cap(self):
+        system = FactorSystem([CyclicBackend(2), CyclicBackend(3), IntBackend()])
+        memo = system.inverses
+        for p in range(1, LETTER_MEMO_CAP + 1000):
+            assert memo[(3, p)] == (3, -p)
+        assert len(memo) == LETTER_MEMO_CAP
+        assert memo[(2, 1)] == (2, 2) and memo[(3, -(10**30))] == (3, 10**30)
+        assert len(memo) == LETTER_MEMO_CAP
 
 
 class TestAutomorphismParts:

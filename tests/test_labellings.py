@@ -3,8 +3,11 @@ import random
 import pytest
 
 from whitefact.autos import inner_auto, whitehead_auto, whitehead_to_auto
+from whitefact.errors import SystemMismatchError
 from whitefact.factors import FactorElement
 from whitefact.labellings import (
+    ApexLabel,
+    StarLabel,
     _star_pin,
     act_on_label,
     apex_equivalent,
@@ -538,7 +541,7 @@ def pin_candidates(system, rng, count):
 
 class TestStarPin:
     """The pin reads its first two translates off w and gives the product
-    pin's g_L, translates, star_key and is_base."""
+    pin's g_L (as the divisor d = g_L^-1), translates, star_key and is_base."""
 
     @pytest.mark.parametrize("fixture", KEY_SYSTEMS)
     def test_matches_old_pin(self, request, fixture):
@@ -548,13 +551,41 @@ class TestStarPin:
         bases = 0
         for words in pin_candidates(system, rng, 300):
             L = star_label(system, words)
-            g, translates = _star_pin(L)
+            d, translates = _star_pin(L)
             old_g, old_translates = old_star_pin(L)
-            assert g == old_g
-            assert list(translates) == old_translates
+            assert Word(system, d).inverse() == old_g
+            assert list(translates) == [(b, core.syllables) for b, core in old_translates]
             assert star_key(L) == tuple(core.syllables for _, core in old_translates)
             assert is_base(L) == (not any(core.syllables for _, core in old_translates))
             w = L.slot(2) * L.slot(1).inverse()
             seen.add((w.trailing_factor() == 1, L.slot(1).is_identity()))
             bases += is_base(L)
         assert len(seen) == 4 and bases > 0
+
+
+class TestSystemMismatch:
+    """Right division skips word_mul's system check, so every caller that
+    translates or divides checks its words against the labelling's system."""
+
+    def test_volume_at_a_foreign_basepoint(self, triple_z2, z342):
+        L = star_label(triple_z2, [word(triple_z2, [(2, 1)]), empty_word(triple_z2), empty_word(triple_z2)])
+        for x in (word(z342, [(1, 1)]), empty_word(z342)):
+            with pytest.raises(SystemMismatchError):
+                volume(L, x)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_star_pin_with_a_foreign_slot(self, triple_z2, z342, k):
+        slots = [empty_word(triple_z2)] * 3
+        slots[k - 1] = word(z342, [(k % 3 + 1, 1)])
+        L = StarLabel(triple_z2, tuple(slots))
+        for decide in (star_key, is_base, lambda L: star_equivalent(L, L)):
+            with pytest.raises(SystemMismatchError):
+                decide(L)
+
+    @pytest.mark.parametrize("apex", [1, 2, 3])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_apex_key_with_a_foreign_slot(self, triple_z2, z342, apex, k):
+        slots = [word(triple_z2, [(j % 3 + 1, 1)]) for j in range(1, 4)]
+        slots[k - 1] = word(z342, [(k % 3 + 1, 1)])
+        with pytest.raises(SystemMismatchError):
+            apex_key(ApexLabel(triple_z2, apex, tuple(slots)))

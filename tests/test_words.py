@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import random
 
 import pytest
@@ -15,13 +17,19 @@ from whitefact.factors import (
     IntBackend,
     TableBackend,
 )
+from whitefact.labellings import _translate
 from whitefact.words import (
+    Word,
     empty_word,
     enumerate_words,
     normal_form,
+    right_divide,
+    split_own_head,
     word,
     word_mul,
 )
+
+from test_jsonio import WIRE_SYSTEMS
 
 
 @pytest.fixture(scope="module")
@@ -267,6 +275,106 @@ class TestSyllablesAreExactTuples:
             obj = [[f, p + rng.choice([0, 0, 5, -6])] for f, p in self.random_letters(system, rng, 20)]
             obj = [[f, p] for f, p in obj if system.factor(f).kind != "table" or 0 <= p < 6]
             self.assert_exact(jsonio.word_from_json(system, obj).syllables)
+
+
+def random_reduced(system, rng, count):
+    """Syllables of a reduced word from count random letters; Z payloads up
+    to 10^30 in size."""
+    letters = []
+    for _ in range(count):
+        f = rng.randint(1, system.n)
+        order = system.orders[f - 1]
+        if order is not None:
+            p = rng.randrange(order)
+        else:
+            p = rng.choice([rng.randint(-3, 3), rng.randint(-(10**30), 10**30)])
+        letters.append((f, p))
+    return normal_form(system, letters).syllables
+
+
+def divided_by_normal_form(system, a, b):
+    """a . b^-1 through normal_form, with inverses from the backends."""
+    b_inv = tuple((f, system.factor(f).inv(p)) for f, p in reversed(b))
+    return normal_form(system, a + b_inv).syllables
+
+
+class TestRightDivide:
+    """right_divide(system, a, b) is the syllables of normal_form(a . b^-1)."""
+
+    @staticmethod
+    def pairs(system, rng):
+        """A random pair, then the edge cases built from it."""
+        x, y = random_reduced(system, rng, rng.randint(0, 8)), random_reduced(system, rng, 6)
+        a = normal_form(system, y + x).syllables  # x, or what is left of it, is a suffix
+        k = rng.randint(0, len(a))
+        yield "random", x, y
+        yield "equal", x, x
+        yield "a empty", (), x
+        yield "b empty", x, ()
+        yield "b suffix of a", a, a[k:]
+        yield "a suffix of b", a[k:], a
+        if x:  # same last factor, different last syllable
+            f, p = x[-1]
+            if system.orders[f - 1] is None:
+                others = [-p]
+            else:
+                others = [q for q in system.nontrivial_payloads(f) if q != p]
+            b = normal_form(system, y + x[:-1]).syllables
+            if others and (not b or b[-1][0] != f):
+                yield "same last factor", x, b + ((f, rng.choice(others)),)
+
+    @pytest.mark.parametrize("name", sorted(WIRE_SYSTEMS))
+    def test_matches_normal_form(self, name):
+        system = WIRE_SYSTEMS[name]
+        rng = random.Random(47)
+        seen = set()
+        for _ in range(400):
+            for case, a, b in self.pairs(system, rng):
+                got = right_divide(system, a, b)
+                assert got == divided_by_normal_form(system, a, b), (case, a, b)
+                assert type(got) is tuple
+                assert all(type(s) is tuple and len(s) == 2 for s in got)
+                seen.add(case)
+        assert len(seen) == 7
+
+    @pytest.mark.parametrize("name", sorted(WIRE_SYSTEMS))
+    def test_translate_by_one_is_the_own_split(self, name):
+        system = WIRE_SYSTEMS[name]
+        rng = random.Random(53)
+        for _ in range(50):
+            words = [Word(system, random_reduced(system, rng, 5)) for _ in range(system.n)]
+            want = [split_own_head(w, j) for j, w in enumerate(words, start=1)]
+            assert list(_translate(system, words, ())) == [(b, r.syllables) for b, r in want]
+
+
+class TestWordIsAValue:
+    """Word keeps the frozen dataclass's repr, hash, equality and
+    immutability, and survives pickling and copying."""
+
+    def test_repr_hash_and_equality(self, k3):
+        twin = FactorSystem([CyclicBackend(2), CyclicBackend(2), CyclicBackend(2)])
+        w = word(k3, [(1, 1), (2, 1)])
+        assert repr(w) == (
+            "Word(system=FactorSystem(Z2, Z2, Z2), syllables=((1, 1), (2, 1)))"
+        )
+        assert hash(w) == hash((k3, ((1, 1), (2, 1))))
+        assert twin is not k3 and w == Word(twin, ((1, 1), (2, 1)))
+        assert w != Word(k3, ((1, 1),)) and w != ((1, 1), (2, 1))
+        assert len({w, Word(twin, w.syllables)}) == 1
+
+    def test_fields_cannot_change(self, k3):
+        w = word(k3, [(1, 1)])
+        for name, value in (("syllables", ()), ("system", k3), ("other", 1)):
+            with pytest.raises(AttributeError):
+                setattr(w, name, value)
+        with pytest.raises(AttributeError):
+            del w.syllables
+        assert w.syllables == ((1, 1),)
+
+    def test_pickle_and_copy(self, mixed_system):
+        w = normal_form(mixed_system, [(1, 1), (3, -(10**30)), (2, 2)])
+        for twin in (pickle.loads(pickle.dumps(w)), copy.copy(w), copy.deepcopy(w)):
+            assert twin == w and type(twin) is Word
 
 
 def test_word_str_smoke(k3):
