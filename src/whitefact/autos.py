@@ -12,12 +12,12 @@ convention: the inner conjugation acts first, WK next, W1 last.
 
 Left-composing with a move (Y, x) is one rule, _push_moves: slot k of
 (Y, x) o psi is [x if k in Y] . (Y, x)(g_k), and every part stays.  The
-kernel _push_move sets a move up once and forms that normal form in one
-pass over each slot's syllables; Words are built only after the last move.
-It is the only code that applies a Whitehead move: invert and
-recompose_factorization push their move lists through it, and
-verify_factorization, evaluate_factorization and check_ball's homing
-checks read a recomposition.
+kernel _push_move takes each move as a pair (moved, element) and forms
+that normal form in one pass over each slot's syllables.  It is the only
+code that applies a Whitehead move, through two cores on syllable tuples:
+_recomposed_slots and _inverted_slots.  invert and recompose_factorization
+wrap their slots in Words; verify_factorization and check_ball's homing
+checks compare the tuples' canonical splits (_split_slots).
 
 Every split of psi is one rule, _conjugated: inner-by-d^-1 o psi has the
 conjugators g_k . d^-1, and each one's stripped G_k head b_k joins the
@@ -32,9 +32,9 @@ from dataclasses import dataclass
 
 from .errors import FactorMismatchError, NotAStabilizerError, SystemMismatchError
 from .factors import FactorAutoPart, FactorSystem
-from .labellings import StarLabel, _star_pin, _translate
+from .labellings import StarLabel, _slot_syllables, _star_pin, _translate
 from .reduction import reduce_to_base
-from .words import Word, empty_word, letter, normal_form, right_divide
+from .words import Word, _syllables_in, empty_word, letter, normal_form, right_divide
 
 
 @dataclass(frozen=True)
@@ -173,24 +173,29 @@ def _conjugated(system: FactorSystem, translates, parts):
         yield slot, part
 
 
+def _split_slots(system: FactorSystem, phis, slots):
+    """(r, parts) with tuple_auto(r) o factor_only(parts) the automorphism
+    with parts phis and conjugator syllables slots, each r_k coset-canonical
+    as syllables: the conjugated split with g = 1."""
+    return tuple(zip(*_conjugated(system, _translate(system, slots, ()), phis)))
+
+
 def _split_canonical(psi: PureSymmetricAuto):
-    """psi == tuple_auto(words) o factor_only(parts), slots coset-canonical:
-    the conjugated split with g = 1."""
+    """_split_slots of psi, its conjugators checked against its system."""
     system = psi.system
     phis, conjugators = zip(*psi.parts)
-    slots, parts = zip(*_conjugated(system, _translate(system, conjugators, ()), phis))
-    return tuple(Word(system, s) for s in slots), parts
+    return _split_slots(system, phis, _slot_syllables(system, conjugators))
 
 
-def _star_split(system: FactorSystem, words, parts0):
+def _star_split(system: FactorSystem, slots, parts0):
     """(parts, witness) with psi = inner-by-witness o factor_only(parts).
 
-    words and parts0 are psi's canonical split.  It exists exactly when
+    slots and parts0 are psi's canonical split.  It exists exactly when
     every core of their star pin is empty: inner-by-g_L o psi is then
     factor_only(parts), and witness = g_L^-1, the pin's divisor.  Raises
     NotAStabilizerError at the first non-empty core otherwise.
     """
-    d, translates = _star_pin(StarLabel(system, words))
+    d, translates = _star_pin(system, slots)
     parts = []
     for k, (core, part) in enumerate(_conjugated(system, translates, parts0), start=1):
         if core:
@@ -206,9 +211,10 @@ class Factorization:
     inner: Word
 
 
-def _push_move(w: WhiteheadAuto, slots, leads) -> list[tuple[tuple[int, int], ...]]:
-    """The Whitehead kernel: per syllable tuple g of slots and flag of
-    leads, the normal form of (Y, x)(g), or with the flag of x . (Y, x)(g).
+def _push_move(system: FactorSystem, move, slots, leads) -> list[tuple[tuple[int, int], ...]]:
+    """The Whitehead kernel: for move = (Y, x) as a pair, per syllable
+    tuple g of slots and flag of leads, the normal form of (Y, x)(g), or
+    with the flag of x . (Y, x)(g).
 
     Let x lie in G_i, x nontrivial and i not in Y.  The image replaces each
     syllable s of a factor in Y by x^-1 s x and keeps every other syllable.
@@ -228,11 +234,9 @@ def _push_move(w: WhiteheadAuto, slots, leads) -> list[tuple[tuple[int, int], ..
     the explore and factorize benchmarks 2-12 % slower (CPython 3.11 on a
     2-vCPU host).
     """
-    system = w.system
-    moved = w.moved
-    x = w.element
+    moved, x = move
     i = x[0]
-    x_inv = system.inverse(x)
+    x_inv = system.inverses[x]
     e = system.identity_payloads[i - 1]
     op = system.factor(i).op
     pushed = []
@@ -256,10 +260,10 @@ def _push_move(w: WhiteheadAuto, slots, leads) -> list[tuple[tuple[int, int], ..
     return pushed
 
 
-def _apply_parts(parts, word_in: Word) -> Word:
-    system = word_in.system
-    letters = [system.part_apply(parts[s[0] - 1], s) for s in word_in.syllables]
-    return normal_form(system, letters)
+def _apply_parts(system: FactorSystem, parts, syllables: tuple) -> tuple:
+    """The image of a word's syllables under the factor parts, as syllables."""
+    letters = [system.part_apply(parts[s[0] - 1], s) for s in syllables]
+    return normal_form(system, letters).syllables
 
 
 def factorize(psi: PureSymmetricAuto) -> Factorization:
@@ -270,18 +274,18 @@ def factorize(psi: PureSymmetricAuto) -> Factorization:
     labelling and _factorization_from_walk reads the moves off the walk.
     """
     system = psi.system
-    words, parts0 = _split_canonical(psi)
+    slots, parts0 = _split_canonical(psi)
     try:
-        parts, witness = _star_split(system, words, parts0)
+        parts, witness = _star_split(system, slots, parts0)
     except NotAStabilizerError:
         pass
     else:
         # psi = inner-by-witness o F, rewritten as F o inner with
         # inner = F^-1(witness).
-        h = _apply_parts([system.part_invert(p) for p in parts], witness)
-        return Factorization((), parts, h)
+        h = _apply_parts(system, [system.part_invert(p) for p in parts], witness.syllables)
+        return Factorization((), parts, Word(system, h))
 
-    _, moves = reduce_to_base(StarLabel(system, words))
+    _, moves = reduce_to_base(StarLabel(system, tuple(Word(system, g) for g in slots)))
     return _factorization_from_walk(system, moves, parts0)
 
 
@@ -311,21 +315,26 @@ def _factorization_from_walk(system: FactorSystem, moves, parts0) -> Factorizati
     return Factorization(tuple(whitehead), factor_parts, empty_word(system))
 
 
-def _push_moves(system: FactorSystem, moves, slots) -> list[Word]:
-    """Conjugators of Wm o ... o W1 o psi for psi with conjugators slots:
-    each move (Y, x), first to last, maps slot k to [x if k in Y] . (Y, x)(g_k)."""
-    syllables = [g.syllables for g in slots]
-    ks = range(1, len(syllables) + 1)
-    for w in moves:
-        syllables = _push_move(w, syllables, [k in w.moved for k in ks])
-    return [Word(system, g) for g in syllables]
+def _push_moves(system: FactorSystem, moves, slots) -> list[tuple[tuple[int, int], ...]]:
+    """Conjugator syllables of Wm o ... o W1 o psi for psi with conjugator
+    syllables slots: each move (Y, x), a pair (moved, element), first to
+    last, maps slot k to [x if k in Y] . (Y, x)(g_k)."""
+    ks = range(1, len(slots) + 1)
+    for move in moves:
+        slots = _push_move(system, move, slots, [k in move[0] for k in ks])
+    return slots
+
+
+def _recomposed_slots(system: FactorSystem, f: Factorization) -> list[tuple]:
+    """The slots of recompose_factorization(system, f) as syllable tuples."""
+    start = [_apply_parts(system, f.factor, _syllables_in(system, f.inner))] * system.n
+    return _push_moves(system, [(w.moved, w.element) for w in reversed(f.whitehead)], start)
 
 
 def recompose_factorization(system: FactorSystem, f: Factorization) -> PureSymmetricAuto:
     """W1 o ... o WK o F o inner-by-h: F o inner-by-h has every slot F(h),
     and WK, ..., W1 are pushed onto it in turn."""
-    start = [_apply_parts(f.factor, f.inner)] * system.n
-    slots = _push_moves(system, reversed(f.whitehead), start)
+    slots = [Word(system, g) for g in _recomposed_slots(system, f)]
     return PureSymmetricAuto(system, tuple(zip(f.factor, slots)))
 
 
@@ -335,23 +344,23 @@ def evaluate_factorization(system: FactorSystem, f: Factorization, w: Word) -> W
     return recompose_factorization(system, f).apply(w)
 
 
-def _invert_factorization(system: FactorSystem, f: Factorization, slots) -> PureSymmetricAuto:
-    """inner-by-h^-1 o F^-1 o WK^-1 o ... o W1^-1 o tuple_auto(slots):
-    W1^-1, ..., WK^-1 pushed onto slots, F^-1 on each slot, then c . h^-1
-    on each slot c.  Empty slots give the inverse of f itself."""
+def _inverted_slots(system: FactorSystem, f: Factorization, slots):
+    """(parts, slots) of inner-by-h^-1 o F^-1 o WK^-1 o ... o W1^-1 o
+    tuple_auto(slots), for slots given as syllable tuples: W1^-1, ..., WK^-1
+    pushed onto slots, F^-1 on each slot, then c . h^-1 on each slot c.
+    Empty slots give the inverse of f itself."""
     parts = [system.part_invert(p) for p in f.factor]
+    moves = [(w.moved, system.inverses[w.element]) for w in f.whitehead]
     h = f.inner.syllables
-    slots = _push_moves(system, map(whitehead_inverse, f.whitehead), slots)
-    conjugators = [
-        Word(system, right_divide(system, _apply_parts(parts, g).syllables, h)) for g in slots
-    ]
-    return PureSymmetricAuto(system, tuple(zip(parts, conjugators)))
+    pushed = _push_moves(system, moves, slots)
+    return parts, [right_divide(system, _apply_parts(system, parts, g), h) for g in pushed]
 
 
 def invert(psi: PureSymmetricAuto) -> PureSymmetricAuto:
     """Inverse automorphism, assembled from the Whitehead factorization."""
     system = psi.system
-    return _invert_factorization(system, factorize(psi), [empty_word(system)] * system.n)
+    parts, slots = _inverted_slots(system, factorize(psi), [()] * system.n)
+    return PureSymmetricAuto(system, tuple(zip(parts, (Word(system, g) for g in slots))))
 
 
 def verify_factorization(psi: PureSymmetricAuto, f: Factorization) -> bool:
@@ -406,20 +415,20 @@ def _first_fault(psi: PureSymmetricAuto, f: Factorization) -> tuple | None:
             message = system.part_validate(part)
             if message is not None:
                 return "{} part {}: {}", side, k, message
-    got_split = zip(*_split_canonical(recompose_factorization(system, f)))
+    got_split = zip(*_split_slots(system, f.factor, _recomposed_slots(system, f)))
     want_split = zip(*_split_canonical(psi))
     for k, ((r, phi), (r_psi, phi_psi)) in enumerate(zip(got_split, want_split), start=1):
-        if r.syllables == r_psi.syllables and phi == phi_psi:
+        if r == r_psi and phi == phi_psi:
             continue
         for payload in system.factor(k).generators():
             x = (k, payload)
             y, y_psi = system.part_apply(phi, x), system.part_apply(phi_psi, x)
-            if (r.syllables, y) != (r_psi.syllables, y_psi):
+            if (r, y) != (r_psi, y_psi):
                 return (
                     "generator {}: factorization gives {}, psi gives {}",
                     letter(system, x),
-                    Word(system, r.inverse().syllables + (y,) + r.syllables),
-                    Word(system, r_psi.inverse().syllables + (y_psi,) + r_psi.syllables),
+                    Word(system, right_divide(system, (), r) + (y,) + r),  # r^-1 y r
+                    Word(system, right_divide(system, (), r_psi) + (y_psi,) + r_psi),
                 )
     return None
 
@@ -462,10 +471,10 @@ def decompose_apex_stabilizer(psi: PureSymmetricAuto, i: int):
     """
     system = psi.system
     system.factor(i)
-    words, parts0 = _split_canonical(psi)
+    slots, parts0 = _split_canonical(psi)
     whiteheads = []
     parts = []
-    shifted = _conjugated(system, _translate(system, words, words[i - 1].syllables), parts0)
+    shifted = _conjugated(system, _translate(system, slots, slots[i - 1]), parts0)
     for j, (rest, part) in enumerate(shifted, start=1):
         if rest:
             if len(rest) > 1 or rest[0][0] != i:

@@ -1,6 +1,22 @@
-"""Exception types shared across the engine."""
+"""Exception types shared across the engine, and the clipping of outside
+text that their messages repeat."""
 
 import sys
+
+ECHO_CHARS = 80  # longest text from outside that an error message repeats
+
+
+def clip(text: str, size: int | None = None) -> str:
+    """text, past ECHO_CHARS characters cut to a prefix and its size."""
+    if len(text) <= ECHO_CHARS:
+        return text
+    return f"{text[:ECHO_CHARS]}... ({len(text) if size is None else size} characters)"
+
+
+def echo(value) -> str:
+    """repr(value) clipped; a string's size is its own length."""
+    shown = repr(value)
+    return clip(shown, len(value) if isinstance(value, str) else None)
 
 
 class EngineError(Exception):

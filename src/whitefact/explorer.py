@@ -10,38 +10,34 @@ Cost model: the work grows with the visited tuples, the splitting tuples
 within the syllable budget.  Each one below the full budget is expanded by
 n(n-1) slot pairs, one right division each, times the nontrivial elements
 of the pushing factor, one merge test each, and each is keyed once
-(star_key).  On Z2*Z2*Z2 the visited tuples number 244, 382, 574, 814, 1162
-and 1630 at bounds 15 to 25, against 2815 in-budget tuples at bound 15 and
-18 943 at bound 19.  Z3*Z4*Z2*Z2 visits 45 304 at bound 14, taking 4.0 s
-and 75 MB peak RSS (CPython 3.11, 2-vCPU shared host); MAX_VISITED caps a
-call near that size.  check_ball runs one reduction walk per star class
-and reads the class's factorization off it.  It pushes the inverse moves
-onto the class's own slots and recomposes the automorphism from the base,
-one kernel pass per move each, with one star_key per star class and one
-apex_key per A class.
+(_star_key), all on syllable tuples; only class representatives become
+Words.  On Z2*Z2*Z2 the visited tuples number 244, 382, 574, 814, 1162 and
+1630 at bounds 15 to 25, against 2815 in-budget tuples at bound 15 and
+18 943 at bound 19.  Z3*Z4*Z2*Z2 visits 45 304 at bound 14, taking
+2.7-3.2 s and 70 MB peak RSS (CPython 3.11, 2-vCPU shared host);
+MAX_VISITED caps a call near that size.  check_ball runs one reduction walk per star class
+and reads the class's factorization off it.  On syllable tuples, it pushes
+the inverse moves onto the class's own slots and recomposes the slots from
+the base, one kernel pass per move each, with two star keys per star class
+and one apex_key per A class.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .autos import (
-    _factorization_from_walk,
-    _invert_factorization,
-    _split_canonical,
-    recompose_factorization,
-)
+from .autos import _factorization_from_walk, _inverted_slots, _recomposed_slots, _split_slots
 from .errors import EngineError, NonSplittingError, OracleUnavailableError
 from .labellings import (
     ApexLabel,
     StarLabel,
+    _star_key,
+    _translate,
     apex_key,
     apex_label,
     base_label,
     collapses,
-    is_base,
     star_key,
-    star_label,
     volume,
 )
 from .reduction import reduce_to_base
@@ -69,20 +65,19 @@ class BallReport:
         return not self.failures
 
 
-def _tuple_sort_key(words):
+def _tuple_sort_key(slots):
     """Total length, then per slot its length and its (factor, payload) syllables."""
-    slots = tuple((len(w.syllables), w.syllables) for w in words)
-    return (sum(length for length, _ in slots), slots)
+    keyed = tuple((len(g), g) for g in slots)
+    return (sum(length for length, _ in keyed), keyed)
 
 
-def _grow_from_base(system, max_volume: int) -> list[tuple[Word, ...]]:
+def _grow_from_base(system, max_volume: int) -> list[tuple[tuple, ...]]:
     """Every splitting canonical slot tuple with volume at most max_volume.
 
     Breadth-first from the base tuple by inverse folds (j, i, s): slot j
     becomes canonical(g_j . g_i^-1 s g_i) for s in G_i nontrivial, i != j,
     kept when slot j gets longer and the volume stays in bound.  The search
-    runs on syllable tuples, and Words are built once, at the end.  Per slot
-    pair, p = g_j g_i^-1 is one right division.  Slot i is canonical, so g_i
+    runs on syllable tuples and returns them.  Per slot pair, p = g_j g_i^-1 is one right division.  Slot i is canonical, so g_i
     begins with no G_i syllable, and p s g_i is p, s, g_i as written unless
     p ends in a G_i syllable t: then t s merges, and only when t s = 1 does
     p s g_i need a normal form.
@@ -130,7 +125,7 @@ def _grow_from_base(system, max_volume: int) -> list[tuple[Word, ...]]:
                                 f"visited {len(visited)} tuples, over the cap of {MAX_VISITED}"
                             )
         frontier = grown_level
-    return [tuple(Word(system, g) for g in slots) for slots in visited]
+    return list(visited)
 
 
 def enumerate_ball(system, max_volume: int) -> SnBall:
@@ -153,11 +148,11 @@ def enumerate_ball(system, max_volume: int) -> SnBall:
         raise OracleUnavailableError("oracle requires finite factors")
     if max_volume < system.n:
         raise EngineError(f"volume bound {max_volume} below the minimum {system.n}")
-    reps: dict[tuple, StarLabel] = {}
+    reps: dict[tuple, tuple] = {}
     for slots in sorted(_grow_from_base(system, max_volume), key=_tuple_sort_key):
-        label = StarLabel(system, slots)
-        reps.setdefault(star_key(label), label)  # the least member of each class
-    alpha_reps = list(reps.values())
+        reps.setdefault(_star_key(system, slots), slots)  # the least member of each class
+    alpha_reps = [StarLabel(system, tuple(Word(system, g) for g in r)) for r in reps.values()]
+    del reps  # the keys of every class; on a ball near MAX_VISITED, about 6 MB
 
     a_reps: list[ApexLabel] = []
     a_index: dict[tuple, int] = {}
@@ -179,7 +174,8 @@ def check_ball(ball: SnBall) -> BallReport:
     the base class has exactly the n expected collapse neighbours, and that
     the automorphism read off each class's reduction walk, the same walk
     the volume checks run, really carries the class to the base cell and,
-    recomposed from its moves, is the class's own tuple automorphism.
+    recomposed from its moves, is the class's own tuple automorphism.  The
+    two homing checks read the tuple cores of autos and build no label.
     """
     report = BallReport()
     system = ball.system
@@ -240,13 +236,14 @@ def check_ball(ball: SnBall) -> BallReport:
         # parts, so its factorization is read off this walk.  Its inverse
         # psi acts on the class as psi o tuple_auto(slots) does on the base,
         # and must carry it there; recomposed, the walk's moves must give
-        # the split back
+        # the split back (the carried slots are made canonical first)
         walked = _factorization_from_walk(system, moves, identity)
-        carried = _invert_factorization(system, walked, label.conjugators)
-        if not is_base(star_label(system, [g for _, g in carried.parts])):
+        slots = tuple(g.syllables for g in label.conjugators)
+        carried = _inverted_slots(system, walked, slots)[1]
+        if any(_star_key(system, [r for _, r in _translate(system, carried, ())])):
             homing.append(f"alpha class #{alpha_index} is not carried to the base cell")
-        recomposed = _split_canonical(recompose_factorization(system, walked))
-        if recomposed != (label.conjugators, identity):
+        recomposed = _split_slots(system, walked.factor, _recomposed_slots(system, walked))
+        if recomposed != (slots, identity):
             homing.append(f"alpha class #{alpha_index} is not reached from the base cell")
     if base_index is None:
         report.failures.append("base class missing from the ball")

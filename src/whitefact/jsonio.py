@@ -47,7 +47,7 @@ from .autos import (
     pure_auto,
     whitehead_auto,
 )
-from .errors import EngineError, SchemaError, UnprintableAnswerError
+from .errors import EngineError, SchemaError, UnprintableAnswerError, echo
 from .explorer import SnBall
 from .factors import (
     LETTER_MEMO_CAP,
@@ -67,19 +67,6 @@ def dumps(obj) -> str:
         return json.dumps(obj, sort_keys=True, separators=(",", ":"))
     except ValueError as exc:  # past the int-string digit limit
         raise UnprintableAnswerError() from exc
-
-
-ECHO_CHARS = 80  # longest repr of an outside value that an error message repeats
-
-
-def echo(value) -> str:
-    """repr(value) for a one-line message: past ECHO_CHARS characters, a
-    prefix of it and the length of the string (or of the repr)."""
-    shown = repr(value)
-    if len(shown) <= ECHO_CHARS:
-        return shown
-    size = len(value) if isinstance(value, str) else len(shown)
-    return f"{shown[:ECHO_CHARS]}... ({size} characters)"
 
 
 def _expect(condition: bool, message: str) -> None:

@@ -33,13 +33,12 @@ Every translate here is by an inverse d^-1: the pin's g_L, g_i^-1 for an
 apex, x^-1 for a basepoint, 1 for a canonical split.  So a translate is one
 right division, words.right_divide(g_j, d), on syllable tuples, and
 _translate splits each slot's quotient into its leading G_j syllable and
-the canonical slot, both as syllables; only autos._split_canonical, which
-keeps the slots, builds Words of them.  star_key, star_equivalent,
-is_base, volume at a basepoint and the splits in autos all read it,
-lazily, so a decision stops at the first core that settles it; apex_key
-divides and strips each core on tuples.  Right division skips word_mul's
-system check, so every slot word and divisor is checked against the
-labelling's system first.
+the canonical slot, both as syllables.  It and the star pin take slot
+tuples, so explorer keys grown tuples with no label built (_star_key);
+star_equivalent and the splits in autos read it lazily, so a decision
+stops at the first core that settles it.  apex_key divides and strips
+each core on tuples.  Right division skips word_mul's system check, so
+the public functions check each slot word and divisor at entry.
 """
 
 from __future__ import annotations
@@ -116,19 +115,27 @@ def double_coset_core(w: Word, lead: int, trail: int) -> Word:
     return Word(w.system, _double_coset_core(w.syllables, lead, trail))
 
 
+def _slot_syllables(system: FactorSystem, words: Sequence[Word]) -> list[tuple]:
+    """The syllables of each slot word, each checked to belong to system."""
+    return [_syllables_in(system, w) for w in words]
+
+
 def _translate(
-    system: FactorSystem, words: Sequence[Word], d: tuple, start: int = 1
+    system: FactorSystem, slots: Sequence[tuple], d: tuple, start: int = 1
 ) -> Iterator[tuple[tuple[int, int] | None, tuple]]:
     """Lazily, per slot j (the first numbered start), (b_j, r_j) =
     split_own_head(g_j . d^-1, j) on syllable tuples: the stripped G_j head
-    and the canonical slot of the translate by d^-1, for d a syllable tuple
-    over system."""
-    for j, w in enumerate(words, start=start):
-        yield _split_head(right_divide(system, _syllables_in(system, w), d), j)
+    and the canonical slot of the translate by d^-1, for slots and d
+    syllable tuples over system."""
+    for j, g in enumerate(slots, start=start):
+        yield _split_head(right_divide(system, g, d), j)
 
 
-def _star_pin(L: StarLabel) -> tuple[tuple, Iterator[tuple[tuple[int, int] | None, tuple]]]:
-    """The divisor d = g_L^-1 as syllables, and the translate of L by g_L.
+def _star_pin(
+    system: FactorSystem, slots: Sequence[tuple]
+) -> tuple[tuple, Iterator[tuple[tuple[int, int] | None, tuple]]]:
+    """The divisor d = g_L^-1 and the translate of L by g_L, for L with the
+    canonical slots given, all as syllable tuples.
 
     d = a g_1, where a is the trailing G_1 syllable of w = g_2 g_1^-1 (the
     identity when w has none).  L . g_L has slot 1 in G_1, and its slot-2
@@ -140,37 +147,42 @@ def _star_pin(L: StarLabel) -> tuple[tuple, Iterator[tuple[tuple[int, int] | Non
     The first two translates are read off w, so w is the only quotient
     before slot 3: slot 1 becomes g_1 d^-1 = a^-1, split as (a^-1, 1), and
     slot 2 becomes g_2 d^-1 = w a^-1, which is w with its trailing a
-    dropped.  Slot 1 is canonical, as in every StarLabel, so g_1 begins
-    with no G_1 syllable and a g_1 is already reduced as written.
+    dropped.  Slot 1 is canonical, so g_1 begins with no G_1 syllable and
+    a g_1 is already reduced as written.
     """
-    system = L.system
-    g1 = _syllables_in(system, L.slot(1))
-    w = right_divide(system, _syllables_in(system, L.slot(2)), g1)
+    g1 = slots[0]
+    w = right_divide(system, slots[1], g1)
     d, a_inv = g1, None
     if w and w[-1][0] == 1:
         d = w[-1:] + g1
         a_inv = system.inverses[w[-1]]
         w = w[:-1]
     pinned = ((a_inv, ()), _split_head(w, 2))
-    return d, chain(pinned, _translate(system, L.conjugators[2:], d, start=3))
+    return d, chain(pinned, _translate(system, slots[2:], d, start=3))
+
+
+def _star_key(system: FactorSystem, slots: Sequence[tuple]) -> tuple:
+    """star_key on canonical slot tuples."""
+    return tuple(core for _, core in _star_pin(system, slots)[1])
 
 
 def star_key(L: StarLabel) -> tuple:
     """Complete class invariant: the canonical slots of L . g_L as syllables."""
-    return tuple(core for _, core in _star_pin(L)[1])
+    return _star_key(L.system, _slot_syllables(L.system, L.conjugators))
 
 
 def star_equivalent(L1: StarLabel, L2: StarLabel) -> Word | None:
     """Equivalence of star labellings; returns the witness conjugator
     g = g_{L1} g_{L2}^-1 = d_1^-1 d_2 with G_j^{L2_j} = G_j^{L1_j . g} for
     all j."""
-    if L1.system != L2.system:
+    system = L1.system
+    if L2.system != system:
         raise SystemMismatchError("labels belong to different factor systems")
-    d1, cores1 = _star_pin(L1)
-    d2, cores2 = _star_pin(L2)
+    d1, cores1 = _star_pin(system, _slot_syllables(system, L1.conjugators))
+    d2, cores2 = _star_pin(system, _slot_syllables(system, L2.conjugators))
     if any(c1 != c2 for (_, c1), (_, c2) in zip(cores1, cores2)):
         return None
-    return Word(L1.system, d1).inverse() * Word(L1.system, d2)
+    return Word(system, d1).inverse() * Word(system, d2)
 
 
 def apex_key(M: ApexLabel) -> tuple:
@@ -217,14 +229,11 @@ def volume(L: StarLabel, x: Word | None = None) -> int:
     Translating by x^-1 moves U(x) to the root U(1), where C_i(r) sits at
     depth 2|r|+1, so no tree vertex is needed.
     """
-    if x is None:
-        slots = [w.syllables for w in L.conjugators]
-    else:
-        d = _syllables_in(L.system, x)
-        slots = [core for _, core in _translate(L.system, L.conjugators, d)]
+    slots = _slot_syllables(L.system, L.conjugators)
+    if x is not None:
+        slots = [core for _, core in _translate(L.system, slots, _syllables_in(L.system, x))]
     return L.system.n + 2 * sum(map(len, slots))
 
 
 def is_base(L: StarLabel) -> bool:
-    return not any(core for _, core in _star_pin(L)[1])
-
+    return not any(star_key(L))

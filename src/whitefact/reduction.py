@@ -43,7 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import AlreadyBaseError, NonSplittingError
+from .errors import AlreadyBaseError, NonSplittingError, clip
 from .labellings import StarLabel, volume
 from .words import Word, normal_form, split_own_head
 
@@ -113,7 +113,7 @@ def _reduce_step(L: StarLabel, before: int) -> tuple[StarLabel, MoveRecord]:
         raise AlreadyBaseError("already base-equivalent: volume is minimal")
     fold = find_fold(L)
     if fold is None:
-        slots = ", ".join(str(w) for w in L.conjugators)
+        slots = clip(", ".join(str(w) for w in L.conjugators))
         raise NonSplittingError(
             "non-splitting input: no fold exists although volume exceeds n "
             f"(volume {before} at slots [{slots}])"

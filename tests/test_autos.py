@@ -8,6 +8,7 @@ from whitefact.autos import (
     Factorization,
     PureSymmetricAuto,
     WhiteheadAuto,
+    _inverted_slots,
     _push_move,
     _verification_failure,
     compose,
@@ -28,7 +29,7 @@ from whitefact.autos import (
     whitehead_inverse,
     whitehead_to_auto,
 )
-from whitefact.errors import NotAStabilizerError, SystemMismatchError
+from whitefact.errors import NonSplittingError, NotAStabilizerError, SystemMismatchError
 from whitefact.factors import (
     CyclicBackend,
     FactorAutoPart,
@@ -54,7 +55,7 @@ from whitefact.sampling import (
     random_word,
 )
 from whitefact.selfcheck import _mutate
-from whitefact.words import Word, empty_word, letter, normal_form, word
+from whitefact.words import Word, empty_word, letter, normal_form, right_divide, word
 
 from conftest import s3_table
 from test_reduction import assert_vertex_steps, single_slot_walk
@@ -65,6 +66,7 @@ from test_labellings import (
     old_star_witness,
     pin_candidates,
 )
+from test_words import random_reduced
 
 
 @pytest.fixture(scope="module")
@@ -1065,7 +1067,8 @@ class TestPureAutoValidation:
 
 def push(move, word_in, lead=False):
     """The kernel on one word: (Y, x)(word_in), or with lead x . (Y, x)(word_in)."""
-    return Word(move.system, _push_move(move, (word_in.syllables,), (lead,))[0])
+    pair = (move.moved, move.element)
+    return Word(move.system, _push_move(move.system, pair, (word_in.syllables,), (lead,))[0])
 
 
 def reference_apply_whitehead(w, word_in):
@@ -1197,3 +1200,106 @@ class TestForeignConjugator:
         for split in splits:
             with pytest.raises(SystemMismatchError):
                 split(psi)
+
+
+# -- the Word-level recomposition and inversion that the tuple cores
+# replaced, kept as oracles: each wraps every pushed slot in a Word
+
+
+def old_word_push_moves(system, moves, slots):
+    syllables = [g.syllables for g in slots]
+    ks = range(1, len(syllables) + 1)
+    for w in moves:
+        leads = [k in w.moved for k in ks]
+        syllables = _push_move(system, (w.moved, w.element), syllables, leads)
+    return [Word(system, g) for g in syllables]
+
+
+def old_word_recompose_factorization(system, f):
+    start = [old_apply_parts(f.factor, f.inner)] * system.n
+    slots = old_word_push_moves(system, reversed(f.whitehead), start)
+    return PureSymmetricAuto(system, tuple(zip(f.factor, slots)))
+
+
+def old_word_invert_factorization(system, f, slots):
+    parts = [system.part_invert(p) for p in f.factor]
+    h = f.inner.syllables
+    slots = old_word_push_moves(system, map(whitehead_inverse, f.whitehead), slots)
+    conjugators = [
+        Word(system, right_divide(system, old_apply_parts(parts, g).syllables, h)) for g in slots
+    ]
+    return PureSymmetricAuto(system, tuple(zip(parts, conjugators)))
+
+
+def old_word_verify(psi, f):
+    """Equal canonical splits: verify's answer when every part is an
+    automorphism and every factor has two elements or more."""
+    system = psi.system
+    return old_split_canonical(old_word_recompose_factorization(system, f)) == (
+        old_split_canonical(psi)
+    )
+
+
+def big_element(system, k, rng):
+    """A nontrivial element of G_k; on Z, of size up to 10^30 half the time."""
+    if system.orders[k - 1] is None and rng.random() < 0.5:
+        return (k, rng.choice([-1, 1]) * rng.randint(1, 10**30))
+    return random_nontrivial_element(system, k, rng)
+
+
+def big_factorization(system, rng):
+    """A random factorization whose Z elements and inner word reach 10^30."""
+    moves = []
+    for _ in range(rng.randint(0, 5)):
+        x = big_element(system, rng.randint(1, system.n), rng)
+        others = [j for j in range(1, system.n + 1) if j != x[0]]
+        moves.append(whitehead_auto(system, rng.sample(others, rng.randint(1, len(others))), x))
+    parts = tuple(random_part(system, k, rng) for k in range(1, system.n + 1))
+    return Factorization(tuple(moves), parts, Word(system, random_reduced(system, rng, 4)))
+
+
+class TestTupleCores:
+    """recompose_factorization, invert, verify_factorization and the
+    inversion check_ball reads give what the Word-level functions gave,
+    byte for byte, on splitting and non-splitting automorphisms."""
+
+    @pytest.mark.parametrize("fixture", KEY_SYSTEMS)
+    def test_matches_word_level(self, request, fixture):
+        system = request.getfixturevalue(fixture)
+        n = system.n
+        rng = random.Random(97)
+        seen = {"stuck": 0, "verified": 0, "refuted": 0}
+        for _ in range(60):
+            made = big_factorization(system, rng)
+            psi = old_word_recompose_factorization(system, made)
+            assert repr(recompose_factorization(system, made)) == repr(psi)
+            parts = [random_part(system, k, rng) for k in range(1, n + 1)]
+            drawn = pure_auto(
+                system, [(p, Word(system, random_reduced(system, rng, 4))) for p in parts]
+            )
+            for target in (psi, drawn):
+                try:
+                    fact = factorize(target)
+                except NonSplittingError as stuck:
+                    with pytest.raises(NonSplittingError) as raised:
+                        invert(target)
+                    assert str(raised.value) == str(stuck)
+                    seen["stuck"] += 1
+                    continue
+                eps = [empty_word(system)] * n
+                want = old_word_invert_factorization(system, fact, eps)
+                assert repr(invert(target)) == repr(want)
+                conjugators = [target.conjugator(k) for k in range(1, n + 1)]
+                want = old_word_invert_factorization(system, made, conjugators)
+                got_parts, got_slots = _inverted_slots(
+                    system, made, [g.syllables for g in conjugators]
+                )
+                assert tuple(got_parts) == tuple(p for p, _ in want.parts)
+                assert tuple(got_slots) == tuple(g.syllables for _, g in want.parts)
+                extra = letter(system, big_element(system, rng.randint(1, n), rng))
+                shifted = Factorization(fact.whitehead, fact.factor, fact.inner * extra)
+                for candidate in (fact, made, shifted):
+                    verified = old_word_verify(target, candidate)
+                    assert verify_factorization(target, candidate) == verified
+                    seen["verified" if verified else "refuted"] += 1
+        assert min(seen.values()) > 0

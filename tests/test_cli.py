@@ -112,6 +112,28 @@ class TestVolumeAndReduce:
         assert "non-splitting" in err
         assert "volume 7 at slots [1, 1, 2:1.3:1]" in err
 
+    @pytest.mark.parametrize("command", ["reduce", "factorize"])
+    @pytest.mark.parametrize("stuck", ["long", "wide"])
+    def test_nonsplitting_echo_is_bounded(self, capsys, command, stuck):
+        # G1^b, G2^a and G3 conjugated by a long word, or by a word with a Z
+        # letter of 4300 digits: no fold exists, and the slots text is clipped
+        system_obj = {"factors": [
+            {"kind": "cyclic", "order": 2}, {"kind": "cyclic", "order": 3}, {"kind": "int"},
+        ]}
+        system = jsonio.system_from_json(system_obj)
+        third = [(1, 1), (2, 1)] * 500 + [(3, 1)] if stuck == "long" else [(1, 1), (3, 10**4299)]
+        words = [word(system, [(2, 1)]), word(system, [(1, 1)]), word(system, third)]
+        slots = ", ".join(str(w) for w in words)
+        if command == "reduce":
+            argument = json.dumps({"alpha": [jsonio.word_to_json(w) for w in words]})
+        else:
+            argument = json.dumps(jsonio.auto_to_json(tuple_auto(system, words)))
+        code, out, err = run(capsys, "--system", json.dumps(system_obj), command, argument)
+        assert code == 1 and out == ""
+        assert err.startswith("error: non-splitting input: no fold exists")
+        assert err.count("\n") == 1 and len(err) <= 200
+        assert err.endswith(f"at slots [{slots[:80]}... ({len(slots)} characters)])\n")
+
 
 class TestFactorizeAndVerify:
     def test_factorize_identity(self, capsys, system_file, tmp_path):

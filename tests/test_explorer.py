@@ -1,9 +1,10 @@
 import dataclasses
+import hashlib
 import itertools
 
 import pytest
 
-from whitefact import autos, explorer, labellings
+from whitefact import autos, explorer, jsonio, labellings
 from whitefact.errors import EngineError, NonSplittingError, OracleUnavailableError
 from whitefact.explorer import SnBall, _grow_from_base, check_ball, enumerate_ball
 from whitefact.jsonio import sn_ball_to_json
@@ -174,12 +175,35 @@ class TestGrowth:
         expected = sn_ball_to_json(keyed_enumerate_ball(system, bound))
         assert sn_ball_to_json(enumerate_ball(system, bound)) == expected
 
+    @pytest.mark.parametrize(
+        "name, bound, counts, sha256",
+        [
+            (
+                "triple_z2", 15, (52, 105, 156),
+                "95eae12db32c372fcabb2a46893856077ab81c2c39c11db61c811efc2e52891a",
+            ),
+            (
+                "z3422", 8, (200, 567, 800),
+                "ddbed0bf182b69ee13284e1affabf8aa604005c2f70536a4f3eed73f89b09fb3",
+            ),
+            (
+                "s3_z2_z2", 9, (92, 185, 276),
+                "ae26a3776b33a8e5a231b3d217f32db40c9f7cb1a391c03c990512e3e52672a9",
+            ),
+        ],
+    )
+    def test_benchmark_balls_keep_their_bytes(self, request, name, bound, counts, sha256):
+        # the three balls of the explore benchmark; a change to the growth,
+        # the keys or the order of the representatives changes the hash
+        ball = enumerate_ball(request.getfixturevalue(name), bound)
+        assert (len(ball.alpha_classes), len(ball.a_classes), len(ball.edges)) == counts
+        text = jsonio.dumps(sn_ball_to_json(ball))
+        assert hashlib.sha256(text.encode()).hexdigest() == sha256
+
     @pytest.mark.parametrize("name, bound", [("triple_z2", 7), ("s3_z2_z2", 7)])
     def test_visits_exactly_the_splitting_tuples(self, request, name, bound):
         system = request.getfixturevalue(name)
-        grown = [
-            tuple(w.syllables for w in slots) for slots in _grow_from_base(system, bound)
-        ]
+        grown = list(_grow_from_base(system, bound))
         brute = [
             tuple(w.syllables for w in L.conjugators)
             for L in brute_splitting_tuples(system, bound)
@@ -340,12 +364,12 @@ class TestCheck:
 
     def test_unreached_class_flagged(self, triple_z2, monkeypatch):
         ball = enumerate_ball(triple_z2, 7)
-        recompose = explorer.recompose_factorization
+        recompose = explorer._recomposed_slots
 
         def drop_first_move(system, f):
             return recompose(system, dataclasses.replace(f, whitehead=f.whitehead[1:]))
 
-        monkeypatch.setattr(explorer, "recompose_factorization", drop_first_move)
+        monkeypatch.setattr(explorer, "_recomposed_slots", drop_first_move)
         report = check_ball(ball)
         moved = [k for k, label in enumerate(ball.alpha_classes) if volume(label) > 3]
         assert moved

@@ -260,7 +260,7 @@ class TestSyllablesAreExactTuples:
             move = whitehead_auto(system, rng.sample(others, 2), FactorElement(i, payload))
             assert type(move.element) is tuple
             slots = [normal_form(system, self.random_letters(system, rng, 12)).syllables] * 2
-            pushed = _push_move(move, slots, [True, False])
+            pushed = _push_move(system, (move.moved, move.element), slots, [True, False])
             kept = set(itertools.chain(*slots, [move.element, system.inverse(move.element)]))
             merged += sum(s not in kept for g in pushed for s in g)
             self.assert_exact(s for g in pushed for s in g)
@@ -344,7 +344,8 @@ class TestRightDivide:
         for _ in range(50):
             words = [Word(system, random_reduced(system, rng, 5)) for _ in range(system.n)]
             want = [split_own_head(w, j) for j, w in enumerate(words, start=1)]
-            assert list(_translate(system, words, ())) == [(b, r.syllables) for b, r in want]
+            slots = [w.syllables for w in words]
+            assert list(_translate(system, slots, ())) == [(b, r.syllables) for b, r in want]
 
 
 class TestWordIsAValue:
