@@ -34,7 +34,7 @@ from .errors import FactorMismatchError, NotAStabilizerError, SystemMismatchErro
 from .factors import FactorAutoPart, FactorSystem
 from .labellings import StarLabel, _slot_syllables, _star_pin, _translate
 from .reduction import reduce_to_base
-from .words import Word, _syllables_in, empty_word, letter, normal_form, right_divide
+from .words import Word, _normal_form, _syllables_in, empty_word, letter, normal_form, right_divide
 
 
 @dataclass(frozen=True)
@@ -262,8 +262,7 @@ def _push_move(system: FactorSystem, move, slots, leads) -> list[tuple[tuple[int
 
 def _apply_parts(system: FactorSystem, parts, syllables: tuple) -> tuple:
     """The image of a word's syllables under the factor parts, as syllables."""
-    letters = [system.part_apply(parts[s[0] - 1], s) for s in syllables]
-    return normal_form(system, letters).syllables
+    return _normal_form(system, [system.part_apply(parts[s[0] - 1], s) for s in syllables])
 
 
 def factorize(psi: PureSymmetricAuto) -> Factorization:
@@ -299,19 +298,24 @@ def _factorization_from_walk(system: FactorSystem, moves, parts0) -> Factorizati
     inner in G_k, so it joins factor k's correction, not the Whitehead list;
     moving the corrections right past the moves maps each move's element
     through the correction of its operating factor i.  i is not in Y, so
-    the sheds of a move's own slots leave that correction alone.
+    the sheds of a move's own slots leave that correction alone.  A factor
+    that never sheds has no correction (None), and its part stays as is.
     """
-    correction = [system.part_identity(k) for k in range(1, system.n + 1)]
+    correction = [None] * system.n
     whitehead: list[WhiteheadAuto] = []
-    for mv in reversed(moves):
-        for k, shed in zip(mv.moved, mv.shed):
+    for i, moved, element, _, _, sheds in reversed(moves):
+        for k, shed in zip(moved, sheds):
             if shed is not None:
-                correction[k - 1] = system.part_compose(
-                    correction[k - 1], system.conjugation_part(shed)
-                )
-        moved_element = system.part_apply(correction[mv.i - 1], system.inverse(mv.element))
-        whitehead.append(WhiteheadAuto(system, mv.moved, moved_element))
-    factor_parts = tuple(map(system.part_compose, correction, parts0))
+                c = system.conjugation_part(shed)
+                prior = correction[k - 1]
+                correction[k - 1] = c if prior is None else system.part_compose(prior, c)
+        x = system.inverses[element]
+        if correction[i - 1] is not None:
+            x = system.part_apply(correction[i - 1], x)
+        whitehead.append(WhiteheadAuto(system, moved, x))
+    factor_parts = tuple(
+        part if c is None else system.part_compose(c, part) for c, part in zip(correction, parts0)
+    )
     return Factorization(tuple(whitehead), factor_parts, empty_word(system))
 
 

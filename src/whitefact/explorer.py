@@ -15,11 +15,14 @@ Words.  On Z2*Z2*Z2 the visited tuples number 244, 382, 574, 814, 1162 and
 1630 at bounds 15 to 25, against 2815 in-budget tuples at bound 15 and
 18 943 at bound 19.  Z3*Z4*Z2*Z2 visits 45 304 at bound 14, taking
 2.7-3.2 s and 70 MB peak RSS (CPython 3.11, 2-vCPU shared host);
-MAX_VISITED caps a call near that size.  check_ball runs one reduction walk per star class
-and reads the class's factorization off it.  On syllable tuples, it pushes
-the inverse moves onto the class's own slots and recomposes the slots from
-the base, one kernel pass per move each, with two star keys per star class
-and one apex_key per A class.
+MAX_VISITED caps a call near that size.  check_ball runs one reduction
+walk per star class and reads the class's factorization off it.  The walk
+runs on syllable tuples: a step scans the slots by length, O(n^2) tests,
+and folds each moved slot with one seam product (words._join), building
+Words for the final label only.  On syllable tuples too, check_ball
+pushes the inverse moves onto the class's own slots and recomposes the
+slots from the base, one kernel pass per move each, with two star keys
+per star class and one apex_key per A class.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from .labellings import (
     volume,
 )
 from .reduction import reduce_to_base
-from .words import Word, normal_form, right_divide
+from .words import Word, _join, right_divide
 
 MAX_VISITED = 50_000  # tuples one enumerate_ball may visit; see the cost model
 
@@ -80,7 +83,7 @@ def _grow_from_base(system, max_volume: int) -> list[tuple[tuple, ...]]:
     runs on syllable tuples and returns them.  Per slot pair, p = g_j g_i^-1 is one right division.  Slot i is canonical, so g_i
     begins with no G_i syllable, and p s g_i is p, s, g_i as written unless
     p ends in a G_i syllable t: then t s merges, and only when t s = 1 does
-    p s g_i need a normal form.
+    p s g_i cancel further, at the seam of p and g_i (words._join).
     """
     budget = (max_volume - system.n) // 2
     payloads = [system.nontrivial_payloads(i) for i in range(1, system.n + 1)]
@@ -104,7 +107,7 @@ def _grow_from_base(system, max_volume: int) -> list[tuple[tuple, ...]]:
                         merged = (op(t, s) for s in payloads[i - 1])
                         products = [
                             stem + ((i, m),) + gi if m != e
-                            else normal_form(system, stem + gi).syllables
+                            else _join(system, stem, gi)
                             for m in merged
                         ]
                     else:

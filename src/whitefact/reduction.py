@@ -11,9 +11,22 @@ is a proper suffix of g_j and the syllable s just before it lies in G_i
 one syllable s, hence one factor i, so the fold there is unique; the scan
 takes the lowest j first and then the shortest such g_i.
 
+The scan visits the candidate slots in order of length instead of walking
+the suffixes of g_j.  A fold at suffix length t needs |g_i| = t, with i
+the factor of the syllable just before that suffix, so at each length at
+most one slot can fold and slots of equal length do not compete.  The
+first slot i, in order of length, that is shorter than g_j, lies in the
+factor of the syllable of g_j before its last |g_i| syllables, and is a
+suffix of g_j is therefore the shortest fold on spoke j: the one the
+suffix scan finds.  A step so costs O(n^2) tests, not O(sum |g_j|).
+
 A fold re-conjugates slot j by s^-1, which stabilizes C_i(g_i): writing
-g_j = p s g_i, the new slot is the normal form of p g_i.  Every other spoke
-k whose slot ends in s g_i passes the same vertex through the same
+g_j = p s g_i, the new slot is the normal form of p g_i.  p ends outside
+G_i, next to s, and g_i is canonical; both are reduced, so only the seam
+between them can cancel.  words._join cancels there while the syllables
+that meet are mutually inverse, and stops at the first pair in different
+factors or at the first merge that does not cancel.  Every other spoke k
+whose slot ends in s g_i passes the same vertex through the same
 syllable, so one step folds them all with the same element: the step is
 one move (Y, a) of the paper, with Y the folded slots and a = s^-1.  The
 scan passed the spokes below j without a fold, so Y holds j and spokes
@@ -37,15 +50,24 @@ product g_k . g_i^-1 a g_i equals b times the new slot.  Conjugating G_k by
 its own element b is an inner automorphism of G_k, not a Whitehead move,
 which is why factorize turns each shed syllable into a factor-part
 correction.
+
+The walk is one private core on syllable tuples, _step: it scans, folds
+and sheds in place and returns a MoveRecord, a named tuple of plain
+values.  reduce_to_base and reduce_step wrap it at the API edge, and
+find_fold its scan, _first_fold; a walk builds its StarLabel and Words
+once, for the final label.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
+from typing import NamedTuple
 
 from .errors import AlreadyBaseError, NonSplittingError, clip
+from .factors import FactorSystem
 from .labellings import StarLabel, volume
-from .words import Word, normal_form, split_own_head
+from .words import Word, _join
 
 
 @dataclass(frozen=True)
@@ -62,8 +84,7 @@ class FoldWitness:
     element: tuple[int, int]
 
 
-@dataclass(frozen=True)
-class MoveRecord:
+class MoveRecord(NamedTuple):
     """One reduction step: every slot in moved re-conjugated through slot
     i's vertex by the same element a.
 
@@ -79,6 +100,19 @@ class MoveRecord:
     shed: tuple[tuple[int, int] | None, ...]
 
 
+def _first_fold(slots) -> tuple[int, int, int] | None:
+    """(i, j, |s g_i|) of the first fold of the slot syllable tuples, or None."""
+    by_length = sorted(zip(map(len, slots), count(1), slots))
+    for j, a in enumerate(slots, start=1):
+        size = len(a)
+        for t, i, gi in by_length:
+            if t >= size:
+                break
+            if a[-t - 1][0] == i and a[size - t :] == gi:
+                return i, j, t + 1
+    return None
+
+
 def find_fold(L: StarLabel) -> FoldWitness | None:
     """First fold under the deterministic scan order, or None.
 
@@ -86,70 +120,78 @@ def find_fold(L: StarLabel) -> FoldWitness | None:
     vertex closest to the center (the shortest suffix g_i) wins.  Raw
     non-splitting tuples may have no fold at all and yield None.
     """
-    system = L.system
-    slots = L.conjugators
-    for j, gj in enumerate(slots, start=1):
-        a = gj.syllables
-        for t in range(len(a)):
-            s = a[-t - 1]
-            i = s[0]
-            gi = slots[i - 1]
-            if len(gi.syllables) == t and gi.syllables == a[len(a) - t:]:
-                z = Word(system, a[len(a) - t - 1:])
-                return FoldWitness(i, j, gi, z, system.inverse(s))
-    return None
+    fold = _first_fold([w.syllables for w in L.conjugators])
+    if fold is None:
+        return None
+    i, j, cut = fold
+    z = L.conjugators[j - 1].syllables[-cut:]
+    return FoldWitness(i, j, L.conjugators[i - 1], Word(L.system, z), L.system.inverses[z[0]])
+
+
+def _step(system: FactorSystem, slots: list, before: int) -> MoveRecord:
+    """One step of the walk on slots, the syllable tuples of a tuple of
+    volume before, which it updates in place: fold every slot k = p.s.g_i
+    through the first fold's vertex into the canonical p.g_i."""
+    fold = _first_fold(slots)
+    if fold is None:
+        text = clip(", ".join(str(Word(system, g)) for g in slots))
+        raise NonSplittingError(
+            "non-splitting input: no fold exists although volume exceeds n "
+            f"(volume {before} at slots [{text}])"
+        )
+    i, j, cut = fold
+    gi = slots[i - 1]
+    z = slots[j - 1][-cut:]
+    moved: list[int] = []
+    sheds: list[tuple[int, int] | None] = []
+    dropped = 0
+    for k in range(j, len(slots) + 1):
+        old = slots[k - 1]
+        if old[-cut:] != z:  # a shorter slot is its own slice, shorter than z
+            continue
+        new = _join(system, old[:-cut], gi)
+        if new and new[0][0] == k:
+            sheds.append(new[0])
+            new = new[1:]
+        else:
+            sheds.append(None)
+        slots[k - 1] = new
+        moved.append(k)
+        dropped += len(old) - len(new)
+    return MoveRecord(
+        i, tuple(moved), system.inverses[z[0]], before, before - 2 * dropped, tuple(sheds)
+    )
+
+
+def _label(system: FactorSystem, slots) -> StarLabel:
+    return StarLabel(system, tuple(Word(system, g) for g in slots))
 
 
 def reduce_step(L: StarLabel) -> tuple[StarLabel, MoveRecord]:
     """Fold every spoke through the first fold's vertex: each slot k = p.s.g_i
     becomes p.g_i, dropping the volume by >= 2 per slot."""
-    return _reduce_step(L, volume(L))
-
-
-def _reduce_step(L: StarLabel, before: int) -> tuple[StarLabel, MoveRecord]:
-    """reduce_step for L of known volume before."""
     system = L.system
+    before = volume(L)
     if before == system.n:
         raise AlreadyBaseError("already base-equivalent: volume is minimal")
-    fold = find_fold(L)
-    if fold is None:
-        slots = clip(", ".join(str(w) for w in L.conjugators))
-        raise NonSplittingError(
-            "non-splitting input: no fold exists although volume exceeds n "
-            f"(volume {before} at slots [{slots}])"
-        )
-    y, z = fold.y.syllables, fold.z.syllables
-    cut = len(z)
-    new_words = list(L.conjugators)
-    moved: list[int] = []
-    sheds: list[tuple[int, int] | None] = []
-    dropped = 0
-    for k in range(fold.j, system.n + 1):
-        old = new_words[k - 1].syllables
-        if len(old) < cut or old[-cut:] != z:  # cut >= 1: z is s.g_i
-            continue
-        shed, slot = split_own_head(normal_form(system, old[:-cut] + y), k)
-        new_words[k - 1] = slot
-        moved.append(k)
-        sheds.append(shed)
-        dropped += len(old) - slot.syllable_count()
-    record = MoveRecord(
-        fold.i, tuple(moved), fold.element, before, before - 2 * dropped, tuple(sheds)
-    )
-    return StarLabel(system, tuple(new_words)), record
+    slots = [w.syllables for w in L.conjugators]
+    record = _step(system, slots, before)
+    return _label(system, slots), record
 
 
 def reduce_to_base(L: StarLabel) -> tuple[StarLabel, tuple[MoveRecord, ...]]:
     """Iterate folds at the basepoint U(1) until the tuple is the base itself.
 
     The volume drops by at least 2 per folded slot, so at most (volume - n)/2
-    moves occur; at volume n every canonical slot is trivial.
+    moves occur; at volume n every canonical slot is trivial.  The walk runs
+    on syllable tuples, and the final label is built once.
     """
-    current = L
+    system = L.system
+    current_volume = volume(L)
+    slots = [w.syllables for w in L.conjugators]
     moves: list[MoveRecord] = []
-    current_volume = volume(current)
-    while current_volume > L.system.n:
-        current, record = _reduce_step(current, current_volume)
+    while current_volume > system.n:
+        record = _step(system, slots, current_volume)
         moves.append(record)
         current_volume = record.volume_after
-    return current, tuple(moves)
+    return _label(system, slots), tuple(moves)

@@ -5,7 +5,8 @@ product left to right.  The empty word is the group identity.  Reduction
 merges adjacent same-factor syllables and drops identities, which yields
 the unique normal form of the free product.  normal_form is the one loop
 that does so: the wire decoder hands it its letters, and only the
-Whitehead kernel (autos._push_move) keeps a one-pass loop of its own.
+Whitehead kernel (autos._push_move) and the seam product _join, whose
+inputs are reduced already, keep loops of their own.
 
 A syllable is a plain (factor, payload) tuple.  factors.FactorElement is
 the public constructor and equals, and hashes like, that tuple; every
@@ -14,9 +15,10 @@ indexing and unpacking on exact tuples only, and hot loops read f, p = s.
 
 Every product u . v^-1 in labellings, explorer and autos is one rule,
 right_divide, on syllable tuples: it cancels the common suffix and makes at
-most one merge, so it needs no normal_form.  The engine computes on
-syllable tuples; Word, a frozen slotted dataclass, is built only for a
-value that is handed back.
+most one merge, so it needs no normal_form.  A product a . b whose seam
+may cancel is _join: it cancels at the seam and makes at most one merge
+after the cancellations.  The engine computes on syllable tuples; Word, a
+frozen slotted dataclass, is built only for a value that is handed back.
 """
 
 from __future__ import annotations
@@ -80,6 +82,11 @@ def _syllables_in(system: FactorSystem, w: Word) -> tuple[tuple[int, int], ...]:
 def normal_form(system: FactorSystem, letters: Iterable[tuple[int, int]]) -> Word:
     """Reduce a letter sequence to the unique normal form of its product;
     unmerged letters are kept as given, merged ones built as exact tuples."""
+    return Word(system, _normal_form(system, letters))
+
+
+def _normal_form(system: FactorSystem, letters: Iterable[tuple[int, int]]) -> tuple:
+    """normal_form's syllables."""
     backends = system.backends
     ident = system.identity_payloads
     n = system.n
@@ -99,7 +106,7 @@ def normal_form(system: FactorSystem, letters: Iterable[tuple[int, int]]) -> Wor
                 out[-1] = (f, merged)
         else:
             out.append(s)
-    return Word(system, tuple(out))
+    return tuple(out)
 
 
 def right_divide(
@@ -128,6 +135,30 @@ def right_divide(
         merged = system.backends[f - 1].op(a[-1][1], tail[0][1])
         return a[:-1] + ((f, merged),) + tail[1:]
     return a + tail
+
+
+def _join(system: FactorSystem, a: tuple, b: tuple) -> tuple:
+    """The syllables of a . b for the syllables a and b of reduced words.
+
+    Only the seam can cancel: while the last syllable of a and the first of
+    b are mutually inverse they cancel, and the next pair meets.  The first
+    pair in different factors ends it, and so does the first pair in one
+    factor that does not cancel, after one merge: its neighbours lie in
+    other factors.  This is the normal form of a + b, with no normal_form
+    pass over either word.
+    """
+    if not a or not b or a[-1][0] != b[0][0]:
+        return a + b
+    k, m = 0, min(len(a), len(b))
+    while k < m:
+        f, x = a[-k - 1]
+        if b[k][0] != f:
+            break
+        merged = system.backends[f - 1].op(x, b[k][1])
+        if merged != system.identity_payloads[f - 1]:
+            return a[: len(a) - k - 1] + ((f, merged),) + b[k + 1 :]
+        k += 1
+    return a[: len(a) - k] + b[k:]
 
 
 def split_own_head(w: Word, j: int) -> tuple[tuple[int, int] | None, Word]:

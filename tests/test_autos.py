@@ -988,6 +988,83 @@ class TestShedSyllable:
         assert fact.factor[2] == system.conjugation_part(FactorElement(3, 1))
 
 
+def old_factorization_from_walk(system, moves, parts0):
+    """The walk read with a correction for every factor, the identity where
+    nothing sheds, as factorize read it before corrections were built only
+    for factors that shed."""
+    correction = [system.part_identity(k) for k in range(1, system.n + 1)]
+    whitehead = []
+    for mv in reversed(moves):
+        for k, shed in zip(mv.moved, mv.shed):
+            if shed is not None:
+                correction[k - 1] = system.part_compose(
+                    correction[k - 1], system.conjugation_part(shed)
+                )
+        moved_element = system.part_apply(correction[mv.i - 1], system.inverse(mv.element))
+        whitehead.append(WhiteheadAuto(system, mv.moved, moved_element))
+    factor_parts = tuple(map(system.part_compose, correction, parts0))
+    return Factorization(tuple(whitehead), factor_parts, empty_word(system))
+
+
+S3_PLACEMENTS = {
+    "S3*Z2*Z2": lambda: FactorSystem([s3_table(), CyclicBackend(2), CyclicBackend(2)]),
+    "Z2*S3*Z2": lambda: FactorSystem([CyclicBackend(2), s3_table(), CyclicBackend(2)]),
+    "Z2*Z2*S3": lambda: FactorSystem([CyclicBackend(2), CyclicBackend(2), s3_table()]),
+}
+
+
+class TestCorrectionsOnlyWhereShed:
+    @pytest.mark.parametrize("name", S3_PLACEMENTS)
+    def test_matches_a_correction_per_factor(self, name):
+        # A correction changes a move's element only when its operating
+        # factor sheds, later in the walk, a syllable that does not commute
+        # with the element.  The tuples are products of up to 8 inverse folds
+        # from the base, and those walks are also verified against their
+        # automorphism.
+        system = S3_PLACEMENTS[name]()
+        n = system.n
+        rng = random.Random(53)
+        corrected = 0
+        for _ in range(600):
+            words = [empty_word(system)] * n
+            for _ in range(rng.randint(1, 8)):
+                i, j = rng.sample(range(1, n + 1), 2)
+                a = letter(system, random_nontrivial_element(system, i, rng))
+                gi = words[i - 1]
+                words[j - 1] = words[j - 1] * gi.inverse() * a * gi
+            label = star_label(system, words)
+            parts0 = tuple(random_part(system, k, rng) for k in range(1, n + 1))
+            _, moves = reduce_to_base(label)
+            got = autos._factorization_from_walk(system, moves, parts0)
+            assert got == old_factorization_from_walk(system, moves, parts0)
+            if any(
+                w.element != system.inverse(m.element)
+                for w, m in zip(got.whitehead, reversed(moves))
+            ):
+                corrected += 1
+                psi = pure_auto(system, list(zip(parts0, label.conjugators)))
+                assert verify_factorization(psi, got)
+        assert corrected > 0
+
+    def test_two_sheds_of_one_factor(self):
+        # Slot 2 of Z2*S3*Z2 sheds (123) and then (23), which do not commute,
+        # so factor 2's correction depends on the order it is composed in
+        system = S3_PLACEMENTS["Z2*S3*Z2"]()
+        slots = [
+            empty_word(system),
+            word(system, [(3, 1), (2, 4), (3, 1), (2, 3)]),
+            word(system, [(2, 4), (3, 1), (2, 3), (1, 1)]),
+        ]
+        _, moves = reduce_to_base(star_label(system, slots))
+        sheds = [b for m in moves for b in m.shed if b is not None]
+        assert sheds == [(2, 4), (3, 1), (2, 3)]
+        psi = tuple_auto(system, slots)
+        fact = factorize(psi)
+        identity = tuple(system.part_identity(k) for k in range(1, system.n + 1))
+        assert fact == old_factorization_from_walk(system, moves, identity)
+        assert verify_factorization(psi, fact)
+
+
 def old_recompose_factorization(system, f):
     """The compose loop that recompose_factorization replaced."""
     result = compose(factor_only_auto(system, f.factor), inner_auto(system, f.inner))

@@ -112,6 +112,16 @@ class TestVolumeAndReduce:
         assert "non-splitting" in err
         assert "volume 7 at slots [1, 1, 2:1.3:1]" in err
 
+    def test_stuck_after_a_step_names_the_stuck_tuple(self, capsys, system_file):
+        # one fold (slot 3 through C_1(1)) leaves (1, c, b), which has none
+        label = '{"alpha":[[],[[3,1]],[[2,1],[1,1]]]}'
+        code, out, err = run(capsys, "--system", system_file, "reduce", label)
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: non-splitting input: no fold exists although volume exceeds n "
+            "(volume 7 at slots [1, 3:1, 2:1])\n"
+        )
+
     @pytest.mark.parametrize("command", ["reduce", "factorize"])
     @pytest.mark.parametrize("stuck", ["long", "wide"])
     def test_nonsplitting_echo_is_bounded(self, capsys, command, stuck):

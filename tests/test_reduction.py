@@ -3,7 +3,7 @@ import random
 import pytest
 
 from whitefact import sampling
-from whitefact.errors import AlreadyBaseError, EngineError, NonSplittingError
+from whitefact.errors import AlreadyBaseError, EngineError, NonSplittingError, clip
 from whitefact.labellings import (
     StarLabel,
     apex_equivalent,
@@ -13,10 +13,10 @@ from whitefact.labellings import (
     star_label,
     volume,
 )
-from whitefact.reduction import FoldWitness, find_fold, reduce_step, reduce_to_base
+from whitefact.reduction import FoldWitness, MoveRecord, find_fold, reduce_step, reduce_to_base
 from whitefact.sampling import random_nontrivial_element, random_splitting_label, random_word
 from whitefact.tree import c_vertex, distance, geodesic, u_vertex
-from whitefact.words import empty_word, letter, normal_form, split_own_head, word
+from whitefact.words import Word, empty_word, letter, normal_form, split_own_head, word
 
 SYSTEMS = ["triple_z2", "z342", "z3422", "mixed_system"]
 
@@ -447,3 +447,155 @@ class TestSamplingCap:
         with pytest.raises(EngineError, match="star labelling") as raised:
             sampling.random_splitting_label(mixed_system, rng, 3)
         assert cap in str(raised.value)
+
+
+def old_find_fold(L):
+    """The Word-level fold scan the tuple walk replaced: per spoke j, every
+    suffix length t in turn."""
+    system = L.system
+    slots = L.conjugators
+    for j, gj in enumerate(slots, start=1):
+        a = gj.syllables
+        for t in range(len(a)):
+            s = a[-t - 1]
+            i = s[0]
+            gi = slots[i - 1]
+            if len(gi.syllables) == t and gi.syllables == a[len(a) - t :]:
+                z = Word(system, a[len(a) - t - 1 :])
+                return FoldWitness(i, j, gi, z, system.inverse(s))
+    return None
+
+
+def old_reduce_step(L, before):
+    """The Word-level step the tuple walk replaced: (label, record fields)."""
+    system = L.system
+    if before == system.n:
+        raise AlreadyBaseError("already base-equivalent: volume is minimal")
+    fold = old_find_fold(L)
+    if fold is None:
+        slots = clip(", ".join(str(w) for w in L.conjugators))
+        raise NonSplittingError(
+            "non-splitting input: no fold exists although volume exceeds n "
+            f"(volume {before} at slots [{slots}])"
+        )
+    y, z = fold.y.syllables, fold.z.syllables
+    cut = len(z)
+    new_words = list(L.conjugators)
+    moved, sheds, dropped = [], [], 0
+    for k in range(fold.j, system.n + 1):
+        old = new_words[k - 1].syllables
+        if len(old) < cut or old[-cut:] != z:
+            continue
+        shed, slot = split_own_head(normal_form(system, old[:-cut] + y), k)
+        new_words[k - 1] = slot
+        moved.append(k)
+        sheds.append(shed)
+        dropped += len(old) - slot.syllable_count()
+    record = (fold.i, tuple(moved), fold.element, before, before - 2 * dropped, tuple(sheds))
+    return StarLabel(system, tuple(new_words)), record
+
+
+def old_reduce_to_base(L):
+    """The Word-level walk the tuple walk replaced."""
+    current, moves = L, []
+    current_volume = volume(current)
+    while current_volume > L.system.n:
+        current, record = old_reduce_step(current, current_volume)
+        moves.append(record)
+        current_volume = record[4]
+    return current, tuple(moves)
+
+
+BIG = 10**30
+
+
+def any_letter(system, i, rng):
+    """A nontrivial G_i letter; Z letters are small or about +-10^30."""
+    if system.factor(i).is_finite():
+        return random_nontrivial_element(system, i, rng)
+    return (i, rng.choice([-3, -2, -1, 1, 2, 3]) + rng.choice([0, BIG, -BIG]))
+
+
+def any_word(system, rng, size):
+    letters = [any_letter(system, rng.randint(1, system.n), rng) for _ in range(size)]
+    return normal_form(system, letters)
+
+
+def differential_tuples(system, seed, count):
+    """Seeded labels for the walk against the Word-level walk: random slots
+    (mostly stuck), fold inverses from the base (splitting, with seams that
+    cancel), their translates, some with one slot perturbed, and labels
+    built directly with StarLabel whose slots may begin with their own
+    factor."""
+    rng = random.Random(seed)
+    n = system.n
+    for k in range(count):
+        kind = k % 4
+        if kind == 0:
+            words = [any_word(system, rng, rng.randint(0, 5)) for _ in range(n)]
+        else:
+            words = [empty_word(system)] * n
+            for _ in range(rng.randint(1, 7)):
+                i, j = rng.sample(range(1, n + 1), 2)
+                a, gi = letter(system, any_letter(system, i, rng)), words[i - 1]
+                words[j - 1] = words[j - 1] * gi.inverse() * a * gi
+            if kind >= 2:
+                x = any_word(system, rng, 3)
+                words = [g * x for g in words]
+                if rng.random() < 0.3:
+                    j = rng.randrange(n)
+                    words[j] = words[j] * any_word(system, rng, 2)
+        if kind == 3:
+            j = rng.randint(1, n)
+            words[j - 1] = letter(system, any_letter(system, j, rng)) * words[j - 1]
+            yield StarLabel(system, tuple(words))
+        else:
+            yield star_label(system, words)
+
+
+class TestAgainstWordWalk:
+    @pytest.mark.parametrize("fixture", SYSTEMS)
+    def test_same_records_labels_and_errors(self, request, fixture):
+        system = request.getfixturevalue(fixture)
+        seen = {"walked": 0, "stuck": 0, "stuck after a step": 0, "shed": 0, "seam merge": 0}
+        for label in differential_tuples(system, seed=97, count=3000):
+            fold, old_fold = find_fold(label), old_find_fold(label)
+            assert fold == old_fold
+            try:
+                expected = old_reduce_to_base(label)
+            except NonSplittingError as error:
+                seen["stuck"] += 1
+                seen["stuck after a step"] += f"(volume {volume(label)} at" not in str(error)
+                with pytest.raises(NonSplittingError) as raised:
+                    reduce_to_base(label)
+                assert str(raised.value) == str(error)
+                continue
+            final, moves = reduce_to_base(label)
+            assert final == expected[0]
+            assert [tuple(m) for m in moves] == list(expected[1])
+            seen["walked"] += 1
+            seen["shed"] += any(m.shed != (None,) * len(m.moved) for m in moves)
+            seen["seam merge"] += any(
+                m.volume_before - m.volume_after > 2 * len(m.moved) for m in moves
+            )
+        assert all(seen.values()), seen
+
+    def test_stuck_after_a_step_names_the_stuck_tuple(self, triple_z2, w):
+        # slot 3 = b.a folds through C_1(1) to b, and (1, c, b) has no fold
+        label = star_label(triple_z2, [w["eps"], w["c"], w["b"] * w["a"]])
+        with pytest.raises(NonSplittingError) as raised:
+            reduce_to_base(label)
+        assert str(raised.value).endswith("(volume 7 at slots [1, 3:1, 2:1])")
+
+    def test_move_record_is_a_named_tuple(self, triple_z2, w):
+        label = star_label(triple_z2, [w["eps"], w["eps"], w["b"] * w["a"]])
+        _, (record, _) = reduce_to_base(label)
+        assert MoveRecord._fields == (
+            "i", "moved", "element", "volume_before", "volume_after", "shed"
+        )
+        assert repr(record) == (
+            "MoveRecord(i=1, moved=(3,), element=(1, 1), volume_before=7, "
+            "volume_after=5, shed=(None,))"
+        )
+        with pytest.raises(AttributeError):
+            record.i = 2

@@ -20,6 +20,7 @@ from whitefact.factors import (
 from whitefact.labellings import _translate
 from whitefact.words import (
     Word,
+    _join,
     empty_word,
     enumerate_words,
     normal_form,
@@ -346,6 +347,31 @@ class TestRightDivide:
             want = [split_own_head(w, j) for j, w in enumerate(words, start=1)]
             slots = [w.syllables for w in words]
             assert list(_translate(system, slots, ())) == [(b, r.syllables) for b, r in want]
+
+
+class TestJoin:
+    """_join(system, a, b) is the syllables of normal_form(a . b)."""
+
+    @pytest.mark.parametrize("name", sorted(WIRE_SYSTEMS))
+    def test_matches_normal_form(self, name):
+        # b starts with the inverse of a suffix of a, so the seam cancels
+        # that suffix and then stops, merges once or goes on cancelling
+        system = WIRE_SYSTEMS[name]
+        rng = random.Random(59)
+        seen = set()
+        for _ in range(400):
+            a = random_reduced(system, rng, rng.randint(0, 8))
+            cut = rng.randint(0, len(a))
+            undo = tuple(map(system.inverses.__getitem__, reversed(a[cut:])))
+            b = normal_form(system, undo + random_reduced(system, rng, rng.randint(0, 4))).syllables
+            for x, y in ((a, b), (b, a), (a, ()), ((), a)):
+                got = _join(system, x, y)
+                assert got == normal_form(system, x + y).syllables, (x, y)
+                assert type(got) is tuple and all(type(s) is tuple for s in got)
+                dropped = len(x) + len(y) - len(got)  # 2 per cancellation, 1 per merge
+                kinds = ("no seam", "merge", "cancel", "cancel, merge")
+                seen.add(kinds[min(dropped, 2 + dropped % 2)])
+        assert len(seen) == 4
 
 
 class TestWordIsAValue:
