@@ -133,8 +133,9 @@ class WhiteheadAuto:
 
 def whitehead_auto(system: FactorSystem, moved, element: tuple[int, int]) -> WhiteheadAuto:
     moved = tuple(sorted(set(moved)))
-    for j in moved:
-        system.factor(j)
+    if moved and not (1 <= moved[0] and moved[-1] <= system.n):
+        for j in moved:
+            system.factor(j)  # raises on the least bad index
     return WhiteheadAuto(system, moved, system.element(*element))
 
 

@@ -12,9 +12,10 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import FactorMismatchError, OracleUnavailableError, UnprintableAnswerError
+from .errors import FactorMismatchError, OracleUnavailableError, UnprintableAnswerError, clip, echo
 
 
 class FactorElement(NamedTuple):
@@ -165,7 +166,7 @@ class CyclicBackend(FactorBackend):
 
     def auto_validate(self, rep):
         if not isinstance(rep, int) or not 1 <= rep < self._order:
-            return f"multiplier {rep!r} out of range"
+            return f"multiplier {echo(rep)} out of range"
         if math.gcd(rep, self._order) != 1:
             return f"multiplier {rep} not coprime to {self._order}"
         return None
@@ -223,7 +224,7 @@ class IntBackend(FactorBackend):
 
     def auto_validate(self, rep):
         if rep not in (1, -1):
-            return f"sign {rep!r} is not an automorphism of the infinite cyclic group"
+            return f"sign {echo(rep)} is not an automorphism of the infinite cyclic group"
         return None
 
     def conjugation_rep(self, payload):
@@ -307,7 +308,7 @@ class TableBackend(FactorBackend):
     def normalize(self, payload):
         payload = int(payload)
         if not 0 <= payload < self.size:
-            raise ValueError(f"table index {payload} out of range 0..{self.size - 1}")
+            raise ValueError(f"table index {clip(str(payload))} out of range 0..{self.size - 1}")
         return payload
 
     def validate(self):
@@ -366,14 +367,23 @@ class TableBackend(FactorBackend):
             out[image] = i
         return tuple(out)
 
+    @cached_property
+    def _generators(self) -> tuple[int, ...]:
+        return tuple(self.generators())
+
     def auto_validate(self, rep):
+        """The law rep(a.g) = rep(a).rep(g) is checked on generators g only.
+        With rep(e) = e it holds on all pairs, by induction on b as a product
+        of generators, if the table is associative: validate checks that."""
         if len(rep) != self.size or set(rep) != set(range(self.size)):
             return "automorphism map is not a permutation"
         if rep[self.identity] != self.identity:
             return "automorphism map moves the identity"
-        for a in range(self.size):
-            for b in range(self.size):
-                if rep[self.table[a][b]] != self.table[rep[a]][rep[b]]:
+        table = self.table
+        for g in self._generators:
+            image = rep[g]
+            for a, row in enumerate(table):
+                if rep[row[g]] != table[rep[a]][image]:
                     return "map violates the homomorphism law"
         return None
 
@@ -457,7 +467,7 @@ class FactorSystem:
 
     def factor(self, i: int) -> FactorBackend:
         if not 1 <= i <= self.n:
-            raise FactorMismatchError(f"factor index {i} out of range 1..{self.n}")
+            raise FactorMismatchError(f"factor index {clip(f'{i}')} out of range 1..{self.n}")
         return self.backends[i - 1]
 
     @property

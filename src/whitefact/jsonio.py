@@ -22,9 +22,15 @@ shape, factor index and integer payload.  An exact int payload that is
 already canonical (0 <= p < order on a finite factor, any int on Z) becomes
 a letter without a normalize call; every other payload is normalized.  A
 normalize error is raised only after every letter has passed its checks, so
-the first malformed letter is reported whatever follows it.  The letters
-then go to words.normal_form.  A vertex name's head is checked before its
-word is decoded.  Every letter becomes a plain (factor, payload) tuple.
+the first malformed letter is reported whatever follows it.  A flag, kept
+in the loop, is cleared by a letter in the factor of the one before it, a
+payload equal to its factor's identity_payloads entry (2 on a table whose
+identity is 2) or a normalized payload.  A word that keeps it is reduced
+and becomes a Word at once; only the others go to words.normal_form, so
+the words that jsonio encodes skip it when read back.  A vertex name's head
+is checked before its word is decoded.  Every letter becomes a plain
+(factor, payload) tuple.  Every decoder, of parts and moves too, checks
+each value once and formats a message only when a check fails.
 
 Vertex names join "[factor,payload]" fragments; normalized payloads are
 plain ints, so the bytes equal dumps of the word.  The fragments come from
@@ -47,7 +53,7 @@ from .autos import (
     pure_auto,
     whitehead_auto,
 )
-from .errors import EngineError, SchemaError, UnprintableAnswerError, echo
+from .errors import EngineError, SchemaError, UnprintableAnswerError, clip, echo
 from .explorer import SnBall
 from .factors import (
     LETTER_MEMO_CAP,
@@ -83,7 +89,10 @@ def _is_int(x) -> bool:
 
 
 def _all_ints(values: list) -> bool:
-    return all(_is_int(x) for x in values)
+    for x in values:
+        if type(x) is not int and not _is_int(x):
+            return False
+    return True
 
 
 def system_to_json(system: FactorSystem) -> dict:
@@ -137,14 +146,7 @@ def system_from_json(obj) -> FactorSystem:
                 inverse is None or (isinstance(inverse, list) and _all_ints(inverse)),
                 f"factor {k}: inverse must be a list of integers",
             )
-            backends.append(
-                TableBackend(
-                    table,
-                    identity=identity,
-                    names=names,
-                    inverse=inverse,
-                )
-            )
+            backends.append(TableBackend(table, identity=identity, names=names, inverse=inverse))
         else:
             raise SchemaError(f"factor {k}: unknown kind {echo(kind)}")
     try:
@@ -165,11 +167,9 @@ def word_to_json(w: Word) -> list:
 
 def word_from_json(system: FactorSystem, obj) -> Word:
     _expect(isinstance(obj, list), "word must be a list of [factor, payload] pairs")
-    n = system.n
-    backends = system.backends
-    orders = system.orders
-    letters = []
-    error = None
+    n, backends, orders, ident = system.n, system.backends, system.orders, system.identity_payloads
+    letters, error = [], None
+    reduced, last = True, 0
     # Messages are formatted only on failure: this loop runs per letter.  An
     # exact int already canonical (0 <= p < order, any int on Z) skips
     # normalize; a normalize error waits until every letter is checked, so
@@ -183,14 +183,18 @@ def word_from_json(system: FactorSystem, obj) -> Word:
             raise SchemaError(f"bad word letter {echo(entry)}")
         factor, payload = entry
         if not 1 <= factor <= n:
-            raise SchemaError(f"factor index {factor} out of range")
+            raise SchemaError(f"factor index {clip(f'{factor}')} out of range")
         if type(payload) is int:
             order = orders[factor - 1]
             if order is None or 0 <= payload < order:
+                if factor == last or payload == ident[factor - 1]:
+                    reduced = False
+                last = factor
                 letters.append((factor, payload))
                 continue
         elif not _is_int(payload):
             raise SchemaError(f"payload {echo(payload)} must be an integer")
+        reduced = False
         try:
             letters.append((factor, backends[factor - 1].normalize(payload)))
         except ValueError as exc:
@@ -198,6 +202,8 @@ def word_from_json(system: FactorSystem, obj) -> Word:
                 error = exc
     if error is not None:
         raise SchemaError(str(error)) from error
+    if reduced:
+        return Word(system, tuple(letters))
     return normal_form(system, letters)
 
 
@@ -240,7 +246,8 @@ def vertex_from_name(system: FactorSystem, name: str) -> TreeVertex:
             factor = int(digits)
         except ValueError as exc:  # past the int-string digit limit
             raise SchemaError(f"factor index out of range in {echo(name)}") from exc
-        _expect(1 <= factor <= system.n, f"factor index {factor} out of range")
+        if not 1 <= factor <= system.n:
+            raise SchemaError(f"factor index {echo(factor)} out of range")
     try:
         rep = word_from_json(system, json.loads(body))
     except (ValueError, RecursionError) as exc:  # also too deep, or past the int-string limit
@@ -260,7 +267,8 @@ def star_to_json(label: StarLabel) -> dict:
 def star_from_json(system: FactorSystem, obj) -> StarLabel:
     _expect(isinstance(obj, dict) and "alpha" in obj, "expected {'alpha': [...]}")
     slots = obj["alpha"]
-    _expect(isinstance(slots, list) and len(slots) == system.n, f"need {system.n} slots")
+    if not (isinstance(slots, list) and len(slots) == system.n):
+        raise SchemaError(f"need {system.n} slots")
     return star_label(system, [word_from_json(system, s) for s in slots])
 
 
@@ -282,7 +290,8 @@ def apex_from_json(system: FactorSystem, obj) -> ApexLabel:
     apex = body.get("apex")
     slots = body.get("tuple")
     _expect(_is_int(apex) and 1 <= apex <= system.n, "bad apex index")
-    _expect(isinstance(slots, list) and len(slots) == system.n, f"need {system.n} slots")
+    if not (isinstance(slots, list) and len(slots) == system.n):
+        raise SchemaError(f"need {system.n} slots")
     return apex_label(system, apex, [word_from_json(system, s) for s in slots])
 
 
@@ -298,31 +307,32 @@ def phi_to_json(system: FactorSystem, part: FactorAutoPart) -> dict:
     return {"kind": "perm", "map": list(part.rep)}
 
 
+_PHI_KIND = {"cyclic": "mult", "int": "sign", "table": "perm"}
+_PHI_NEEDS = {"mult": "a cyclic", "sign": "an int", "perm": "a table"}
+
+
 def phi_from_json(system: FactorSystem, factor: int, obj) -> FactorAutoPart:
-    _expect(isinstance(obj, dict) and "kind" in obj, f"factor {factor}: bad phi")
+    if not (isinstance(obj, dict) and "kind" in obj):
+        raise SchemaError(f"factor {factor}: bad phi")
     backend = system.factor(factor)
     kind = obj["kind"]
-    if kind == "mult":
-        _expect(backend.kind == "cyclic", f"factor {factor}: mult needs a cyclic factor")
-        _expect(_is_int(obj.get("value")), f"factor {factor}: integer mult value required")
-        part = FactorAutoPart(factor, obj.get("value"))
-    elif kind == "sign":
-        _expect(backend.kind == "int", f"factor {factor}: sign needs an int factor")
-        _expect(_is_int(obj.get("value")), f"factor {factor}: integer sign value required")
-        part = FactorAutoPart(factor, obj.get("value"))
-    elif kind == "perm":
-        _expect(backend.kind == "table", f"factor {factor}: perm needs a table factor")
-        image = obj.get("map")
-        _expect(
-            isinstance(image, list) and _all_ints(image),
-            f"factor {factor}: perm map must be a list of integers",
-        )
-        part = FactorAutoPart(factor, tuple(image))
-    else:
+    if kind != _PHI_KIND[backend.kind]:
+        if isinstance(kind, str) and kind in _PHI_NEEDS:
+            raise SchemaError(f"factor {factor}: {kind} needs {_PHI_NEEDS[kind]} factor")
         raise SchemaError(f"factor {factor}: unknown phi kind {echo(kind)}")
-    message = system.part_validate(part)
-    _expect(message is None, f"factor {factor}: {message}")
-    return part
+    if kind == "perm":
+        rep = obj.get("map")
+        if not (isinstance(rep, list) and _all_ints(rep)):
+            raise SchemaError(f"factor {factor}: perm map must be a list of integers")
+        rep = tuple(rep)
+    else:
+        rep = obj.get("value")
+        if not (type(rep) is int or _is_int(rep)):
+            raise SchemaError(f"factor {factor}: integer {kind} value required")
+    message = backend.auto_validate(rep)
+    if message is not None:
+        raise SchemaError(f"factor {factor}: {message}")
+    return FactorAutoPart(factor, rep)
 
 
 def auto_to_json(psi: PureSymmetricAuto) -> dict:
@@ -337,13 +347,12 @@ def auto_to_json(psi: PureSymmetricAuto) -> dict:
 def auto_from_json(system: FactorSystem, obj) -> PureSymmetricAuto:
     _expect(isinstance(obj, dict) and "parts" in obj, "expected {'parts': [...]}")
     entries = obj["parts"]
-    _expect(
-        isinstance(entries, list) and len(entries) == system.n,
-        f"need {system.n} parts",
-    )
+    if not (isinstance(entries, list) and len(entries) == system.n):
+        raise SchemaError(f"need {system.n} parts")
     parts = []
     for k, entry in enumerate(entries, start=1):
-        _expect(isinstance(entry, dict), f"part {k}: expected an object")
+        if not isinstance(entry, dict):
+            raise SchemaError(f"part {k}: expected an object")
         part = phi_from_json(system, k, entry.get("phi"))
         conj = word_from_json(system, entry.get("g", []))
         parts.append((part, conj))
@@ -360,11 +369,11 @@ def whitehead_from_json(system: FactorSystem, obj) -> WhiteheadAuto:
         "expected {'Y': [...], 'x': [factor, payload]}",
     )
     moved, x = obj["Y"], obj["x"]
-    _expect(
-        isinstance(moved, list)
-        and all(_is_int(j) and 1 <= j <= system.n for j in moved),
-        f"whitehead Y must list factor indices in 1..{system.n}",
-    )
+    if not isinstance(moved, list):
+        raise SchemaError(f"whitehead Y must list factor indices in 1..{system.n}")
+    for j in moved:
+        if not ((type(j) is int or _is_int(j)) and 1 <= j <= system.n):
+            raise SchemaError(f"whitehead Y must list factor indices in 1..{system.n}")
     _expect(isinstance(x, list) and len(x) == 2 and _all_ints(x), "bad whitehead element")
     try:
         return whitehead_auto(system, moved, x)
@@ -382,19 +391,14 @@ def factorization_to_json(system: FactorSystem, f: Factorization) -> dict:
 
 def factorization_from_json(system: FactorSystem, obj) -> Factorization:
     _expect(
-        isinstance(obj, dict)
-        and "whitehead" in obj
-        and "factor" in obj
-        and "inner" in obj,
+        isinstance(obj, dict) and "whitehead" in obj and "factor" in obj and "inner" in obj,
         "expected {'whitehead':..., 'factor':..., 'inner':...}",
     )
     _expect(isinstance(obj["whitehead"], list), "whitehead must be a list of moves")
     whiteheads = tuple(whitehead_from_json(system, w) for w in obj["whitehead"])
     parts = obj["factor"]
-    _expect(
-        isinstance(parts, list) and len(parts) == system.n,
-        f"need {system.n} factor parts",
-    )
+    if not (isinstance(parts, list) and len(parts) == system.n):
+        raise SchemaError(f"need {system.n} factor parts")
     factor = tuple(phi_from_json(system, k, p) for k, p in enumerate(parts, start=1))
     inner = word_from_json(system, obj["inner"])
     return Factorization(whiteheads, factor, inner)

@@ -29,6 +29,21 @@ def s3_table():
     return TableBackend(table, identity=0, names=S3_NAMES)
 
 
+def all_pairs_validate(backend, rep):
+    """TableBackend.auto_validate as it was before its generator check: the
+    homomorphism law on all pairs."""
+    n, e, table = backend.size, backend.identity, backend.table
+    if len(rep) != n or set(rep) != set(range(n)):
+        return "automorphism map is not a permutation"
+    if rep[e] != e:
+        return "automorphism map moves the identity"
+    for a in range(n):
+        for b in range(n):
+            if rep[table[a][b]] != table[rep[a]][rep[b]]:
+                return "map violates the homomorphism law"
+    return None
+
+
 @pytest.fixture(scope="session")
 def triple_z2():
     return FactorSystem([CyclicBackend(2), CyclicBackend(2), CyclicBackend(2)])

@@ -303,6 +303,18 @@ def _verify_argv(whitehead):
     return ["verify", _auto(), json.dumps(fact)]
 
 
+HUGE = 10**4000 - 1  # 4000 digits, under CPython's int-string limit of 4300
+MIXED_PHIS = [{"kind": "perm", "map": list(range(6))}, MULT_ONE, {"kind": "sign", "value": 1}]
+
+
+def _mixed_auto(phis=MIXED_PHIS):
+    return json.dumps({"parts": [{"phi": phi, "g": []} for phi in phis]})
+
+
+def _mixed_factorization(whitehead):
+    return json.dumps({"whitehead": whitehead, "factor": MIXED_PHIS, "inner": []})
+
+
 class TestOversizedTable:
     def test_table_over_the_limit_is_exit_2(self, capsys):
         order = MAX_TABLE_ORDER + 1
@@ -457,6 +469,37 @@ class TestMalformedInput:
         assert "set_int_max_str_digits" not in err
         if size is not None:
             assert f"... ({size} characters)" in err
+
+    @pytest.mark.parametrize(
+        "system, argv, prefix",
+        [
+            ("mixed", ["normalize", json.dumps([[HUGE, 1]])], "error: factor index 9999"),
+            ("mixed", ["distance", f"C{HUGE}:[]", "U:[]"], "error: factor index 9999"),
+            ("mixed", ["normalize", json.dumps([[1, HUGE]])], "error: table index 9999"),
+            (
+                "mixed",
+                ["verify", _mixed_auto(), _mixed_factorization([{"Y": [2], "x": [1, HUGE]}])],
+                "error: bad whitehead automorphism: table index 9999",
+            ),
+            ("k3", ["factorize", _auto({"kind": "mult", "value": HUGE})],
+             "error: factor 1: multiplier 9999"),
+            (
+                "mixed",
+                ["factorize", _mixed_auto(MIXED_PHIS[:2] + [{"kind": "sign", "value": HUGE}])],
+                "error: factor 3: sign 9999",
+            ),
+        ],
+        ids=["word-factor", "vertex-head", "word-table-payload", "whitehead-table-payload",
+             "mult", "sign"],
+    )
+    def test_long_integer_echo_is_bounded(self, capsys, system, argv, prefix):
+        # the integer parses, and each message repeats at most 80 of its digits
+        system_obj = MIXED_SYSTEM if system == "mixed" else K3_SYSTEM
+        code, out, err = run(capsys, "--system", json.dumps(system_obj), *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(prefix) and err.count("\n") == 1
+        assert len(err.encode()) < 200
+        assert "... (4000 characters)" in err
 
     @pytest.mark.parametrize("fmt", ["json", "text"])
     @pytest.mark.parametrize("command", ["normalize", "geodesic"])

@@ -1,3 +1,4 @@
+import collections
 import itertools
 
 import pytest
@@ -14,11 +15,19 @@ from whitefact.factors import (
     TableBackend,
 )
 
-from conftest import S3_NAMES, s3_table
+from conftest import S3_NAMES, all_pairs_validate, s3_table
 
 
 def idx(name):
     return S3_NAMES.index(name)
+
+
+# the dihedral group of order 8: index a + 4b is r^a s^b, and s r = r^-1 s
+D4 = [
+    [(a + (c if b == 0 else -c)) % 4 + 4 * ((b + d) % 2) for d in range(2) for c in range(4)]
+    for b in range(2)
+    for a in range(4)
+]
 
 
 class TestArithmetic:
@@ -232,6 +241,30 @@ class TestAutomorphismParts:
                 accepted.add(rep)
         assert accepted == valid
         assert len(valid) == 6  # Aut(S3) = Inn(S3)
+
+    @pytest.mark.parametrize("name", ["S3", "T3", "D4"])
+    def test_generator_law_matches_all_pairs(self, name):
+        # auto_validate checks rep(a.g) = rep(a).rep(g) on generators g only;
+        # every permutation gets the all-pairs check's verdict and message
+        backend = {
+            "S3": s3_table(),
+            "T3": TableBackend([[1, 2, 0], [2, 0, 1], [0, 1, 2]], identity=2),
+            "D4": TableBackend(D4),
+        }[name]
+        assert backend.validate() is None
+        verdicts = collections.Counter()
+        for rep in itertools.permutations(range(backend.size)):
+            message = backend.auto_validate(rep)
+            assert message == all_pairs_validate(backend, rep), rep
+            verdicts[message] += 1
+        # accepted, violating the law, moving the identity
+        want = {"S3": (6, 114, 600), "T3": (2, 0, 4), "D4": (8, 5032, 35280)}[name]
+        law, moves = "map violates the homomorphism law", "automorphism map moves the identity"
+        assert (verdicts[None], verdicts[law], verdicts[moves]) == want
+        assert sum(verdicts.values()) == sum(want)
+        rep = list(backend.automorphism_reps()[-1])  # a library caller's list
+        assert backend.auto_validate(rep) is None
+        assert backend.auto_validate(rep[:-1]) == "automorphism map is not a permutation"
 
     def test_part_compose_and_invert(self, mixed_system):
         backend = mixed_system.factor(1)

@@ -1,5 +1,7 @@
+import collections
 import enum
 import json
+import math
 import random
 
 import pytest
@@ -7,11 +9,12 @@ from hypothesis import given, settings, strategies as st
 
 from whitefact import jsonio
 from whitefact.cli import main
-from whitefact.autos import factorize
-from whitefact.errors import SchemaError, UnprintableAnswerError
+from whitefact.autos import Factorization, WhiteheadAuto, factorize, pure_auto, whitehead_auto
+from whitefact.errors import EngineError, FactorMismatchError, SchemaError, UnprintableAnswerError
 from whitefact.explorer import enumerate_ball
 from whitefact.factors import (
     CyclicBackend,
+    FactorAutoPart,
     FactorElement,
     FactorSystem,
     IntBackend,
@@ -22,7 +25,7 @@ from whitefact.sampling import random_pure_auto, random_word
 from whitefact.tree import c_vertex, geodesic, u_vertex
 from whitefact.words import empty_word, normal_form, word
 
-from conftest import s3_table
+from conftest import all_pairs_validate, s3_table
 
 
 @pytest.fixture(scope="module")
@@ -322,6 +325,262 @@ def _outcome(decode, system, obj):
     return w, repr(w.syllables)
 
 
+# The decoders of parts, moves, automorphisms and factorizations against
+# copies of the versions that formatted every message eagerly and checked
+# the homomorphism law on all pairs.  Messages are compared for inputs whose
+# integers have fewer than 80 digits; longer ones are now clipped.
+
+
+def reference_part_validate(system, part):
+    backend, rep = system.factor(part.factor), part.rep
+    if backend.kind == "table":
+        return all_pairs_validate(backend, rep)
+    if backend.kind == "int":
+        return None if rep in (1, -1) else (
+            f"sign {rep!r} is not an automorphism of the infinite cyclic group"
+        )
+    if not isinstance(rep, int) or not 1 <= rep < backend.order():
+        return f"multiplier {rep!r} out of range"
+    if math.gcd(rep, backend.order()) != 1:
+        return f"multiplier {rep} not coprime to {backend.order()}"
+    return None
+
+
+def reference_phi_from_json(system, factor, obj):
+    expect = jsonio._expect
+    expect(isinstance(obj, dict) and "kind" in obj, f"factor {factor}: bad phi")
+    backend = system.factor(factor)
+    kind = obj["kind"]
+    if kind == "mult":
+        expect(backend.kind == "cyclic", f"factor {factor}: mult needs a cyclic factor")
+        expect(jsonio._is_int(obj.get("value")), f"factor {factor}: integer mult value required")
+        part = FactorAutoPart(factor, obj.get("value"))
+    elif kind == "sign":
+        expect(backend.kind == "int", f"factor {factor}: sign needs an int factor")
+        expect(jsonio._is_int(obj.get("value")), f"factor {factor}: integer sign value required")
+        part = FactorAutoPart(factor, obj.get("value"))
+    elif kind == "perm":
+        expect(backend.kind == "table", f"factor {factor}: perm needs a table factor")
+        image = obj.get("map")
+        expect(
+            isinstance(image, list) and all(jsonio._is_int(x) for x in image),
+            f"factor {factor}: perm map must be a list of integers",
+        )
+        part = FactorAutoPart(factor, tuple(image))
+    else:
+        raise SchemaError(f"factor {factor}: unknown phi kind {jsonio.echo(kind)}")
+    message = reference_part_validate(system, part)
+    expect(message is None, f"factor {factor}: {message}")
+    return part
+
+
+def reference_whitehead_auto(system, moved, element):
+    moved = tuple(sorted(set(moved)))
+    for j in moved:
+        system.factor(j)
+    return WhiteheadAuto(system, moved, system.element(*element))
+
+
+def reference_whitehead_from_json(system, obj):
+    jsonio._expect(
+        isinstance(obj, dict) and "Y" in obj and "x" in obj,
+        "expected {'Y': [...], 'x': [factor, payload]}",
+    )
+    moved, x = obj["Y"], obj["x"]
+    jsonio._expect(
+        isinstance(moved, list)
+        and all(jsonio._is_int(j) and 1 <= j <= system.n for j in moved),
+        f"whitehead Y must list factor indices in 1..{system.n}",
+    )
+    jsonio._expect(
+        isinstance(x, list) and len(x) == 2 and all(jsonio._is_int(v) for v in x),
+        "bad whitehead element",
+    )
+    try:
+        return reference_whitehead_auto(system, moved, x)
+    except (ValueError, EngineError) as exc:
+        raise SchemaError(f"bad whitehead automorphism: {exc}") from exc
+
+
+def reference_auto_from_json(system, obj):
+    jsonio._expect(isinstance(obj, dict) and "parts" in obj, "expected {'parts': [...]}")
+    entries = obj["parts"]
+    jsonio._expect(
+        isinstance(entries, list) and len(entries) == system.n, f"need {system.n} parts"
+    )
+    parts = []
+    for k, entry in enumerate(entries, start=1):
+        jsonio._expect(isinstance(entry, dict), f"part {k}: expected an object")
+        part = reference_phi_from_json(system, k, entry.get("phi"))
+        parts.append((part, reference_word_from_json(system, entry.get("g", []))))
+    return pure_auto(system, parts)
+
+
+def reference_factorization_from_json(system, obj):
+    jsonio._expect(
+        isinstance(obj, dict) and "whitehead" in obj and "factor" in obj and "inner" in obj,
+        "expected {'whitehead':..., 'factor':..., 'inner':...}",
+    )
+    jsonio._expect(isinstance(obj["whitehead"], list), "whitehead must be a list of moves")
+    whiteheads = tuple(reference_whitehead_from_json(system, w) for w in obj["whitehead"])
+    parts = obj["factor"]
+    jsonio._expect(
+        isinstance(parts, list) and len(parts) == system.n, f"need {system.n} factor parts"
+    )
+    factor = tuple(reference_phi_from_json(system, k, p) for k, p in enumerate(parts, start=1))
+    return Factorization(whiteheads, factor, reference_word_from_json(system, obj["inner"]))
+
+
+class Small(enum.IntEnum):
+    ONE = 1
+    TWO = 2
+
+
+HUGE = 10**100 + 7
+
+
+def _payload(system, factor, rng):
+    """A canonical nontrivial payload of the factor."""
+    order = system.orders[factor - 1]
+    if order is None:
+        return rng.choice([-3, -1, 1, 2, 10**30])
+    return rng.choice(system.nontrivial_payloads(factor))
+
+
+def _wire_word(system, rng, seen):
+    """A letter list, its letters counted by kind, and the word by whether
+    it arrives reduced."""
+    letters, last = [], 0
+    for _ in range(rng.randint(0, 7)):
+        kind = rng.choice(["canonical"] * 6 + ["identity", "same-factor", "non-canonical", "intenum"])
+        factor = rng.choice([f for f in range(1, system.n + 1) if f != last])
+        if kind == "same-factor" and last:
+            factor = last
+        order = system.orders[factor - 1]
+        if kind == "identity":
+            payload = system.identity_payloads[factor - 1]
+            kind = "identity-2" if payload == 2 else kind
+        elif kind == "non-canonical" and order is not None:
+            payload = rng.choice([-1, order, order + 1, -order - 2, HUGE])
+        elif kind == "intenum":
+            payload = Small.ONE if order is None or order <= 2 else rng.choice(list(Small))
+        else:
+            kind, payload = "same-factor" if factor == last else "canonical", _payload(system, factor, rng)
+        seen[kind] += 1
+        letters.append([factor, payload])
+        last = factor
+    reduced = all(
+        type(p) is int and p != system.identity_payloads[f - 1]
+        and (system.orders[f - 1] is None or 0 <= p < system.orders[f - 1])
+        for f, p in letters
+    ) and all(a[0] != b[0] for a, b in zip(letters, letters[1:]))
+    seen["reduced-word" if reduced else "unreduced-word"] += 1
+    return letters, reduced
+
+
+def _phi(system, factor, rng, seen, valid=0.0):
+    backend = system.factor(factor)
+    kind = {"cyclic": "mult", "int": "sign", "table": "perm"}[backend.kind]
+    if rng.random() < valid:
+        case = "valid"
+    elif kind == "perm":
+        case = rng.choice(["valid", "wrong-kind", "unknown-kind", "not-an-object", "bool",
+                           "float", "huge", "not-a-permutation", "permutation", "not-a-list"])
+    else:
+        case = rng.choice(["valid", "wrong-kind", "unknown-kind", "not-an-object", "bool",
+                           "float", "huge", "small", "missing"])
+    seen[case] += 1
+    size = backend.order() or 2
+    if case == "valid":
+        rep = rng.choice(backend.automorphism_reps())
+        return {"kind": kind, "map": list(rep)} if kind == "perm" else {"kind": kind, "value": rep}
+    if case == "wrong-kind":
+        other = rng.choice([k for k in ("mult", "sign", "perm") if k != kind])
+        return {"kind": other, "value": 1, "map": list(range(size))}
+    if case == "unknown-kind":
+        return {"kind": rng.choice(["free", 7, None, ["mult"], True, "x" * 200])}
+    if case == "not-an-object":
+        return rng.choice([None, [], "mult", 1, {"value": 1}])
+    if kind == "perm":
+        image = rng.sample(range(size), size)  # a permutation; the law decides
+        if case == "not-a-permutation":
+            image = rng.choice([image[:-1], image + [0], [image[1]] + image[1:], [-1] + image[1:]])
+        elif case in ("bool", "float", "huge"):
+            image[rng.randrange(size)] = {"bool": True, "float": 1.0, "huge": HUGE}[case]
+        elif case == "not-a-list":
+            image = rng.choice([7, "012345", None, {"0": 0}])
+        return {"kind": kind, "map": image}
+    if case == "missing":
+        return {"kind": kind}
+    value = {"bool": rng.choice([True, False]), "float": rng.choice([1.0, -1.0, 2.5]),
+             "huge": rng.choice([HUGE, -HUGE]), "small": rng.randint(-5, 12)}[case]
+    return {"kind": kind, "value": value}
+
+
+def _move(system, rng, seen, valid=0.0):
+    n = system.n
+    f = rng.randint(1, n)
+    others = [j for j in range(1, n + 1) if j != f]
+    moved, x = rng.sample(others, rng.randint(1, len(others))), [f, _payload(system, f, rng)]
+    if rng.random() < valid:
+        case = "valid"
+    else:
+        case = rng.choice(["valid", "Y-empty", "Y-repeated", "Y-out-of-range", "Y-bool", "Y-float",
+                           "Y-huge", "Y-not-a-list", "x-identity", "x-in-Y", "x-bool", "x-float",
+                           "x-huge", "x-factor", "x-shape", "not-an-object"])
+    seen[case] += 1
+    if case == "Y-empty":
+        moved = []
+    elif case == "Y-repeated":
+        moved = moved + moved[:1] + moved
+    elif case.startswith("Y-") and case != "Y-not-a-list":
+        bad = {"Y-out-of-range": rng.choice([0, -1, n + 1]), "Y-bool": True, "Y-float": 2.0,
+               "Y-huge": HUGE}[case]
+        moved.insert(rng.randint(0, len(moved)), bad)
+    elif case == "Y-not-a-list":
+        moved = rng.choice([2, "23", None, (2, 3)])
+    elif case == "x-identity":
+        x = [f, system.identity_payloads[f - 1]]
+    elif case == "x-in-Y":
+        moved.append(f)
+    elif case in ("x-bool", "x-float"):
+        x[rng.randrange(2)] = True if case == "x-bool" else float(x[1])
+    elif case == "x-huge":
+        x[1] = rng.choice([HUGE, -HUGE])  # clipped on a table, reduced on Z/m, kept on Z
+    elif case == "x-factor":
+        x[0] = rng.choice([0, -1, n + 1, HUGE])
+    elif case == "x-shape":
+        x = rng.choice([[f], x + [1], "x", None, tuple(x)])
+    if case == "not-an-object":
+        return rng.choice([None, [], {"Y": moved}, {"x": x}])
+    return {"Y": moved, "x": x}
+
+
+def _decoded(decode, system, obj):
+    """A decoder's value and repr, or its SchemaError text."""
+    try:
+        value = decode(system, obj)
+    except SchemaError as exc:
+        return f"SchemaError: {exc}"
+    return value, repr(value)
+
+
+def _has_long_int(obj):
+    if isinstance(obj, (list, tuple)):
+        return any(map(_has_long_int, obj))
+    if isinstance(obj, dict):
+        return any(map(_has_long_int, obj.values()))
+    return isinstance(obj, int) and len(str(abs(obj))) >= 80
+
+
+def _same_outcome(decode, reference, system, obj):
+    got, want = _decoded(decode, system, obj), _decoded(reference, system, obj)
+    if _has_long_int(obj) and isinstance(got, str) and isinstance(want, str):
+        return True  # both fail; only the clipped echo of the integer differs
+    assert got == want, obj
+    return isinstance(got, str)
+
+
 class TestWireOracle:
     @settings(max_examples=300, derandomize=True, deadline=None)
     @given(data=st.data())
@@ -342,9 +601,6 @@ class TestWireOracle:
     def test_canonical_payload_boundary_matches_reference(self):
         # the decoder takes an exact int in 0..order-1 (any int on Z) as it
         # stands and normalizes everything else, int subclasses included
-        class Small(enum.IntEnum):
-            ONE = 1
-
         for name, system in sorted(WIRE_SYSTEMS.items()):
             for factor, order in enumerate(system.orders, start=1):
                 payloads = [-1, 0, 10**30, -(10**30), Small.ONE]
@@ -386,6 +642,90 @@ class TestWireOracle:
             q = u_vertex(random_word(system, rng, 8))
             for v in geodesic(p, q):
                 assert jsonio.vertex_name(v) == reference_vertex_name(v)
+
+    def test_reduced_words_skip_normal_form_with_the_same_word(self):
+        rng, seen = random.Random(23), collections.Counter()
+        for name, system in sorted(WIRE_SYSTEMS.items()):
+            for _ in range(400):
+                letters, reduced = _wire_word(system, rng, seen)
+                outcome = _decoded(jsonio.word_from_json, system, letters)
+                assert outcome == _decoded(reference_word_from_json, system, letters), (name, letters)
+                if isinstance(outcome, str):
+                    continue  # a table payload out of range
+                w = outcome[0]
+                if reduced:
+                    assert w == normal_form(system, [tuple(e) for e in letters])
+                    assert w.syllables == tuple(map(tuple, letters))
+                for s in w.syllables:
+                    assert type(s) is tuple and type(s[1]) is int, (name, letters)
+        for kind in ("reduced-word", "unreduced-word", "identity", "identity-2", "same-factor",
+                     "non-canonical", "intenum"):
+            assert seen[kind] >= 20, (kind, seen)
+
+    def test_parts_match_reference(self):
+        rng, seen, failed = random.Random(29), collections.Counter(), 0
+        for name, system in sorted(WIRE_SYSTEMS.items()):
+            for _ in range(600):
+                factor = rng.randint(1, system.n)
+                obj = _phi(system, factor, rng, seen)
+                failed += _same_outcome(
+                    lambda s, o: jsonio.phi_from_json(s, factor, o),
+                    lambda s, o: reference_phi_from_json(s, factor, o),
+                    system, obj,
+                )
+        assert min(seen.values()) >= 20 and len(seen) == 12, seen
+        assert 100 < failed < 1700  # both outcomes are common
+
+    def test_moves_match_reference(self):
+        rng, seen, failed = random.Random(31), collections.Counter(), 0
+        for name, system in sorted(WIRE_SYSTEMS.items()):
+            for _ in range(600):
+                failed += _same_outcome(
+                    jsonio.whitehead_from_json, reference_whitehead_from_json,
+                    system, _move(system, rng, seen),
+                )
+        assert min(seen.values()) >= 60 and len(seen) == 16, seen
+        assert 100 < failed < 1700  # both outcomes are common
+
+    def test_whitehead_auto_reports_the_least_bad_index(self):
+        system = WIRE_SYSTEMS["S3*Z2*Z*Z5"]
+        for moved in ([0, 2], [2, 5, 7], [7, 5, 2], [-1, 6], [3, 2, 3], [2, 3, 4]):
+            outcomes = []
+            for build in (whitehead_auto, reference_whitehead_auto):
+                try:
+                    outcomes.append(build(system, moved, (1, 4)))
+                except FactorMismatchError as exc:
+                    outcomes.append(str(exc))
+            assert outcomes[0] == outcomes[1], moved
+
+    def test_automorphisms_and_factorizations_match_reference(self):
+        rng, seen, failed = random.Random(37), collections.Counter(), 0
+        for name, system in sorted(WIRE_SYSTEMS.items()):
+            n = system.n
+            for _ in range(300):
+                parts = [
+                    {"phi": _phi(system, k, rng, seen, valid=0.9),
+                     "g": _wire_word(system, rng, seen)[0]}
+                    for k in range(1, n + 1)
+                ]
+                auto = rng.choice(
+                    [{"parts": parts}] * 8
+                    + [{"parts": parts[:-1]}, {"parts": parts[:1] + [7] + parts[2:]}, {"part": parts}]
+                )
+                failed += _same_outcome(jsonio.auto_from_json, reference_auto_from_json, system, auto)
+                fact = {
+                    "whitehead": [_move(system, rng, seen, valid=0.9) for _ in range(rng.randint(0, 4))],
+                    "factor": [_phi(system, k, rng, seen, valid=0.9) for k in range(1, n + 1)],
+                    "inner": _wire_word(system, rng, seen)[0],
+                }
+                fact = rng.choice(
+                    [fact] * 8 + [{**fact, "whitehead": 7}, {**fact, "factor": fact["factor"][1:]},
+                                  {"factor": [], "inner": []}]
+                )
+                failed += _same_outcome(
+                    jsonio.factorization_from_json, reference_factorization_from_json, system, fact
+                )
+        assert 100 < failed < 1700  # both outcomes are common
 
 
 class TestLetterMemo:
