@@ -52,7 +52,6 @@ from .labellings import (
     apex_label,
     base_label,
     collapses,
-    double_coset_core,
     is_base,
     star_equivalent,
     star_label,
@@ -78,7 +77,6 @@ from .autos import (
     tuple_auto,
     verify_factorization,
     whitehead_auto,
-    whitehead_inverse,
     whitehead_to_auto,
 )
 from .explorer import BallReport, SnBall, check_ball, enumerate_ball

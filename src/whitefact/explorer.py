@@ -11,11 +11,9 @@ within the syllable budget.  Each one below the full budget is expanded by
 n(n-1) slot pairs, one right division each, times the nontrivial elements
 of the pushing factor, one merge test each, and each is keyed once
 (_star_key), all on syllable tuples; only class representatives become
-Words.  On Z2*Z2*Z2 the visited tuples number 244, 382, 574, 814, 1162 and
-1630 at bounds 15 to 25, against 2815 in-budget tuples at bound 15 and
-18 943 at bound 19.  Z3*Z4*Z2*Z2 visits 45 304 at bound 14, taking
-2.7-3.2 s and 70 MB peak RSS (CPython 3.11, 2-vCPU shared host);
-MAX_VISITED caps a call near that size.  check_ball runs one reduction
+Words.  The visited tuples are far fewer than the tuples within the
+syllable budget, but they still grow exponentially with the bound, so
+MAX_VISITED caps the size of one call.  check_ball runs one reduction
 walk per star class and reads the class's factorization off it.  The walk
 runs on syllable tuples: a step scans the slots by length, O(n^2) tests,
 and folds each moved slot with one seam product (words._join), building
@@ -155,7 +153,7 @@ def enumerate_ball(system, max_volume: int) -> SnBall:
     for slots in sorted(_grow_from_base(system, max_volume), key=_tuple_sort_key):
         reps.setdefault(_star_key(system, slots), slots)  # the least member of each class
     alpha_reps = [StarLabel(system, tuple(Word(system, g) for g in r)) for r in reps.values()]
-    del reps  # the keys of every class; on a ball near MAX_VISITED, about 6 MB
+    del reps  # the keys of every class, dropped before the apex keys are built
 
     a_reps: list[ApexLabel] = []
     a_index: dict[tuple, int] = {}

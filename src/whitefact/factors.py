@@ -13,20 +13,15 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import FactorMismatchError, OracleUnavailableError, UnprintableAnswerError, clip, echo
 
 
 class FactorElement(NamedTuple):
     """Element of one factor: the payload meaning depends on the backend kind.
-
-    It is the public constructor of a syllable.  It is a tuple, so it
-    compares equal to, and hashes like, the plain tuple (factor, payload).
-    Every syllable the engine builds is that plain tuple, read by unpacking
-    or indexing, never by field name: CPython specializes both on exact
-    tuples only.
-    """
+    The public constructor of a syllable, equal to and hashing like the
+    plain tuple (factor, payload) that the engine builds (see words)."""
 
     factor: int
     payload: int
@@ -46,73 +41,25 @@ class FactorAutoPart:
 
 
 class FactorBackend:
-    """Interface shared by the three factor kinds."""
+    """Interface shared by the three factor kinds, which each define:
+    op(a, b), inv(a), is_finite(), order() (None if infinite), payloads(),
+    generators(), normalize(payload), validate() (the first violated axiom
+    or None), describe(), and on automorphism reps identity_auto(),
+    auto_apply(rep, payload), auto_compose(f, g) (x -> f(g(x))),
+    auto_invert(rep), auto_validate(rep), conjugation_rep(a) (x -> a^-1 x a)
+    and automorphism_reps()."""
 
     kind: str
-
-    def op(self, a: int, b: int) -> int:
-        raise NotImplementedError
-
-    def inv(self, a: int) -> int:
-        raise NotImplementedError
 
     @property
     def identity_payload(self) -> int:
         return 0
-
-    def is_finite(self) -> bool:
-        raise NotImplementedError
-
-    def order(self) -> int | None:
-        raise NotImplementedError
-
-    def payloads(self) -> Iterator[int]:
-        raise NotImplementedError
-
-    def generators(self) -> list[int]:
-        """Payloads that generate the group."""
-        raise NotImplementedError
-
-    def normalize(self, payload: int) -> int:
-        raise NotImplementedError
-
-    def validate(self) -> str | None:
-        """Return the first violated axiom, or None when all hold."""
-        raise NotImplementedError
-
-    def describe(self) -> tuple:
-        raise NotImplementedError
 
     def element_name(self, payload: int) -> str:
         try:
             return str(payload)
         except ValueError as exc:  # past the int-string digit limit
             raise UnprintableAnswerError() from exc
-
-    # -- automorphism representations ------------------------------------
-
-    def identity_auto(self) -> object:
-        raise NotImplementedError
-
-    def auto_apply(self, rep: object, payload: int) -> int:
-        raise NotImplementedError
-
-    def auto_compose(self, first_applied_last: object, first_applied: object) -> object:
-        """Representation of x -> f(g(x)) for reps f, g (g applied first)."""
-        raise NotImplementedError
-
-    def auto_invert(self, rep: object) -> object:
-        raise NotImplementedError
-
-    def auto_validate(self, rep: object) -> str | None:
-        raise NotImplementedError
-
-    def conjugation_rep(self, payload: int) -> object:
-        """Representation of x -> a^-1 x a for a the given element."""
-        raise NotImplementedError
-
-    def automorphism_reps(self) -> list:
-        raise NotImplementedError
 
 
 class CyclicBackend(FactorBackend):
@@ -235,8 +182,8 @@ class IntBackend(FactorBackend):
 
 
 MAX_TABLE_ORDER = 128
-"""Largest Cayley table validate accepts: its associativity check is O(N^3),
-0.2 s at N = 128 and 1.8 s at N = 256 (CPython 3.11, 2-vCPU shared host)."""
+"""Largest Cayley table validate accepts: its associativity check is
+O(N^3), so doubling N multiplies the time a system takes to load by 8."""
 
 
 class TableBackend(FactorBackend):
@@ -478,9 +425,6 @@ class FactorSystem:
 
     def element(self, i: int, payload: int) -> tuple[int, int]:
         return (i, self.factor(i).normalize(payload))
-
-    def identity(self, i: int) -> tuple[int, int]:
-        return (i, self.factor(i).identity_payload)
 
     def is_identity(self, x: tuple[int, int]) -> bool:
         f, p = x

@@ -298,17 +298,15 @@ def apex_from_json(system: FactorSystem, obj) -> ApexLabel:
 # -- automorphism parts -------------------------------------------------------
 
 
-def phi_to_json(system: FactorSystem, part: FactorAutoPart) -> dict:
-    kind = system.factor(part.factor).kind
-    if kind == "cyclic":
-        return {"kind": "mult", "value": part.rep}
-    if kind == "int":
-        return {"kind": "sign", "value": part.rep}
-    return {"kind": "perm", "map": list(part.rep)}
-
-
 _PHI_KIND = {"cyclic": "mult", "int": "sign", "table": "perm"}
 _PHI_NEEDS = {"mult": "a cyclic", "sign": "an int", "perm": "a table"}
+
+
+def phi_to_json(system: FactorSystem, part: FactorAutoPart) -> dict:
+    kind = _PHI_KIND[system.factor(part.factor).kind]
+    if kind == "perm":
+        return {"kind": kind, "map": list(part.rep)}
+    return {"kind": kind, "value": part.rep}
 
 
 def phi_from_json(system: FactorSystem, factor: int, obj) -> FactorAutoPart:

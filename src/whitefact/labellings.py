@@ -47,9 +47,17 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Iterator, Sequence
 
-from .errors import SystemMismatchError
 from .factors import FactorSystem
-from .words import Word, _split_head, _syllables_in, empty_word, right_divide, split_own_head
+from .words import (
+    Word,
+    _image,
+    _same_system,
+    _split_head,
+    _syllables_in,
+    empty_word,
+    right_divide,
+    split_own_head,
+)
 
 
 @dataclass(frozen=True)
@@ -80,8 +88,7 @@ def _canonical_slots(system: FactorSystem, words: Sequence[Word]) -> tuple[Word,
         raise ValueError(f"expected {system.n} slot words, got {len(words)}")
     slots = []
     for j, w in enumerate(words, start=1):
-        if w.system != system:
-            raise SystemMismatchError("slot word from a different factor system")
+        _same_system(system, w.system, "slot word from a different factor system")
         slots.append(split_own_head(w, j)[1])
     return tuple(slots)
 
@@ -100,19 +107,14 @@ def base_label(system: FactorSystem) -> StarLabel:
 
 
 def _double_coset_core(s: tuple, lead: int, trail: int) -> tuple:
-    """double_coset_core on syllable tuples.  The head strip is written out,
-    not a _split_head call: apex_key runs it per slot, and the call made
-    apex_key about a quarter slower."""
+    """The syllables of the canonical representative of G_lead . s . G_trail.
+    The head strip is written out, not a _split_head call, because apex_key
+    runs it per slot and a call there costs more than the strip itself."""
     if s and s[0][0] == lead:
         s = s[1:]
     if s and s[-1][0] == trail:
         s = s[:-1]
     return s
-
-
-def double_coset_core(w: Word, lead: int, trail: int) -> Word:
-    """Canonical representative of G_lead . w . G_trail."""
-    return Word(w.system, _double_coset_core(w.syllables, lead, trail))
 
 
 def _slot_syllables(system: FactorSystem, words: Sequence[Word]) -> list[tuple]:
@@ -176,8 +178,7 @@ def star_equivalent(L1: StarLabel, L2: StarLabel) -> Word | None:
     g = g_{L1} g_{L2}^-1 = d_1^-1 d_2 with G_j^{L2_j} = G_j^{L1_j . g} for
     all j."""
     system = L1.system
-    if L2.system != system:
-        raise SystemMismatchError("labels belong to different factor systems")
+    _same_system(system, L2.system, "labels belong to different factor systems")
     d1, cores1 = _star_pin(system, _slot_syllables(system, L1.conjugators))
     d2, cores2 = _star_pin(system, _slot_syllables(system, L2.conjugators))
     if any(c1 != c2 for (_, c1), (_, c2) in zip(cores1, cores2)):
@@ -198,8 +199,7 @@ def apex_key(M: ApexLabel) -> tuple:
 
 
 def apex_equivalent(M1: ApexLabel, M2: ApexLabel) -> bool:
-    if M1.system != M2.system:
-        raise SystemMismatchError("labels belong to different factor systems")
+    _same_system(M1.system, M2.system, "labels belong to different factor systems")
     return apex_key(M1) == apex_key(M2)
 
 
@@ -211,13 +211,14 @@ def collapses(L: StarLabel) -> list[ApexLabel]:
 def act_on_label(label, psi):
     """Right action of a pure symmetric automorphism on a labelling.
 
-    Slot j becomes psi's own conjugator for factor j, times the psi-image
-    of the old slot word, canonicalized.
+    Slot j becomes psi's own conjugator g_j times the psi-image of the old
+    slot word, canonicalized: words._image with the head g_j.
     """
-    system = label.system
-    new_words = [
-        psi.conjugator(j) * psi.apply(label.slot(j)) for j in range(1, system.n + 1)
-    ]
+    system, own = label.system, psi.system
+    new_words = []
+    for (_, g), w in zip(psi.parts, label.conjugators):
+        _same_system(own, w.system, "word from a different factor system")
+        new_words.append(Word(own, _image(own, psi.parts, _syllables_in(own, g), w.syllables)))
     if isinstance(label, StarLabel):
         return star_label(system, new_words)
     return apex_label(system, label.apex, new_words)

@@ -24,8 +24,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .errors import OracleUnavailableError, SystemMismatchError
-from .words import Word, normal_form, split_own_head
+from .errors import OracleUnavailableError
+from .words import Word, _same_system, normal_form, split_own_head
 
 
 @dataclass(frozen=True)
@@ -58,11 +58,6 @@ def act_vertex(v: TreeVertex, g: Word) -> TreeVertex:
     return c_vertex(v.factor, moved)
 
 
-def _check_system(p: TreeVertex, q: TreeVertex) -> None:
-    if p.rep.system != q.rep.system:
-        raise SystemMismatchError("vertices belong to different factor systems")
-
-
 def _depth(v: TreeVertex) -> int:
     """Distance from the root U(1): 2|r| for U(r), 2|r|+1 for C_i(r)."""
     return 2 * len(v.rep.syllables) + (v.kind == "c")
@@ -70,7 +65,7 @@ def _depth(v: TreeVertex) -> int:
 
 def _meet(p: TreeVertex, q: TreeVertex) -> int:
     """Depth of the deepest vertex shared by the root paths of p and q."""
-    _check_system(p, q)
+    _same_system(p.rep.system, q.rep.system, "vertices belong to different factor systems")
     a, b = p.rep.syllables, q.rep.syllables
     t = 0
     while t < min(len(a), len(b)) and a[-t - 1] == b[-t - 1]:

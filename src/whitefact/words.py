@@ -4,9 +4,9 @@ A word is an alternating sequence of nontrivial factor elements, read as a
 product left to right.  The empty word is the group identity.  Reduction
 merges adjacent same-factor syllables and drops identities, which yields
 the unique normal form of the free product.  normal_form is the one loop
-that does so: the wire decoder hands it its letters, and only the
-Whitehead kernel (autos._push_move) and the seam product _join, whose
-inputs are reduced already, keep loops of their own.
+that does so: the wire decoder and the image core _image hand it their
+letters, and only the Whitehead kernel (autos._push_move) and the seam
+product _join, whose inputs are reduced already, keep loops of their own.
 
 A syllable is a plain (factor, payload) tuple.  factors.FactorElement is
 the public constructor and equals, and hashes like, that tuple; every
@@ -15,10 +15,13 @@ indexing and unpacking on exact tuples only, and hot loops read f, p = s.
 
 Every product u . v^-1 in labellings, explorer and autos is one rule,
 right_divide, on syllable tuples: it cancels the common suffix and makes at
-most one merge, so it needs no normal_form.  A product a . b whose seam
-may cancel is _join: it cancels at the seam and makes at most one merge
-after the cancellations.  The engine computes on syllable tuples; Word, a
-frozen slotted dataclass, is built only for a value that is handed back.
+most one merge, so it needs no normal_form.  A product a . b of reduced
+words, word_mul too, is _join: it cancels at the seam and makes at most
+one merge after the cancellations.  An image head . psi(w) is _image, one
+normal_form pass, for apply, compose and act_on_label alike.  The engine
+computes on syllable tuples; Word, a frozen slotted dataclass, is built
+only for a value that is handed back.  _same_system is every public check
+that two values share a factor system.
 """
 
 from __future__ import annotations
@@ -64,16 +67,19 @@ class Word:
         return word_mul(self, other)
 
     def __str__(self) -> str:
-        if not self.syllables:
-            return "1"
-        parts = []
-        for f, p in self.syllables:
-            parts.append(f"{f}:{self.system.factor(f).element_name(p)}")
-        return ".".join(parts)
+        names = (f"{f}:{self.system.factor(f).element_name(p)}" for f, p in self.syllables)
+        return ".".join(names) or "1"
+
+
+def _same_system(system: FactorSystem, other: FactorSystem, message: str) -> None:
+    """Raise SystemMismatchError(message) unless other is system or equals
+    it; identity first, since the values of one system share its object."""
+    if other is not system and other != system:
+        raise SystemMismatchError(message)
 
 
 def _syllables_in(system: FactorSystem, w: Word) -> tuple[tuple[int, int], ...]:
-    """w's syllables, once w is checked to belong to system."""
+    """w's syllables, checked to belong to system: _same_system inlined for the keys."""
     if w.system is not system and w.system != system:
         raise SystemMismatchError("words belong to different factor systems")
     return w.syllables
@@ -107,6 +113,20 @@ def _normal_form(system: FactorSystem, letters: Iterable[tuple[int, int]]) -> tu
         else:
             out.append(s)
     return tuple(out)
+
+
+def _image(system: FactorSystem, parts, head: tuple, syllables: tuple) -> tuple:
+    """The syllables of head . psi(w), for head and w given as syllables and
+    psi by its parts (phi_k, g_k): one _normal_form pass over head and each
+    syllable s's g_k^-1 phi_k(s) g_k, s in G_k.  The caller checks that head
+    and w belong to system."""
+    letters = list(head)
+    for s in syllables:
+        part, conj = parts[s[0] - 1]
+        letters += right_divide(system, (), conj.syllables)
+        letters.append(system.part_apply(part, s))
+        letters += conj.syllables
+    return _normal_form(system, letters)
 
 
 def right_divide(
@@ -185,19 +205,13 @@ def empty_word(system: FactorSystem) -> Word:
 
 
 def letter(system: FactorSystem, element: tuple[int, int]) -> Word:
-    if system.is_identity(element):
-        return Word(system, ())
-    f, p = element
-    return Word(system, ((f, p),))
+    """The word of one element, its payload normalized (system.element)."""
+    element = system.element(*element)
+    return Word(system, () if system.is_identity(element) else (element,))
 
 
 def word_mul(u: Word, v: Word) -> Word:
-    _syllables_in(u.system, v)
-    if not u.syllables:
-        return v
-    if not v.syllables:
-        return u
-    return normal_form(u.system, u.syllables + v.syllables)
+    return Word(u.system, _join(u.system, u.syllables, _syllables_in(u.system, v)))
 
 
 def enumerate_words(system: FactorSystem, max_syllables: int) -> Iterator[Word]:

@@ -26,7 +26,6 @@ from whitefact.autos import (
     tuple_auto,
     verify_factorization,
     whitehead_auto,
-    whitehead_inverse,
     whitehead_to_auto,
 )
 from whitefact.errors import NonSplittingError, NotAStabilizerError, SystemMismatchError
@@ -55,7 +54,16 @@ from whitefact.sampling import (
     random_word,
 )
 from whitefact.selfcheck import _mutate
-from whitefact.words import Word, empty_word, letter, normal_form, right_divide, word
+from whitefact.words import (
+    Word,
+    _image,
+    empty_word,
+    letter,
+    normal_form,
+    right_divide,
+    word,
+    word_mul,
+)
 
 from conftest import s3_table
 from test_reduction import assert_vertex_steps, single_slot_walk
@@ -66,7 +74,12 @@ from test_labellings import (
     old_star_witness,
     pin_candidates,
 )
-from test_words import random_reduced
+from test_words import T3_Z2_Z, random_reduced
+
+
+def whitehead_inverse(move: WhiteheadAuto) -> WhiteheadAuto:
+    """(Y, x)^-1 = (Y, x^-1)."""
+    return WhiteheadAuto(move.system, move.moved, move.system.inverse(move.element))
 
 
 @pytest.fixture(scope="module")
@@ -355,7 +368,7 @@ def old_star_split(system, words, parts0):
             return None, j
     parts = tuple(
         system.part_compose(
-            system.conjugation_part(system.identity(k) if b is None else b),
+            system.conjugation_part((k, system.factor(k).identity_payload) if b is None else b),
             parts0[k - 1],
         )
         for k, (b, _) in enumerate(pins, start=1)
@@ -393,7 +406,7 @@ def old_apex_split(psi, i):
             return j
         parts.append(
             system.part_compose(
-                system.conjugation_part(system.identity(j) if b is None else b),
+                system.conjugation_part((j, system.factor(j).identity_payload) if b is None else b),
                 parts0[j - 1],
             )
         )
@@ -1380,3 +1393,183 @@ class TestTupleCores:
                     assert verify_factorization(target, candidate) == verified
                     seen["verified" if verified else "refuted"] += 1
         assert min(seen.values()) > 0
+
+
+class TestInnerAutoSystem:
+    def test_foreign_word_raises_at_construction(self, triple_z2):
+        z3_z2_z2 = FactorSystem([CyclicBackend(3), CyclicBackend(2), CyclicBackend(2)])
+        with pytest.raises(SystemMismatchError, match="conjugator from a different factor system"):
+            inner_auto(triple_z2, word(z3_z2_z2, [(1, 1)]))
+
+    def test_equal_system_accepted(self, triple_z2):
+        twin = FactorSystem([CyclicBackend(2), CyclicBackend(2), CyclicBackend(2)])
+        h = word(twin, [(1, 1)])
+        assert inner_auto(triple_z2, h).conjugator(1) == h
+
+
+# -- the Word-level image, product and action that the image core replaced,
+# kept as oracles: apply normal-formed each image, and compose and
+# act_on_label multiplied psi's conjugator onto it in a second pass
+
+
+def old_word_mul(u, v):
+    if v.system is not u.system and v.system != u.system:
+        raise SystemMismatchError("words belong to different factor systems")
+    if not u.syllables:
+        return v
+    if not v.syllables:
+        return u
+    return normal_form(u.system, u.syllables + v.syllables)
+
+
+def old_apply(psi, w):
+    if w.system != psi.system:
+        raise SystemMismatchError("word from a different factor system")
+    system = psi.system
+    inverses = {}
+    letters = []
+    for s in w.syllables:
+        f = s[0]
+        part, conj = psi.parts[f - 1]
+        conj_inv = inverses.get(f)
+        if conj_inv is None:
+            conj_inv = inverses[f] = conj.inverse().syllables
+        letters.extend(conj_inv)
+        letters.append(system.part_apply(part, s))
+        letters.extend(conj.syllables)
+    return normal_form(system, letters)
+
+
+def old_compose(f, g):
+    if f.system != g.system:
+        raise SystemMismatchError("automorphisms over different factor systems")
+    system = f.system
+    parts = []
+    for k in range(1, system.n + 1):
+        part = system.part_compose(f.phi(k), g.phi(k))
+        parts.append((part, old_word_mul(f.conjugator(k), old_apply(f, g.conjugator(k)))))
+    return PureSymmetricAuto(system, tuple(parts))
+
+
+def old_act_on_label(label, psi):
+    system = label.system
+    new_words = [
+        old_word_mul(psi.conjugator(j), old_apply(psi, label.slot(j)))
+        for j in range(1, system.n + 1)
+    ]
+    if isinstance(label, StarLabel):
+        return star_label(system, new_words)
+    return apex_label(system, label.apex, new_words)
+
+
+IMAGE_SYSTEMS = {
+    "S3*Z2*Z": lambda: FactorSystem([s3_table(), CyclicBackend(2), IntBackend()]),
+    "T3*Z2*Z": lambda: T3_Z2_Z,
+    "Z3*Z4*Z2": lambda: FactorSystem([CyclicBackend(3), CyclicBackend(4), CyclicBackend(2)]),
+    "S3*T3*Z*Z4": lambda: FactorSystem(
+        [s3_table(), T3_Z2_Z.factor(1), IntBackend(), CyclicBackend(4)]
+    ),
+}
+
+
+def _conjugator(system, k, rng):
+    """A reduced word from up to 6 random letters, Z payloads up to 10^30;
+    half the time it begins with a syllable of G_k."""
+    g = random_reduced(system, rng, rng.randint(0, 6))
+    if rng.random() < 0.5 and (not g or g[0][0] != k):
+        g = (big_element(system, k, rng),) + g
+    return Word(system, g)
+
+
+def _image_auto(system, rng):
+    parts = []
+    for k in range(1, system.n + 1):
+        parts.append((random_part(system, k, rng), _conjugator(system, k, rng)))
+    return pure_auto(system, parts)
+
+
+class TestImageRule:
+    """apply, compose, act_on_label and word_mul give the Word tuples the
+    Word-level functions gave, byte for byte."""
+
+    @pytest.mark.parametrize("name", list(IMAGE_SYSTEMS))
+    def test_matches_word_level(self, name):
+        system = IMAGE_SYSTEMS[name]()
+        n = system.n
+        rng = random.Random(211)
+        seen = {"cancelled": 0, "own_head": 0, "inverse_pair": 0}
+        for _ in range(40):
+            f, g = _image_auto(system, rng), _image_auto(system, rng)
+            seen["own_head"] += sum(
+                bool(c.syllables) and c.syllables[0][0] == k
+                for k, (_, c) in enumerate(f.parts, start=1)
+            )
+            assert repr(compose(f, g)) == repr(old_compose(f, g))
+            for _ in range(4):
+                w = Word(system, random_reduced(system, rng, rng.randint(0, 8)))
+                image = old_apply(f, w)
+                assert repr(f.apply(w)) == repr(image)
+                # head . f(w) with head = f(w)^-1 cancels completely
+                assert _image(system, f.parts, image.inverse().syllables, w.syllables) == ()
+                seen["cancelled"] += bool(w.syllables)
+                u = Word(system, random_reduced(system, rng, rng.randint(0, 6)))
+                tail_inverse = Word(system, u.syllables[1:]).inverse()
+                for v in (w, w.inverse(), tail_inverse, empty_word(system)):
+                    assert repr(word_mul(u, v)) == repr(old_word_mul(u, v))
+                    assert repr(u * v) == repr(old_word_mul(u, v))
+                assert word_mul(w, w.inverse()) == empty_word(system)
+            words = [Word(system, random_reduced(system, rng, 4)) for _ in range(n)]
+            labels = [star_label(system, words)]
+            labels += [apex_label(system, i, words) for i in range(1, n + 1)]
+            for label in labels:
+                assert repr(act_on_label(label, f)) == repr(old_act_on_label(label, f))
+            try:
+                f_inv = invert(f)
+            except NonSplittingError:
+                continue
+            seen["inverse_pair"] += 1
+            for pair in ((f, f_inv), (f_inv, f)):
+                assert repr(compose(*pair)) == repr(old_compose(*pair))
+            for label in labels:
+                moved = act_on_label(label, f)
+                assert repr(act_on_label(moved, f_inv)) == repr(old_act_on_label(moved, f_inv))
+                assert isinstance(act_on_label(moved, f_inv), type(label))
+        assert min(seen.values()) > 0
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_foreign_conjugator_raises_as_before(self, triple_z2, z342, k):
+        """A conjugator from another system, put in place by the dataclass
+        and so never checked by pure_auto, raises what it raised before."""
+        parts = [(triple_z2.part_identity(j), empty_word(triple_z2)) for j in range(1, 4)]
+        parts[k - 1] = (triple_z2.part_identity(k), word(z342, [(k % 3 + 1, 1)]))
+        bad = PureSymmetricAuto(triple_z2, tuple(parts))
+        good = tuple_auto(triple_z2, [word(triple_z2, [(j % 3 + 1, 1)]) for j in range(1, 4)])
+        label = star_label(triple_z2, [word(triple_z2, [(2, 1)])] * 3)
+        calls = [
+            (compose, old_compose, (bad, good)),
+            (compose, old_compose, (good, bad)),
+            (act_on_label, old_act_on_label, (label, bad)),
+        ]
+        for new, old, args in calls:
+            with pytest.raises(SystemMismatchError) as want:
+                old(*args)
+            with pytest.raises(SystemMismatchError) as got:
+                new(*args)
+            assert str(got.value) == str(want.value)
+
+    def test_system_messages_kept(self, triple_z2, z342):
+        psi = identity_auto(triple_z2)
+        foreign = identity_auto(z342)
+        checks = [
+            (lambda: psi.apply(word(z342, [(1, 1)])), "word from a different factor system"),
+            (lambda: compose(psi, foreign), "automorphisms over different factor systems"),
+            (lambda: act_on_label(base_label(z342), psi), "word from a different factor system"),
+            (
+                lambda: word(triple_z2, [(1, 1)]) * word(z342, [(1, 1)]),
+                "words belong to different factor systems",
+            ),
+        ]
+        for call, message in checks:
+            with pytest.raises(SystemMismatchError) as raised:
+                call()
+            assert str(raised.value) == message

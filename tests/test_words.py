@@ -23,6 +23,7 @@ from whitefact.words import (
     _join,
     empty_word,
     enumerate_words,
+    letter,
     normal_form,
     right_divide,
     split_own_head,
@@ -407,3 +408,23 @@ class TestWordIsAValue:
 def test_word_str_smoke(k3):
     assert str(empty_word(k3)) == "1"
     assert str(word(k3, [(1, 1), (2, 1)])) == "1:1.2:1"
+
+
+class TestLetter:
+    """letter normalizes its payload before the identity test, so the word
+    it builds is reduced and canonical like word's."""
+
+    def test_payload_reduced_mod_order(self, k3):
+        assert letter(k3, (1, 3)) == word(k3, [(1, 1)])
+        assert letter(k3, (1, 3)).syllables == ((1, 1),)
+
+    def test_payload_equal_to_identity_mod_order(self, k3):
+        assert letter(k3, (1, 2)).is_identity()
+        assert letter(k3, (1, 2)) == empty_word(k3)
+
+    def test_table_payload_out_of_range_raises(self):
+        z2_table = TableBackend([[0, 1], [1, 0]])
+        system = FactorSystem([z2_table, CyclicBackend(2), CyclicBackend(3)])
+        with pytest.raises(ValueError, match=r"table index 7 out of range 0\.\.1"):
+            letter(system, (1, 7))
+        assert str(letter(system, (1, 1)) * letter(system, (2, 1))) == "1:x1.2:1"
