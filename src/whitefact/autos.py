@@ -14,10 +14,12 @@ Left-composing with a move (Y, x) is one rule, _push_moves: slot k of
 (Y, x) o psi is [x if k in Y] . (Y, x)(g_k), and every part stays.  The
 kernel _push_move takes each move as a pair (moved, element) and forms
 that normal form in one pass over each slot's syllables.  It is the only
-code that applies a Whitehead move, through two cores on syllable tuples:
-_recomposed_slots and _inverted_slots.  invert and recompose_factorization
-wrap their slots in Words; verify_factorization and check_ball's homing
-checks compare the tuples' canonical splits (_split_slots).
+code that applies a Whitehead move, through two cores on syllable tuples
+that take the moves as pairs: _recomposed_slots and _inverted_slots, which
+skips identity parts.  WhiteheadAuto is built only at the API edge, where
+factorize wraps the pairs _read_walk reads off a walk.  invert and
+recompose_factorization wrap their slots in Words; verify_factorization and
+check_ball's homing checks compare the tuples' canonical splits.
 
 Every image of a word under psi is one rule, words._image: apply runs it
 with an empty head, compose and labellings.act_on_label with the outer
@@ -64,7 +66,8 @@ class PureSymmetricAuto:
     def apply(self, w: Word) -> Word:
         """Homomorphic image in normal form."""
         system = self.system
-        _same_system(system, w.system, "word from a different factor system")
+        for value in (w, *(conj for _, conj in self.parts)):
+            _same_system(system, value.system, "word from a different factor system")
         return Word(system, _image(system, self.parts, (), w.syllables))
 
 
@@ -105,9 +108,9 @@ class WhiteheadAuto:
 
     The operating factor is the factor of x; it is fixed pointwise.  Y must
     be nonempty and x nontrivial, otherwise the value would collapse to the
-    identity and outer classes would lose their unique representatives, and
-    the operating factor must lie outside Y.  Construction raises
-    ValueError otherwise.
+    identity and outer classes would lose their unique representatives, x
+    must be normalized (system.element leaves it as is), and the operating
+    factor must lie outside Y.  Construction raises ValueError otherwise.
     """
 
     system: FactorSystem
@@ -115,15 +118,17 @@ class WhiteheadAuto:
     element: tuple[int, int]
 
     def __post_init__(self):
-        # _push_move's one-pass normal form relies on the last two checks.
+        # _push_move's one-pass normal form relies on the last three checks.
         if not self.moved:
             raise ValueError("a Whitehead automorphism needs a nonempty moved set")
-        if self.system.is_identity(self.element):
+        i, payload = self.element
+        backend = self.system.factor(i)
+        if payload == backend.identity_payload:
             raise ValueError("a Whitehead automorphism needs a nontrivial element")
-        if self.element[0] in self.moved:
-            raise ValueError(
-                f"operating factor {self.element[0]} cannot belong to the moved set"
-            )
+        if backend.normalize(payload) != payload:
+            raise ValueError(f"Whitehead element in factor {i} is not normalized")
+        if i in self.moved:
+            raise ValueError(f"operating factor {i} cannot belong to the moved set")
 
     @property
     def operating(self) -> int:
@@ -265,7 +270,7 @@ def factorize(psi: PureSymmetricAuto) -> Factorization:
 
     When the canonical tuple is base-equivalent psi splits directly as
     factor part times inner; otherwise it is walked back to the base
-    labelling and _factorization_from_walk reads the moves off the walk.
+    labelling and _read_walk reads the moves off the walk.
     """
     system = psi.system
     slots, parts0 = _split_canonical(psi)
@@ -280,12 +285,13 @@ def factorize(psi: PureSymmetricAuto) -> Factorization:
         return Factorization((), parts, Word(system, h))
 
     _, moves = reduce_to_base(StarLabel(system, tuple(Word(system, g) for g in slots)))
-    return _factorization_from_walk(system, moves, parts0)
+    pairs, parts = _read_walk(system, moves, parts0)
+    return Factorization(tuple(WhiteheadAuto(system, *p) for p in pairs), parts, empty_word(system))
 
 
-def _factorization_from_walk(system: FactorSystem, moves, parts0) -> Factorization:
-    """The factorization read, in reverse, off the reduction walk (moves) of
-    a canonical split's slots, whose factor parts are parts0.
+def _read_walk(system: FactorSystem, moves, parts0):
+    """The moves as pairs (moved, element) and the factor parts read, in
+    reverse, off the reduction walk (moves) of a canonical split with parts0.
 
     A fold move (i, Y, a) rewrites the tuple automorphism as the new tuple's,
     composed with conjugation of each G_k, k in Y, by its shed syllable b_k
@@ -297,7 +303,7 @@ def _factorization_from_walk(system: FactorSystem, moves, parts0) -> Factorizati
     that never sheds has no correction (None), and its part stays as is.
     """
     correction = [None] * system.n
-    whitehead: list[WhiteheadAuto] = []
+    pairs = []
     for i, moved, element, _, _, sheds in reversed(moves):
         for k, shed in zip(moved, sheds):
             if shed is not None:
@@ -307,11 +313,11 @@ def _factorization_from_walk(system: FactorSystem, moves, parts0) -> Factorizati
         x = system.inverses[element]
         if correction[i - 1] is not None:
             x = system.part_apply(correction[i - 1], x)
-        whitehead.append(WhiteheadAuto(system, moved, x))
+        pairs.append((moved, x))
     factor_parts = tuple(
         part if c is None else system.part_compose(c, part) for c, part in zip(correction, parts0)
     )
-    return Factorization(tuple(whitehead), factor_parts, empty_word(system))
+    return pairs, factor_parts
 
 
 def _push_moves(system: FactorSystem, moves, slots) -> list[tuple[tuple[int, int], ...]]:
@@ -324,17 +330,18 @@ def _push_moves(system: FactorSystem, moves, slots) -> list[tuple[tuple[int, int
     return slots
 
 
-def _recomposed_slots(system: FactorSystem, f: Factorization) -> list[tuple]:
-    """The slots of recompose_factorization(system, f) as syllable tuples."""
-    start = [_apply_parts(system, f.factor, _syllables_in(system, f.inner))] * system.n
-    return _push_moves(system, [(w.moved, w.element) for w in reversed(f.whitehead)], start)
+def _recomposed_slots(system: FactorSystem, moves, parts, h) -> list[tuple]:
+    """The slots of W1 o ... o WK o F o inner-by-h, for moves as pairs and h
+    as syllables: every slot F(h), with WK, ..., W1 pushed on in turn."""
+    start = [_apply_parts(system, parts, h)] * system.n
+    return _push_moves(system, reversed(moves), start)
 
 
 def recompose_factorization(system: FactorSystem, f: Factorization) -> PureSymmetricAuto:
-    """W1 o ... o WK o F o inner-by-h: F o inner-by-h has every slot F(h),
-    and WK, ..., W1 are pushed onto it in turn."""
-    slots = [Word(system, g) for g in _recomposed_slots(system, f)]
-    return PureSymmetricAuto(system, tuple(zip(f.factor, slots)))
+    """W1 o ... o WK o F o inner-by-h, by _recomposed_slots."""
+    moves = [(w.moved, w.element) for w in f.whitehead]
+    slots = _recomposed_slots(system, moves, f.factor, _syllables_in(system, f.inner))
+    return PureSymmetricAuto(system, tuple(zip(f.factor, (Word(system, g) for g in slots))))
 
 
 def evaluate_factorization(system: FactorSystem, f: Factorization, w: Word) -> Word:
@@ -343,22 +350,25 @@ def evaluate_factorization(system: FactorSystem, f: Factorization, w: Word) -> W
     return recompose_factorization(system, f).apply(w)
 
 
-def _inverted_slots(system: FactorSystem, f: Factorization, slots):
+def _inverted_slots(system: FactorSystem, moves, parts, h, slots, identity):
     """(parts, slots) of inner-by-h^-1 o F^-1 o WK^-1 o ... o W1^-1 o
-    tuple_auto(slots), for slots given as syllable tuples: W1^-1, ..., WK^-1
-    pushed onto slots, F^-1 on each slot, then c . h^-1 on each slot c.
-    Empty slots give the inverse of f itself."""
-    parts = [system.part_invert(p) for p in f.factor]
-    moves = [(w.moved, system.inverses[w.element]) for w in f.whitehead]
-    h = f.inner.syllables
-    pushed = _push_moves(system, moves, slots)
-    return parts, [right_divide(system, _apply_parts(system, parts, g), h) for g in pushed]
+    tuple_auto(slots), for moves as pairs and h and slots as syllables:
+    W1^-1, ..., WK^-1 pushed onto slots, F^-1 on each slot, then c . h^-1 on
+    each slot c.  A part equal to its entry in identity is not inverted, and
+    when all are, F^-1 is skipped: the kernel's slots are in normal form."""
+    inverse = tuple(p if p == e else system.part_invert(p) for p, e in zip(parts, identity))
+    pushed = _push_moves(system, [(moved, system.inverses[x]) for moved, x in moves], slots)
+    if inverse != identity:
+        pushed = [_apply_parts(system, inverse, g) for g in pushed]
+    return inverse, [right_divide(system, g, h) for g in pushed]
 
 
 def invert(psi: PureSymmetricAuto) -> PureSymmetricAuto:
     """Inverse automorphism, assembled from the Whitehead factorization."""
-    system = psi.system
-    parts, slots = _inverted_slots(system, factorize(psi), [()] * system.n)
+    system, f = psi.system, factorize(psi)
+    moves, empty = [(w.moved, w.element) for w in f.whitehead], [()] * system.n
+    identity = tuple(map(system.part_identity, range(1, system.n + 1)))
+    parts, slots = _inverted_slots(system, moves, f.factor, f.inner.syllables, empty, identity)
     return PureSymmetricAuto(system, tuple(zip(parts, (Word(system, g) for g in slots))))
 
 
@@ -414,7 +424,9 @@ def _first_fault(psi: PureSymmetricAuto, f: Factorization) -> tuple | None:
             message = system.part_validate(part)
             if message is not None:
                 return "{} part {}: {}", side, k, message
-    got_split = zip(*_split_slots(system, f.factor, _recomposed_slots(system, f)))
+    moves = [(w.moved, w.element) for w in f.whitehead]
+    got = _recomposed_slots(system, moves, f.factor, f.inner.syllables)
+    got_split = zip(*_split_slots(system, f.factor, got))
     want_split = zip(*_split_canonical(psi))
     for k, ((r, phi), (r_psi, phi_psi)) in enumerate(zip(got_split, want_split), start=1):
         if r == r_psi and phi == phi_psi:

@@ -14,26 +14,25 @@ of the pushing factor, one merge test each, and each is keyed once
 Words.  The visited tuples are far fewer than the tuples within the
 syllable budget, but they still grow exponentially with the bound, so
 MAX_VISITED caps the size of one call.  check_ball runs one reduction
-walk per star class and reads the class's factorization off it.  The walk
-runs on syllable tuples: a step scans the slots by length, O(n^2) tests,
-and folds each moved slot with one seam product (words._join), building
-Words for the final label only.  On syllable tuples too, check_ball
+walk per star class and reads it as move pairs and factor parts, with no
+WhiteheadAuto.  The walk runs on syllable tuples: a step scans the slots
+by length, O(n^2) tests, and folds each moved slot with one seam product
+(words._join), building Words for the final label only.  check_ball then
 pushes the inverse moves onto the class's own slots and recomposes the
-slots from the base, one kernel pass per move each, with two star keys
-per star class and one apex_key per A class.
+slots from the base, one kernel pass per move each, and identity parts do
+no work; it keys each star class twice and each A class once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .autos import _factorization_from_walk, _inverted_slots, _recomposed_slots, _split_slots
+from .autos import _inverted_slots, _read_walk, _recomposed_slots, _split_slots
 from .errors import EngineError, NonSplittingError, OracleUnavailableError
 from .labellings import (
     ApexLabel,
     StarLabel,
     _star_key,
-    _translate,
     apex_key,
     apex_label,
     base_label,
@@ -226,7 +225,8 @@ def check_ball(ball: SnBall) -> BallReport:
         except NonSplittingError:
             report.failures.append(f"alpha class #{alpha_index} does not reduce")
             continue
-        volumes = [volume(label)] + [m.volume_after for m in moves]
+        volumes = [moves[0].volume_before if moves else volume(label)]
+        volumes += [m.volume_after for m in moves]
         if any(v > ball.bound for v in volumes):
             report.failures.append(f"alpha class #{alpha_index} leaves the ball during reduction")
         if any(b <= a for a, b in zip(volumes[1:], volumes)):
@@ -234,16 +234,16 @@ def check_ball(ball: SnBall) -> BallReport:
         if final != base:
             report.failures.append(f"alpha class #{alpha_index} did not land on the base tuple")
         # tuple_auto(slots) splits canonically as the slots with identity
-        # parts, so its factorization is read off this walk.  Its inverse
-        # psi acts on the class as psi o tuple_auto(slots) does on the base,
-        # and must carry it there; recomposed, the walk's moves must give
-        # the split back (the carried slots are made canonical first)
-        walked = _factorization_from_walk(system, moves, identity)
+        # parts, so its factorization psi is read off this walk.  psi^-1 o
+        # tuple_auto(slots) must be the identity, empty slots and identity
+        # parts: it carries the class to the base cell, parts and all.
+        # Recomposed, the walk's moves must give the class's split back
+        pairs, parts = _read_walk(system, moves, identity)
         slots = tuple(g.syllables for g in label.conjugators)
-        carried = _inverted_slots(system, walked, slots)[1]
-        if any(_star_key(system, [r for _, r in _translate(system, carried, ())])):
+        carried = _inverted_slots(system, pairs, parts, (), slots, identity)
+        if _split_slots(system, *carried) != (((),) * n, identity):
             homing.append(f"alpha class #{alpha_index} is not carried to the base cell")
-        recomposed = _split_slots(system, walked.factor, _recomposed_slots(system, walked))
+        recomposed = _split_slots(system, parts, _recomposed_slots(system, pairs, parts, ()))
         if recomposed != (slots, identity):
             homing.append(f"alpha class #{alpha_index} is not reached from the base cell")
     if base_index is None:

@@ -419,12 +419,10 @@ def moves_to_json(moves) -> list:
 
 
 def sn_ball_to_json(ball: SnBall) -> dict:
-    return {
-        "bound": ball.bound,
-        "alpha_classes": [star_to_json(label)["alpha"] for label in ball.alpha_classes],
-        "a_classes": [apex_to_json(label)["A"] for label in ball.a_classes],
-        "edges": [list(edge) for edge in ball.edges],
-    }
+    # words as syllable tuples: dumps prints a tuple as the list it equals
+    alpha = [[w.syllables for w in label.conjugators] for label in ball.alpha_classes]
+    a = [{"apex": m.apex, "tuple": [w.syllables for w in m.conjugators]} for m in ball.a_classes]
+    return {"bound": ball.bound, "alpha_classes": alpha, "a_classes": a, "edges": ball.edges}
 
 
 def sn_ball_to_dot(ball: SnBall) -> str:

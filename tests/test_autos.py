@@ -1048,7 +1048,9 @@ class TestCorrectionsOnlyWhereShed:
             label = star_label(system, words)
             parts0 = tuple(random_part(system, k, rng) for k in range(1, n + 1))
             _, moves = reduce_to_base(label)
-            got = autos._factorization_from_walk(system, moves, parts0)
+            pairs, parts = autos._read_walk(system, moves, parts0)
+            whitehead = tuple(WhiteheadAuto(system, moved, x) for moved, x in pairs)
+            got = Factorization(whitehead, parts, empty_word(system))
             assert got == old_factorization_from_walk(system, moves, parts0)
             if any(
                 w.element != system.inverse(m.element)
@@ -1150,6 +1152,18 @@ class TestPureAutoValidation:
     def test_direct_whitehead_needs_disjoint_operating_factor(self, triple_z2):
         with pytest.raises(ValueError, match="operating"):
             WhiteheadAuto(triple_z2, (1, 2), FactorElement(1, 1))
+
+    def test_direct_whitehead_needs_normalized_element(self, triple_z2, s3_z2_z2):
+        # (1, 2) is the identity of Z2 written out of range.  Accepted, the
+        # move ({2}, (1, 2)) made verify refuse a correct factorization of
+        # the identity: letter normalizes it away, the kernel conjugates by it
+        with pytest.raises(ValueError, match="not normalized"):
+            WhiteheadAuto(triple_z2, (2,), (1, 2))
+        with pytest.raises(ValueError, match="not normalized"):
+            WhiteheadAuto(triple_z2, (2,), (1, 3))
+        with pytest.raises(ValueError, match="out of range"):
+            WhiteheadAuto(s3_z2_z2, (2,), (1, 6))
+        assert whitehead_auto(triple_z2, (2,), (1, 3)) == WhiteheadAuto(triple_z2, (2,), (1, 1))
 
 
 # -- the one-pass Whitehead kernel ----------------------------------------------
@@ -1291,6 +1305,16 @@ class TestForeignConjugator:
             with pytest.raises(SystemMismatchError):
                 split(psi)
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_apply_raises(self, triple_z2, z342, k):
+        # unchecked, slot 1's [2,3] mapped 1:1 to 2:1.1:1.2:3, payload 3 on Z2
+        parts = [(triple_z2.part_identity(j), empty_word(triple_z2)) for j in range(1, 4)]
+        parts[k - 1] = (triple_z2.part_identity(k), word(z342, [(2, 3)]))
+        psi = PureSymmetricAuto(triple_z2, tuple(parts))
+        for w in (word(triple_z2, [(k, 1)]), empty_word(triple_z2)):
+            with pytest.raises(SystemMismatchError, match="word from a different factor system"):
+                psi.apply(w)
+
 
 # -- the Word-level recomposition and inversion that the tuple cores
 # replaced, kept as oracles: each wraps every pushed slot in a Word
@@ -1382,7 +1406,12 @@ class TestTupleCores:
                 conjugators = [target.conjugator(k) for k in range(1, n + 1)]
                 want = old_word_invert_factorization(system, made, conjugators)
                 got_parts, got_slots = _inverted_slots(
-                    system, made, [g.syllables for g in conjugators]
+                    system,
+                    [(w.moved, w.element) for w in made.whitehead],
+                    made.factor,
+                    made.inner.syllables,
+                    [g.syllables for g in conjugators],
+                    tuple(system.part_identity(k) for k in range(1, n + 1)),
                 )
                 assert tuple(got_parts) == tuple(p for p, _ in want.parts)
                 assert tuple(got_slots) == tuple(g.syllables for _, g in want.parts)

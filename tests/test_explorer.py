@@ -19,7 +19,7 @@ from whitefact.labellings import (
     volume,
 )
 from whitefact.reduction import reduce_to_base
-from whitefact.words import empty_word, enumerate_words, word
+from whitefact.words import empty_word, enumerate_words, right_divide, word
 
 
 def brute_splitting_tuples(system, max_volume):
@@ -343,12 +343,12 @@ class TestCheck:
 
     def test_broken_inverse_flagged(self, triple_z2, monkeypatch):
         ball = enumerate_ball(triple_z2, 7)
-        walk = explorer._factorization_from_walk
+        walk = explorer._read_walk
 
         def drop_first_move(system, moves, parts0):
             return walk(system, moves[1:], parts0)
 
-        monkeypatch.setattr(explorer, "_factorization_from_walk", drop_first_move)
+        monkeypatch.setattr(explorer, "_read_walk", drop_first_move)
         report = check_ball(ball)
         moved = [k for k, label in enumerate(ball.alpha_classes) if volume(label) > 3]
         assert moved
@@ -366,8 +366,8 @@ class TestCheck:
         ball = enumerate_ball(triple_z2, 7)
         recompose = explorer._recomposed_slots
 
-        def drop_first_move(system, f):
-            return recompose(system, dataclasses.replace(f, whitehead=f.whitehead[1:]))
+        def drop_first_move(system, moves, parts, h):
+            return recompose(system, moves[1:], parts, h)
 
         monkeypatch.setattr(explorer, "_recomposed_slots", drop_first_move)
         report = check_ball(ball)
@@ -375,6 +375,34 @@ class TestCheck:
         assert moved
         assert report.failures == [
             f"alpha class #{k} is not reached from the base cell" for k in moved
+        ]
+
+    def test_skipped_nonidentity_part_flagged(self, s3_z2_z2, monkeypatch):
+        # from bound 11 on, S3*Z2*Z2 walks shed S3 syllables, so their
+        # classes have conjugation parts that are not the identity
+        ball = enumerate_ball(s3_z2_z2, 11)
+        identity = tuple(s3_z2_z2.part_identity(k) for k in range(1, 4))
+        parts = [
+            explorer._read_walk(s3_z2_z2, reduce_to_base(label)[1], identity)[1]
+            for label in ball.alpha_classes
+        ]
+        assert sum(p != identity for p in parts) == 10
+        inverted = explorer._inverted_slots
+
+        def skip_every_part(system, moves, parts, h, slots, identity):
+            # an identity skip that takes every part for the identity
+            return inverted(system, moves, parts, h, slots, parts)
+
+        monkeypatch.setattr(explorer, "_inverted_slots", skip_every_part)
+        report = check_ball(ball)
+        # a part that is its own inverse (conjugation by a transposition)
+        # comes out right even when skipped; a 3-cycle's does not
+        flagged = [
+            k for k, p in enumerate(parts) if tuple(map(s3_z2_z2.part_invert, p)) != p
+        ]
+        assert len(flagged) == 4
+        assert report.failures == [
+            f"alpha class #{k} is not carried to the base cell" for k in flagged
         ]
 
     def test_one_walk_per_class(self, triple_z2, z342, monkeypatch):
@@ -444,3 +472,188 @@ class TestBallIsATreeAtThreeFactors:
         ball = enumerate_ball(z3422, 8)
         assert components_and_cycle_rank(ball) == (1, 34)
         assert (len(ball.alpha_classes), len(ball.a_classes), len(ball.edges)) == (200, 567, 800)
+
+
+# -- check_ball and the ball encoder as they were before the pair cores, kept
+# as references: the walk read into WhiteheadAutos, the carried slots keyed
+
+
+def reference_walk_factorization(system, moves, parts0):
+    correction = [None] * system.n
+    whitehead = []
+    for i, moved, element, _, _, sheds in reversed(moves):
+        for k, shed in zip(moved, sheds):
+            if shed is not None:
+                c = system.conjugation_part(shed)
+                prior = correction[k - 1]
+                correction[k - 1] = c if prior is None else system.part_compose(prior, c)
+        x = system.inverses[element]
+        if correction[i - 1] is not None:
+            x = system.part_apply(correction[i - 1], x)
+        whitehead.append(autos.WhiteheadAuto(system, moved, x))
+    parts = tuple(
+        part if c is None else system.part_compose(c, part) for c, part in zip(correction, parts0)
+    )
+    return autos.Factorization(tuple(whitehead), parts, empty_word(system))
+
+
+def reference_inverted_slots(system, f, slots):
+    parts = [system.part_invert(p) for p in f.factor]
+    moves = [(w.moved, system.inverses[w.element]) for w in f.whitehead]
+    pushed = autos._push_moves(system, moves, slots)
+    h = f.inner.syllables
+    return parts, [right_divide(system, autos._apply_parts(system, parts, g), h) for g in pushed]
+
+
+def reference_recomposed_slots(system, f):
+    start = [autos._apply_parts(system, f.factor, f.inner.syllables)] * system.n
+    moves = [(w.moved, w.element) for w in reversed(f.whitehead)]
+    return autos._push_moves(system, moves, start)
+
+
+def reference_check_ball(ball):
+    failures = []
+    system = ball.system
+    n = system.n
+    incident = {i: [] for i in range(len(ball.alpha_classes))}
+    for alpha_index, a_index in ball.edges:
+        if not (0 <= alpha_index < len(ball.alpha_classes)):
+            failures.append(f"edge references missing alpha class {alpha_index}")
+        elif not (0 <= a_index < len(ball.a_classes)):
+            failures.append(f"edge references missing A class {a_index}")
+        else:
+            incident[alpha_index].append(a_index)
+    for alpha_index, touched in incident.items():
+        if len(touched) != n or len(set(touched)) != n:
+            failures.append(
+                f"alpha class #{alpha_index} has {len(set(touched))} collapse "
+                f"edges (expected {n})"
+            )
+        apexes = sorted(ball.a_classes[a].apex for a in touched)
+        if apexes != list(range(1, n + 1)):
+            failures.append(f"alpha class #{alpha_index} collapse apexes {apexes} incomplete")
+    keys = [star_key(label) for label in ball.alpha_classes]
+    if len(set(keys)) < len(keys):
+        failures.append("duplicate alpha classes survived dedup")
+    a_keys = [apex_key(label) for label in ball.a_classes]
+    if len(set(a_keys)) < len(a_keys):
+        failures.append("duplicate A classes survived dedup")
+    base = base_label(system)
+    base_key = star_key(base)
+    identity = tuple(system.part_identity(k) for k in range(1, n + 1))
+    base_index = None
+    homing = []
+    for alpha_index, (label, key) in enumerate(zip(ball.alpha_classes, keys)):
+        if key == base_key:
+            base_index = alpha_index
+        try:
+            final, moves = reduce_to_base(label)
+        except NonSplittingError:
+            failures.append(f"alpha class #{alpha_index} does not reduce")
+            continue
+        volumes = [volume(label)] + [m.volume_after for m in moves]
+        if any(v > ball.bound for v in volumes):
+            failures.append(f"alpha class #{alpha_index} leaves the ball during reduction")
+        if any(b <= a for a, b in zip(volumes[1:], volumes)):
+            failures.append(f"alpha class #{alpha_index} has a non-decreasing step")
+        if final != base:
+            failures.append(f"alpha class #{alpha_index} did not land on the base tuple")
+        walked = reference_walk_factorization(system, moves, identity)
+        slots = tuple(g.syllables for g in label.conjugators)
+        carried = reference_inverted_slots(system, walked, slots)[1]
+        canonical = [r for _, r in labellings._translate(system, carried, ())]
+        if any(labellings._star_key(system, canonical)):
+            homing.append(f"alpha class #{alpha_index} is not carried to the base cell")
+        recomposed = autos._split_slots(
+            system, walked.factor, reference_recomposed_slots(system, walked)
+        )
+        if recomposed != (slots, identity):
+            homing.append(f"alpha class #{alpha_index} is not reached from the base cell")
+    if base_index is None:
+        failures.append("base class missing from the ball")
+    else:
+        base_neighbours = set(incident[base_index])
+        targets = {apex_key(apex_label(system, i, base.conjugators)) for i in range(1, n + 1)}
+        expected = [a for a in base_neighbours if a_keys[a] in targets]
+        if len(base_neighbours) != n or len(expected) != n:
+            failures.append("base class collapse neighbours are not the n expected")
+    failures.extend(homing)
+    stats = {
+        "alpha_classes": len(ball.alpha_classes),
+        "a_classes": len(ball.a_classes),
+        "edges": len(ball.edges),
+        "base_index": base_index,
+    }
+    return failures, stats
+
+
+def reference_ball_to_json(ball):
+    """sn_ball_to_json as it built a list per word, through star_to_json and
+    apex_to_json."""
+    return {
+        "bound": ball.bound,
+        "alpha_classes": [jsonio.star_to_json(label)["alpha"] for label in ball.alpha_classes],
+        "a_classes": [jsonio.apex_to_json(label)["A"] for label in ball.a_classes],
+        "edges": [list(edge) for edge in ball.edges],
+    }
+
+
+# the explore benchmark's three balls, plus the first S3*Z2*Z2 ball whose
+# walks shed, so that its classes carry parts that are not the identity
+DESK_BALLS = [("triple_z2", 15), ("z3422", 8), ("s3_z2_z2", 9), ("s3_z2_z2", 11)]
+
+
+@pytest.fixture(scope="module")
+def desk_balls(request):
+    return [enumerate_ball(request.getfixturevalue(name), bound) for name, bound in DESK_BALLS]
+
+
+def mutated_balls(ball):
+    """The ball itself, then with its last edge dropped, its first two A
+    classes (two apexes) swapped, its bound two below, and its second class
+    repeated with the same collapse edges."""
+    a = list(ball.a_classes)
+    a[0], a[1] = a[1], a[0]
+    repeated = tuple((len(ball.alpha_classes), m) for alpha, m in ball.edges if alpha == 1)
+    return [
+        ball,
+        dataclasses.replace(ball, edges=ball.edges[:-1]),
+        dataclasses.replace(ball, a_classes=tuple(a)),
+        dataclasses.replace(ball, bound=ball.bound - 2),
+        dataclasses.replace(
+            ball,
+            alpha_classes=ball.alpha_classes + (ball.alpha_classes[1],),
+            edges=ball.edges + repeated,
+        ),
+    ]
+
+
+class TestPairCores:
+    """check_ball reads each walk as move pairs and skips identity parts,
+    and sn_ball_to_json emits syllable tuples; both give the answers of the
+    references above."""
+
+    def test_check_ball_matches_reference(self, desk_balls):
+        flagged = 0
+        for ball in desk_balls:
+            for candidate in mutated_balls(ball):
+                report = check_ball(candidate)
+                assert (report.failures, report.stats) == reference_check_ball(candidate)
+                flagged += bool(report.failures)
+        assert flagged == 4 * len(desk_balls)
+
+    def test_walk_moves_are_whitehead_moves(self, desk_balls):
+        # check_ball builds no WhiteheadAuto, so nothing validates its moves
+        for ball in desk_balls:
+            system = ball.system
+            identity = tuple(system.part_identity(k) for k in range(1, system.n + 1))
+            for label in ball.alpha_classes:
+                pairs, _ = explorer._read_walk(system, reduce_to_base(label)[1], identity)
+                for moved, x in pairs:
+                    assert moved and x[0] not in moved
+                    assert not system.is_identity(x) and system.element(*x) == x
+
+    def test_ball_json_matches_list_encoder(self, desk_balls):
+        for ball in desk_balls:
+            want = jsonio.dumps(reference_ball_to_json(ball))
+            assert jsonio.dumps(sn_ball_to_json(ball)) == want
