@@ -41,19 +41,29 @@ class FactorAutoPart:
 
 
 class FactorBackend:
-    """Interface shared by the three factor kinds, which each define:
-    op(a, b), inv(a), is_finite(), order() (None if infinite), payloads(),
-    generators(), normalize(payload), validate() (the first violated axiom
-    or None), describe(), and on automorphism reps identity_auto(),
-    auto_apply(rep, payload), auto_compose(f, g) (x -> f(g(x))),
-    auto_invert(rep), auto_validate(rep), conjugation_rep(a) (x -> a^-1 x a)
-    and automorphism_reps()."""
+    """Interface of the three factor kinds.  Each defines op(a, b), inv(a),
+    order() (None if infinite), generators(), normalize(payload), validate()
+    (the first violated axiom or None), describe(), and on automorphism reps
+    identity_auto(), auto_apply(rep, payload), auto_compose(f, g)
+    (x -> f(g(x))), auto_invert(rep), auto_validate(rep), conjugation_rep(a)
+    (x -> a^-1 x a) and automorphism_reps().  The base derives is_finite()
+    and payloads() from order(); identity_payload 0 and element_name str
+    are defaults a kind may override."""
 
     kind: str
 
     @property
     def identity_payload(self) -> int:
         return 0
+
+    def is_finite(self) -> bool:
+        return self.order() is not None
+
+    def payloads(self) -> range:
+        order = self.order()
+        if order is None:
+            raise OracleUnavailableError("oracle requires finite factors")
+        return range(order)
 
     def element_name(self, payload: int) -> str:
         try:
@@ -76,14 +86,8 @@ class CyclicBackend(FactorBackend):
     def inv(self, a):
         return (-a) % self._order
 
-    def is_finite(self):
-        return True
-
     def order(self):
         return self._order
-
-    def payloads(self):
-        return iter(range(self._order))
 
     def generators(self):
         return [1]
@@ -136,14 +140,8 @@ class IntBackend(FactorBackend):
     def inv(self, a):
         return -a
 
-    def is_finite(self):
-        return False
-
     def order(self):
         return None
-
-    def payloads(self):
-        raise OracleUnavailableError("oracle requires finite factors")
 
     def generators(self):
         return [1]
@@ -196,7 +194,6 @@ class TableBackend(FactorBackend):
         table: Sequence[Sequence[int]],
         identity: int = 0,
         names: Sequence[str] | None = None,
-        inverse: Sequence[int] | None = None,
     ):
         self.table = tuple(tuple(int(x) for x in row) for row in table)
         self.size = len(self.table)
@@ -204,16 +201,14 @@ class TableBackend(FactorBackend):
         self.names = tuple(names) if names is not None else tuple(
             f"x{i}" for i in range(self.size)
         )
-        if inverse is not None:
-            self.inverse = tuple(int(x) for x in inverse)
-        else:
-            self.inverse = tuple(self._derive_inverse(i) for i in range(self.size))
+        self.inverse = tuple(self._derive_inverse(i) for i in range(self.size))
 
     def _derive_inverse(self, i: int) -> int:
+        """The right inverse from row i; in a group it is two-sided."""
         for j, value in enumerate(self.table[i]):
             if value == self.identity:
                 return j
-        return i  # flagged by validate()
+        return i  # validate()'s Latin-square or identity check rejects the table
 
     def op(self, a, b):
         return self.table[a][b]
@@ -225,14 +220,8 @@ class TableBackend(FactorBackend):
     def identity_payload(self):
         return self.identity
 
-    def is_finite(self):
-        return True
-
     def order(self):
         return self.size
-
-    def payloads(self):
-        return iter(range(self.size))
 
     def generators(self):
         """Greedy: the least element not yet spanned, then close the span."""
@@ -279,13 +268,6 @@ class TableBackend(FactorBackend):
         for i in range(n):
             if self.table[e][i] != i or self.table[i][e] != i:
                 return "identity row/column are not identity maps"
-        if len(self.inverse) != n or not all(0 <= x < n for x in self.inverse):
-            return "inverse table malformed"
-        for i in range(n):
-            if self.inverse[self.inverse[i]] != i:
-                return "inverse table inconsistent"
-            if self.table[i][self.inverse[i]] != e or self.table[self.inverse[i]][i] != e:
-                return "inverse table inconsistent"
         for a in range(n):
             for b in range(n):
                 for c in range(n):
@@ -339,9 +321,10 @@ class TableBackend(FactorBackend):
         return tuple(self.table[self.table[ia][x]][payload] for x in range(self.size))
 
     def automorphism_reps(self):
-        cached = getattr(self, "_auto_reps", None)
-        if cached is not None:
-            return list(cached)
+        return list(self._automorphism_reps)
+
+    @cached_property
+    def _automorphism_reps(self) -> tuple[tuple[int, ...], ...]:
         if self.size > 8:
             raise OracleUnavailableError(
                 f"automorphism enumeration limited to order <= 8, got {self.size}"
@@ -356,8 +339,7 @@ class TableBackend(FactorBackend):
             rep = tuple(rep)
             if self.auto_validate(rep) is None:
                 reps.append(rep)
-        self._auto_reps = tuple(reps)
-        return list(reps)
+        return tuple(reps)
 
 
 LETTER_MEMO_CAP = 65_536
@@ -366,21 +348,20 @@ letter texts.  Past it a memo computes without storing, so Z payloads and
 large cyclic orders cannot grow it without bound."""
 
 
-class _Inverses(dict):
-    """letter -> its inverse as an exact tuple, stored for the first
-    LETTER_MEMO_CAP letters.  A bad factor index raises system.factor's
-    FactorMismatchError."""
+class _LetterMemo(dict):
+    """letter -> compute(letter), stored for the first LETTER_MEMO_CAP
+    letters.  A hit is one dict lookup; an error of compute propagates and
+    stores nothing."""
 
-    def __init__(self, system: "FactorSystem"):
+    def __init__(self, compute):
         super().__init__()
-        self.system = system
+        self.compute = compute
 
     def __missing__(self, letter):
-        f, p = letter
-        inverse = (f, self.system.factor(f).inv(p))
+        value = self.compute(letter)
         if len(self) < LETTER_MEMO_CAP:
-            self[letter] = inverse
-        return inverse
+            self[letter] = value
+        return value
 
 
 class FactorSystem:
@@ -399,7 +380,7 @@ class FactorSystem:
         self.identity_payloads = tuple(b.identity_payload for b in self.backends)
         self.orders = tuple(b.order() for b in self.backends)
         self._hash = hash(self.signature)
-        self.inverses = _Inverses(self)  # read by words.Word.inverse and right_divide
+        self.inverses = _LetterMemo(self._inverse_of)  # read by Word.inverse and right_divide
 
     def __eq__(self, other):
         return isinstance(other, FactorSystem) and self.signature == other.signature
@@ -419,7 +400,7 @@ class FactorSystem:
 
     @property
     def all_finite(self) -> bool:
-        return all(b.is_finite() for b in self.backends)
+        return None not in self.orders
 
     # -- element arithmetic ----------------------------------------------
 
@@ -438,6 +419,11 @@ class FactorSystem:
 
     def inverse(self, a: tuple[int, int]) -> tuple[int, int]:
         return self.inverses[a]
+
+    def _inverse_of(self, letter: tuple[int, int]) -> tuple[int, int]:
+        """Its exact-tuple inverse; a bad factor index raises FactorMismatchError."""
+        f, p = letter
+        return (f, self.factor(f).inv(p))
 
     def nontrivial_payloads(self, i: int) -> list[int]:
         backend = self.factor(i)

@@ -37,8 +37,7 @@ plain ints, so the bytes equal dumps of the word.  The fragments come from
 _letter_text, a memo keyed by letter: a finite factor's alphabet is small,
 so it is full after a warm-up even though every word is new, and a
 geodesic's vertices, which share their reps' suffixes, format no letter
-twice.  It keeps at most LETTER_MEMO_CAP letters, the cap that
-FactorSystem.inverses shares, and past that formats without storing, so Z
+twice.  It is the capped letter memo of FactorSystem.inverses, so Z
 payloads and large cyclic orders cannot grow it without bound.
 """
 
@@ -56,12 +55,12 @@ from .autos import (
 from .errors import EngineError, SchemaError, UnprintableAnswerError, clip, echo
 from .explorer import SnBall
 from .factors import (
-    LETTER_MEMO_CAP,
     CyclicBackend,
     FactorAutoPart,
     FactorSystem,
     IntBackend,
     TableBackend,
+    _LetterMemo,
 )
 from .labellings import ApexLabel, StarLabel, apex_label, star_label
 from .tree import TreeVertex, c_vertex, u_vertex
@@ -141,12 +140,7 @@ def system_from_json(obj) -> FactorSystem:
                 names is None or (isinstance(names, list) and len(names) == len(table)),
                 f"factor {k}: elements must name every table row",
             )
-            inverse = entry.get("inverse")
-            _expect(
-                inverse is None or (isinstance(inverse, list) and _all_ints(inverse)),
-                f"factor {k}: inverse must be a list of integers",
-            )
-            backends.append(TableBackend(table, identity=identity, names=names, inverse=inverse))
+            backends.append(TableBackend(table, identity=identity, names=names))
         else:
             raise SchemaError(f"factor {k}: unknown kind {echo(kind)}")
     try:
@@ -207,19 +201,7 @@ def word_from_json(system: FactorSystem, obj) -> Word:
     return normal_form(system, letters)
 
 
-class _LetterText(dict):
-    """letter -> "[factor,payload]", stored for the first LETTER_MEMO_CAP
-    letters.  What it holds decides only whether a letter is formatted
-    again, never a name's bytes."""
-
-    def __missing__(self, letter):
-        text = "[%d,%d]" % letter
-        if len(self) < LETTER_MEMO_CAP:
-            self[letter] = text
-        return text
-
-
-_letter_text = _LetterText()
+_letter_text = _LetterMemo("[%d,%d]".__mod__)
 
 
 def vertex_name(v: TreeVertex) -> str:

@@ -1122,6 +1122,29 @@ class TestKernelComposition:
                 )
 
 
+class TestApplyPartsNormalForm:
+    """recompose_factorization normal-forms the image F(h) of the inner
+    word.  With automorphism parts F(h) is already reduced; a part that is
+    no automorphism, the Z2 multiplier 0 sending 1:1 to the identity, leaves
+    it unreduced, and the conjugators must still come out reduced."""
+
+    @pytest.mark.parametrize(
+        "moves", [(), (((3,), (2, 1)),), (((2, 3), (1, 1)), ((1,), (3, 1)))]
+    )
+    def test_non_automorphism_part_gives_reduced_conjugators(self, triple_z2, moves):
+        system = triple_z2
+        parts = (FactorAutoPart(1, 0), system.part_identity(2), system.part_identity(3))
+        made = tuple(whitehead_auto(system, y, x) for y, x in moves)
+        h = word(system, [(2, 1), (1, 1), (2, 1)])  # F(h) = 2:1.2:1 = 1
+        psi = recompose_factorization(system, Factorization(made, parts, h))
+        for k in range(1, system.n + 1):
+            g = psi.conjugator(k)
+            assert normal_form(system, g.syllables) == g
+        assert psi == recompose_factorization(
+            system, Factorization(made, parts, empty_word(system))
+        )
+
+
 class TestPureAutoValidation:
     def test_misplaced_part_rejected(self, triple_z2):
         from whitefact.errors import FactorMismatchError

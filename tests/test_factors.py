@@ -3,7 +3,7 @@ import itertools
 
 import pytest
 
-from whitefact.errors import FactorMismatchError
+from whitefact.errors import FactorMismatchError, OracleUnavailableError
 from whitefact.factors import (
     LETTER_MEMO_CAP,
     CyclicBackend,
@@ -90,14 +90,20 @@ class TestValidation:
         broken = TableBackend(table, identity=0, names=S3_NAMES)
         assert broken.validate() == "not a Latin square"
 
-    def test_wrong_inverse_entry_reported(self):
-        backend = s3_table()
-        inverse = list(backend.inverse)
-        inverse[4], inverse[5] = inverse[5], inverse[4]
-        # (123) and (132) are each other's inverses, so swapping those
-        # entries keeps the involution but breaks the product condition
-        broken = TableBackend(backend.table, identity=0, names=S3_NAMES, inverse=inverse)
-        assert broken.validate() == "inverse table inconsistent"
+    def test_one_sided_inverse_loop_is_not_associative(self):
+        # a loop: row 2 takes 2 to the identity at 3, but row 3 takes 3 to
+        # it at 4, so the row-derived inverse is one-sided; only a group's
+        # right inverse is two-sided, and the associativity check says so
+        table = [
+            [0, 1, 2, 3, 4],
+            [1, 0, 3, 4, 2],
+            [2, 3, 4, 0, 1],
+            [3, 4, 1, 2, 0],
+            [4, 2, 0, 1, 3],
+        ]
+        backend = TableBackend(table, identity=0)
+        assert backend.inverse[backend.inverse[2]] != 2
+        assert backend.validate() == "not associative"
 
     def test_cyclic_order_one_rejected(self):
         assert "at least 2" in CyclicBackend(1).validate()
@@ -144,6 +150,19 @@ class TestRepr:
 
     def test_orders(self, mixed_system):
         assert mixed_system.orders == (6, 2, None)
+        assert not mixed_system.all_finite
+        assert FactorSystem([s3_table(), CyclicBackend(2), CyclicBackend(5)]).all_finite
+
+    @pytest.mark.parametrize("i", [1, 2, 3])
+    def test_finiteness_and_payloads_follow_order(self, mixed_system, i):
+        backend = mixed_system.factor(i)
+        order = backend.order()
+        assert backend.is_finite() is (order is not None)
+        if order is None:
+            with pytest.raises(OracleUnavailableError, match="^oracle requires finite factors$"):
+                backend.payloads()
+        else:
+            assert list(backend.payloads()) == list(range(order))
 
 
 class TestFactorElement:

@@ -7,7 +7,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from whitefact import jsonio
+from whitefact import factors, jsonio
 from whitefact.cli import main
 from whitefact.autos import Factorization, WhiteheadAuto, factorize, pure_auto, whitehead_auto
 from whitefact.errors import EngineError, FactorMismatchError, SchemaError, UnprintableAnswerError
@@ -50,6 +50,19 @@ class TestSystem:
         system = jsonio.system_from_json(payload)
         assert system.n == 3
         assert not system.all_finite
+
+    def test_inverse_key_is_ignored(self):
+        # the table decides its inverses: a wrong "inverse" key, swapping
+        # (123) and (132), changes neither the system nor a factor's inv
+        system = FactorSystem([s3_table(), CyclicBackend(2), CyclicBackend(2)])
+        payload = jsonio.system_to_json(system)
+        payload["factors"][0]["inverse"] = [0, 1, 2, 3, 4, 5]
+        decoded = jsonio.system_from_json(payload)
+        assert decoded == jsonio.system_from_json(jsonio.system_to_json(system)) == system
+        s3 = decoded.factor(1)
+        for a in range(6):
+            assert s3.table[a][s3.inv(a)] == 0 == s3.table[s3.inv(a)][a]
+        assert s3.inv(4) == 5
 
     def test_too_few_factors(self):
         with pytest.raises(SchemaError, match="at least 3"):
@@ -729,12 +742,13 @@ class TestWireOracle:
 
 
 class TestLetterMemo:
-    """vertex_name formats each letter once, through a memo of at most
-    LETTER_MEMO_CAP letters; the bytes stay those of dumps of the word."""
+    """vertex_name formats each letter once, through the shared letter memo
+    of at most factors.LETTER_MEMO_CAP letters; the bytes stay those of
+    dumps of the word."""
 
     @pytest.fixture
     def memo(self, monkeypatch):
-        fresh = jsonio._LetterText()
+        fresh = factors._LetterMemo("[%d,%d]".__mod__)
         monkeypatch.setattr(jsonio, "_letter_text", fresh)
         return fresh
 
@@ -765,7 +779,7 @@ class TestLetterMemo:
 
     def test_memo_stays_at_its_cap(self, memo):
         system = WIRE_SYSTEMS["S3*Z2*Z*Z5"]
-        cap = jsonio.LETTER_MEMO_CAP
+        cap = factors.LETTER_MEMO_CAP
         for start in range(-500, cap + 500, 1000):
             letters = []
             for p in range(start, start + 1000):
