@@ -253,6 +253,9 @@ class TableBackend(FactorBackend):
             return f"Cayley table needs at least 2 elements, got {n}"
         if n > MAX_TABLE_ORDER:
             return f"Cayley table of order {n} exceeds the limit of {MAX_TABLE_ORDER}"
+        names = self.names
+        if len(names) != n or not all(isinstance(x, str) for x in names) or len(set(names)) != n:
+            return "elements must be distinct strings, one per table row"
         full = set(range(n))
         for i, row in enumerate(self.table):
             if len(row) != n:

@@ -35,10 +35,13 @@ each value once and formats a message only when a check fails.
 Vertex names join "[factor,payload]" fragments; normalized payloads are
 plain ints, so the bytes equal dumps of the word.  The fragments come from
 _letter_text, a memo keyed by letter: a finite factor's alphabet is small,
-so it is full after a warm-up even though every word is new, and a
-geodesic's vertices, which share their reps' suffixes, format no letter
-twice.  It is the capped letter memo of FactorSystem.inverses, so Z
-payloads and large cyclic orders cannot grow it without bound.
+so it is full after a warm-up even though every word is new.  It is the
+capped letter memo of FactorSystem.inverses, so Z payloads and large
+cyclic orders cannot grow it without bound.  A name's body is derived from
+the last name's when their syllables are equal (U(r) and C_i(r)) or differ
+by one leading letter (neighbours on a geodesic), so a path of length L is
+named in time linear in L; the body depends on the syllables alone, so the
+order of the calls changes no byte.
 """
 
 from __future__ import annotations
@@ -67,9 +70,12 @@ from .tree import TreeVertex, c_vertex, u_vertex
 from .words import Word, normal_form
 
 
+_encoder = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def dumps(obj) -> str:
     try:
-        return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+        return _encoder.encode(obj)
     except ValueError as exc:  # past the int-string digit limit
         raise UnprintableAnswerError() from exc
 
@@ -202,13 +208,29 @@ def word_from_json(system: FactorSystem, obj) -> Word:
 
 
 _letter_text = _LetterMemo("[%d,%d]".__mod__)
+# (syllables, body) of the last name, replaced whole so that no reader sees
+# a torn pair; the body depends on the syllables alone
+_neighbour = ((), "")
 
 
 def vertex_name(v: TreeVertex) -> str:
+    global _neighbour
+    syllables = v.rep.syllables
+    last, text = _neighbour
+    n, m = len(syllables), len(last)
     try:
-        body = ",".join(map(_letter_text.__getitem__, v.rep.syllables))
+        if n == m and syllables == last:
+            body = text
+        elif n == m - 1 and syllables == last[1:]:
+            body = text[len(_letter_text[last[0]]) + 1:]
+        elif n == m + 1 and syllables[1:] == last:
+            head = _letter_text[syllables[0]]
+            body = f"{head},{text}" if last else head
+        else:
+            body = ",".join(map(_letter_text.__getitem__, syllables))
     except ValueError as exc:  # past the int-string digit limit
         raise UnprintableAnswerError() from exc
+    _neighbour = (syllables, body)
     if v.kind == "u":
         return f"U:[{body}]"
     return f"C{v.factor}:[{body}]"

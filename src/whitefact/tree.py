@@ -15,8 +15,9 @@ q's rep as its rep: the path runs down p's root path to where the two root
 paths meet and up q's root path from there.  The meet lies at depth 2t for
 a common rep suffix of t syllables, plus one when the next syllables on
 both sides lie in the same factor (a used-up C endpoint's next syllable is
-its own factor).  The exponential BFS oracle below exists to validate that
-arithmetic.
+its own factor).  A path builds one Word per suffix, shared by U(r) and
+C_i(r), so it costs time linear in its length.  The exponential BFS oracle
+below exists to validate that arithmetic.
 """
 
 from __future__ import annotations
@@ -77,16 +78,19 @@ def _meet(p: TreeVertex, q: TreeVertex) -> int:
     return 2 * t + (f != 0 and f == g)
 
 
-def _root_path_vertex(v: TreeVertex, d: int) -> TreeVertex:
-    """The vertex at depth d on the path from U(1) to v."""
-    if d == _depth(v):
-        return v
-    syllables = v.rep.syllables
-    j = d // 2
-    suffix = Word(v.rep.system, syllables[len(syllables) - j:])
-    if d % 2 == 0:
-        return TreeVertex("u", 0, suffix)
-    return TreeVertex("c", syllables[-j - 1][0], suffix)
+def _root_path(v: TreeVertex, start: int) -> list[TreeVertex]:
+    """v's root-path vertices at depths start..depth(v) - 1, one Word per suffix."""
+    rep, syllables = v.rep, v.rep.syllables
+    k, path = len(syllables), []
+    for d in range(start, _depth(v)):
+        j = d >> 1
+        if d == start or not d & 1:
+            suffix = rep if j == k else Word(rep.system, syllables[k - j:])
+        if d & 1:
+            path.append(TreeVertex("c", syllables[-j - 1][0], suffix))
+        else:
+            path.append(TreeVertex("u", 0, suffix))
+    return path
 
 
 def distance(p: TreeVertex, q: TreeVertex) -> int:
@@ -100,8 +104,8 @@ def geodesic(p: TreeVertex, q: TreeVertex) -> tuple[TreeVertex, ...]:
     It runs down p's root path to the meet, then up q's root path.
     """
     m = _meet(p, q)
-    down = [_root_path_vertex(p, d) for d in range(_depth(p), m - 1, -1)]
-    up = [_root_path_vertex(q, d) for d in range(m + 1, _depth(q) + 1)]
+    down = [p, *reversed(_root_path(p, m))]
+    up = [*_root_path(q, m + 1), q] if m < _depth(q) else []
     return tuple(down + up)
 
 

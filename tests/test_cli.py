@@ -339,6 +339,21 @@ class TestTrivialFactor:
         assert err == "error: factor 2: Cayley table needs at least 2 elements, got 1\n"
 
 
+class TestElementNames:
+    @pytest.mark.parametrize(
+        "names", [[0, 1, 2, 3, [4], {"a": 5}], ["a", "a", "b", "c", "d", "e"]]
+    )
+    def test_bad_element_names_are_exit_2(self, capsys, names):
+        s3 = {"kind": "table", "elements": names, "table": [list(row) for row in s3_table().table]}
+        system = {"factors": [s3] + K3_SYSTEM["factors"][1:]}
+        code, out, err = run(
+            capsys, "--system", json.dumps(system), "--format", "text", "normalize", "[[1,4],[2,1],[1,5]]"
+        )
+        assert code == 2
+        assert not out
+        assert err == "error: factor 1: elements must be distinct strings, one per table row\n"
+
+
 class TestVertexNames:
     def test_bad_head_is_named_before_the_word(self, capsys):
         system = {

@@ -120,6 +120,22 @@ class TestValidation:
         backend = TableBackend(table, identity=0)
         assert backend.validate() == "not associative"
 
+    @pytest.mark.parametrize(
+        "names",
+        [
+            [0, 1, 2, 3, [4], {"a": 5}],
+            ["a", "a", "b", "c", "d", "e"],
+            S3_NAMES[:5],
+        ],
+    )
+    def test_element_names_are_distinct_strings(self, names):
+        # text output prints these names, so each must be a string that
+        # tells its row apart
+        backend = TableBackend(s3_table().table, identity=0, names=names)
+        assert backend.validate() == "elements must be distinct strings, one per table row"
+        system = FactorSystem([CyclicBackend(2), backend, CyclicBackend(2)])
+        assert system.validate() == ["factor 2: elements must be distinct strings, one per table row"]
+
     def test_table_order_limit_checked_first(self):
         order = MAX_TABLE_ORDER + 1
         table = [[(a + b) % order for b in range(order)] for a in range(order)]

@@ -64,6 +64,17 @@ class TestSystem:
             assert s3.table[a][s3.inv(a)] == 0 == s3.table[s3.inv(a)][a]
         assert s3.inv(4) == 5
 
+    @pytest.mark.parametrize(
+        "names", [[0, 1, 2, 3, [4], {"a": 5}], ["a", "a", "b", "c", "d", "e"]]
+    )
+    def test_element_names_must_be_distinct_strings(self, names):
+        payload = jsonio.system_to_json(FactorSystem([CyclicBackend(2), CyclicBackend(2), s3_table()]))
+        payload["factors"][2]["elements"] = names
+        message = "factor 3: elements must be distinct strings, one per table row"
+        with pytest.raises(SchemaError) as info:
+            jsonio.system_from_json(payload)
+        assert str(info.value) == message
+
     def test_too_few_factors(self):
         with pytest.raises(SchemaError, match="at least 3"):
             jsonio.system_from_json({"factors": [{"kind": "int"}] * 2})
@@ -750,6 +761,8 @@ class TestLetterMemo:
     def memo(self, monkeypatch):
         fresh = factors._LetterMemo("[%d,%d]".__mod__)
         monkeypatch.setattr(jsonio, "_letter_text", fresh)
+        # an earlier name would let the next one format fewer letters
+        monkeypatch.setattr(jsonio, "_neighbour", ((), ""))
         return fresh
 
     @staticmethod
@@ -803,6 +816,97 @@ class TestLetterMemo:
         with pytest.raises(UnprintableAnswerError):
             jsonio.vertex_name(v)
         assert (3, huge) not in memo
+
+
+def _name_relation(last, syllables):
+    """How a name's syllables relate to the previous name's."""
+    if syllables == last:
+        return "equal"
+    if syllables == last[1:]:
+        return "dropped"
+    if syllables[1:] == last:
+        return "prepended"
+    return "unrelated"
+
+
+class TestNeighbourNames:
+    """vertex_name starts from the previous name when its syllables are
+    equal, one leading letter shorter or one letter longer; every name
+    stays the bytes of dumps of the word, whatever the order of the calls."""
+
+    @pytest.fixture(autouse=True)
+    def fresh(self, monkeypatch):
+        monkeypatch.setattr(jsonio, "_neighbour", ((), ""))
+
+    @staticmethod
+    def random_rep(system, rng, length):
+        letters = []
+        for _ in range(length):
+            f = rng.randint(1, system.n)
+            if system.orders[f - 1] is None:
+                p = rng.choice([-3, 2, 10**29 + rng.randrange(10**6), -(10**26) - rng.randrange(9)])
+            else:
+                p = rng.randrange(system.orders[f - 1])
+            letters.append((f, p))
+        return normal_form(system, letters)
+
+    def vertex_orders(self, system, rng):
+        """Vertex sequences in each order the memo meets."""
+        shared = self.random_rep(system, rng, 6)
+
+        def endpoint():
+            rep = self.random_rep(system, rng, rng.randint(0, 14)) * shared
+            factor = rng.randint(0, system.n)
+            return u_vertex(rep) if factor == 0 else c_vertex(factor, rep)
+
+        path, other = geodesic(endpoint(), endpoint()), geodesic(endpoint(), endpoint())
+        yield path
+        yield path[::-1]
+        yield [v for pair in zip(path, other) for v in pair]
+        yield [v for v in other for _ in range(2)]
+        reps = [self.random_rep(system, rng, 5) for _ in range(4)]
+        yield [c_vertex(f, r) if f else u_vertex(r) for r in reps for f in range(system.n + 1)]
+        empty = normal_form(system, [])
+        one = self.random_rep(system, rng, 1)
+        yield [u_vertex(empty), c_vertex(1, empty), u_vertex(one), u_vertex(empty), u_vertex(one)]
+
+    def test_every_rule_matches_dumps(self):
+        rng, seen, big = random.Random(29), collections.Counter(), 0
+        last = jsonio._neighbour[0]
+        for name, system in sorted(WIRE_SYSTEMS.items()):
+            for _ in range(8):
+                for order in self.vertex_orders(system, rng):
+                    for v in order:
+                        assert jsonio.vertex_name(v) == reference_vertex_name(v), name
+                        seen[_name_relation(last, v.rep.syllables)] += 1
+                        last = v.rep.syllables
+                        big += any(abs(p) > 10**25 for _, p in last)
+        assert min(seen[k] for k in ("equal", "dropped", "prepended", "unrelated")) >= 20, seen
+        assert big >= 20
+
+    def test_names_stay_exact_after_an_unprintable_one(self):
+        # a failing name changes no state: the next name starts from the
+        # last name that succeeded
+        system = WIRE_SYSTEMS["S3*Z2*Z*Z5"]
+        rng, seen = random.Random(31), collections.Counter()
+        huge = 10**5000
+        for _ in range(20):
+            start = u_vertex(self.random_rep(system, rng, 12))
+            for v in geodesic(start, c_vertex(2, normal_form(system, []))):
+                syllables = v.rep.syllables
+                bad = rng.choice(
+                    [
+                        u_vertex(normal_form(system, [(3, huge)] + list(syllables))),
+                        c_vertex(2, normal_form(system, [(3, huge)])),
+                    ]
+                )
+                before = jsonio._neighbour
+                seen[_name_relation(before[0], bad.rep.syllables)] += 1
+                with pytest.raises(UnprintableAnswerError):
+                    jsonio.vertex_name(bad)
+                assert jsonio._neighbour is before
+                assert jsonio.vertex_name(v) == reference_vertex_name(v)
+        assert seen["prepended"] >= 20 and seen["unrelated"] >= 20, seen
 
 
 GEODESIC_STDOUT = (

@@ -6,6 +6,9 @@ from whitefact.errors import OracleUnavailableError
 from whitefact.factors import FactorElement
 from whitefact.sampling import random_nontrivial_element, random_word
 from whitefact.tree import (
+    TreeVertex,
+    _depth,
+    _meet,
     act_vertex,
     ball_distances,
     bfs_ball,
@@ -14,7 +17,7 @@ from whitefact.tree import (
     geodesic,
     u_vertex,
 )
-from whitefact.words import empty_word, letter, word
+from whitefact.words import Word, empty_word, letter, word
 
 
 @pytest.fixture(scope="module")
@@ -304,3 +307,73 @@ class TestInfiniteFactors:
             v = _random_vertex(infinite_system, rng)
             assert distance(v, v) == 0
             assert geodesic(v, v) == (v,)
+
+
+def _reference_geodesic(p, q):
+    """The reference: each vertex looked up by its depth, with a Word of its
+    own."""
+
+    def at_depth(v, d):
+        if d == _depth(v):
+            return v
+        syllables = v.rep.syllables
+        j = d // 2
+        suffix = Word(v.rep.system, syllables[len(syllables) - j:])
+        if d % 2 == 0:
+            return TreeVertex("u", 0, suffix)
+        return TreeVertex("c", syllables[-j - 1][0], suffix)
+
+    m = _meet(p, q)
+    down = [at_depth(p, d) for d in range(_depth(p), m - 1, -1)]
+    up = [at_depth(q, d) for d in range(m + 1, _depth(q) + 1)]
+    return tuple(down + up)
+
+
+def _shaped_pair(system, rng, shape):
+    s = random_word(system, rng, 8)
+    if shape == "equal":
+        v = _random_vertex(system, rng)
+        return v, v
+    if shape == "root path":
+        q = _random_vertex(system, rng)
+        return rng.choice(_reference_geodesic(u_vertex(empty_word(system)), q)), q
+    if shape == "one factor":
+        i = rng.randint(1, system.n)
+        return tuple(c_vertex(i, random_word(system, rng, 4) * s) for _ in range(2))
+    if shape == "meet at C":
+        # letters x, y of one factor f, each followed by s: the root paths
+        # part below C_f(s); with a single nontrivial letter (Z2) the meet
+        # is the C endpoint C_f(s) itself
+        f = rng.choice([i for i in range(1, system.n + 1) if i != s.leading_factor()])
+        order = system.orders[f - 1]
+        payloads = sorted(system.nontrivial_payloads(f)) if order else [-3, 2, 10**30]
+        ends = []
+        for payload in rng.sample(payloads, min(2, len(payloads))):
+            head = random_word(system, rng, 3)
+            if head.trailing_factor() == f:
+                head = empty_word(system)
+            ends.append(u_vertex(head * letter(system, (f, payload)) * s))
+        if len(ends) == 1:
+            ends.append(c_vertex(f, s))
+        return tuple(ends)
+    return _pair_with_shared_suffix(system, rng)
+
+
+class TestGeodesicMatchesReference:
+    SHAPES = ("random", "equal", "root path", "one factor", "meet at C")
+
+    @pytest.mark.parametrize("fixture", ["triple_z2", "mixed_system", "s3_z2_z_z5"])
+    def test_same_vertices_in_order(self, request, fixture):
+        system = request.getfixturevalue(fixture)
+        rng = random.Random(67)
+        c_meets = interior_c_meets = 0
+        for k in range(400):
+            p, q = _shaped_pair(system, rng, self.SHAPES[k % len(self.SHAPES)])
+            for a, b in ((p, q), (q, p)):
+                path = geodesic(a, b)
+                assert path == _reference_geodesic(a, b)
+            top = min(path, key=_depth)
+            c_meets += top.kind == "c"
+            interior_c_meets += top.kind == "c" and top not in (p, q)
+        assert c_meets >= 80
+        assert interior_c_meets >= (20 if fixture != "triple_z2" else 0)
