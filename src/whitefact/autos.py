@@ -108,9 +108,11 @@ class WhiteheadAuto:
 
     The operating factor is the factor of x; it is fixed pointwise.  Y must
     be nonempty and x nontrivial, otherwise the value would collapse to the
-    identity and outer classes would lose their unique representatives, x
-    must be normalized (system.element leaves it as is), and the operating
-    factor must lie outside Y.  Construction raises ValueError otherwise.
+    identity and outer classes would lose their unique representatives.  Y
+    must be strictly increasing within 1..n and x normalized, so that one
+    move has one value, and the operating factor must lie outside Y.
+    Construction raises ValueError, or FactorMismatchError naming the least
+    index out of range.
     """
 
     system: FactorSystem
@@ -119,15 +121,24 @@ class WhiteheadAuto:
 
     def __post_init__(self):
         # _push_move's one-pass normal form relies on the last three checks.
-        if not self.moved:
+        moved, system = self.moved, self.system
+        if not moved:
             raise ValueError("a Whitehead automorphism needs a nonempty moved set")
+        last = 0
+        for j in moved:  # one pass when 0 < Y_1 < ... < Y_k <= n, the common case
+            if not last < j <= system.n:
+                if list(moved) != sorted(set(moved)):
+                    raise ValueError("a Whitehead automorphism's moved set must be strictly increasing")
+                for bad in moved:
+                    system.factor(bad)  # Y increases, so this raises on the least bad index
+            last = j
         i, payload = self.element
-        backend = self.system.factor(i)
+        backend = system.factor(i)
         if payload == backend.identity_payload:
             raise ValueError("a Whitehead automorphism needs a nontrivial element")
         if backend.normalize(payload) != payload:
             raise ValueError(f"Whitehead element in factor {i} is not normalized")
-        if i in self.moved:
+        if i in moved:
             raise ValueError(f"operating factor {i} cannot belong to the moved set")
 
     @property
@@ -136,11 +147,7 @@ class WhiteheadAuto:
 
 
 def whitehead_auto(system: FactorSystem, moved, element: tuple[int, int]) -> WhiteheadAuto:
-    moved = tuple(sorted(set(moved)))
-    if moved and not (1 <= moved[0] and moved[-1] <= system.n):
-        for j in moved:
-            system.factor(j)  # raises on the least bad index
-    return WhiteheadAuto(system, moved, system.element(*element))
+    return WhiteheadAuto(system, tuple(sorted(set(moved))), system.element(*element))
 
 
 def whitehead_to_auto(w: WhiteheadAuto) -> PureSymmetricAuto:

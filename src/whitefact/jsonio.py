@@ -142,9 +142,10 @@ def system_from_json(obj) -> FactorSystem:
             identity = entry.get("identity", 0)
             _expect(_is_int(identity), f"factor {k}: integer identity required")
             names = entry.get("elements")
+            # a string would name its characters; validate checks the list
             _expect(
-                names is None or (isinstance(names, list) and len(names) == len(table)),
-                f"factor {k}: elements must name every table row",
+                names is None or isinstance(names, list),
+                f"factor {k}: elements must be distinct strings, one per table row",
             )
             backends.append(TableBackend(table, identity=identity, names=names))
         else:
@@ -231,9 +232,7 @@ def vertex_name(v: TreeVertex) -> str:
     except ValueError as exc:  # past the int-string digit limit
         raise UnprintableAnswerError() from exc
     _neighbour = (syllables, body)
-    if v.kind == "u":
-        return f"U:[{body}]"
-    return f"C{v.factor}:[{body}]"
+    return f"C{v.factor}:[{body}]" if v.factor else f"U:[{body}]"
 
 
 def vertex_from_name(system: FactorSystem, name: str) -> TreeVertex:

@@ -1,10 +1,11 @@
 """The Bass-Serre tree of the base splitting: coset vertices and geodesics.
 
-Vertices come in two kinds.  A U-vertex carries a reduced word g and stands
-for the trivial-stabilizer coset U.g; its neighbours are the n coset
-vertices G_i.g.  A C-vertex carries a factor index i and a coset
-representative; its canonical representative has no leading G_i syllable,
-which pins the right coset G_i.g uniquely.
+A vertex is a factor index and a reduced word: factor 0 names the
+U-vertex U.g, the trivial-stabilizer coset of g, whose neighbours are the n
+coset vertices G_i.g; factor i >= 1 names the C-vertex G_i.g.  A
+C-vertex's canonical representative has no leading G_i syllable, which
+pins the right coset G_i.g uniquely.  The kind of a vertex is its factor
+alone, so no value can name a U-vertex with a factor or the reverse.
 
 Geodesics are read off the canonical reps (never by search).  Root the
 tree at U(1): the path from U(1) to U(s_1 ... s_k) visits U of every suffix
@@ -31,37 +32,32 @@ from .words import Word, _same_system, normal_form, split_own_head
 
 @dataclass(frozen=True)
 class TreeVertex:
-    kind: str  # "u" or "c"
     factor: int  # 0 for U-vertices
     rep: Word
 
     def __str__(self) -> str:
-        if self.kind == "u":
-            return f"U({self.rep})"
-        return f"C{self.factor}({self.rep})"
+        return f"C{self.factor}({self.rep})" if self.factor else f"U({self.rep})"
 
 
 def u_vertex(rep: Word) -> TreeVertex:
-    return TreeVertex("u", 0, rep)
+    return TreeVertex(0, rep)
 
 
 def c_vertex(factor: int, rep: Word) -> TreeVertex:
     """Canonical coset vertex: a leading syllable of the own factor is absorbed."""
     rep.system.factor(factor)
-    return TreeVertex("c", factor, split_own_head(rep, factor)[1])
+    return TreeVertex(factor, split_own_head(rep, factor)[1])
 
 
 def act_vertex(v: TreeVertex, g: Word) -> TreeVertex:
     """Right action by g; the result is canonical."""
     moved = v.rep * g
-    if v.kind == "u":
-        return u_vertex(moved)
-    return c_vertex(v.factor, moved)
+    return c_vertex(v.factor, moved) if v.factor else u_vertex(moved)
 
 
 def _depth(v: TreeVertex) -> int:
     """Distance from the root U(1): 2|r| for U(r), 2|r|+1 for C_i(r)."""
-    return 2 * len(v.rep.syllables) + (v.kind == "c")
+    return 2 * len(v.rep.syllables) + (v.factor != 0)
 
 
 def _meet(p: TreeVertex, q: TreeVertex) -> int:
@@ -86,10 +82,7 @@ def _root_path(v: TreeVertex, start: int) -> list[TreeVertex]:
         j = d >> 1
         if d == start or not d & 1:
             suffix = rep if j == k else Word(rep.system, syllables[k - j:])
-        if d & 1:
-            path.append(TreeVertex("c", syllables[-j - 1][0], suffix))
-        else:
-            path.append(TreeVertex("u", 0, suffix))
+        path.append(TreeVertex(syllables[-j - 1][0] if d & 1 else 0, suffix))
     return path
 
 
@@ -121,21 +114,20 @@ class Ball:
 
 def _vertex_sort_key(v: TreeVertex):
     syllables = v.rep.syllables
-    return (v.kind, v.factor, len(syllables), syllables)
+    # C-vertices first, by factor, then U-vertices
+    return (v.factor == 0, v.factor, len(syllables), syllables)
 
 
 def neighbors(v: TreeVertex) -> list[TreeVertex]:
     """Immediate neighbours: U.g touches every G_i.g; G_i.g touches U.(h g)."""
     system = v.rep.system
-    if v.kind == "u":
+    if not v.factor:
         return [c_vertex(i, v.rep) for i in range(1, system.n + 1)]
     backend = system.factor(v.factor)
     if not backend.is_finite():
         raise OracleUnavailableError("oracle requires finite factors")
-    out = []
-    for payload in backend.payloads():
-        out.append(u_vertex(normal_form(system, ((v.factor, payload),) + v.rep.syllables)))
-    return out
+    syllables = v.rep.syllables
+    return [u_vertex(normal_form(system, ((v.factor, p),) + syllables)) for p in backend.payloads()]
 
 
 def bfs_ball(center: TreeVertex, radius: int) -> Ball:

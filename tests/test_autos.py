@@ -28,7 +28,12 @@ from whitefact.autos import (
     whitehead_auto,
     whitehead_to_auto,
 )
-from whitefact.errors import NonSplittingError, NotAStabilizerError, SystemMismatchError
+from whitefact.errors import (
+    FactorMismatchError,
+    NonSplittingError,
+    NotAStabilizerError,
+    SystemMismatchError,
+)
 from whitefact.factors import (
     CyclicBackend,
     FactorAutoPart,
@@ -1147,8 +1152,6 @@ class TestApplyPartsNormalForm:
 
 class TestPureAutoValidation:
     def test_misplaced_part_rejected(self, triple_z2):
-        from whitefact.errors import FactorMismatchError
-
         parts = [
             (triple_z2.part_identity(2), empty_word(triple_z2)),
             (triple_z2.part_identity(1), empty_word(triple_z2)),
@@ -1187,6 +1190,44 @@ class TestPureAutoValidation:
         with pytest.raises(ValueError, match="out of range"):
             WhiteheadAuto(s3_z2_z2, (2,), (1, 6))
         assert whitehead_auto(triple_z2, (2,), (1, 3)) == WhiteheadAuto(triple_z2, (2,), (1, 1))
+
+    @pytest.mark.parametrize(
+        "moved, error, message",
+        [
+            ((7,), FactorMismatchError, "factor index 7 out of range"),
+            ((0,), FactorMismatchError, "factor index 0 out of range"),
+            ((3, 2), ValueError, "strictly increasing"),
+            ((2, 2), ValueError, "strictly increasing"),
+        ],
+    )
+    def test_direct_whitehead_needs_canonical_moved_set(self, triple_z2, moved, error, message):
+        # accepted, ((7,), x) acted as the identity: the kernel never meets
+        # factor 7, so verify passed a factorization of the identity with it
+        with pytest.raises(error, match=message):
+            WhiteheadAuto(triple_z2, moved, (1, 1))
+
+    def test_direct_whitehead_names_the_least_bad_index(self, triple_z2, z3422):
+        for moved, message in (
+            ((7,), "factor index 7 out of range 1..3"),
+            ((0,), "factor index 0 out of range 1..3"),
+            ((0, 2, 9), "factor index 0 out of range 1..3"),
+        ):
+            with pytest.raises(FactorMismatchError) as direct:
+                WhiteheadAuto(triple_z2, moved, (1, 1))
+            with pytest.raises(FactorMismatchError) as built:
+                whitehead_auto(triple_z2, moved, (1, 1))
+            assert str(direct.value) == str(built.value) == message
+        with pytest.raises(FactorMismatchError, match=r"^factor index 5 out of range 1\.\.4$"):
+            WhiteheadAuto(z3422, (2, 5, 7), (1, 1))
+        with pytest.raises(FactorMismatchError, match=r"^factor index 5 out of range 1\.\.4$"):
+            whitehead_auto(z3422, (7, 5, 2), (1, 1))
+        with pytest.raises(ValueError, match="strictly increasing"):
+            WhiteheadAuto(z3422, (3, 2), (1, 1))
+
+    def test_whitehead_auto_canonicalizes_moved_set(self, triple_z2):
+        move = whitehead_auto(triple_z2, [3, 2, 3], (1, 3))
+        assert (move.moved, move.element) == ((2, 3), (1, 1))
+        assert move == WhiteheadAuto(triple_z2, (2, 3), (1, 1))
 
 
 # -- the one-pass Whitehead kernel ----------------------------------------------

@@ -353,6 +353,19 @@ class TestElementNames:
         assert not out
         assert err == "error: factor 1: elements must be distinct strings, one per table row\n"
 
+    @pytest.mark.parametrize(
+        "names",
+        [["e", "a", "b", "c", "d"], ["e", "a", "b", "c", "d", "f", "g"], "abcdef"],
+        ids=["short", "long", "string"],
+    )
+    def test_wrong_length_or_a_string_is_exit_2(self, capsys, names):
+        # one rule: the list check in the decoder, every other in validate
+        s3 = {"kind": "table", "elements": names, "table": [list(row) for row in s3_table().table]}
+        system = {"factors": [s3] + K3_SYSTEM["factors"][1:]}
+        code, out, err = run(capsys, "--system", json.dumps(system), "normalize", "[]")
+        assert (code, out) == (2, "")
+        assert err == "error: factor 1: elements must be distinct strings, one per table row\n"
+
 
 class TestVertexNames:
     def test_bad_head_is_named_before_the_word(self, capsys):

@@ -293,7 +293,7 @@ def reference_word_from_json(system, obj):
 
 def reference_vertex_name(v):
     body = jsonio.dumps(jsonio.word_to_json(v.rep))
-    if v.kind == "u":
+    if v.factor == 0:
         return f"U:{body}"
     return f"C{v.factor}:{body}"
 

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -105,7 +106,7 @@ class TestGeodesic:
             q = _random_vertex(triple_z2, rng)
             path = geodesic(p, q)
             for left, right in zip(path, path[1:]):
-                assert left.kind != right.kind
+                assert (left.factor == 0) != (right.factor == 0)
 
     def test_lies_between(self, k3_words):
         eps, a, b = k3_words["eps"], k3_words["a"], k3_words["b"]
@@ -142,7 +143,7 @@ class TestBall:
     def test_c_valency_is_group_order(self, z342):
         ball = bfs_ball(u_vertex(empty_word(z342)), 3)
         for v in ball.vertices:
-            if v.kind == "c" and v.rep.is_identity():
+            if v.factor and v.rep.is_identity():
                 assert len(ball.adjacency[v]) == z342.factor(v.factor).order()
 
     def test_infinite_factor_rejected(self, mixed_system):
@@ -153,6 +154,29 @@ class TestBall:
         first = bfs_ball(u_vertex(empty_word(triple_z2)), 4)
         second = bfs_ball(u_vertex(empty_word(triple_z2)), 4)
         assert first == second
+
+
+class TestVertexValue:
+    def test_fields_are_factor_and_rep(self):
+        # the kind of a vertex is its factor: 0 for U, i for C_i
+        assert [f.name for f in dataclasses.fields(TreeVertex)] == ["factor", "rep"]
+
+    @pytest.mark.parametrize("fixture", ["triple_z2", "z342"])
+    @pytest.mark.parametrize("center", ["U(1)", "C2(1:1)"])
+    def test_ball_order_matches_kind_key(self, request, fixture, center):
+        # the order the ball had while vertices stored a kind next to the
+        # factor: "c" sorts before "u", then by factor, length and syllables
+        def kind_key(v):
+            return ("u" if v.factor == 0 else "c", v.factor, len(v.rep.syllables), v.rep.syllables)
+
+        system = request.getfixturevalue(fixture)
+        eps = empty_word(system)
+        v = u_vertex(eps) if center == "U(1)" else c_vertex(2, word(system, [(1, 1)]))
+        ball = bfs_ball(v, 6)
+        assert ball.vertices == tuple(sorted(ball.vertices, key=kind_key))
+        assert len({w.factor for w in ball.vertices}) == system.n + 1
+        for w in ball.vertices:
+            assert ball.adjacency[w] == tuple(sorted(ball.adjacency[w], key=kind_key))
 
 
 class TestOracleAgreement:
@@ -231,7 +255,7 @@ def _pair_with_shared_suffix(system, rng):
     p = _random_vertex(system, rng)
     q = _random_vertex(system, rng)
     return tuple(
-        u_vertex(v.rep * shared) if v.kind == "u" else c_vertex(v.factor, v.rep * shared)
+        u_vertex(v.rep * shared) if not v.factor else c_vertex(v.factor, v.rep * shared)
         for v in (p, q)
     )
 
@@ -262,7 +286,7 @@ class TestInfiniteFactors:
         for _ in range(100):
             path = geodesic(*_pair_with_shared_suffix(infinite_system, rng))
             for left, right in zip(path, path[1:]):
-                assert left.kind != right.kind
+                assert (left.factor == 0) != (right.factor == 0)
                 assert distance(left, right) == 1
 
     def test_cosets_of_one_rep(self, infinite_system):
@@ -320,8 +344,8 @@ def _reference_geodesic(p, q):
         j = d // 2
         suffix = Word(v.rep.system, syllables[len(syllables) - j:])
         if d % 2 == 0:
-            return TreeVertex("u", 0, suffix)
-        return TreeVertex("c", syllables[-j - 1][0], suffix)
+            return TreeVertex(0, suffix)
+        return TreeVertex(syllables[-j - 1][0], suffix)
 
     m = _meet(p, q)
     down = [at_depth(p, d) for d in range(_depth(p), m - 1, -1)]
@@ -373,7 +397,7 @@ class TestGeodesicMatchesReference:
                 path = geodesic(a, b)
                 assert path == _reference_geodesic(a, b)
             top = min(path, key=_depth)
-            c_meets += top.kind == "c"
-            interior_c_meets += top.kind == "c" and top not in (p, q)
+            c_meets += top.factor != 0
+            interior_c_meets += top.factor != 0 and top not in (p, q)
         assert c_meets >= 80
         assert interior_c_meets >= (20 if fixture != "triple_z2" else 0)
