@@ -46,9 +46,9 @@ class NonSplittingError(EngineError):
 class NotAStabilizerError(EngineError):
     """Automorphism does not stabilize the requested vertex class."""
 
-    def __init__(self, slot: int, message: str | None = None):
+    def __init__(self, slot: int):
         self.slot = slot
-        super().__init__(message or f"not a stabilizer: slot {slot} obstructs")
+        super().__init__(f"not a stabilizer: slot {slot} obstructs")
 
 
 class UnprintableAnswerError(EngineError):

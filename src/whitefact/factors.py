@@ -179,11 +179,6 @@ class IntBackend(FactorBackend):
         return [1, -1]
 
 
-MAX_TABLE_ORDER = 128
-"""Largest Cayley table validate accepts: its associativity check is
-O(N^3), so doubling N multiplies the time a system takes to load by 8."""
-
-
 class TableBackend(FactorBackend):
     """Finite group given by an explicit Cayley table on indices 0..N-1."""
 
@@ -224,12 +219,21 @@ class TableBackend(FactorBackend):
         return self.size
 
     def generators(self):
-        """Greedy: the least element not yet spanned, then close the span."""
+        return list(self._generators)
+
+    @cached_property
+    def _generators(self) -> tuple[int, ...]:
+        return tuple(self._greedy_generators())
+
+    def _greedy_generators(self):
+        """Greedy: the least element not yet spanned, yielded before the
+        span is closed with it, so validate can check it first."""
         gens: list[int] = []
         span = {self.identity}
         for x in range(self.size):
             if x in span:
                 continue
+            yield x
             gens.append(x)
             queue = list(span)
             while queue:
@@ -239,7 +243,6 @@ class TableBackend(FactorBackend):
                     if b not in span:
                         span.add(b)
                         queue.append(b)
-        return gens
 
     def normalize(self, payload):
         payload = int(payload)
@@ -248,11 +251,20 @@ class TableBackend(FactorBackend):
         return payload
 
     def validate(self):
+        """The first violated axiom, or None.  Associativity is Light's test
+        on the greedy generators: (a.b).g = a.(b.g) for all a, b, which is
+        N^2 lookups per g.  It suffices, because the right nucleus
+        {c : (ab)c = a(bc) for all a, b} is closed under products:
+        (ab)(cd) = ((ab)c)d = (a(bc))d = a((bc)d) = a(b(cd)).  So the span of
+        checked generators lies in the nucleus, is closed under products,
+        and is a subgroup; once it is the whole table, the table is
+        associative.  Each g is checked before the span is closed with it,
+        and lies outside the span, so each passing g at least doubles a
+        subgroup: at most log2 N + 1 checks run, and any table validates in
+        O(N^2 log N) whatever it holds."""
         n = self.size
         if n < 2:
             return f"Cayley table needs at least 2 elements, got {n}"
-        if n > MAX_TABLE_ORDER:
-            return f"Cayley table of order {n} exceeds the limit of {MAX_TABLE_ORDER}"
         names = self.names
         if len(names) != n or not all(isinstance(x, str) for x in names) or len(set(names)) != n:
             return "elements must be distinct strings, one per table row"
@@ -271,11 +283,11 @@ class TableBackend(FactorBackend):
         for i in range(n):
             if self.table[e][i] != i or self.table[i][e] != i:
                 return "identity row/column are not identity maps"
-        for a in range(n):
-            for b in range(n):
-                for c in range(n):
-                    if self.table[self.table[a][b]][c] != self.table[a][self.table[b][c]]:
-                        return "not associative"
+        for g in self._greedy_generators():
+            column = [row[g] for row in self.table]  # b -> b.g
+            for row in self.table:  # (a.b).g against a.(b.g), for every b
+                if [column[b] for b in row] != [row[b] for b in column]:
+                    return "not associative"
         return None
 
     def describe(self):
@@ -298,10 +310,6 @@ class TableBackend(FactorBackend):
         for i, image in enumerate(rep):
             out[image] = i
         return tuple(out)
-
-    @cached_property
-    def _generators(self) -> tuple[int, ...]:
-        return tuple(self.generators())
 
     def auto_validate(self, rep):
         """The law rep(a.g) = rep(a).rep(g) is checked on generators g only.

@@ -65,7 +65,7 @@ from .factors import (
     TableBackend,
     _LetterMemo,
 )
-from .labellings import ApexLabel, StarLabel, apex_label, star_label
+from .labellings import ApexLabel, StarLabel, star_label
 from .tree import TreeVertex, c_vertex, u_vertex
 from .words import Word, normal_form
 
@@ -150,12 +150,9 @@ def system_from_json(obj) -> FactorSystem:
             backends.append(TableBackend(table, identity=identity, names=names))
         else:
             raise SchemaError(f"factor {k}: unknown kind {echo(kind)}")
-    try:
-        system = FactorSystem(backends)
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from exc
+    system = FactorSystem(backends)  # len(entries) >= 3 was checked above
     reports = system.validate()
-    _expect(not reports, "; ".join(reports) or "invalid system")
+    _expect(not reports, "; ".join(reports))
     return system
 
 
@@ -282,20 +279,6 @@ def apex_to_json(label: ApexLabel) -> dict:
             "tuple": [word_to_json(w) for w in label.conjugators],
         }
     }
-
-
-def apex_from_json(system: FactorSystem, obj) -> ApexLabel:
-    _expect(
-        isinstance(obj, dict) and isinstance(obj.get("A"), dict),
-        "expected {'A': {'apex':..., 'tuple': [...]}}",
-    )
-    body = obj["A"]
-    apex = body.get("apex")
-    slots = body.get("tuple")
-    _expect(_is_int(apex) and 1 <= apex <= system.n, "bad apex index")
-    if not (isinstance(slots, list) and len(slots) == system.n):
-        raise SchemaError(f"need {system.n} slots")
-    return apex_label(system, apex, [word_from_json(system, s) for s in slots])
 
 
 # -- automorphism parts -------------------------------------------------------

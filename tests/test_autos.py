@@ -279,6 +279,7 @@ class TestStabilizers:
         with pytest.raises(NotAStabilizerError) as err:
             decompose_star_stabilizer(wh(triple_z2, (3,), 1))
         assert err.value.slot == 3
+        assert str(err.value) == "not a stabilizer: slot 3 obstructs"
 
     def test_star_decomposition_recomposes(self, z342):
         rng = random.Random(17)

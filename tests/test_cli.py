@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from whitefact.cli import main
 from whitefact import explorer, jsonio
 from whitefact.autos import factorize, identity_auto, tuple_auto
-from whitefact.factors import MAX_TABLE_ORDER
 from whitefact.sampling import random_pure_auto
 from whitefact.words import word
 
@@ -315,18 +314,26 @@ def _mixed_factorization(whitehead):
     return json.dumps({"whitehead": whitehead, "factor": MIXED_PHIS, "inner": []})
 
 
-class TestOversizedTable:
-    def test_table_over_the_limit_is_exit_2(self, capsys):
-        order = MAX_TABLE_ORDER + 1
+class TestTableChecks:
+    def test_order_256_table_loads(self, capsys):
+        # no order cap: associativity is checked on generators
+        order = 256
         table = [[(a + b) % order for b in range(order)] for a in range(order)]
         system = {"factors": [{"kind": "table", "table": table}] + K3_SYSTEM["factors"][1:]}
         code, out, err = run(
-            capsys, "--system", json.dumps(system), "normalize", "[[1,1]]"
+            capsys, "--system", json.dumps(system), "normalize", "[[1,255],[1,2],[2,1]]"
         )
+        assert code == 0
+        assert not err
+        assert json.loads(out) == [[1, 1], [2, 1]]
+
+    def test_identity_out_of_range_is_exit_2(self, capsys):
+        factor = {"kind": "table", "table": [[0, 1], [1, 0]], "identity": 2}
+        system = {"factors": [factor] + K3_SYSTEM["factors"][1:]}
+        code, out, err = run(capsys, "--system", json.dumps(system), "normalize", "[]")
         assert code == 2
         assert not out
-        assert err.count("\n") == 1
-        assert f"order {order} exceeds the limit of {MAX_TABLE_ORDER}" in err
+        assert err == "error: factor 1: identity index 2 out of range\n"
 
 
 class TestTrivialFactor:

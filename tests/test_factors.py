@@ -1,5 +1,6 @@
 import collections
 import itertools
+import time
 
 import pytest
 
@@ -11,7 +12,6 @@ from whitefact.factors import (
     FactorElement,
     FactorSystem,
     IntBackend,
-    MAX_TABLE_ORDER,
     TableBackend,
 )
 
@@ -136,17 +136,42 @@ class TestValidation:
         system = FactorSystem([CyclicBackend(2), backend, CyclicBackend(2)])
         assert system.validate() == ["factor 2: elements must be distinct strings, one per table row"]
 
-    def test_table_order_limit_checked_first(self):
-        order = MAX_TABLE_ORDER + 1
+    def test_large_table_is_checked_in_full(self):
+        # no order cap: a table past 128 elements meets every axiom check
+        order = 129
         table = [[(a + b) % order for b in range(order)] for a in range(order)]
-        table[0][0] = 1  # not even a Latin square: the size is reported first
-        message = TableBackend(table).validate()
-        assert message == f"Cayley table of order {order} exceeds the limit of {MAX_TABLE_ORDER}"
+        table[0][0] = 1
+        assert TableBackend(table).validate() == "not a Latin square"
 
     def test_table_at_the_limit_passes(self):
-        order = MAX_TABLE_ORDER
+        order = 128
         table = [[(a + b) % order for b in range(order)] for a in range(order)]
         assert TableBackend(table).validate() is None
+
+    def test_row_of_wrong_length(self):
+        assert TableBackend([[0, 1], [1, 0, 1]]).validate() == "row 1 has length 3, expected 2"
+
+    def test_repeated_column_value_with_permutation_rows(self):
+        table = [[0, 1, 2], [1, 2, 0], [1, 2, 0]]
+        assert all(sorted(row) == [0, 1, 2] for row in table)
+        assert TableBackend(table).validate() == "not a Latin square"
+
+    @pytest.mark.parametrize("identity", [3, -1])
+    def test_identity_index_out_of_range(self, identity):
+        table = [[(a + b) % 3 for b in range(3)] for a in range(3)]
+        message = TableBackend(table, identity=identity).validate()
+        assert message == f"identity index {identity} out of range"
+
+    @pytest.mark.parametrize(
+        "table, identity",
+        [
+            ([[(a + b) % 3 for b in range(3)] for a in range(3)], 1),  # row 1 is a shift
+            ([[0, 1, 2], [2, 0, 1], [1, 2, 0]], 0),  # row 0 is the identity, column 0 is not
+        ],
+    )
+    def test_identity_row_or_column_not_identity_map(self, table, identity):
+        message = TableBackend(table, identity=identity).validate()
+        assert message == "identity row/column are not identity maps"
 
     def test_system_needs_three_factors(self):
         with pytest.raises(ValueError):
@@ -357,6 +382,8 @@ class TestGenerators:
     def test_klein_four_needs_two(self):
         backend = TableBackend(KLEIN, identity=0)
         assert backend.generators() == [1, 2]
+        backend.generators().append(3)  # each call returns a fresh list
+        assert backend.generators() == [1, 2]
         assert span(backend, [1, 2]) == set(range(4))
         assert all(span(backend, [g]) != set(range(4)) for g in range(4))
 
@@ -364,3 +391,66 @@ class TestGenerators:
         assert CyclicBackend(7).generators() == [1]
         assert mixed_system.factor(3).generators() == [1]
         assert span(CyclicBackend(7), [1]) == set(range(7))
+
+
+def reduced_latin_squares(n):
+    """Every Latin square on 0..n-1 whose row 0 and column 0 read 0..n-1."""
+    square = [list(range(n))] + [[i] + [None] * (n - 1) for i in range(1, n)]
+    cells = [(i, j) for i in range(1, n) for j in range(1, n)]
+
+    def fill(k):
+        if k == len(cells):
+            yield [row[:] for row in square]
+            return
+        i, j = cells[k]
+        used = {*square[i][:j], *(square[r][j] for r in range(i))}
+        for value in range(n):
+            if value not in used:
+                square[i][j] = value
+                yield from fill(k + 1)
+
+    return fill(0)
+
+
+def all_triples_associative(table):
+    n = range(len(table))
+    return all(table[table[a][b]][c] == table[a][table[b][c]] for a in n for b in n for c in n)
+
+
+def cyclic_table(order):
+    return [[(a + b) % order for b in range(order)] for a in range(order)]
+
+
+def switched_cyclic(order):
+    """Z_order with the intercalate at rows and columns 1 and order/2 + 1
+    switched: still a Latin square whose row and column 0 are the identity."""
+    table = cyclic_table(order)
+    h = order // 2 + 1
+    table[1][1], table[1][h], table[h][1], table[h][h] = table[1][h], table[1][1], table[h][h], table[h][1]
+    return table
+
+
+class TestAssociativityOnGenerators:
+    @pytest.mark.parametrize("order, count", [(2, 1), (3, 1), (4, 4), (5, 56), (6, 9408)])
+    def test_agrees_with_all_triples_on_every_reduced_latin_square(self, order, count):
+        squares = list(reduced_latin_squares(order))
+        assert len(squares) == count
+        for table in squares:
+            expected = None if all_triples_associative(table) else "not associative"
+            assert TableBackend(table).validate() == expected
+
+    def test_order_512_cyclic_table_validates(self):
+        backend = TableBackend(cyclic_table(512))
+        start = time.perf_counter()
+        assert backend.validate() is None
+        # all N^3 triples would be 134 million products
+        assert time.perf_counter() - start < 2.0
+
+    def test_order_256_loop_is_rejected(self):
+        assert TableBackend(switched_cyclic(256)).validate() == "not associative"
+
+    @pytest.mark.parametrize("order, associative", [(4, True), (8, False)])
+    def test_switched_intercalate_small_orders(self, order, associative):
+        table = switched_cyclic(order)
+        assert all_triples_associative(table) is associative
+        assert (TableBackend(table).validate() is None) is associative

@@ -20,7 +20,7 @@ from whitefact.factors import (
     IntBackend,
     TableBackend,
 )
-from whitefact.labellings import apex_label, star_label
+from whitefact.labellings import star_label
 from whitefact.sampling import random_pure_auto, random_word
 from whitefact.tree import c_vertex, geodesic, u_vertex
 from whitefact.words import empty_word, normal_form, word
@@ -176,14 +176,6 @@ class TestLabels:
         for _ in range(15):
             label = star_label(z342, [random_word(z342, rng, 3) for _ in range(3)])
             assert jsonio.star_from_json(z342, jsonio.star_to_json(label)) == label
-
-    def test_apex_roundtrip(self, z342):
-        rng = random.Random(7)
-        for _ in range(15):
-            label = apex_label(
-                z342, rng.randint(1, 3), [random_word(z342, rng, 3) for _ in range(3)]
-            )
-            assert jsonio.apex_from_json(z342, jsonio.apex_to_json(label)) == label
 
     def test_slot_count_enforced(self, triple_z2):
         with pytest.raises(SchemaError, match="slots"):

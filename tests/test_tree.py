@@ -161,6 +161,11 @@ class TestVertexValue:
         # the kind of a vertex is its factor: 0 for U, i for C_i
         assert [f.name for f in dataclasses.fields(TreeVertex)] == ["factor", "rep"]
 
+    def test_str_names_the_kind_by_factor(self, z342):
+        assert str(u_vertex(word(z342, [(1, 1), (2, 3)]))) == "U(1:1.2:3)"
+        # c_vertex strips the leading 2:1 of its own factor
+        assert str(c_vertex(2, word(z342, [(2, 1), (1, 2), (3, 1)]))) == "C2(1:2.3:1)"
+
     @pytest.mark.parametrize("fixture", ["triple_z2", "z342"])
     @pytest.mark.parametrize("center", ["U(1)", "C2(1:1)"])
     def test_ball_order_matches_kind_key(self, request, fixture, center):
