@@ -13,14 +13,19 @@ of the pushing factor, one merge test each, and each is keyed once
 (_star_key), all on syllable tuples; only class representatives become
 Words.  The visited tuples are far fewer than the tuples within the
 syllable budget, but they still grow exponentially with the bound, so
-MAX_VISITED caps the size of one call.  check_ball runs one reduction
-walk per star class and reads it as move pairs and factor parts, with no
-WhiteheadAuto.  The walk runs on syllable tuples: a step scans the slots
-by length, O(n^2) tests, and folds each moved slot with one seam product
-(words._join), building Words for the final label only.  check_ball then
-pushes the inverse moves onto the class's own slots and recomposes the
-slots from the base, one kernel pass per move each, and identity parts do
-no work; it keys each star class twice and each A class once.
+MAX_VISITED caps the size of one call.  The first level alone visits
+1 + (n-1) sum(|G_i| - 1) tuples, so orders past the cap are refused before
+any payload list is built, and a bound that allows no fold builds none:
+MAX_VISITED bounds time and memory whatever the orders.
+
+check_ball runs one reduction walk per star class and reads it as move
+pairs and factor parts, with no WhiteheadAuto.  The walk runs on
+syllable tuples: a step scans the slots by length, O(n^2) tests, and
+folds each moved slot with one seam product (words._join), building
+Words for the final label only.  check_ball then pushes the inverse
+moves onto the class's own slots and recomposes the slots from the base,
+one kernel pass per move each, and identity parts do no work; it keys
+each star class twice and each A class once.
 """
 
 from __future__ import annotations
@@ -71,20 +76,33 @@ def _tuple_sort_key(slots):
     return (sum(length for length, _ in keyed), keyed)
 
 
+def _over_cap(system, max_volume: int) -> EngineError:
+    return EngineError(
+        f"explore over {system!r} at volume bound {max_volume} "
+        f"visited {MAX_VISITED + 1} tuples, over the cap of {MAX_VISITED}"
+    )
+
+
 def _grow_from_base(system, max_volume: int) -> list[tuple[tuple, ...]]:
     """Every splitting canonical slot tuple with volume at most max_volume.
 
     Breadth-first from the base tuple by inverse folds (j, i, s): slot j
     becomes canonical(g_j . g_i^-1 s g_i) for s in G_i nontrivial, i != j,
     kept when slot j gets longer and the volume stays in bound.  The search
-    runs on syllable tuples and returns them.  Per slot pair, p = g_j g_i^-1 is one right division.  Slot i is canonical, so g_i
-    begins with no G_i syllable, and p s g_i is p, s, g_i as written unless
-    p ends in a G_i syllable t: then t s merges, and only when t s = 1 does
-    p s g_i cancel further, at the seam of p and g_i (words._join).
+    runs on syllable tuples and returns them.  Per slot pair, p = g_j g_i^-1
+    is one right division.  Slot i is canonical, so g_i begins with no G_i
+    syllable, and p s g_i is p, s, g_i as written unless p ends in a G_i
+    syllable t: then t s merges, and only when t s = 1 does p s g_i cancel
+    further, at the seam of p and g_i (words._join).
     """
     budget = (max_volume - system.n) // 2
-    payloads = [system.nontrivial_payloads(i) for i in range(1, system.n + 1)]
     base = ((),) * system.n
+    if not budget:  # no fold fits
+        return [base]
+    # the first level alone visits one tuple per slot j and nontrivial s in G_i, i != j
+    if 1 + (system.n - 1) * sum(order - 1 for order in system.orders) > MAX_VISITED:
+        raise _over_cap(system, max_volume)
+    payloads = [system.nontrivial_payloads(i) for i in range(1, system.n + 1)]
     visited = {base}
     frontier = [base]
     while frontier:
@@ -120,10 +138,7 @@ def _grow_from_base(system, max_volume: int) -> list[tuple[tuple, ...]]:
                         visited.add(grown)
                         grown_level.append(grown)
                         if len(visited) > MAX_VISITED:
-                            raise EngineError(
-                                f"explore over {system!r} at volume bound {max_volume} "
-                                f"visited {len(visited)} tuples, over the cap of {MAX_VISITED}"
-                            )
+                            raise _over_cap(system, max_volume)
         frontier = grown_level
     return list(visited)
 

@@ -7,7 +7,7 @@ Schemas:
                                {"kind": "int"}]}
   word            [[factor, payload], ...]          (reduced on ingest)
   star labelling  {"alpha": [word, ...]}
-  apex labelling  {"A": {"apex": i, "tuple": [word, ...]}}
+  apex class      {"apex": i, "tuple": [word, ...]}   (explore's "a_classes")
   automorphism    {"parts": [{"phi": phi, "g": word}, ...]}
   phi             {"kind": "mult", "value": k} | {"kind": "perm", "map": [...]}
                   | {"kind": "sign", "value": s}
@@ -65,7 +65,7 @@ from .factors import (
     TableBackend,
     _LetterMemo,
 )
-from .labellings import ApexLabel, StarLabel, star_label
+from .labellings import StarLabel, star_label
 from .tree import TreeVertex, c_vertex, u_vertex
 from .words import Word, normal_form
 
@@ -272,15 +272,6 @@ def star_from_json(system: FactorSystem, obj) -> StarLabel:
     return star_label(system, [word_from_json(system, s) for s in slots])
 
 
-def apex_to_json(label: ApexLabel) -> dict:
-    return {
-        "A": {
-            "apex": label.apex,
-            "tuple": [word_to_json(w) for w in label.conjugators],
-        }
-    }
-
-
 # -- automorphism parts -------------------------------------------------------
 
 
@@ -412,14 +403,12 @@ def sn_ball_to_json(ball: SnBall) -> dict:
 
 
 def sn_ball_to_dot(ball: SnBall) -> str:
+    encoded = sn_ball_to_json(ball)
     lines = ["graph complex {", "  node [fontsize=10];"]
-    for index, label in enumerate(ball.alpha_classes):
-        name = dumps(star_to_json(label)["alpha"])
-        lines.append(f'  a{index} [shape=ellipse, label="{name}"];')
-    for index, label in enumerate(ball.a_classes):
-        name = f"apex {label.apex}: " + dumps(apex_to_json(label)["A"]["tuple"])
-        lines.append(f'  b{index} [shape=box, label="{name}"];')
-    for alpha_index, a_index in ball.edges:
-        lines.append(f"  a{alpha_index} -- b{a_index};")
+    for index, slots in enumerate(encoded["alpha_classes"]):
+        lines.append(f'  a{index} [shape=ellipse, label="{dumps(slots)}"];')
+    for index, a in enumerate(encoded["a_classes"]):
+        lines.append(f'  b{index} [shape=box, label="apex {a["apex"]}: {dumps(a["tuple"])}"];')
+    lines += [f"  a{alpha_index} -- b{a_index};" for alpha_index, a_index in encoded["edges"]]
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -123,11 +123,8 @@ def neighbors(v: TreeVertex) -> list[TreeVertex]:
     system = v.rep.system
     if not v.factor:
         return [c_vertex(i, v.rep) for i in range(1, system.n + 1)]
-    backend = system.factor(v.factor)
-    if not backend.is_finite():
-        raise OracleUnavailableError("oracle requires finite factors")
-    syllables = v.rep.syllables
-    return [u_vertex(normal_form(system, ((v.factor, p),) + syllables)) for p in backend.payloads()]
+    syllables, payloads = v.rep.syllables, system.factor(v.factor).payloads()
+    return [u_vertex(normal_form(system, ((v.factor, p),) + syllables)) for p in payloads]
 
 
 def bfs_ball(center: TreeVertex, radius: int) -> Ball:

@@ -1152,6 +1152,11 @@ class TestApplyPartsNormalForm:
 
 
 class TestPureAutoValidation:
+    def test_missing_part_rejected(self, triple_z2):
+        parts = [(triple_z2.part_identity(k), empty_word(triple_z2)) for k in (1, 2)]
+        with pytest.raises(ValueError, match="^expected 3 parts, got 2$"):
+            pure_auto(triple_z2, parts)
+
     def test_misplaced_part_rejected(self, triple_z2):
         parts = [
             (triple_z2.part_identity(2), empty_word(triple_z2)),

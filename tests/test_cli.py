@@ -2,6 +2,8 @@ import contextlib
 import io
 import json
 import random
+import re
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -279,6 +281,55 @@ class TestExplore:
         assert err.count("\n") == 1
         assert "FactorSystem(Z2, Z2, Z2)" in err and "bound 9" in err
         assert "visited 11 tuples" in err
+
+    def test_huge_order_answers_at_once(self, capsys):
+        huge = json.dumps({"factors": [{"kind": "cyclic", "order": 10**12}] + K3_SYSTEM["factors"][1:]})
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "--system", huge, "explore", "--max-volume", "3")
+        assert code == 0
+        assert json.loads(out)["alpha_classes"] == [[[], [], []]]
+        code, out, err = run(capsys, "--system", huge, "explore", "--max-volume", "5")
+        assert time.perf_counter() - start < 2
+        assert code == 1
+        assert not out
+        assert err == (
+            "error: explore over FactorSystem(Z1000000000000, Z2, Z2) at volume bound 5 "
+            "visited 50001 tuples, over the cap of 50000\n"
+        )
+
+
+SELFTEST_SEED_0 = [
+    "criterion 1 (oracle distance equivalence): PASS [s] 31433 vertex pairs checked",
+    "criterion 2 (translation midpoint law): PASS [s] 1000 instances",
+    "criterion 3 (volume-decrease law): PASS [s] 1000 labels, 2265 steps",
+    "criterion 4 (base characterization): PASS [s] 343 tuples",
+    "criterion 5 (factorization round-trip): PASS [s] 200 automorphisms",
+    "criterion 6 (connectivity at desk scale): PASS [s] 16 alpha classes, 33 A classes, 48 edges",
+    "criterion 7 (stabilizer decompositions): PASS [s] 9 automorphisms x 3 apexes",
+    "criterion 8 (mutation sensitivity): PASS [s] 50 factorizations, 278 mutations",
+]
+
+
+class TestSelftest:
+    @pytest.mark.parametrize(
+        "argv, changed",
+        [
+            ((), {}),
+            (
+                ("--seed", "3"),
+                {
+                    2: "criterion 3 (volume-decrease law): PASS [s] 1000 labels, 2203 steps",
+                    7: "criterion 8 (mutation sensitivity): PASS [s] 50 factorizations, 250 mutations",
+                },
+            ),
+        ],
+    )
+    def test_prints_the_eight_criteria(self, capsys, argv, changed):
+        code, out, err = run(capsys, *argv, "selftest")
+        assert code == 0
+        assert not err
+        want = [changed.get(k, line) for k, line in enumerate(SELFTEST_SEED_0)]
+        assert re.sub(r"\[\d+\.\d\ds\]", "[s]", out).splitlines() == want
 
 
 S3_TABLE = [list(row) for row in s3_table().table]

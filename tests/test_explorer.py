@@ -1,12 +1,14 @@
 import dataclasses
 import hashlib
 import itertools
+import time
 
 import pytest
 
 from whitefact import autos, explorer, jsonio, labellings
 from whitefact.errors import EngineError, NonSplittingError, OracleUnavailableError
 from whitefact.explorer import SnBall, _grow_from_base, check_ball, enumerate_ball
+from whitefact.factors import CyclicBackend, FactorSystem
 from whitefact.jsonio import sn_ball_to_json
 from whitefact.labellings import (
     apex_key,
@@ -223,6 +225,27 @@ class TestGrowth:
         assert "FactorSystem(Z2, Z2, Z2)" in message
         assert "bound 19" in message and "visited 101 tuples" in message
 
+    @pytest.mark.parametrize("bound", [3, 5])
+    def test_huge_order_answers_at_once(self, bound):
+        # no fold fits at bound 3, and one level of folds at bound 5 passes the cap
+        system = FactorSystem([CyclicBackend(10**12), CyclicBackend(2), CyclicBackend(2)])
+        start = time.perf_counter()
+        if bound == 3:
+            assert enumerate_ball(system, bound).alpha_classes == (base_label(system),)
+        else:
+            with pytest.raises(EngineError, match="visited 50001 tuples, over the cap of 50000$"):
+                enumerate_ball(system, bound)
+        assert time.perf_counter() - start < 1
+
+    def test_order_past_the_cap_keeps_the_cap_message(self):
+        system = FactorSystem([CyclicBackend(50_002), CyclicBackend(2), CyclicBackend(2)])
+        with pytest.raises(EngineError) as caught:
+            enumerate_ball(system, 5)
+        assert str(caught.value) == (
+            "explore over FactorSystem(Z50002, Z2, Z2) at volume bound 5 "
+            "visited 50001 tuples, over the cap of 50000"
+        )
+
     def test_oracles_do_not_grow(self, triple_z2, z342, monkeypatch):
         balls = [enumerate_ball(triple_z2, 7), enumerate_ball(z342, 5)]
 
@@ -315,6 +338,36 @@ class TestCheck:
         assert report.failures == [
             f"alpha class #{k} leaves the ball during reduction" for k in outside
         ]
+
+    def test_edge_to_missing_class_flagged(self, triple_z2):
+        ball = enumerate_ball(triple_z2, 5)
+        alphas, a_classes = len(ball.alpha_classes), len(ball.a_classes)
+        for edge, failure in (
+            ((alphas, 0), f"edge references missing alpha class {alphas}"),
+            ((0, a_classes), f"edge references missing A class {a_classes}"),
+        ):
+            report = check_ball(dataclasses.replace(ball, edges=ball.edges + (edge,)))
+            assert report.failures == [failure]
+
+    @pytest.mark.parametrize(
+        "fault, failure",
+        [("stall", "has a non-decreasing step"), ("strand", "did not land on the base tuple")],
+    )
+    def test_faulty_walk_flagged(self, triple_z2, monkeypatch, fault, failure):
+        ball = enumerate_ball(triple_z2, 7)
+        k = next(k for k, label in enumerate(ball.alpha_classes) if volume(label) > 3)
+        walk = explorer.reduce_to_base
+
+        def faulty(label):
+            final, moves = walk(label)
+            if label != ball.alpha_classes[k]:
+                return final, moves
+            if fault == "stall":  # the first step keeps the volume it starts at
+                return final, [moves[0]._replace(volume_after=moves[0].volume_before), *moves[1:]]
+            return label, moves  # the walk ends where it started
+
+        monkeypatch.setattr(explorer, "reduce_to_base", faulty)
+        assert check_ball(ball).failures == [f"alpha class #{k} {failure}"]
 
     def test_missing_base_class_flagged(self, triple_z2):
         ball = enumerate_ball(triple_z2, 7)
@@ -589,11 +642,14 @@ def reference_check_ball(ball):
 
 def reference_ball_to_json(ball):
     """sn_ball_to_json as it built a list per word, through star_to_json and
-    apex_to_json."""
+    one dict per A class."""
     return {
         "bound": ball.bound,
         "alpha_classes": [jsonio.star_to_json(label)["alpha"] for label in ball.alpha_classes],
-        "a_classes": [jsonio.apex_to_json(label)["A"] for label in ball.a_classes],
+        "a_classes": [
+            {"apex": m.apex, "tuple": [jsonio.word_to_json(w) for w in m.conjugators]}
+            for m in ball.a_classes
+        ],
         "edges": [list(edge) for edge in ball.edges],
     }
 

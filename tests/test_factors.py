@@ -264,6 +264,16 @@ class TestInverseMemo:
 
 
 class TestAutomorphismParts:
+    def test_parts_of_two_factors_do_not_compose(self, triple_z2):
+        with pytest.raises(FactorMismatchError, match="^composing parts of different factors$"):
+            triple_z2.part_compose(triple_z2.part_identity(1), triple_z2.part_identity(2))
+
+    def test_automorphism_enumeration_stops_past_order_8(self):
+        backend = TableBackend(cyclic_table(9))
+        message = "^automorphism enumeration limited to order <= 8, got 9$"
+        with pytest.raises(OracleUnavailableError, match=message):
+            backend.automorphism_reps()
+
     def test_cyclic_multiplier_apply(self):
         system = FactorSystem([CyclicBackend(5), CyclicBackend(2), CyclicBackend(2)])
         part = FactorAutoPart(1, 2)

@@ -1,8 +1,10 @@
 import collections
 import enum
+import hashlib
 import json
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -248,6 +250,18 @@ class TestBallExports:
         assert len(payload["edges"]) == 12
         dot = jsonio.sn_ball_to_dot(ball)
         assert "shape=ellipse" in dot and "shape=box" in dot
+
+    def test_dot_bytes_are_pinned(self, s3_z2_z2):
+        dot = jsonio.sn_ball_to_dot(enumerate_ball(s3_z2_z2, 9))
+        assert hashlib.sha256(dot.encode()).hexdigest() == (
+            "510cbf1140faa96cdc06cf1ed22bd4cec5e7cc1361727cd0dc4e134432533083"
+        )
+
+    def test_dumps_past_the_int_string_limit_raises(self):
+        limit = sys.get_int_max_str_digits()
+        message = f"^answer holds an integer of more than {limit} digits; it cannot be printed$"
+        with pytest.raises(UnprintableAnswerError, match=message):
+            jsonio.dumps([[1, 10**limit]])
 
     def test_dumps_deterministic(self, triple_z2):
         ball = enumerate_ball(triple_z2, 5)

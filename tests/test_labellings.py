@@ -96,6 +96,15 @@ class TestCanonicalSlots:
         label = apex_label(triple_z2, 2, [w["b"] * w["a"], w["b"], w["a"]])
         assert label.conjugators == (w["b"] * w["a"], w["eps"], w["a"])
 
+    @pytest.mark.parametrize("count", [2, 4])
+    def test_wrong_slot_count_rejected(self, triple_z2, w, count):
+        words = [w["a"]] * count
+        message = f"^expected 3 slot words, got {count}$"
+        with pytest.raises(ValueError, match=message):
+            star_label(triple_z2, words)
+        with pytest.raises(ValueError, match=message):
+            apex_label(triple_z2, 1, words)
+
 
 class TestDoubleCosetCore:
     def test_degenerate_cores_empty(self, triple_z2, w):

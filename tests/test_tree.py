@@ -150,6 +150,10 @@ class TestBall:
         with pytest.raises(OracleUnavailableError, match="finite"):
             bfs_ball(u_vertex(empty_word(mixed_system)), 2)
 
+    def test_negative_radius_rejected(self, triple_z2):
+        with pytest.raises(ValueError, match="^radius must be non-negative$"):
+            bfs_ball(u_vertex(empty_word(triple_z2)), -1)
+
     def test_deterministic_output(self, triple_z2):
         first = bfs_ball(u_vertex(empty_word(triple_z2)), 4)
         second = bfs_ball(u_vertex(empty_word(triple_z2)), 4)
