@@ -16,8 +16,11 @@ kernel _push_move takes each move as a pair (moved, element) and forms
 that normal form in one pass over each slot's syllables.  It is the only
 code that applies a Whitehead move, through two cores on syllable tuples
 that take the moves as pairs: _recomposed_slots and _inverted_slots, which
-skips identity parts.  WhiteheadAuto is built only at the API edge, where
-factorize wraps the pairs _read_walk reads off a walk.  invert and
+skips identity parts.  WhiteheadAuto is built only at the API edge, and
+its contract, _check_move, runs once per move: in the constructor, or in
+whitehead_auto on the x that system.element normalized, which then builds
+through the unchecked _move, as factorize does for the pairs _read_walk
+reads off a walk (reduction proves them well formed).  invert and
 recompose_factorization wrap their slots in Words; verify_factorization and
 check_ball's homing checks compare the tuples' canonical splits.
 
@@ -29,7 +32,7 @@ Every split of psi is one rule, _conjugated: inner-by-d^-1 o psi has the
 conjugators g_k . d^-1, and each one's stripped G_k head b_k joins the
 factor part as conj(b_k) o phi_k.  d = 1 gives the canonical split, d the
 star pin's divisor the base-class stabilizer split, and d = g_i the apex
-one.
+one.  In an abelian factor conjugation is the identity: the part stays.
 """
 
 from __future__ import annotations
@@ -112,7 +115,7 @@ class WhiteheadAuto:
     must be strictly increasing within 1..n and x normalized, so that one
     move has one value, and the operating factor must lie outside Y.
     Construction raises ValueError, or FactorMismatchError naming the least
-    index out of range.
+    index out of range, or a bool index.
     """
 
     system: FactorSystem
@@ -120,34 +123,47 @@ class WhiteheadAuto:
     element: tuple[int, int]
 
     def __post_init__(self):
-        # _push_move's one-pass normal form relies on the last three checks.
-        moved, system = self.moved, self.system
-        if not moved:
-            raise ValueError("a Whitehead automorphism needs a nonempty moved set")
-        last = 0
-        for j in moved:  # one pass when 0 < Y_1 < ... < Y_k <= n, the common case
-            if not last < j <= system.n:
-                if list(moved) != sorted(set(moved)):
-                    raise ValueError("a Whitehead automorphism's moved set must be strictly increasing")
-                for bad in moved:
-                    system.factor(bad)  # Y increases, so this raises on the least bad index
-            last = j
-        i, payload = self.element
-        backend = system.factor(i)
-        if payload == backend.identity_payload:
-            raise ValueError("a Whitehead automorphism needs a nontrivial element")
-        if backend.normalize(payload) != payload:
-            raise ValueError(f"Whitehead element in factor {i} is not normalized")
-        if i in moved:
-            raise ValueError(f"operating factor {i} cannot belong to the moved set")
+        _check_move(self.system, self.moved, self.element, normalized=False)
 
     @property
     def operating(self) -> int:
         return self.element[0]
 
 
+def _check_move(system: FactorSystem, moved, element, normalized: bool = True) -> None:
+    """WhiteheadAuto's contract; normalized=False also tests x's payload.
+    _push_move's one-pass normal form relies on the last three checks."""
+    if not moved:
+        raise ValueError("a Whitehead automorphism needs a nonempty moved set")
+    last = 0
+    for j in moved:  # one pass when 0 < Y_1 < ... < Y_k <= n, the common case
+        if not last < j <= system.n or j is True:
+            if list(moved) != sorted(set(moved)):
+                raise ValueError("a Whitehead automorphism's moved set must be strictly increasing")
+            for bad in moved:
+                system.factor(bad)  # Y increases, so this raises on the least bad index
+        last = j
+    i, payload = element
+    backend = system.factor(i)
+    if payload == backend.identity_payload:
+        raise ValueError("a Whitehead automorphism needs a nontrivial element")
+    if not normalized and backend.normalize(payload) != payload:
+        raise ValueError(f"Whitehead element in factor {i} is not normalized")
+    if i in moved:
+        raise ValueError(f"operating factor {i} cannot belong to the moved set")
+
+
+def _move(system: FactorSystem, moved, element) -> WhiteheadAuto:
+    """The WhiteheadAuto of a move whose contract is settled: no __post_init__."""
+    w = object.__new__(WhiteheadAuto)
+    w.__dict__.update(system=system, moved=moved, element=element)
+    return w
+
+
 def whitehead_auto(system: FactorSystem, moved, element: tuple[int, int]) -> WhiteheadAuto:
-    return WhiteheadAuto(system, tuple(sorted(set(moved))), system.element(*element))
+    moved, element = tuple(sorted(set(moved))), system.element(*element)
+    _check_move(system, moved, element)
+    return _move(system, moved, element)
 
 
 def whitehead_to_auto(w: WhiteheadAuto) -> PureSymmetricAuto:
@@ -175,8 +191,9 @@ def _conjugated(system: FactorSystem, translates, parts):
     (b_k, r_k) of its conjugators by g = d^-1 (_translate): g_k . g =
     b_k . r_k, and r_k^-1 b_k^-1 phi_k(x) b_k r_k puts conj(b_k) o phi_k on
     the slot r_k."""
+    abelian = system.abelian
     for (b, slot), part in zip(translates, parts):
-        if b is not None:
+        if b is not None and not abelian[b[0] - 1]:
             part = system.part_compose(system.conjugation_part(b), part)
         yield slot, part
 
@@ -293,7 +310,7 @@ def factorize(psi: PureSymmetricAuto) -> Factorization:
 
     _, moves = reduce_to_base(StarLabel(system, tuple(Word(system, g) for g in slots)))
     pairs, parts = _read_walk(system, moves, parts0)
-    return Factorization(tuple(WhiteheadAuto(system, *p) for p in pairs), parts, empty_word(system))
+    return Factorization(tuple(_move(system, *p) for p in pairs), parts, empty_word(system))
 
 
 def _read_walk(system: FactorSystem, moves, parts0):
@@ -307,13 +324,15 @@ def _read_walk(system: FactorSystem, moves, parts0):
     moving the corrections right past the moves maps each move's element
     through the correction of its operating factor i.  i is not in Y, so
     the sheds of a move's own slots leave that correction alone.  A factor
-    that never sheds has no correction (None), and its part stays as is.
+    that never sheds, or is abelian, has no correction (None), and its part
+    stays as is.
     """
+    abelian = system.abelian
     correction = [None] * system.n
     pairs = []
     for i, moved, element, _, _, sheds in reversed(moves):
         for k, shed in zip(moved, sheds):
-            if shed is not None:
+            if shed is not None and not abelian[k - 1]:
                 c = system.conjugation_part(shed)
                 prior = correction[k - 1]
                 correction[k - 1] = c if prior is None else system.part_compose(prior, c)

@@ -174,44 +174,25 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("normalize", help="reduce a word to normal form")
-    p.add_argument("word")
-    p.set_defaults(func=_cmd_normalize)
-
-    p = sub.add_parser("distance", help="tree distance between two vertices")
-    p.add_argument("first")
-    p.add_argument("second")
-    p.set_defaults(func=_cmd_distance)
-
-    p = sub.add_parser("geodesic", help="tree geodesic between two vertices")
-    p.add_argument("first")
-    p.add_argument("second")
-    p.set_defaults(func=_cmd_geodesic)
-
-    p = sub.add_parser("volume", help="spoke volume of a star labelling")
-    p.add_argument("label")
-    p.add_argument("--basepoint", help="basepoint word (default identity)")
-    p.set_defaults(func=_cmd_volume)
-
-    p = sub.add_parser("reduce", help="walk a star labelling back to the base")
-    p.add_argument("label")
-    p.set_defaults(func=_cmd_reduce)
-
-    p = sub.add_parser("factorize", help="factor a pure symmetric automorphism")
-    p.add_argument("auto")
-    p.set_defaults(func=_cmd_factorize)
-
-    p = sub.add_parser("verify", help="check a factorization against an automorphism")
-    p.add_argument("auto")
-    p.add_argument("factorization")
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("explore", help="enumerate a volume-bounded complex ball")
-    p.add_argument("--max-volume", type=int, required=True)
-    p.set_defaults(func=_cmd_explore)
-
-    p = sub.add_parser("selftest", help="run the acceptance suite")
-    p.set_defaults(func=_cmd_selftest)
+    commands = (
+        ("normalize", "word", _cmd_normalize, "reduce a word to normal form"),
+        ("distance", "first second", _cmd_distance, "tree distance between two vertices"),
+        ("geodesic", "first second", _cmd_geodesic, "tree geodesic between two vertices"),
+        ("volume", "label", _cmd_volume, "spoke volume of a star labelling"),
+        ("reduce", "label", _cmd_reduce, "walk a star labelling back to the base"),
+        ("factorize", "auto", _cmd_factorize, "factor a pure symmetric automorphism"),
+        ("verify", "auto factorization", _cmd_verify, "check a factorization against an automorphism"),
+        ("explore", "", _cmd_explore, "enumerate a volume-bounded complex ball"),
+        ("selftest", "", _cmd_selftest, "run the acceptance suite"),
+    )
+    subs = {}
+    for name, positionals, func, text in commands:
+        subs[name] = sub.add_parser(name, help=text)
+        for positional in positionals.split():
+            subs[name].add_argument(positional)
+        subs[name].set_defaults(func=func)
+    subs["volume"].add_argument("--basepoint", help="basepoint word (default identity)")
+    subs["explore"].add_argument("--max-volume", type=int, required=True)
     return parser
 
 

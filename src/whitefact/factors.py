@@ -4,7 +4,10 @@ Three kinds of factor are supported: finite cyclic groups (additive
 residues), arbitrary finite groups given by a Cayley table, and the
 infinite cyclic group (integer addition).  Elements carry the 1-based
 index of their factor, so cross-factor arithmetic is a type error
-rather than a silent coercion.
+rather than a silent coercion; a bool is no factor index.  Each backend
+says once whether it is abelian (a table: when it equals its transpose),
+and FactorSystem keeps the flags, next to orders, for autos to skip the
+part arithmetic of conjugation, the identity in an abelian factor.
 """
 
 from __future__ import annotations
@@ -46,9 +49,9 @@ class FactorBackend:
     (the first violated axiom or None), describe(), and on automorphism reps
     identity_auto(), auto_apply(rep, payload), auto_compose(f, g)
     (x -> f(g(x))), auto_invert(rep), auto_validate(rep), conjugation_rep(a)
-    (x -> a^-1 x a) and automorphism_reps().  The base derives is_finite()
-    and payloads() from order(); identity_payload 0 and element_name str
-    are defaults a kind may override."""
+    (x -> a^-1 x a), automorphism_reps() and the flag abelian.  The base
+    derives is_finite() and payloads() from order(); identity_payload 0 and
+    element_name str are defaults a kind may override."""
 
     kind: str
 
@@ -76,6 +79,7 @@ class CyclicBackend(FactorBackend):
     """Z/m with additive payloads 0..m-1."""
 
     kind = "cyclic"
+    abelian = True
 
     def __init__(self, order: int):
         self._order = int(order)
@@ -133,6 +137,7 @@ class IntBackend(FactorBackend):
     """Infinite cyclic group with arbitrary-precision integer payloads."""
 
     kind = "int"
+    abelian = True
 
     def op(self, a, b):
         return a + b
@@ -197,6 +202,7 @@ class TableBackend(FactorBackend):
             f"x{i}" for i in range(self.size)
         )
         self.inverse = tuple(self._derive_inverse(i) for i in range(self.size))
+        self.abelian = self.table == tuple(zip(*self.table))
 
     def _derive_inverse(self, i: int) -> int:
         """The right inverse from row i; in a group it is two-sided."""
@@ -390,6 +396,7 @@ class FactorSystem:
         self.signature = tuple(b.describe() for b in self.backends)
         self.identity_payloads = tuple(b.identity_payload for b in self.backends)
         self.orders = tuple(b.order() for b in self.backends)
+        self.abelian = tuple(b.abelian for b in self.backends)
         self._hash = hash(self.signature)
         self.inverses = _LetterMemo(self._inverse_of)  # read by Word.inverse and right_divide
 
@@ -405,7 +412,9 @@ class FactorSystem:
         return f"FactorSystem({groups})"
 
     def factor(self, i: int) -> FactorBackend:
-        if not 1 <= i <= self.n:
+        if not 1 <= i <= self.n or i is True:
+            if isinstance(i, bool):
+                raise FactorMismatchError(f"factor index {i} is a bool, not an integer")
             raise FactorMismatchError(f"factor index {clip(f'{i}')} out of range 1..{self.n}")
         return self.backends[i - 1]
 

@@ -1672,3 +1672,197 @@ class TestImageRule:
             with pytest.raises(SystemMismatchError) as raised:
                 call()
             assert str(raised.value) == message
+
+
+# -- each move's contract runs once, and abelian factors skip conjugation parts
+
+
+def parent_whitehead_auto(system, moved, element):
+    """whitehead_auto's (moved, element) as built when the constructor ran
+    the contract on every move, normalization test included."""
+    moved, element = tuple(sorted(set(moved))), system.element(*element)
+    if not moved:
+        raise ValueError("a Whitehead automorphism needs a nonempty moved set")
+    last = 0
+    for j in moved:
+        if not last < j <= system.n:
+            if list(moved) != sorted(set(moved)):
+                raise ValueError("a Whitehead automorphism's moved set must be strictly increasing")
+            for bad in moved:
+                system.factor(bad)
+        last = j
+    i, payload = element
+    backend = system.factor(i)
+    if payload == backend.identity_payload:
+        raise ValueError("a Whitehead automorphism needs a nontrivial element")
+    if backend.normalize(payload) != payload:
+        raise ValueError(f"Whitehead element in factor {i} is not normalized")
+    if i in moved:
+        raise ValueError(f"operating factor {i} cannot belong to the moved set")
+    return moved, element
+
+
+def _outcome(build, system, moved, element):
+    """The value as (moved, element) with exact types, or the error's type and text."""
+    try:
+        value = build(system, moved, element)
+    except Exception as exc:
+        return type(exc), str(exc)
+    if isinstance(value, WhiteheadAuto):
+        assert WhiteheadAuto(system, value.moved, value.element) == value
+        value = value.moved, value.element
+    return value, [type(j) for j in value[0]], type(value[1])
+
+
+CONTRACT_CASES = {
+    "Z3*Z4*Z2*Z2": [
+        ((), (1, 1)),  # empty Y
+        ([2, 2, 3], (1, 1)),  # repeated
+        ([4, 2, 3, 2], (1, 2)),  # unsorted and repeated
+        ([3, 2], (1, 1)),  # unsorted
+        ([0, 2], (1, 1)),  # out of range, low
+        ([2, 9, 7], (1, 1)),  # out of range, high
+        ([-1, 5], (2, 1)),
+        ([1, 2], (1, 1)),  # the operating factor in Y
+        ([2], (1, 0)),  # identity x
+        ([2], (1, 3)),  # identity after normalization
+        ([2], (1, 4)),  # unnormalized payload
+        ([3, 4], (2, -1)),
+        ([2], (5, 1)),  # x in no factor
+        ([2], (0, 1)),
+        ([1], (2, "x")),  # a payload int() rejects
+    ],
+    "S3*Z2*Z*Z5": [
+        ([2, 4], (3, 10**30 + 7)),  # 30-digit Z payloads
+        ([1], (3, -(10**29) - 3)),
+        ([3], (3, 10**30)),  # the operating factor in Y
+        ([1, 2], (3, 0)),  # identity x
+        ([2], (1, 6)),  # table index out of range
+        ([2], (1, -1)),
+        ([3, 4], (1, 4)),
+        ([1, 3], (4, 12)),  # unnormalized payload
+    ],
+}
+
+
+MOVE_SYSTEMS = {**KERNEL_SYSTEMS, "S3*Z2*Z2": RELATION_SYSTEMS["S3*Z2*Z2"]}
+
+
+class TestMoveContractOnce:
+    @pytest.mark.parametrize("name", CONTRACT_CASES)
+    def test_whitehead_auto_matches_the_parent(self, name):
+        system = VERIFY_SYSTEMS[name]()
+        for moved, element in CONTRACT_CASES[name]:
+            want = _outcome(parent_whitehead_auto, system, moved, element)
+            assert _outcome(whitehead_auto, system, moved, element) == want
+        rng = random.Random(f"move contract {name}")
+        built = 0
+        for _ in range(2000):
+            moved = [rng.randint(-1, system.n + 1) for _ in range(rng.randint(0, 4))]
+            payload = rng.choice([rng.randint(-8, 8), rng.randint(-(10**30), 10**30)])
+            element = (rng.randint(0, system.n + 1), payload)
+            want = _outcome(parent_whitehead_auto, system, moved, element)
+            assert _outcome(whitehead_auto, system, moved, element) == want
+            built += want[0] not in (ValueError, FactorMismatchError)
+        assert 100 < built < 1900
+
+    @pytest.mark.parametrize("name", MOVE_SYSTEMS)
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_factorize_moves_pass_the_public_constructor(self, name, data):
+        # the four corpus systems; factorize builds its moves unchecked
+        system = MOVE_SYSTEMS[name]
+        parts = [
+            FactorAutoPart(k, data.draw(st.sampled_from(system.factor(k).automorphism_reps())))
+            for k in range(1, system.n + 1)
+        ]
+        h = data.draw(_reduced_words(system, 4))
+        psi = compose(inner_auto(system, h), factor_only_auto(system, parts))
+        for move in data.draw(st.lists(_moves(system), min_size=1, max_size=6)):
+            psi = compose(whitehead_to_auto(move), psi)
+        f = factorize(psi)
+        for w in f.whitehead:
+            assert WhiteheadAuto(system, w.moved, w.element) == w
+        assert verify_factorization(psi, f)
+
+
+def composing_split_slots(system, phis, slots):
+    """_split_slots with every stripped head's conjugation part composed."""
+    split = []
+    for k, (g, part) in enumerate(zip(slots, phis), start=1):
+        if g and g[0][0] == k:
+            part = system.part_compose(system.conjugation_part(g[0]), part)
+            g = g[1:]
+        split.append((g, part))
+    return tuple(zip(*split))
+
+
+def composing_read_walk(system, moves, parts0):
+    """_read_walk with a correction for every shed, abelian factors included."""
+    correction = [None] * system.n
+    pairs = []
+    for i, moved, element, _, _, sheds in reversed(moves):
+        for k, shed in zip(moved, sheds):
+            if shed is not None:
+                c = system.conjugation_part(shed)
+                prior = correction[k - 1]
+                correction[k - 1] = c if prior is None else system.part_compose(prior, c)
+        x = system.inverses[element]
+        if correction[i - 1] is not None:
+            x = system.part_apply(correction[i - 1], x)
+        pairs.append((moved, x))
+    factor_parts = tuple(
+        part if c is None else system.part_compose(c, part) for c, part in zip(correction, parts0)
+    )
+    return pairs, factor_parts
+
+
+KLEIN = [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]]
+SKIP_SYSTEMS = {
+    "S3*Z2*Z2": VERIFY_SYSTEMS["S3*Z2*Z2"],
+    "S3*Z2*Z*Z5": VERIFY_SYSTEMS["S3*Z2*Z*Z5"],
+    "V4*Z3*S3": lambda: FactorSystem(
+        [TableBackend(KLEIN), CyclicBackend(3), s3_table()]
+    ),
+}
+
+
+class TestAbelianSkipsConjugation:
+    """Conjugation inside an abelian factor is the identity, so the splits
+    and the walk reader skip its parts; each answer must equal the one that
+    composes them."""
+
+    @pytest.mark.parametrize("name", SKIP_SYSTEMS)
+    def test_split_slots_matches_composing(self, name):
+        system = SKIP_SYSTEMS[name]()
+        rng = random.Random(f"abelian split {name}")
+        heads = set()
+        for _ in range(400):
+            slots = [random_word(system, rng, 5).syllables for _ in range(system.n)]
+            phis = [random_part(system, k, rng) for k in range(1, system.n + 1)]
+            want = composing_split_slots(system, phis, slots)
+            assert autos._split_slots(system, phis, slots) == want
+            heads.update(k for k, g in enumerate(slots, start=1) if g and g[0][0] == k)
+        assert heads == set(range(1, system.n + 1))
+
+    @pytest.mark.parametrize("name", SKIP_SYSTEMS)
+    def test_read_walk_matches_composing(self, name):
+        system = SKIP_SYSTEMS[name]()
+        n = system.n
+        rng = random.Random(f"abelian walk {name}")
+        sheds = set()
+        for _ in range(400):
+            words = [empty_word(system)] * n
+            for _ in range(rng.randint(1, 8)):  # inverse folds from the base
+                i, j = rng.sample(range(1, n + 1), 2)
+                a = letter(system, random_nontrivial_element(system, i, rng))
+                gi = words[i - 1]
+                words[j - 1] = words[j - 1] * gi.inverse() * a * gi
+            parts0 = tuple(random_part(system, k, rng) for k in range(1, n + 1))
+            _, moves = reduce_to_base(star_label(system, words))
+            want = composing_read_walk(system, moves, parts0)
+            assert autos._read_walk(system, moves, parts0) == want
+            sheds.update(b[0] for m in moves for b in m.shed if b is not None)
+        assert {k for k in sheds if system.abelian[k - 1]} and {
+            k for k in sheds if not system.abelian[k - 1]
+        }

@@ -26,6 +26,7 @@ import pytest
 from whitefact import jsonio
 from whitefact.autos import (
     Factorization,
+    WhiteheadAuto,
     _verification_failure,
     compose,
     factor_only_auto,
@@ -193,6 +194,21 @@ def test_move_counts_steer_no_other_draw(monkeypatch):
             if digest != DIGESTS[key]:
                 moved.add(key)
     assert moved == {(c, name) for c in ("factorize", "verify") for name in SYSTEMS}
+
+
+@pytest.mark.parametrize("name", SYSTEMS)
+def test_factorize_moves_pass_the_public_constructor(corpora, name):
+    """factorize builds its moves unchecked; the corpus automorphisms, the
+    first draws of corpus(name), redrawn here, check each one."""
+    system = FactorSystem(SYSTEMS[name]())
+    rng = random.Random(f"whitefact corpus {name}")
+    answers = [factorize(draw_auto(system, rng)) for _ in range(AUTOS)]
+    encoded = [jsonio.factorization_to_json(system, f) for f in answers]
+    assert encoded == corpora[name][0]["factorize"]
+    moves = [w for f in answers for w in f.whitehead]
+    assert len(moves) > AUTOS
+    for w in moves:
+        assert WhiteheadAuto(system, w.moved, w.element) == w
 
 
 def test_corpus_reaches_what_the_benchmark_does_not(corpora):

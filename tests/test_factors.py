@@ -1,9 +1,11 @@
 import collections
 import itertools
 import time
+from enum import IntEnum
 
 import pytest
 
+from whitefact.autos import WhiteheadAuto, whitehead_auto
 from whitefact.errors import FactorMismatchError, OracleUnavailableError
 from whitefact.factors import (
     LETTER_MEMO_CAP,
@@ -14,6 +16,9 @@ from whitefact.factors import (
     IntBackend,
     TableBackend,
 )
+
+from whitefact.tree import c_vertex
+from whitefact.words import empty_word, letter, word
 
 from conftest import S3_NAMES, all_pairs_validate, s3_table
 
@@ -227,6 +232,52 @@ class TestFactorElement:
         assert FactorElement(1, 2) == (1, 2)
         assert FactorElement(1, 2) != FactorElement(1, 3)
         assert FactorElement(1, 2) != FactorAutoPart(1, 2)
+
+
+class Slot(IntEnum):
+    ONE = 1
+    TWO = 2
+    THREE = 3
+
+
+class TestBoolIndex:
+    """A bool is no factor index: True passed for 1, and the values built
+    with it printed true, which the wire rejects.  Checked on Z3*Z2*Z2."""
+
+    system = FactorSystem([CyclicBackend(3), CyclicBackend(2), CyclicBackend(2)])
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda s: s.factor(True),
+            lambda s: s.element(True, 1),
+            lambda s: letter(s, (True, 1)),
+            lambda s: word(s, [(2, 1), (True, 1)]),
+            lambda s: c_vertex(True, empty_word(s)),
+            lambda s: whitehead_auto(s, [True, 3], (2, 1)),
+            lambda s: whitehead_auto(s, [3], (True, 1)),
+            lambda s: WhiteheadAuto(s, (True, 3), (2, 1)),
+            lambda s: WhiteheadAuto(s, (2, 3), (True, 1)),
+        ],
+    )
+    def test_builders_reject_a_bool(self, build):
+        with pytest.raises(FactorMismatchError) as caught:
+            build(self.system)
+        assert str(caught.value) == "factor index True is a bool, not an integer"
+
+    def test_false_is_named_too(self):
+        with pytest.raises(FactorMismatchError) as caught:
+            self.system.factor(False)
+        assert str(caught.value) == "factor index False is a bool, not an integer"
+
+    def test_int_enum_indices_still_work(self):
+        s = self.system
+        assert s.factor(Slot.TWO) is s.backends[1]
+        assert letter(s, (Slot.ONE, 4)) == letter(s, (1, 1))
+        assert word(s, [(Slot.TWO, 1), (Slot.ONE, 2)]) == word(s, [(2, 1), (1, 2)])
+        assert c_vertex(Slot.THREE, empty_word(s)) == c_vertex(3, empty_word(s))
+        move = whitehead_auto(s, [Slot.THREE, Slot.TWO], (Slot.ONE, 2))
+        assert move == WhiteheadAuto(s, (2, 3), (1, 2))
 
 
 class TestInverseMemo:
@@ -464,3 +515,29 @@ class TestAssociativityOnGenerators:
         table = switched_cyclic(order)
         assert all_triples_associative(table) is associative
         assert (TableBackend(table).validate() is None) is associative
+
+
+class TestAbelian:
+    """FactorSystem.abelian lets autos skip the parts of conjugation, which
+    is the identity in an abelian factor, so each flag must be exactly
+    commutativity."""
+
+    @pytest.mark.parametrize("order", [2, 3, 4, 5, 6])
+    def test_agrees_with_commutativity_on_every_group_table(self, order):
+        seen = set()
+        n = range(order)
+        for table in reduced_latin_squares(order):
+            backend = TableBackend(table)
+            if backend.validate() is None:
+                commutes = all(table[a][b] == table[b][a] for a in n for b in n)
+                assert backend.abelian is commutes
+                seen.add(commutes)
+        assert seen == ({True, False} if order == 6 else {True})
+
+    def test_named_tables_and_systems(self):
+        assert s3_table().abelian is False
+        assert TableBackend(D4).abelian is False
+        assert TableBackend(KLEIN).abelian is True
+        assert CyclicBackend(5).abelian is True and IntBackend().abelian is True
+        system = FactorSystem([s3_table(), TableBackend(KLEIN), CyclicBackend(2), IntBackend()])
+        assert system.abelian == (False, True, True, True)
