@@ -202,7 +202,7 @@ class TableBackend(FactorBackend):
             f"x{i}" for i in range(self.size)
         )
         self.inverse = tuple(self._derive_inverse(i) for i in range(self.size))
-        self.abelian = self.table == tuple(zip(*self.table))
+        self.abelian = all(row == column for row, column in zip(self.table, zip(*self.table)))
 
     def _derive_inverse(self, i: int) -> int:
         """The right inverse from row i; in a group it is two-sided."""
