@@ -15,12 +15,13 @@ Left-composing with a move (Y, x) is one rule, _push_moves: slot k of
 kernel _push_move takes each move as a pair (moved, element) and forms
 that normal form in one pass over each slot's syllables.  It is the only
 code that applies a Whitehead move, through two cores on syllable tuples
-that take the moves as pairs: _recomposed_slots and _inverted_slots, which
-skips identity parts.  WhiteheadAuto is built only at the API edge, and
-its contract, _check_move, runs once per move: in the constructor, or in
-whitehead_auto on the x that system.element normalized, which then builds
-through the unchecked _move, as factorize does for the pairs _read_walk
-reads off a walk (reduction proves them well formed).  invert and
+that take the moves as pairs, _recomposed_slots and _inverted_slots, which
+skips identity parts, and in factorize's push of the inner word.
+WhiteheadAuto is built only at the API edge, and its contract,
+_check_move, runs once per move: in the constructor, or in whitehead_auto
+on the x that system.element normalized, which then builds through the
+unchecked _move, as factorize does for the pairs _read_walk reads off a
+walk (reduction proves them well formed).  invert and
 recompose_factorization wrap their slots in Words; verify_factorization and
 check_ball's homing checks compare the tuples' canonical splits.
 
@@ -30,9 +31,16 @@ automorphism's own conjugator as the head.
 
 Every split of psi is one rule, _conjugated: inner-by-d^-1 o psi has the
 conjugators g_k . d^-1, and each one's stripped G_k head b_k joins the
-factor part as conj(b_k) o phi_k.  d = 1 gives the canonical split, d the
-star pin's divisor the base-class stabilizer split, and d = g_i the apex
-one.  In an abelian factor conjugation is the identity: the part stays.
+factor part as conj(b_k) o phi_k.  d = 1 gives the canonical split, d = x
+factorize's translate, d the star pin's divisor the base-class stabilizer
+split, d = g_i the apex one.  In an abelian factor conj(b_k) is the identity.
+
+factorize walks from a least-volume basepoint U(x), a median of the spoke
+ends (_basepoint), and the inner part absorbs the translation.  The base
+class is the class of least volume n, where x is the star pin's witness,
+the one common neighbour of the spoke ends.  verify pushes the inner word
+once: a move is a homomorphism, (Y, x)(s . c) = (Y, x)(s) . (Y, x)(c), so
+_recomposed_slots pushes the moves onto F(h) alone and joins each slot.
 """
 
 from __future__ import annotations
@@ -46,6 +54,7 @@ from .reduction import reduce_to_base
 from .words import (
     Word,
     _image,
+    _join,
     _normal_form,
     _same_system,
     _syllables_in,
@@ -198,11 +207,11 @@ def _conjugated(system: FactorSystem, translates, parts):
         yield slot, part
 
 
-def _split_slots(system: FactorSystem, phis, slots):
-    """(r, parts) with tuple_auto(r) o factor_only(parts) the automorphism
-    with parts phis and conjugator syllables slots, each r_k coset-canonical
-    as syllables: the conjugated split with g = 1."""
-    return tuple(zip(*_conjugated(system, _translate(system, slots, ()), phis)))
+def _split_slots(system: FactorSystem, phis, slots, d: tuple = ()):
+    """(r, parts) with tuple_auto(r) o factor_only(parts) = inner-by-d^-1 o
+    psi, for psi with parts phis and conjugator syllables slots, each r_k
+    coset-canonical as syllables: the conjugated split with g = d^-1."""
+    return tuple(zip(*_conjugated(system, _translate(system, slots, d), phis)))
 
 
 def _split_canonical(psi: PureSymmetricAuto):
@@ -289,28 +298,72 @@ def _apply_parts(system: FactorSystem, parts, syllables: tuple) -> tuple:
     return _normal_form(system, [system.part_apply(parts[s[0] - 1], s) for s in syllables])
 
 
-def factorize(psi: PureSymmetricAuto) -> Factorization:
-    """Express psi as Whitehead moves, a factor automorphism, and an inner.
+def _basepoint(slots) -> tuple:
+    """The rep x of the least-volume U-vertex for the slot syllables g_k (a
+    leading G_k syllable dropped), the nearest the root U(1) on a tie.
 
-    When the canonical tuple is base-equivalent psi splits directly as
-    factor part times inner; otherwise it is walked back to the base
-    labelling and _read_walk reads the moves off the walk.
+    volume(L, x) = sum_k d(U(x), C_k(g_k)) is convex along every path of
+    the tree, and crossing an edge changes it by n - 2m, m the ends beyond
+    it.  Below U(r) lie the ends of the slots with suffix r; below C_f(r)
+    those whose syllable before r lies in G_f, and slot f's if g_f = r.
+    Descending while a strict majority lies below the next edge lowers the
+    volume at each step, and stops at a vertex v no neighbour undercuts.
+    The ends below U(r) are a run of the sorted reversed slots, so the
+    deepest U(r) with a strict majority below has r the longest common
+    suffix of n//2 + 1 adjacent slots.  If C_f(r) holds m > n/2 ends, v is
+    C_f(r); every path from v to a U-vertex starts at a U-neighbour of v,
+    so by convexity the least U-vertex is the parent U(r), 2m - n above v,
+    or a child U(s r), n - 2m_s above v.  The child with most ends (the
+    least s on a tie) wins only when strictly lower, m + m_s > n, which
+    fails when every m <= n/2 and v is U(r).  Each step strictly lowers
+    the volume, so x = () exactly when the root is least.
     """
-    system = psi.system
-    slots, parts0 = _split_canonical(psi)
-    try:
-        parts, witness = _star_split(system, slots, parts0)
-    except NotAStabilizerError:
-        pass
-    else:
-        # psi = inner-by-witness o F, rewritten as F o inner with
-        # inner = F^-1(witness).
-        h = _apply_parts(system, [system.part_invert(p) for p in parts], witness.syllables)
-        return Factorization((), parts, Word(system, h))
+    n = len(slots)
+    ends = sorted((g[:0:-1] if g and g[0][0] == k else g[::-1], k) for k, g in enumerate(slots, 1))
+    t, tail = 0, ()
+    for (a, _), (b, _) in zip(ends, ends[n // 2 :]):
+        m = 0
+        while m < len(a) and m < len(b) and a[m] == b[m]:
+            m += 1
+        if m > t:
+            t, tail = m, a[:m]
+    into: dict = {}  # the ends below each C_f(r), by f
+    for a, k in ends:
+        if a[:t] == tail:
+            into.setdefault(a[t][0] if len(a) > t else k, []).append(a)
+    below = max(into.values(), key=len)
+    children: dict = {}  # the ends below each U(s r), by s
+    for a in below:
+        if len(a) > t:
+            children[a[t]] = children.get(a[t], 0) + 1
+    s, m = max(children.items(), key=lambda item: item[1], default=(None, 0))
+    x = tail[::-1]
+    return (s,) + x if len(below) + m > n else x
 
-    _, moves = reduce_to_base(StarLabel(system, tuple(Word(system, g) for g in slots)))
+
+def factorize(psi: PureSymmetricAuto) -> Factorization:
+    """Express psi as Whitehead moves, a factor automorphism, and an inner:
+    psi = inner-by-x o psi' for the least-volume basepoint U(x), psi' = W o
+    F read off the walk of psi's translate, and psi = W o F o inner-by-h
+    with h = F^-1(W^-1(x)), since inner-by-x o a = a o inner-by-a^-1(x):
+    W^-1 pushed onto x alone, then the inverse of each part h meets."""
+    system = psi.system
+    phis, conjugators = zip(*psi.parts)
+    slots = _slot_syllables(system, conjugators)
+    x = _basepoint(slots)
+    slots, parts0 = _split_slots(system, phis, slots, x)
+    moves = ()
+    if any(slots):  # else the least volume is n: the base class, no walk
+        _, moves = reduce_to_base(StarLabel(system, tuple(Word(system, g) for g in slots)))
     pairs, parts = _read_walk(system, moves, parts0)
-    return Factorization(tuple(_move(system, *p) for p in pairs), parts, empty_word(system))
+    h = x
+    if h:
+        for moved, element in pairs:
+            (h,) = _push_move(system, (moved, system.inverses[element]), (h,), (False,))
+        backends = system.backends
+        inverse = {f: backends[f - 1].auto_invert(parts[f - 1].rep) for f in {s[0] for s in h}}
+        h = _normal_form(system, [(f, backends[f - 1].auto_apply(inverse[f], p)) for f, p in h])
+    return Factorization(tuple(_move(system, *p) for p in pairs), parts, Word(system, h))
 
 
 def _read_walk(system: FactorSystem, moves, parts0):
@@ -358,9 +411,14 @@ def _push_moves(system: FactorSystem, moves, slots) -> list[tuple[tuple[int, int
 
 def _recomposed_slots(system: FactorSystem, moves, parts, h) -> list[tuple]:
     """The slots of W1 o ... o WK o F o inner-by-h, for moves as pairs and h
-    as syllables: every slot F(h), with WK, ..., W1 pushed on in turn."""
-    start = [_apply_parts(system, parts, h)] * system.n
-    return _push_moves(system, reversed(moves), start)
+    as syllables: those of W o F, WK, ..., W1 pushed onto empty slots, each
+    times W(F(h)).  F(h) rides as slot n + 1, which no Y holds, so it is
+    pushed once, with no lead; with h empty it is not pushed at all."""
+    backwards = moves[::-1]
+    if not h:
+        return _push_moves(system, backwards, [()] * system.n)
+    *slots, c = _push_moves(system, backwards, [()] * system.n + [_apply_parts(system, parts, h)])
+    return [_join(system, g, c) for g in slots]
 
 
 def recompose_factorization(system: FactorSystem, f: Factorization) -> PureSymmetricAuto:
@@ -390,11 +448,13 @@ def _inverted_slots(system: FactorSystem, moves, parts, h, slots, identity):
 
 
 def invert(psi: PureSymmetricAuto) -> PureSymmetricAuto:
-    """Inverse automorphism, assembled from the Whitehead factorization."""
+    """Inverse automorphism, assembled from the Whitehead factorization, in
+    its canonical split: one value per automorphism."""
     system, f = psi.system, factorize(psi)
     moves, empty = [(w.moved, w.element) for w in f.whitehead], [()] * system.n
     identity = tuple(map(system.part_identity, range(1, system.n + 1)))
     parts, slots = _inverted_slots(system, moves, f.factor, f.inner.syllables, empty, identity)
+    slots, parts = _split_slots(system, parts, slots)
     return PureSymmetricAuto(system, tuple(zip(parts, (Word(system, g) for g in slots))))
 
 

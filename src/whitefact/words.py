@@ -99,7 +99,7 @@ def _normal_form(system: FactorSystem, letters: Iterable[tuple[int, int]]) -> tu
     out: list[tuple[int, int]] = []
     for s in letters:
         f, p = s
-        if not 0 < f <= n:
+        if not 0 < f <= n or f is True:
             system.factor(f)  # raises FactorMismatchError
         e = ident[f - 1]
         if p == e:

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from whitefact import autos
+from whitefact import autos, jsonio
 from whitefact.autos import (
     Factorization,
     PureSymmetricAuto,
@@ -63,6 +63,7 @@ from whitefact.words import (
     Word,
     _image,
     empty_word,
+    enumerate_words,
     letter,
     normal_form,
     right_divide,
@@ -363,6 +364,12 @@ def old_split_canonical(psi):
         words.append(conj)
         parts.append(part)
     return tuple(words), tuple(parts)
+
+
+def canonical_auto(psi):
+    """psi in its canonical split, by the hand-written loop above."""
+    words, parts = old_split_canonical(psi)
+    return pure_auto(psi.system, list(zip(parts, words)))
 
 
 def old_star_split(system, words, parts0):
@@ -908,19 +915,25 @@ def spoke_walk(label):
     return [(i, (j,), element) for i, j, element, *_ in single_slot_walk(label)[1]]
 
 
-def replay_factorize(psi, walk):
-    """Reference factorize that ignores MoveRecord.shed: it replays every
-    move (i, Y, a) of walk on the canonical tuple and strips each slot's
-    own-factor syllable itself.  With spoke_walk it is the factorize of the
-    single-slot walk."""
+def replay_factorize(psi, walk, from_root=False):
+    """Reference factorize that ignores MoveRecord.shed: it translates the
+    canonical tuple to the least-volume basepoint x (the root with
+    from_root), replays every move (i, Y, a) of walk on it and strips each
+    slot's own-factor syllable itself; the inner word is F^-1(W^-1(x)),
+    with the inverse moves applied through compose-level automorphisms.
+    With spoke_walk it is the factorize of the single-slot walk."""
     system = psi.system
     words, parts0 = old_split_canonical(psi)
-    label = star_label(system, words)
     split, _ = old_star_split(system, words, parts0)
     if split is not None:
         parts, witness = split
         h = old_apply_parts([system.part_invert(p) for p in parts], witness)
         return Factorization((), parts, h)
+    x = empty_word(system)
+    if not from_root:
+        x = Word(system, autos._basepoint([w.syllables for w in words]))
+        words, parts0 = old_split_canonical(compose(inner_auto(system, x.inverse()), psi))
+    label = star_label(system, words)
     slots = list(words)
     replay = []
     for i, moved, element in walk(label):
@@ -948,7 +961,11 @@ def replay_factorize(psi, walk):
         system.part_compose(correction[k - 1], parts0[k - 1])
         for k in range(1, system.n + 1)
     )
-    return Factorization(tuple(whitehead), factor_parts, empty_word(system))
+    h = x
+    for move in whitehead:
+        h = whitehead_to_auto(whitehead_inverse(move)).apply(h)
+    h = old_apply_parts([system.part_invert(p) for p in factor_parts], h)
+    return Factorization(tuple(whitehead), factor_parts, h)
 
 
 SHED_SYSTEMS = {
@@ -965,12 +982,17 @@ class TestShedSyllable:
         # single-slot walk's factorization is the oracle: both verify, and
         # on this sample the vertex walk never has more moves (not a
         # theorem: a few tuples take one step more, see test_reduction).
+        # From the least-volume basepoint a walk over three factors folds
+        # one slot per step, so the vertex walk's gain is counted on the
+        # walks from the root.  Its walks shed S3 syllables less often (8
+        # in 1000 draws on S3*Z2*Z*Z5, against 11 from the root), so S3
+        # draws twice as many tuples as the root walks needed.
         system = SHED_SYSTEMS[name]()
         s3 = name.startswith("S3")
         rng = random.Random(47)
         s3_sheds = 0
         counts = [0, 0, 0]
-        for _ in range(150 if s3 else 40):
+        for _ in range(300 if s3 else 40):
             psi = random_pure_auto(system, rng, 5)
             fact = factorize(psi)
             assert fact == replay_factorize(psi, vertex_walk)
@@ -981,11 +1003,15 @@ class TestShedSyllable:
                 kept = fact.whitehead[:index] + fact.whitehead[index + 1 :]
                 deleted = Factorization(kept, fact.factor, fact.inner)
                 assert not verify_factorization(psi, deleted)
-            moves = assert_vertex_steps(star_label(system, old_split_canonical(psi)[0]))
+            words = old_split_canonical(psi)[0]
+            x = Word(system, autos._basepoint([w.syllables for w in words]))
+            moved = old_split_canonical(compose(inner_auto(system, x.inverse()), psi))[0]
+            moves = assert_vertex_steps(star_label(system, moved))
             s3_sheds += sum(b is not None and b[0] == 1 for m in moves for b in m.shed)
-            counts[0] += len(fact.whitehead)
-            counts[1] += len(single.whitehead)
-            counts[2] += sum(len(m.moved) > 1 for m in fact.whitehead)
+            root = star_label(system, words)
+            counts[0] += len(vertex_walk(root))
+            counts[1] += len(spoke_walk(root))
+            counts[2] += sum(len(step[1]) > 1 for step in vertex_walk(root))
         assert s3_sheds > 0 or not s3
         assert counts[0] < counts[1] and counts[2] > 0
 
@@ -994,17 +1020,27 @@ class TestShedSyllable:
         # slot 3 sheds c = (12).  The sampled systems hold S3 as factor 1,
         # which comes first in any Y that holds it, so only here does a shed
         # of a later slot of Y change the answer: the correction of factor 3,
-        # and through it the elements of the moves operating in G_3.
+        # and through it the elements of the moves operating in G_3.  A walk
+        # from the least-volume basepoint over three factors never folds two
+        # slots at once, so this walk is read as check_ball reads it, from
+        # the root; factorize starts at U(b.c) and needs fewer moves.
         system = FactorSystem([CyclicBackend(2), CyclicBackend(2), s3_table()])
         b, c, d = (word(system, [(f, p)]) for f, p in ((2, 1), (3, 1), (3, 2)))
         slots = [d * b * c, c, b * c]
         _, moves = reduce_to_base(star_label(system, slots))
         assert (moves[0].moved, moves[0].shed) == ((1, 3), (None, FactorElement(3, 1)))
         psi = tuple_auto(system, slots)
+        identity = tuple(system.part_identity(k) for k in range(1, 4))
+        pairs, parts = autos._read_walk(system, moves, identity)
+        whitehead = tuple(WhiteheadAuto(system, *p) for p in pairs)
+        read = Factorization(whitehead, parts, empty_word(system))
+        assert read == replay_factorize(psi, vertex_walk, from_root=True)
+        assert verify_factorization(psi, read)
+        assert read.factor[2] == system.conjugation_part(FactorElement(3, 1))
         fact = factorize(psi)
         assert fact == replay_factorize(psi, vertex_walk)
+        assert fact.inner == b * c and len(fact.whitehead) < len(read.whitehead)
         assert verify_factorization(psi, fact)
-        assert fact.factor[2] == system.conjugation_part(FactorElement(3, 1))
 
 
 def old_factorization_from_walk(system, moves, parts0):
@@ -1108,7 +1144,8 @@ def old_invert(psi):
 
 class TestKernelComposition:
     """invert and recompose_factorization push moves through the kernel and
-    give the bytes of the compose loops they replaced.  Only a non-abelian
+    give the bytes of the compose loops they replaced, invert in its
+    canonical split.  Only a non-abelian
     factor tells a product from its wrong-side twin, so S3 gets more cases."""
 
     @pytest.mark.parametrize("name", SHED_SYSTEMS)
@@ -1121,7 +1158,7 @@ class TestKernelComposition:
             rebuilt = recompose_factorization(system, made)
             assert repr(rebuilt) == repr(old_recompose_factorization(system, made))
             for target in (psi, rebuilt):
-                assert repr(invert(target)) == repr(old_invert(target))
+                assert repr(invert(target)) == repr(canonical_auto(old_invert(target)))
                 f = factorize(target)
                 assert repr(recompose_factorization(system, f)) == repr(
                     old_recompose_factorization(system, f)
@@ -1445,7 +1482,8 @@ def big_factorization(system, rng):
 class TestTupleCores:
     """recompose_factorization, invert, verify_factorization and the
     inversion check_ball reads give what the Word-level functions gave,
-    byte for byte, on splitting and non-splitting automorphisms."""
+    byte for byte (invert in its canonical split), on splitting and
+    non-splitting automorphisms."""
 
     @pytest.mark.parametrize("fixture", KEY_SYSTEMS)
     def test_matches_word_level(self, request, fixture):
@@ -1472,7 +1510,7 @@ class TestTupleCores:
                     continue
                 eps = [empty_word(system)] * n
                 want = old_word_invert_factorization(system, fact, eps)
-                assert repr(invert(target)) == repr(want)
+                assert repr(invert(target)) == repr(canonical_auto(want))
                 conjugators = [target.conjugator(k) for k in range(1, n + 1)]
                 want = old_word_invert_factorization(system, made, conjugators)
                 got_parts, got_slots = _inverted_slots(
@@ -1866,3 +1904,161 @@ class TestAbelianSkipsConjugation:
         assert {k for k in sheds if system.abelian[k - 1]} and {
             k for k in sheds if not system.abelian[k - 1]
         }
+
+
+# -- factorize from the least-volume basepoint.  Each test below catches a
+# mutant made on a scratch copy: _basepoint returning its median one
+# syllable too shallow (TestLeastVolumeBasepoint), factorize keeping
+# W^-1(x) as the inner word without F^-1 (TestBasepointAnswers), and
+# _recomposed_slots pushing F(h) with a lead, as if slot n + 1 were moved
+# (TestRecomposedInnerOnce).
+
+
+def shortest_least(label, candidates):
+    """(least volume, fewest syllables among the words reaching it) over the
+    candidate basepoint words."""
+    volumes = [(volume(label, w), w.syllable_count()) for w in candidates]
+    least = min(v for v, _ in volumes)
+    return least, min(size for v, size in volumes if v == least)
+
+
+def canonical_slots(psi):
+    return [Word(psi.system, g) for g in autos._split_canonical(psi)[0]]
+
+
+class TestLeastVolumeBasepoint:
+    """_basepoint is a least-volume U-vertex, and the nearest the root among
+    them: against every word on finite factors, and against every slot
+    suffix r and every s.r on systems with Z (x is always one of them)."""
+
+    @pytest.mark.parametrize("fixture", ["triple_z2", "s3_z2_z2"])
+    def test_least_among_every_short_word(self, request, fixture):
+        system = request.getfixturevalue(fixture)
+        rng = random.Random(61)
+        moved = 0
+        for _ in range(30):
+            slots = canonical_slots(random_pure_auto(system, rng, 4))
+            label = star_label(system, slots)
+            x = Word(system, autos._basepoint([w.syllables for w in slots]))
+            longest = max(w.syllable_count() for w in slots)
+            least, nearest = shortest_least(label, enumerate_words(system, longest + 1))
+            assert (volume(label, x), x.syllable_count()) == (least, nearest)
+            moved += not x.is_identity()
+        assert 0 < moved < 30
+
+    @pytest.mark.parametrize("fixture", ["mixed_system", "s3_z2_z_z5"])
+    def test_least_among_suffixes_on_z(self, request, fixture):
+        system = request.getfixturevalue(fixture)
+        rng = random.Random(67)
+        moved = 0
+        for _ in range(60):
+            slots = canonical_slots(random_pure_auto(system, rng, 5))
+            label = star_label(system, slots)
+            x = Word(system, autos._basepoint([w.syllables for w in slots]))
+            suffixes = {g.syllables[t:] for g in slots for t in range(g.syllable_count() + 1)}
+            letters = {s for g in slots for s in g.syllables}
+            letters |= {system.inverse(s) for s in letters}
+            candidates = [Word(system, r) for r in suffixes]
+            candidates += [letter(system, s) * r for s in letters for r in candidates]
+            assert (volume(label, x), x.syllable_count()) == shortest_least(label, candidates)
+            moved += not x.is_identity()
+        assert 0 < moved < 60
+
+    def test_tie_stays_at_the_root(self, triple_z2, w):
+        # slots 2 and 3 end in a and b: U(1), U(a) and U(b) all have volume 7
+        label = star_label(triple_z2, [w["eps"], w["a"], w["b"]])
+        assert volume(label) == volume(label, w["a"]) == 7
+        assert autos._basepoint([s.syllables for s in label.conjugators]) == ()
+
+
+def parent_factorize(psi):
+    """factorize before the basepoint: the star split of a base-class psi,
+    else the walk from the root U(1), with an empty inner word."""
+    system = psi.system
+    slots, parts0 = autos._split_canonical(psi)
+    try:
+        parts, witness = autos._star_split(system, slots, parts0)
+    except NotAStabilizerError:
+        pass
+    else:
+        h = autos._apply_parts(system, [system.part_invert(p) for p in parts], witness.syllables)
+        return Factorization((), parts, Word(system, h))
+    _, moves = reduce_to_base(StarLabel(system, tuple(Word(system, g) for g in slots)))
+    pairs, parts = autos._read_walk(system, moves, parts0)
+    whitehead = tuple(WhiteheadAuto(system, *p) for p in pairs)
+    return Factorization(whitehead, parts, empty_word(system))
+
+
+class TestBasepointAnswers:
+    """Base-class answers, and those whose basepoint is the root, keep the
+    parent's bytes; every answer verifies, also against every element, and
+    has at most (least volume - n)/2 moves."""
+
+    @pytest.mark.parametrize("fixture", KEY_SYSTEMS)
+    def test_answers(self, request, fixture):
+        system = request.getfixturevalue(fixture)
+        n = system.n
+        rng = random.Random(71)
+        seen = {"base": 0, "root": 0, "moved": 0}
+        for index in range(90):
+            if index % 3:
+                psi = random_pure_auto(system, rng, 4)
+            else:  # a base-class psi: inner o factor parts
+                parts = [random_part(system, k, rng) for k in range(1, n + 1)]
+                inner = inner_auto(system, random_word(system, rng, 4))
+                psi = compose(inner, factor_only_auto(system, parts))
+            slots = canonical_slots(psi)
+            label = star_label(system, slots)
+            x = Word(system, autos._basepoint([g.syllables for g in slots]))
+            least = volume(label, x)
+            fact = factorize(psi)
+            assert verify_factorization(psi, fact) and all_elements_verify(psi, fact)
+            assert len(fact.whitehead) <= (least - n) // 2
+            kind = "base" if least == n else "root" if x.is_identity() else "moved"
+            if kind != "moved":
+                encode = jsonio.factorization_to_json
+                assert encode(system, fact) == encode(system, parent_factorize(psi))
+            seen[kind] += 1
+        assert min(seen.values()) > 0
+
+
+def parent_recomposed_slots(system, moves, parts, h):
+    """_recomposed_slots before the one push: F(h) in every slot."""
+    start = [autos._apply_parts(system, parts, h)] * system.n
+    return autos._push_moves(system, list(reversed(moves)), start)
+
+
+class TestRecomposedInnerOnce:
+    @pytest.mark.parametrize("fixture", ["s3_z2_z2", "s3_z2_z_z5"])
+    def test_matches_every_slot_pushing_f_of_h(self, request, fixture):
+        system = request.getfixturevalue(fixture)
+        n = system.n
+        rng = random.Random(73)
+        longest = 0
+        for _ in range(300):
+            moves = []
+            for _ in range(rng.randint(0, 6)):
+                x = big_element(system, rng.randint(1, n), rng)
+                others = [j for j in range(1, n + 1) if j != x[0]]
+                moves.append((tuple(sorted(rng.sample(others, rng.randint(1, n - 1)))), x))
+            parts = [random_part(system, k, rng) for k in range(1, n + 1)]
+            h = random_reduced(system, rng, 30)
+            got = autos._recomposed_slots(system, moves, parts, h)
+            assert got == parent_recomposed_slots(system, moves, parts, h)
+            longest = max(longest, len(h))
+        assert longest >= 20
+
+
+class TestInvertIsCanonical:
+    """invert returns one value per automorphism: its canonical split."""
+
+    @pytest.mark.parametrize("fixture", KEY_SYSTEMS)
+    def test_canonical_and_involutive(self, request, fixture):
+        system = request.getfixturevalue(fixture)
+        rng = random.Random(79)
+        for _ in range(40):
+            psi = random_pure_auto(system, rng, 4)
+            inverse = invert(psi)
+            assert inverse == canonical_auto(inverse)
+            assert invert(inverse) == canonical_auto(psi)
+            assert canonical_auto(compose(inverse, psi)) == identity_auto(system)

@@ -166,15 +166,17 @@ class TestFactorizeAndVerify:
         code, out, _ = run(capsys, "--system", system_file, "factorize", auto)
         assert code == 0
         payload = json.loads(out)
-        assert payload["whitehead"] == [{"Y": [3], "x": [2, 1]}, {"Y": [2, 3], "x": [1, 1]}]
+        # slots 2 and 3 share the suffix 1:1, so the walk starts at U(1:1)
+        # and the translation is the inner part
+        assert payload["whitehead"] == [{"Y": [3], "x": [2, 1]}]
+        assert payload["inner"] == [[1, 1]]
         code, out, _ = run(capsys, "--system", system_file, "--format", "text", "factorize", auto)
         assert code == 0
         identity = '{"kind":"mult","value":1}'
         assert out.splitlines() == [
             "move 1: Y {3} by [2,1]",
-            "move 2: Y {2, 3} by [1,1]",
             f"factor: [{identity},{identity},{identity}]",
-            "inner: []",
+            "inner: [[1,1]]",
         ]
 
     def test_verify_roundtrip(self, capsys, system_file, tmp_path):
@@ -306,7 +308,7 @@ SELFTEST_SEED_0 = [
     "criterion 5 (factorization round-trip): PASS [s] 200 automorphisms",
     "criterion 6 (connectivity at desk scale): PASS [s] 16 alpha classes, 33 A classes, 48 edges",
     "criterion 7 (stabilizer decompositions): PASS [s] 9 automorphisms x 3 apexes",
-    "criterion 8 (mutation sensitivity): PASS [s] 50 factorizations, 278 mutations",
+    "criterion 8 (mutation sensitivity): PASS [s] 50 factorizations, 274 mutations",
 ]
 
 
@@ -319,7 +321,7 @@ class TestSelftest:
                 ("--seed", "3"),
                 {
                     2: "criterion 3 (volume-decrease law): PASS [s] 1000 labels, 2203 steps",
-                    7: "criterion 8 (mutation sensitivity): PASS [s] 50 factorizations, 250 mutations",
+                    7: "criterion 8 (mutation sensitivity): PASS [s] 50 factorizations, 254 mutations",
                 },
             ),
         ],

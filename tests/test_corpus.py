@@ -60,10 +60,10 @@ DIGESTS = {
     ("distance", "S3.Z2.Z.Z5"): "b71499e3b94d7ea0378756355fd0b965a749358ce4124c563dcc22e2e4d2829b",
     ("distance", "S3.Z2.Z2"): "59da7f0323ef0b07db0a243553258d85a065ac0716b04a49d8c0d6d0c409b936",
     ("distance", "Z3.Z4.Z2.Z2"): "b22de8659c94d099f73eeba27c4e0d7daa63283ed6ea51c5eef6599af0d40d3b",
-    ("factorize", "K3"): "9c4c9c5b12e0bfdb0b793c81d5c7daa96d444a6e960f3b3fbc239186dd1d00bd",
-    ("factorize", "S3.Z2.Z.Z5"): "9285738054d44463e8a0103a00ec58634054fb835ae1d77558826b508fd9b11e",
-    ("factorize", "S3.Z2.Z2"): "a97b6eebc5ff46374ca4a1d81b2fb90347f5f2df6186237fab77db05677cec95",
-    ("factorize", "Z3.Z4.Z2.Z2"): "291bd26372418e370615414bb4056329e38a379f859d700fce743f929f53bd4a",
+    ("factorize", "K3"): "afdfa5cf758fc5498e75f5907ab59f0ad6645319b7011eca4e5ab8dee6812b31",
+    ("factorize", "S3.Z2.Z.Z5"): "0892e922ec82d7407ffb8016686643129079284b02e99443c9c18b6f30f0fd01",
+    ("factorize", "S3.Z2.Z2"): "e81cb6aa2cf8a31239413ce9b08c2e12bfe03ea9ad1432cea157252cc2e938eb",
+    ("factorize", "Z3.Z4.Z2.Z2"): "965cf04c3f5c7b96dd5d33cb47c80a17aea7f174f402c2dcf8ecf4620505bb21",
     ("geodesic", "K3"): "20cc8b80548604219b2b406ebc0480c1d7363c67cdb179e08c57dca040d84938",
     ("geodesic", "S3.Z2.Z.Z5"): "490a358a27e9aefa5d4a9d8e76c67a68984a0b7a377e0325f191073429c0e6d7",
     ("geodesic", "S3.Z2.Z2"): "ad451774065a47b72b381c7a276668c427b76c5ad3082f03823b980e73d65ea1",
@@ -72,15 +72,20 @@ DIGESTS = {
     ("reduce", "S3.Z2.Z.Z5"): "52f2404917f6ad43debc937b7deacd82904de92aa61813baeb5c853550b1bf1d",
     ("reduce", "S3.Z2.Z2"): "47a20a35943cbe35d29b62ecf604d1766f189405ee59ba2065a008eb64db4e87",
     ("reduce", "Z3.Z4.Z2.Z2"): "14555ee3661ffc393ea484f1c30223e7634181341262124b48d527657d0e92b4",
-    ("verify", "K3"): "3171c3c443de1ce601b5ce76197afe05211b9899001aa16cd26738c515bcfe8a",
-    ("verify", "S3.Z2.Z.Z5"): "01c1923240bd9c1ae199cc04df9a09f3e3299aceefb0304c8dc1e7d641064f7a",
-    ("verify", "S3.Z2.Z2"): "b1e9ebdb000f32a6427b8c0021ba005e22fb959d3fa942cab8d94c93008bcca2",
-    ("verify", "Z3.Z4.Z2.Z2"): "8751869977b601d2c43926e2f748dabe1337fb3dc035a6cf9715942645065822",
+    ("verify", "K3"): "e0d01e8d985a56c70560392601aa80fa0ba0d891a59b869a0e22c2c0354a4381",
+    ("verify", "S3.Z2.Z.Z5"): "a0859310595cd6f3bdd03c3269bb15b48c08fd66a13e133c40c9f3a0e3a288a8",
+    ("verify", "S3.Z2.Z2"): "9073823e670281ae92b5eb85fc20ab6570b432b8bff14214d56935e28505883f",
+    ("verify", "Z3.Z4.Z2.Z2"): "e60126c86242b6c0f7226b16f426f45bc7b5c091a7076da826f28edc4abd7513",
     ("volume", "K3"): "eb07fe4dce0a0323aabc85ac2b85b8b30b369a80dc0c2d77044ba99f7332dfd3",
     ("volume", "S3.Z2.Z.Z5"): "1690c68ca7c3539381522d43fd3a201000a35efe18a6e26be8f3a7a83e449be4",
     ("volume", "S3.Z2.Z2"): "7193f61d654e7663ccf5c7ecdcf9a4489bdf3271f2fa41ca1af40b3f7e51f55e",
     ("volume", "Z3.Z4.Z2.Z2"): "6a9bace453235bb173f6d11da8aa109087001edbfb69e3421559f24e6761dff8",
 }
+
+# The moves of each system's factorize answers when every walk started at
+# the root U(1).  Walking from the least-volume basepoint keeps each total
+# below its root count.
+ROOT_WALK_MOVES = {"K3": 294, "Z3.Z4.Z2.Z2": 422, "S3.Z2.Z2": 310, "S3.Z2.Z.Z5": 504}
 
 
 def draw_letter(system, k, rng):
@@ -209,6 +214,12 @@ def test_factorize_moves_pass_the_public_constructor(corpora, name):
     assert len(moves) > AUTOS
     for w in moves:
         assert WhiteheadAuto(system, w.moved, w.element) == w
+
+
+@pytest.mark.parametrize("name", SYSTEMS)
+def test_basepoint_shortens_the_corpus(corpora, name):
+    moves = sum(len(answer["whitehead"]) for answer in corpora[name][0]["factorize"])
+    assert moves < ROOT_WALK_MOVES[name]
 
 
 def test_corpus_reaches_what_the_benchmark_does_not(corpora):

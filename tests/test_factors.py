@@ -18,7 +18,7 @@ from whitefact.factors import (
 )
 
 from whitefact.tree import c_vertex
-from whitefact.words import empty_word, letter, word
+from whitefact.words import empty_word, letter, normal_form, word
 
 from conftest import S3_NAMES, all_pairs_validate, s3_table
 
@@ -242,7 +242,8 @@ class Slot(IntEnum):
 
 class TestBoolIndex:
     """A bool is no factor index: True passed for 1, and the values built
-    with it printed true, which the wire rejects.  Checked on Z3*Z2*Z2."""
+    with it printed true, which the wire rejects.  normal_form's range test
+    let True through as 1 too.  Checked on Z3*Z2*Z2."""
 
     system = FactorSystem([CyclicBackend(3), CyclicBackend(2), CyclicBackend(2)])
 
@@ -258,6 +259,8 @@ class TestBoolIndex:
             lambda s: whitehead_auto(s, [3], (True, 1)),
             lambda s: WhiteheadAuto(s, (True, 3), (2, 1)),
             lambda s: WhiteheadAuto(s, (2, 3), (True, 1)),
+            lambda s: normal_form(s, [(True, 1)]),
+            lambda s: normal_form(s, [(2, 1), (True, 1)]),
         ],
     )
     def test_builders_reject_a_bool(self, build):
@@ -268,6 +271,11 @@ class TestBoolIndex:
     def test_false_is_named_too(self):
         with pytest.raises(FactorMismatchError) as caught:
             self.system.factor(False)
+        assert str(caught.value) == "factor index False is a bool, not an integer"
+
+    def test_normal_form_names_false_too(self):
+        with pytest.raises(FactorMismatchError) as caught:
+            normal_form(self.system, [(False, 1)])
         assert str(caught.value) == "factor index False is a bool, not an integer"
 
     def test_int_enum_indices_still_work(self):
