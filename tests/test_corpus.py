@@ -2,7 +2,8 @@
 over a fixed corpus, one digest per (command, system).
 
 A change that alters any answer of factorize, reduce_to_base, geodesic,
-distance, volume or verify's failure line fails here.  A change that
+distance, volume, verify's failure line, invert, is_inner or the star and
+apex stabilizer splits fails here.  A change that
 alters answers on purpose regenerates the table with
 
     PYTHONPATH=src python tests/test_corpus.py
@@ -16,6 +17,9 @@ random Whitehead moves, factor parts and an inner conjugation, and the
 S3 walks shed own-factor syllables.  Each mutant's deleted move is drawn
 from a stream of its own, so the answers of factorize never steer a later
 draw: a change in a move count moves the factorize and verify digests only.
+The stabilizer commands also read star stabilizers (inner o factor parts)
+and apex stabilizers (single-slot moves ({j}, c), c in G_i, then factor
+parts and an inner), drawn from a stream of their own after the rest.
 """
 
 import hashlib
@@ -29,13 +33,17 @@ from whitefact.autos import (
     WhiteheadAuto,
     _verification_failure,
     compose,
+    decompose_apex_stabilizer,
+    decompose_star_stabilizer,
     factor_only_auto,
     factorize,
     inner_auto,
+    invert,
+    is_inner,
     whitehead_auto,
     whitehead_to_auto,
 )
-from whitefact.errors import NonSplittingError
+from whitefact.errors import NonSplittingError, NotAStabilizerError
 from whitefact.factors import CyclicBackend, FactorSystem, IntBackend
 from whitefact.labellings import star_label, volume
 from whitefact.reduction import reduce_to_base
@@ -54,8 +62,18 @@ SYSTEMS = {
 AUTOS = 100  # automorphisms per system, each factorized, reduced and verified
 PAIRS = 100  # vertex pairs per system, each measured in both directions
 LABELS = 100  # random star labellings per system, reduced and measured
+STABILIZERS = 25  # constructed star and apex stabilizers per system, of each kind
+STABILIZER_COMMANDS = ("is_inner", "decompose_star_stabilizer", "decompose_apex_stabilizer")
 
 DIGESTS = {
+    ("decompose_apex_stabilizer", "K3"): "1adb473f037d75f55582c91ad084014b06ea2e1ee4ad17ce05982575dd75a8c8",
+    ("decompose_apex_stabilizer", "S3.Z2.Z.Z5"): "54f034900d96308e8f7b27a553d11edaeb2bfd5cf39e9feddf92f48697cfb66e",
+    ("decompose_apex_stabilizer", "S3.Z2.Z2"): "33a2b011015e70f9b099aa8a1282a225146f49db61604dc407892dadd2f6a5c6",
+    ("decompose_apex_stabilizer", "Z3.Z4.Z2.Z2"): "eae3fd229f657105b9259fbd89aab0d4862177c6a17ed1d4bf57268ff6d20050",
+    ("decompose_star_stabilizer", "K3"): "978c5e803511389c1af477eb8c62f8ba78e697a9adff2cceffb2e72c60c427e5",
+    ("decompose_star_stabilizer", "S3.Z2.Z.Z5"): "814c460c93a51a246faff928d95cf8a3d0433a748c8ea8cd23872778f6cdeb1b",
+    ("decompose_star_stabilizer", "S3.Z2.Z2"): "ad02004db140d86028c21dda135da85e9135a5ab350c71113fcfaf53bb378bbe",
+    ("decompose_star_stabilizer", "Z3.Z4.Z2.Z2"): "a18d7cb7b4898752640e1acfbc9d6a98ddcfc48984ee6cc92cda2a5d5f11d215",
     ("distance", "K3"): "f4f4de563dac5e058f0bd77c225caa8d8590868c2c154122812476486026c964",
     ("distance", "S3.Z2.Z.Z5"): "b71499e3b94d7ea0378756355fd0b965a749358ce4124c563dcc22e2e4d2829b",
     ("distance", "S3.Z2.Z2"): "59da7f0323ef0b07db0a243553258d85a065ac0716b04a49d8c0d6d0c409b936",
@@ -68,6 +86,14 @@ DIGESTS = {
     ("geodesic", "S3.Z2.Z.Z5"): "490a358a27e9aefa5d4a9d8e76c67a68984a0b7a377e0325f191073429c0e6d7",
     ("geodesic", "S3.Z2.Z2"): "ad451774065a47b72b381c7a276668c427b76c5ad3082f03823b980e73d65ea1",
     ("geodesic", "Z3.Z4.Z2.Z2"): "7a30d91fccfdd78d3df41e4c9e74fee1c05402f9958a39d932efe6955ad967d7",
+    ("invert", "K3"): "feb49f1bf6b6864aa1796ddd09932a1d70176c83e288f2984e33f7d5f3be5b50",
+    ("invert", "S3.Z2.Z.Z5"): "149296e2615c02e459d439155a7e6d9344fde472fec8ea8a865fbf6916165987",
+    ("invert", "S3.Z2.Z2"): "97a1e4561253f41b5146c723e395f66a563166d92c4098e64c190535234483d0",
+    ("invert", "Z3.Z4.Z2.Z2"): "e41aba99fd0db9deb8cd096f2bc37e2342c652858b65dff6def2f6f2bdcd2679",
+    ("is_inner", "K3"): "a09350ac2b866d54fd11c953dfe8e05854c1d5e84fd86ead3a92f5907269abda",
+    ("is_inner", "S3.Z2.Z.Z5"): "1114675e1f71defc79cffb0b754e0834f8b4ce2086716afd8b81d76078420fa7",
+    ("is_inner", "S3.Z2.Z2"): "92d9e277304f0fd1ae77368cbd2e6f0bf8b9270788bc1558908bd34c9304b940",
+    ("is_inner", "Z3.Z4.Z2.Z2"): "69e2ccab4436852ea13d89d74cc1582316e078b83d2144496c91565f241b7a54",
     ("reduce", "K3"): "a730dc6c9e6d22f731bdb88b9db2cabf2047fb302b4eb2a119311ee35b371f8b",
     ("reduce", "S3.Z2.Z.Z5"): "52f2404917f6ad43debc937b7deacd82904de92aa61813baeb5c853550b1bf1d",
     ("reduce", "S3.Z2.Z2"): "47a20a35943cbe35d29b62ecf604d1766f189405ee59ba2065a008eb64db4e87",
@@ -131,11 +157,68 @@ def reduced(label, sheds):
     return {"final": jsonio.star_to_json(final)["alpha"], "moves": jsonio.moves_to_json(moves)}
 
 
+def stabilizer_answers(system, psi, answers):
+    """Append invert, is_inner and both stabilizer splits (every apex) of
+    psi: parts by phi_to_json, words and moves as on the wire, and a
+    refusal NotAStabilizerError(k) as {"slot": k}."""
+
+    def split(encode, decompose, *args):
+        try:
+            first, second = decompose(psi, *args)
+        except NotAStabilizerError as exc:
+            return {"slot": exc.slot}
+        return encode(first, second)
+
+    def star(parts, witness):
+        return {"parts": phis(parts), "witness": jsonio.word_to_json(witness)}
+
+    def apex(moves, parts):
+        return {"moves": [jsonio.whitehead_to_json(w) for w in moves], "parts": phis(parts)}
+
+    def phis(parts):
+        return [jsonio.phi_to_json(system, p) for p in parts]
+
+    answers["invert"].append(jsonio.auto_to_json(invert(psi)))
+    h = is_inner(psi)
+    answers["is_inner"].append(None if h is None else jsonio.word_to_json(h))
+    answers["decompose_star_stabilizer"].append(split(star, decompose_star_stabilizer))
+    answers["decompose_apex_stabilizer"].append(
+        [split(apex, decompose_apex_stabilizer, i) for i in range(1, system.n + 1)]
+    )
+
+
+def draw_stabilizers(system, rng):
+    """STABILIZERS star stabilizers, inner o factor parts, and as many apex
+    stabilizers, single-slot moves ({j}, c) with c in G_i, then factor
+    parts and an inner.  Each part is the identity with even odds, so
+    inner automorphisms come up on every system."""
+    n = system.n
+
+    def parts():
+        identity = [system.part_identity(k) for k in range(1, n + 1)]
+        return [random_part(system, p.factor, rng) if rng.randint(0, 1) else p for p in identity]
+
+    def inner():
+        return inner_auto(system, draw_word(system, rng, 3))
+
+    for _ in range(STABILIZERS):
+        yield compose(inner(), factor_only_auto(system, parts()))
+    for _ in range(STABILIZERS):
+        i = rng.randint(1, n)
+        psi = factor_only_auto(system, parts())
+        for j in range(1, n + 1):
+            if j != i and rng.randint(0, 2):
+                move = whitehead_auto(system, [j], draw_letter(system, i, rng))
+                psi = compose(whitehead_to_auto(move), psi)
+        yield compose(inner(), psi)
+
+
 def corpus(name):
     """The answers per command on one system, and the factors its walks shed."""
     system = FactorSystem(SYSTEMS[name]())
     rng = random.Random(f"whitefact corpus {name}")
-    answers = {c: [] for c in ("factorize", "reduce", "verify", "geodesic", "distance", "volume")}
+    commands = ("factorize", "reduce", "verify", "geodesic", "distance", "volume", "invert")
+    answers = {c: [] for c in commands + STABILIZER_COMMANDS}
     sheds = set()
     for index in range(AUTOS):
         psi = draw_auto(system, rng)
@@ -144,6 +227,7 @@ def corpus(name):
         slots = [psi.conjugator(k) for k in range(1, system.n + 1)]
         answers["reduce"].append(reduced(star_label(system, slots), sheds))
         answers["verify"].append(_verification_failure(psi, f))
+        stabilizer_answers(system, psi, answers)
         if f.whitehead:
             # its own stream, so a changed move count moves no later draw
             drop_rng = random.Random(f"whitefact corpus {name} drop {index}")
@@ -160,6 +244,8 @@ def corpus(name):
         label = star_label(system, [draw_word(system, rng, 3) for _ in range(system.n)])
         answers["volume"].append([volume(label), volume(label, draw_word(system, rng, 3))])
         answers["reduce"].append(reduced(label, sheds))
+    for psi in draw_stabilizers(system, random.Random(f"whitefact corpus {name} stabilizers")):
+        stabilizer_answers(system, psi, answers)
     return answers, sheds
 
 
@@ -230,6 +316,19 @@ def test_corpus_reaches_what_the_benchmark_does_not(corpora):
         verify = corpora[name][0]["verify"]
         assert None in verify and any(line is not None for line in verify)
         assert any("error" in answer for answer in corpora[name][0]["reduce"])
+
+
+@pytest.mark.parametrize("name", SYSTEMS)
+def test_stabilizer_commands_take_both_branches(corpora, name):
+    """Each stabilizer command answers and refuses on every system, and some
+    apex split returns moves."""
+    answers = corpora[name][0]
+    inner = answers["is_inner"]
+    assert None in inner and any(h is not None for h in inner)
+    star = answers["decompose_star_stabilizer"]
+    assert any("slot" in a for a in star) and any("parts" in a for a in star)
+    apex = [a for per_apex in answers["decompose_apex_stabilizer"] for a in per_apex]
+    assert any("slot" in a for a in apex) and any(a.get("moves") for a in apex)
 
 
 if __name__ == "__main__":
