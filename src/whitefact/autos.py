@@ -29,11 +29,11 @@ Every image of a word under psi is one rule, words._image: apply runs it
 with an empty head, compose and labellings.act_on_label with the outer
 automorphism's own conjugator as the head.
 
-Every split of psi is one rule, _conjugated: inner-by-d^-1 o psi has the
+Every split is _split_slots at a divisor d: inner-by-d^-1 o psi has the
 conjugators g_k . d^-1, and each one's stripped G_k head b_k joins the
-factor part as conj(b_k) o phi_k.  d = 1 gives the canonical split, d = x
-factorize's translate, d the star pin's divisor the base-class stabilizer
-split, d = g_i the apex one.  In an abelian factor conj(b_k) is the identity.
+factor part as conj(b_k) o phi_k, the identity in an abelian factor.  d is
+1 for the canonical split, x for factorize's basepoint, the star pin's
+divisor for the base-class stabilizer, and g_i for the apex one.
 
 factorize walks from a least-volume basepoint U(x), a median of the spoke
 ends (_basepoint), and the inner part absorbs the translation.  The base
@@ -84,6 +84,8 @@ class PureSymmetricAuto:
 
 
 def pure_auto(system: FactorSystem, parts) -> PureSymmetricAuto:
+    """The checked way in: one automorphism part per factor, in order
+    (ValueError "part k: ..." otherwise), and conjugators over system."""
     packed = []
     for k, (part, conj) in enumerate(parts, start=1):
         if part.factor != k:
@@ -92,6 +94,10 @@ def pure_auto(system: FactorSystem, parts) -> PureSymmetricAuto:
         packed.append((part, conj))
     if len(packed) != system.n:
         raise ValueError(f"expected {system.n} parts, got {len(packed)}")
+    for k, (part, _) in enumerate(packed, start=1):
+        message = system.part_validate(part)
+        if message is not None:
+            raise ValueError(f"part {k}: {message}")
     return PureSymmetricAuto(system, tuple(packed))
 
 
@@ -194,24 +200,17 @@ def compose(f: PureSymmetricAuto, g: PureSymmetricAuto) -> PureSymmetricAuto:
     return PureSymmetricAuto(system, tuple(parts))
 
 
-def _conjugated(system: FactorSystem, translates, parts):
-    """Lazily, per factor k, the canonical (slot, part) of inner-by-g o psi,
-    the slot as syllables, for psi given by its parts and the translates
-    (b_k, r_k) of its conjugators by g = d^-1 (_translate): g_k . g =
-    b_k . r_k, and r_k^-1 b_k^-1 phi_k(x) b_k r_k puts conj(b_k) o phi_k on
-    the slot r_k."""
-    abelian = system.abelian
-    for (b, slot), part in zip(translates, parts):
-        if b is not None and not abelian[b[0] - 1]:
-            part = system.part_compose(system.conjugation_part(b), part)
-        yield slot, part
-
-
 def _split_slots(system: FactorSystem, phis, slots, d: tuple = ()):
     """(r, parts) with tuple_auto(r) o factor_only(parts) = inner-by-d^-1 o
-    psi, for psi with parts phis and conjugator syllables slots, each r_k
-    coset-canonical as syllables: the conjugated split with g = d^-1."""
-    return tuple(zip(*_conjugated(system, _translate(system, slots, d), phis)))
+    psi, for psi with parts phis and conjugator syllables slots: g_k . d^-1
+    = b_k . r_k (labellings._translate), and r_k^-1 b_k^-1 phi_k(x) b_k r_k
+    puts conj(b_k) o phi_k on the coset-canonical slot r_k."""
+    abelian, translates = system.abelian, _translate(system, slots, d)
+    parts = tuple(
+        p if b is None or abelian[b[0] - 1] else system.part_compose(system.conjugation_part(b), p)
+        for (b, _), p in zip(translates, phis)
+    )
+    return tuple(r for _, r in translates), parts
 
 
 def _split_canonical(psi: PureSymmetricAuto):
@@ -219,23 +218,6 @@ def _split_canonical(psi: PureSymmetricAuto):
     system = psi.system
     phis, conjugators = zip(*psi.parts)
     return _split_slots(system, phis, _slot_syllables(system, conjugators))
-
-
-def _star_split(system: FactorSystem, slots, parts0):
-    """(parts, witness) with psi = inner-by-witness o factor_only(parts).
-
-    slots and parts0 are psi's canonical split.  It exists exactly when
-    every core of their star pin is empty: inner-by-g_L o psi is then
-    factor_only(parts), and witness = g_L^-1, the pin's divisor.  Raises
-    NotAStabilizerError at the first non-empty core otherwise.
-    """
-    d, translates = _star_pin(system, slots)
-    parts = []
-    for k, (core, part) in enumerate(_conjugated(system, translates, parts0), start=1):
-        if core:
-            raise NotAStabilizerError(k)
-        parts.append(part)
-    return tuple(parts), Word(system, d)
 
 
 @dataclass(frozen=True)
@@ -537,23 +519,29 @@ def is_inner(psi: PureSymmetricAuto) -> Word | None:
     every part the identity (G_k is its own normalizer, so a nontrivial
     factor automorphism is never inner); h is then the witness.
     """
-    system = psi.system
     try:
-        parts, witness = _star_split(system, *_split_canonical(psi))
+        parts, witness = decompose_star_stabilizer(psi)
     except NotAStabilizerError:
         return None
-    return witness if all(system.part_is_identity(p) for p in parts) else None
+    return witness if all(map(psi.system.part_is_identity, parts)) else None
 
 
 def decompose_star_stabilizer(psi: PureSymmetricAuto):
     """Split a base-class stabilizer as factor parts plus an inner word.
 
     Returns (parts, g) with psi(G_k) = G_k^g for every k and parts the
-    restriction of conjugation-by-g^-1 composed with psi.  Raises
-    NotAStabilizerError naming the first slot whose star-key core is
-    non-empty otherwise.
+    restriction of conjugation-by-g^-1 composed with psi: g is the star
+    pin's divisor d, at which psi's canonical split has every slot empty.
+    Raises NotAStabilizerError naming the first non-empty slot otherwise.
     """
-    return _star_split(psi.system, *_split_canonical(psi))
+    system = psi.system
+    slots, parts0 = _split_canonical(psi)
+    d = _star_pin(system, slots)[0]
+    cores, parts = _split_slots(system, parts0, slots, d)
+    for k, core in enumerate(cores, start=1):
+        if core:
+            raise NotAStabilizerError(k)
+    return parts, Word(system, d)
 
 
 def decompose_apex_stabilizer(psi: PureSymmetricAuto, i: int):
@@ -563,19 +551,17 @@ def decompose_apex_stabilizer(psi: PureSymmetricAuto, i: int):
     psi stabilizes the base apex class exactly when every apex_key core is
     empty: inner-by-g_i^-1 o psi, with g_i the canonical slot i, then has
     every slot empty or a single G_i syllable c, which gives the move
-    ({j}, c).  Raises NotAStabilizerError naming the first slot with a
-    non-empty core otherwise.
+    ({j}, c), j != i since slot i is empty.  Raises NotAStabilizerError
+    naming the first slot with a non-empty core otherwise.
     """
     system = psi.system
     system.factor(i)
     slots, parts0 = _split_canonical(psi)
+    rests, parts = _split_slots(system, parts0, slots, slots[i - 1])
     whiteheads = []
-    parts = []
-    shifted = _conjugated(system, _translate(system, slots, slots[i - 1]), parts0)
-    for j, (rest, part) in enumerate(shifted, start=1):
+    for j, rest in enumerate(rests, start=1):
         if rest:
             if len(rest) > 1 or rest[0][0] != i:
                 raise NotAStabilizerError(j)
-            whiteheads.append(WhiteheadAuto(system, (j,), rest[0]))
-        parts.append(part)
-    return whiteheads, tuple(parts)
+            whiteheads.append(_move(system, (j,), rest[0]))
+    return whiteheads, parts

@@ -9,7 +9,7 @@ backwards, so every tuple it meets is a labelling.
 Cost model: the work grows with the visited tuples, the splitting tuples
 within the syllable budget.  Each one below the full budget is expanded by
 n(n-1) slot pairs, one right division each, times the nontrivial elements
-of the pushing factor, one merge test each, and each is keyed once
+of the pushing factor, one seam product each, and each is keyed once
 (_star_key), all on syllable tuples; only class representatives become
 Words.  The visited tuples are far fewer than the tuples within the
 syllable budget, but they still grow exponentially with the bound, so
@@ -90,10 +90,9 @@ def _grow_from_base(system, max_volume: int) -> list[tuple[tuple, ...]]:
     becomes canonical(g_j . g_i^-1 s g_i) for s in G_i nontrivial, i != j,
     kept when slot j gets longer and the volume stays in bound.  The search
     runs on syllable tuples and returns them.  Per slot pair, p = g_j g_i^-1
-    is one right division.  Slot i is canonical, so g_i begins with no G_i
-    syllable, and p s g_i is p, s, g_i as written unless p ends in a G_i
-    syllable t: then t s merges, and only when t s = 1 does p s g_i cancel
-    further, at the seam of p and g_i (words._join).
+    is one right division, and per s the product p s g_i is one seam
+    product, words._join(p, (s,) + g_i): slot i is canonical, so g_i begins
+    with no G_i syllable and (s,) + g_i is reduced as written.
     """
     budget = (max_volume - system.n) // 2
     base = ((),) * system.n
@@ -112,22 +111,12 @@ def _grow_from_base(system, max_volume: int) -> list[tuple[tuple, ...]]:
             if not spare:  # every fold adds a syllable
                 continue
             for i, gi in enumerate(slots, start=1):
-                op, e = system.backends[i - 1].op, system.identity_payloads[i - 1]
                 for j, gj in enumerate(slots, start=1):
                     if j == i:
                         continue
                     p = right_divide(system, gj, gi)
-                    if p and p[-1][0] == i:
-                        stem, t = p[:-1], p[-1][1]
-                        merged = (op(t, s) for s in payloads[i - 1])
-                        products = [
-                            stem + ((i, m),) + gi if m != e
-                            else _join(system, stem, gi)
-                            for m in merged
-                        ]
-                    else:
-                        products = [p + ((i, s),) + gi for s in payloads[i - 1]]
-                    for new in products:
+                    for s in payloads[i - 1]:
+                        new = _join(system, p, ((i, s),) + gi)
                         if new and new[0][0] == j:
                             new = new[1:]
                         if not 0 < len(new) - len(gj) <= spare:

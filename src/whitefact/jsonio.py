@@ -52,7 +52,6 @@ from .autos import (
     Factorization,
     PureSymmetricAuto,
     WhiteheadAuto,
-    pure_auto,
     whitehead_auto,
 )
 from .errors import EngineError, SchemaError, UnprintableAnswerError, clip, echo
@@ -331,7 +330,7 @@ def auto_from_json(system: FactorSystem, obj) -> PureSymmetricAuto:
         part = phi_from_json(system, k, entry.get("phi"))
         conj = word_from_json(system, entry.get("g", []))
         parts.append((part, conj))
-    return pure_auto(system, parts)
+    return PureSymmetricAuto(system, tuple(parts))  # every part, word and index checked above
 
 
 def whitehead_to_json(w: WhiteheadAuto) -> dict:

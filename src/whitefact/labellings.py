@@ -34,18 +34,17 @@ apex, x^-1 for a basepoint, 1 for a canonical split.  So a translate is one
 right division, words.right_divide(g_j, d), on syllable tuples, and
 _translate splits each slot's quotient into its leading G_j syllable and
 the canonical slot, both as syllables.  It and the star pin take slot
-tuples, so explorer keys grown tuples with no label built (_star_key);
-star_equivalent and the splits in autos read it lazily, so a decision
-stops at the first core that settles it.  apex_key divides and strips
-each core on tuples.  Right division skips word_mul's system check, so
-the public functions check each slot word and divisor at entry.
+tuples, so explorer keys grown tuples with no label built (_star_key).
+Both return lists, since a key, a volume and a split in autos read every
+translate.  apex_key divides and strips each core on tuples.  Right
+division skips word_mul's system check, so the public functions check
+each slot word and divisor at entry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .factors import FactorSystem
 from .words import (
@@ -124,18 +123,17 @@ def _slot_syllables(system: FactorSystem, words: Sequence[Word]) -> list[tuple]:
 
 def _translate(
     system: FactorSystem, slots: Sequence[tuple], d: tuple, start: int = 1
-) -> Iterator[tuple[tuple[int, int] | None, tuple]]:
-    """Lazily, per slot j (the first numbered start), (b_j, r_j) =
+) -> list[tuple[tuple[int, int] | None, tuple]]:
+    """Per slot j (the first numbered start), (b_j, r_j) =
     split_own_head(g_j . d^-1, j) on syllable tuples: the stripped G_j head
     and the canonical slot of the translate by d^-1, for slots and d
     syllable tuples over system."""
-    for j, g in enumerate(slots, start=start):
-        yield _split_head(right_divide(system, g, d), j)
+    return [_split_head(right_divide(system, g, d), j) for j, g in enumerate(slots, start=start)]
 
 
 def _star_pin(
     system: FactorSystem, slots: Sequence[tuple]
-) -> tuple[tuple, Iterator[tuple[tuple[int, int] | None, tuple]]]:
+) -> tuple[tuple, list[tuple[tuple[int, int] | None, tuple]]]:
     """The divisor d = g_L^-1 and the translate of L by g_L, for L with the
     canonical slots given, all as syllable tuples.
 
@@ -143,14 +141,14 @@ def _star_pin(
     identity when w has none).  L . g_L has slot 1 in G_1, and its slot-2
     coset rep is the core of w, which ends in no G_1 syllable; every other
     translate with slot 1 in G_1 ends slot 2 in one, so d is determined by
-    the class.  The cores are the translate's canonical slots; callers that
-    decide on one core stop there.
+    the class.  The cores are the translate's canonical slots.
 
     The first two translates are read off w, so w is the only quotient
     before slot 3: slot 1 becomes g_1 d^-1 = a^-1, split as (a^-1, 1), and
     slot 2 becomes g_2 d^-1 = w a^-1, which is w with its trailing a
     dropped.  Slot 1 is canonical, so g_1 begins with no G_1 syllable and
-    a g_1 is already reduced as written.
+    a g_1 is already reduced as written.  They equal _translate(slots, d)'s
+    first two, which would cost more per key.
     """
     g1 = slots[0]
     w = right_divide(system, slots[1], g1)
@@ -159,8 +157,7 @@ def _star_pin(
         d = w[-1:] + g1
         a_inv = system.inverses[w[-1]]
         w = w[:-1]
-    pinned = ((a_inv, ()), _split_head(w, 2))
-    return d, chain(pinned, _translate(system, slots[2:], d, start=3))
+    return d, [(a_inv, ()), _split_head(w, 2), *_translate(system, slots[2:], d, start=3)]
 
 
 def _star_key(system: FactorSystem, slots: Sequence[tuple]) -> tuple:

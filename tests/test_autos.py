@@ -744,7 +744,7 @@ class TestVerifyOnGenerators:
         parts = (bad,) + good[1:]
         identity = Factorization((), good, empty_word(system))
         fact = Factorization((), parts, empty_word(system))
-        psi = factor_only_auto(system, parts)
+        psi = PureSymmetricAuto(system, tuple((p, empty_word(system)) for p in parts))
         # the bad part on either side against the identity
         for target, candidate in ((identity_auto(system), fact), (psi, identity)):
             assert not all_elements_verify(target, candidate)
@@ -1123,8 +1123,11 @@ class TestCorrectionsOnlyWhereShed:
 
 
 def old_recompose_factorization(system, f):
-    """The compose loop that recompose_factorization replaced."""
-    result = compose(factor_only_auto(system, f.factor), inner_auto(system, f.inner))
+    """The compose loop that recompose_factorization replaced.  Its parts are
+    built unchecked, as recompose_factorization's are."""
+    eps = empty_word(system)
+    parts = PureSymmetricAuto(system, tuple((p, eps) for p in f.factor))
+    result = compose(parts, inner_auto(system, f.inner))
     for wh in reversed(f.whitehead):
         result = compose(whitehead_to_auto(wh), result)
     return result
@@ -1202,6 +1205,21 @@ class TestPureAutoValidation:
         ]
         with pytest.raises(FactorMismatchError):
             pure_auto(triple_z2, parts)
+
+    def test_non_automorphism_part_rejected(self, s3_z2_z2):
+        # Z3.Z2.Z2 with the Z3 multiplier 0: factorize, whose inner word
+        # inverts that part, raised from pow once such a part got in
+        system = FactorSystem([CyclicBackend(3), CyclicBackend(2), CyclicBackend(2)])
+        parts = [FactorAutoPart(1, 0), system.part_identity(2), system.part_identity(3)]
+        with pytest.raises(ValueError, match="^part 1: multiplier 0 out of range$"):
+            factor_only_auto(system, parts)
+        words = [word(system, [(1, 1)]), word(system, [(1, 1), (2, 1)])]
+        with pytest.raises(ValueError, match="^part 1: multiplier 0 out of range$"):
+            pure_auto(system, list(zip(parts, [empty_word(system)] + words)))
+        # an S3 map fixing the generators (12), (13) and swapping the 3-cycles
+        bad = FactorAutoPart(1, (0, 1, 2, 3, 5, 4))
+        with pytest.raises(ValueError, match="^part 1: "):
+            factor_only_auto(s3_z2_z2, [bad, s3_z2_z2.part_identity(2), s3_z2_z2.part_identity(3)])
 
     def test_whitehead_requires_nontrivial_element(self, triple_z2, z342):
         with pytest.raises(ValueError, match="nontrivial"):
@@ -1977,7 +1995,7 @@ def parent_factorize(psi):
     system = psi.system
     slots, parts0 = autos._split_canonical(psi)
     try:
-        parts, witness = autos._star_split(system, slots, parts0)
+        parts, witness = decompose_star_stabilizer(psi)
     except NotAStabilizerError:
         pass
     else:
