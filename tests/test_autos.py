@@ -1207,19 +1207,19 @@ class TestPureAutoValidation:
             pure_auto(triple_z2, parts)
 
     def test_non_automorphism_part_rejected(self, s3_z2_z2):
-        # Z3.Z2.Z2 with the Z3 multiplier 0: factorize, whose inner word
-        # inverts that part, raised from pow once such a part got in
+        # the Z3 multiplier 0 on Z3.Z2.Z2: with the slots (1, 1:1, 2:1.1:1)
+        # factorize inverts it for the inner word, which pow cannot do
         system = FactorSystem([CyclicBackend(3), CyclicBackend(2), CyclicBackend(2)])
         parts = [FactorAutoPart(1, 0), system.part_identity(2), system.part_identity(3)]
         with pytest.raises(ValueError, match="^part 1: multiplier 0 out of range$"):
             factor_only_auto(system, parts)
-        words = [word(system, [(1, 1)]), word(system, [(1, 1), (2, 1)])]
+        slots = [empty_word(system), word(system, [(1, 1)]), word(system, [(2, 1), (1, 1)])]
         with pytest.raises(ValueError, match="^part 1: multiplier 0 out of range$"):
-            pure_auto(system, list(zip(parts, [empty_word(system)] + words)))
+            pure_auto(system, list(zip(parts, slots)))
         # an S3 map fixing the generators (12), (13) and swapping the 3-cycles
         bad = FactorAutoPart(1, (0, 1, 2, 3, 5, 4))
-        with pytest.raises(ValueError, match="^part 1: "):
-            factor_only_auto(s3_z2_z2, [bad, s3_z2_z2.part_identity(2), s3_z2_z2.part_identity(3)])
+        with pytest.raises(ValueError, match="^part 1: map violates the homomorphism law$"):
+            factor_only_auto(s3_z2_z2, [bad] + [s3_z2_z2.part_identity(k) for k in (2, 3)])
 
     def test_whitehead_requires_nontrivial_element(self, triple_z2, z342):
         with pytest.raises(ValueError, match="nontrivial"):

@@ -1,10 +1,10 @@
 """Relations among Whitehead and factor automorphisms as an oracle for
 compose, invert and is_inner.
 
-Each relation is algebra that shares no code path with the engine: both
-sides are built from single moves and factor parts by compose, and two
-automorphisms are equal exactly when is_inner(invert(lhs) o rhs) is the
-empty word.  R5 holds in Out only, so there the answer must merely exist.
+Each relation comes from the algebra of these automorphisms, not from the
+engine's code: both sides are built from single moves and factor parts by
+compose, and two automorphisms are equal exactly when
+is_inner(invert(lhs) o rhs) is the empty word.  R5 holds in Out only, so there the answer must merely exist.
 With x, x' in G_i, y in G_j, i not in Y and compose's convention (the right
 factor acts first):
 
