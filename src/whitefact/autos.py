@@ -12,18 +12,14 @@ convention: the inner conjugation acts first, WK next, W1 last.
 
 Left-composing with a move (Y, x) is one rule, _push_moves: slot k of
 (Y, x) o psi is [x if k in Y] . (Y, x)(g_k), and every part stays.  The
-kernel _push_move takes each move as a pair (moved, element) and forms
-that normal form in one pass over each slot's syllables.  It is the only
-code that applies a Whitehead move, through two cores on syllable tuples
-that take the moves as pairs, _recomposed_slots and _inverted_slots, which
-skips identity parts, and in factorize's push of the inner word.
-WhiteheadAuto is built only at the API edge, and its contract,
-_check_move, runs once per move: in the constructor, or in whitehead_auto
-on the x that system.element normalized, which then builds through the
-unchecked _move, as factorize does for the pairs _read_walk reads off a
-walk (reduction proves them well formed).  invert and
-recompose_factorization wrap their slots in Words; verify_factorization and
-check_ball's homing checks compare the tuples' canonical splits.
+kernel _push_move forms that normal form in one pass over each slot's
+syllables, for a move as a pair (moved, element).  It is the only code
+that applies a move: in _recomposed_slots, _inverted_slots and factorize's
+push of the inner word.  WhiteheadAuto is built only at the API edge, and
+its contract, _check_move, is one test that runs once per move: in the
+constructor, or in whitehead_auto, which then builds through the unchecked
+_move, as factorize does for the pairs _read_walk reads off a walk
+(reduction proves them well formed).
 
 Every image of a word under psi is one rule, words._image: apply runs it
 with an empty head, compose and labellings.act_on_label with the outer
@@ -47,7 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import FactorMismatchError, NotAStabilizerError
+from .errors import EngineError, FactorMismatchError, NotAStabilizerError
 from .factors import FactorAutoPart, FactorSystem
 from .labellings import StarLabel, _slot_syllables, _star_pin, _translate
 from .reduction import reduce_to_base
@@ -138,16 +134,16 @@ class WhiteheadAuto:
     element: tuple[int, int]
 
     def __post_init__(self):
-        _check_move(self.system, self.moved, self.element, normalized=False)
+        _check_move(self.system, self.moved, self.element)
 
     @property
     def operating(self) -> int:
         return self.element[0]
 
 
-def _check_move(system: FactorSystem, moved, element, normalized: bool = True) -> None:
-    """WhiteheadAuto's contract; normalized=False also tests x's payload.
-    _push_move's one-pass normal form relies on the last three checks."""
+def _check_move(system: FactorSystem, moved, element) -> None:
+    """WhiteheadAuto's contract, one test for every caller.  _push_move's
+    one-pass normal form needs x nontrivial, normalized and outside Y."""
     if not moved:
         raise ValueError("a Whitehead automorphism needs a nonempty moved set")
     last = 0
@@ -162,7 +158,7 @@ def _check_move(system: FactorSystem, moved, element, normalized: bool = True) -
     backend = system.factor(i)
     if payload == backend.identity_payload:
         raise ValueError("a Whitehead automorphism needs a nontrivial element")
-    if not normalized and backend.normalize(payload) != payload:
+    if backend.normalize(payload) != payload:
         raise ValueError(f"Whitehead element in factor {i} is not normalized")
     if i in moved:
         raise ValueError(f"operating factor {i} cannot belong to the moved set")
@@ -395,7 +391,8 @@ def _recomposed_slots(system: FactorSystem, moves, parts, h) -> list[tuple]:
     """The slots of W1 o ... o WK o F o inner-by-h, for moves as pairs and h
     as syllables: those of W o F, WK, ..., W1 pushed onto empty slots, each
     times W(F(h)).  F(h) rides as slot n + 1, which no Y holds, so it is
-    pushed once, with no lead; with h empty it is not pushed at all."""
+    pushed once, with no lead.  Kept, measured: h = () (check_ball's case)
+    skips the push; without that branch explore ran 4 to 12 % slower."""
     backwards = moves[::-1]
     if not h:
         return _push_moves(system, backwards, [()] * system.n)
@@ -479,7 +476,9 @@ def _verification_failure(psi: PureSymmetricAuto, f: Factorization) -> str | Non
 
 
 def _first_fault(psi: PureSymmetricAuto, f: Factorization) -> tuple | None:
-    """None when f equals psi, else the failure line's template and values."""
+    """None when f equals psi, else the failure line's template and values,
+    kept unformatted so a bool verify formats nothing (pinned by
+    TestVerify::test_bool_formats_nothing)."""
     system = psi.system
     for value in (f.inner, *f.whitehead):
         _same_system(system, value.system, "factorization from a different factor system")
@@ -517,7 +516,8 @@ def is_inner(psi: PureSymmetricAuto) -> Word | None:
 
     psi is inner exactly when it splits as inner-by-witness o parts with
     every part the identity (G_k is its own normalizer, so a nontrivial
-    factor automorphism is never inner); h is then the witness.
+    factor automorphism is never inner); h is then the witness.  A
+    one-element factor raises EngineError, as in decompose_star_stabilizer.
     """
     try:
         parts, witness = decompose_star_stabilizer(psi)
@@ -526,17 +526,27 @@ def is_inner(psi: PureSymmetricAuto) -> Word | None:
     return witness if all(map(psi.system.part_is_identity, parts)) else None
 
 
+def _refuse_trivial_factor(system: FactorSystem) -> None:
+    """Refuse a one-element factor: psi fixes its canonical slots only when
+    each G_k is its own normalizer, and G_k = 1 has G_k^g = 1 for all g."""
+    if 1 in system.orders:
+        k = system.orders.index(1) + 1
+        raise EngineError(f"factor {k} has one element; stabilizer splits need nontrivial factors")
+
+
 def decompose_star_stabilizer(psi: PureSymmetricAuto):
     """Split a base-class stabilizer as factor parts plus an inner word.
 
     Returns (parts, g) with psi(G_k) = G_k^g for every k and parts the
     restriction of conjugation-by-g^-1 composed with psi: g is the star
-    pin's divisor d, at which psi's canonical split has every slot empty.
-    Raises NotAStabilizerError naming the first non-empty slot otherwise.
+    pin's divisor d, one split at which leaves every slot empty.  Raises
+    NotAStabilizerError naming the first non-empty slot otherwise, and
+    EngineError naming a one-element factor.
     """
     system = psi.system
+    _refuse_trivial_factor(system)
     slots, parts0 = _split_canonical(psi)
-    d = _star_pin(system, slots)[0]
+    d = _star_pin(system, slots)
     cores, parts = _split_slots(system, parts0, slots, d)
     for k, core in enumerate(cores, start=1):
         if core:
@@ -552,10 +562,12 @@ def decompose_apex_stabilizer(psi: PureSymmetricAuto, i: int):
     empty: inner-by-g_i^-1 o psi, with g_i the canonical slot i, then has
     every slot empty or a single G_i syllable c, which gives the move
     ({j}, c), j != i since slot i is empty.  Raises NotAStabilizerError
-    naming the first slot with a non-empty core otherwise.
+    naming the first slot with a non-empty core otherwise, and EngineError
+    naming a one-element factor.
     """
     system = psi.system
     system.factor(i)
+    _refuse_trivial_factor(system)
     slots, parts0 = _split_canonical(psi)
     rests, parts = _split_slots(system, parts0, slots, slots[i - 1])
     whiteheads = []

