@@ -324,8 +324,10 @@ def factorize(psi: PureSymmetricAuto) -> Factorization:
     psi = inner-by-x o psi' for the least-volume basepoint U(x), psi' = W o
     F read off the walk of psi's translate, and psi = W o F o inner-by-h
     with h = F^-1(W^-1(x)), since inner-by-x o a = a o inner-by-a^-1(x):
-    W^-1 pushed onto x alone, then the inverse of each part h meets."""
+    W^-1 pushed onto x alone, then the inverse of each part h meets.
+    Raises EngineError naming a one-element factor, and so does invert."""
     system = psi.system
+    _refuse_trivial_factor(system)
     phis, conjugators = zip(*psi.parts)
     slots = _slot_syllables(system, conjugators)
     x = _basepoint(slots)
@@ -528,10 +530,11 @@ def is_inner(psi: PureSymmetricAuto) -> Word | None:
 
 def _refuse_trivial_factor(system: FactorSystem) -> None:
     """Refuse a one-element factor: psi fixes its canonical slots only when
-    each G_k is its own normalizer, and G_k = 1 has G_k^g = 1 for all g."""
+    each G_k is its own normalizer, and G_k = 1 has G_k^g = 1 for all g, so
+    no split, factorization or inverse of psi would be one value."""
     if 1 in system.orders:
         k = system.orders.index(1) + 1
-        raise EngineError(f"factor {k} has one element; stabilizer splits need nontrivial factors")
+        raise EngineError(f"factor {k} has one element; splits and factorizations need nontrivial factors")
 
 
 def decompose_star_stabilizer(psi: PureSymmetricAuto):

@@ -360,9 +360,9 @@ class TableBackend(FactorBackend):
 
 
 LETTER_MEMO_CAP = 65_536
-"""Letters a letter memo keeps: FactorSystem.inverses here, and jsonio's
-letter texts.  Past it a memo computes without storing, so Z payloads and
-large cyclic orders cannot grow it without bound."""
+"""Letters a letter memo keeps: FactorSystem.inverses and letter_of_text,
+and jsonio's letter texts.  Past it a memo computes without storing, so
+Z payloads and large cyclic orders cannot grow it without bound."""
 
 
 class _LetterMemo(dict):
@@ -399,6 +399,7 @@ class FactorSystem:
         self.abelian = tuple(b.abelian for b in self.backends)
         self._hash = hash(self.signature)
         self.inverses = _LetterMemo(self._inverse_of)  # read by Word.inverse and right_divide
+        self.letter_of_text = {}  # "f,p" -> (f, p), filled by jsonio's name decoder
 
     def __eq__(self, other):
         return isinstance(other, FactorSystem) and self.signature == other.signature

@@ -42,6 +42,19 @@ the last name's when their syllables are equal (U(r) and C_i(r)) or differ
 by one leading letter (neighbours on a geodesic), so a path of length L is
 named in time linear in L; the body depends on the syllables alone, so the
 order of the calls changes no byte.
+
+A body of the form vertex_name prints ("[]", or "[[" + letter texts
+joined by "],[" + "]]") is read from its text: each letter text ("3,-5")
+is looked up in system.letter_of_text, the decode-side mirror of
+_letter_text, and a word whose letters all hit, no two neighbours in one
+factor, becomes a Word.  A missed text is decoded by word_from_json and
+stored, up to LETTER_MEMO_CAP texts, only when it is one letter whose
+_letter_text is "[" + text + "]": canonical, non-identity and compact
+("1, 1", "01,1", "-0" and "1,7" on Z2 miss).  Every other body goes to
+json.loads and word_from_json, the one decoder that checks letters and
+formats messages.  A memoized letter stays readable after
+sys.set_int_max_str_digits is lowered, as its _letter_text stays
+printable.
 """
 
 from __future__ import annotations
@@ -61,6 +74,7 @@ from .factors import (
     FactorAutoPart,
     FactorSystem,
     IntBackend,
+    LETTER_MEMO_CAP,
     TableBackend,
     _LetterMemo,
 )
@@ -233,6 +247,37 @@ def vertex_name(v: TreeVertex) -> str:
     return f"C{v.factor}:[{body}]" if v.factor else f"U:[{body}]"
 
 
+def _text_letter(system: FactorSystem, text: str):
+    """The letter whose compact text is [text], or None.  Decided by
+    word_from_json, and stored in system.letter_of_text only on a hit."""
+    try:
+        syllables = word_from_json(system, json.loads(f"[[{text}]]")).syllables
+        if len(syllables) != 1 or _letter_text[syllables[0]] != f"[{text}]":
+            return None
+    except (ValueError, RecursionError, SchemaError):
+        return None
+    if len(system.letter_of_text) < LETTER_MEMO_CAP:
+        system.letter_of_text[text] = syllables[0]
+    return syllables[0]
+
+
+def _compact_word(system: FactorSystem, body: str):
+    """The word of a body that vertex_name prints (reduced, compact), read
+    from its text, or None: the caller then decodes the body in full."""
+    if body == "[]":
+        return Word(system, ())
+    if not (body.startswith("[[") and body.endswith("]]")):
+        return None
+    memo, letters, last = system.letter_of_text, [], 0
+    for text in body[2:-2].split("],["):
+        letter = memo.get(text) or _text_letter(system, text)
+        if letter is None or letter[0] == last:
+            return None
+        last = letter[0]
+        letters.append(letter)
+    return Word(system, tuple(letters))
+
+
 def vertex_from_name(system: FactorSystem, name: str) -> TreeVertex:
     # messages are formatted only on failure: names are decoded per request
     if not (isinstance(name, str) and ":" in name):
@@ -249,13 +294,13 @@ def vertex_from_name(system: FactorSystem, name: str) -> TreeVertex:
             raise SchemaError(f"factor index out of range in {echo(name)}") from exc
         if not 1 <= factor <= system.n:
             raise SchemaError(f"factor index {echo(factor)} out of range")
-    try:
-        rep = word_from_json(system, json.loads(body))
-    except (ValueError, RecursionError) as exc:  # also too deep, or past the int-string limit
-        raise SchemaError(f"bad vertex word in {echo(name)}") from exc
-    if factor is None:
-        return u_vertex(rep)
-    return c_vertex(factor, rep)
+    rep = _compact_word(system, body)
+    if rep is None:
+        try:
+            rep = word_from_json(system, json.loads(body))
+        except (ValueError, RecursionError) as exc:  # also too deep, or past the int-string limit
+            raise SchemaError(f"bad vertex word in {echo(name)}") from exc
+    return u_vertex(rep) if factor is None else c_vertex(factor, rep)
 
 
 # -- labellings ---------------------------------------------------------------

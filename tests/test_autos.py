@@ -283,20 +283,37 @@ class TestStabilizers:
         assert err.value.slot == 3
         assert str(err.value) == "not a stabilizer: slot 3 obstructs"
 
-    def test_one_element_factor_refused(self):
-        # on Z2 * 1 * Z2, conjugating the trivial factor 2 changes nothing:
-        # psi is the identity, as verify says, though its slot 2 is 1:1
+    TRIVIAL_MESSAGE = "factor 2 has one element; splits and factorizations need nontrivial factors"
+
+    @staticmethod
+    def trivial_identity():
+        """On Z2 * 1 * Z2, conjugating the trivial factor 2 changes nothing:
+        psi is the identity, as verify says, though its slot 2 is 1:1."""
         system = FactorSystem([CyclicBackend(2), TableBackend([[0]]), CyclicBackend(2)])
         eps = empty_word(system)
         psi = tuple_auto(system, [eps, word(system, [(1, 1)]), eps])
         identity = Factorization((), tuple(system.part_identity(k) for k in range(1, 4)), eps)
         assert verify_factorization(psi, identity)
+        return psi
+
+    def test_one_element_factor_refused(self):
+        psi = self.trivial_identity()
         apexes = [lambda psi, i=i: decompose_apex_stabilizer(psi, i) for i in range(1, 4)]
         for split in (is_inner, decompose_star_stabilizer, *apexes):
             with pytest.raises(EngineError) as err:
                 split(psi)
             assert type(err.value) is EngineError
-            assert str(err.value) == "factor 2 has one element; stabilizer splits need nontrivial factors"
+            assert str(err.value) == self.TRIVIAL_MESSAGE
+
+    def test_factorize_and_invert_refuse_one_element_factor(self):
+        # else factorize answers the move ({2}, 1:1), and invert a value
+        # unequal to identity_auto although psi is the identity
+        psi = self.trivial_identity()
+        for answer in (factorize, invert):
+            with pytest.raises(EngineError) as err:
+                answer(psi)
+            assert type(err.value) is EngineError
+            assert str(err.value) == self.TRIVIAL_MESSAGE
 
     def test_star_decomposition_recomposes(self, z342):
         rng = random.Random(17)
@@ -828,8 +845,11 @@ class TestVerifyMatchesGeneratorOracle:
         live = [k for k in range(1, system.n + 1) if system.factor(k).order() != 1]
         outcomes = []
         for _ in range(30):
-            psi = recompose_factorization(system, live_factorization(system, rng))
-            fact = factorize(psi)
+            drawn = live_factorization(system, rng)
+            psi = recompose_factorization(system, drawn)
+            # factorize refuses a one-element factor; there the drawn
+            # factorization is the one that verifies
+            fact = drawn if 1 in system.orders else factorize(psi)
             extra = letter(system, random_nontrivial_element(system, rng.choice(live), rng))
             cases = [
                 fact,

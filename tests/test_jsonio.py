@@ -12,7 +12,13 @@ from hypothesis import given, settings, strategies as st
 from whitefact import factors, jsonio
 from whitefact.cli import main
 from whitefact.autos import Factorization, WhiteheadAuto, factorize, pure_auto, whitehead_auto
-from whitefact.errors import EngineError, FactorMismatchError, SchemaError, UnprintableAnswerError
+from whitefact.errors import (
+    EngineError,
+    FactorMismatchError,
+    SchemaError,
+    UnprintableAnswerError,
+    echo,
+)
 from whitefact.explorer import enumerate_ball
 from whitefact.factors import (
     CyclicBackend,
@@ -304,6 +310,17 @@ def reference_vertex_name(v):
     return f"C{v.factor}:{body}"
 
 
+def reference_vertex_from_name(system, name):
+    """A U or C name through json.loads and reference_word_from_json."""
+    head, _, body = name.partition(":")
+    try:
+        obj = json.loads(body)
+    except (ValueError, RecursionError) as exc:
+        raise SchemaError(f"bad vertex word in {echo(name)}") from exc
+    rep = reference_word_from_json(system, obj)
+    return u_vertex(rep) if head == "U" else c_vertex(int(head[1:]), rep)
+
+
 WIRE_SYSTEMS = {
     "S3*Z2*Z*Z5": FactorSystem([s3_table(), CyclicBackend(2), IntBackend(), CyclicBackend(5)]),
     "Z3*Z4*Z2*Z2": FactorSystem([CyclicBackend(m) for m in (3, 4, 2, 2)]),
@@ -345,6 +362,75 @@ def _letters(system):
         st.lists(letter, max_size=12),
         st.tuples(st.lists(good, max_size=4), cancelling).map(lambda p: p[0] + p[1]),
     )
+
+
+def _odd_letter_texts(system, f, p):
+    """Letter texts, by kind, that are not the compact text of a canonical,
+    non-identity letter, though json.loads may read them."""
+    order = system.orders[f - 1]
+    return {
+        "spaces": f"{f}, {p}",
+        "lead-space": f" {f},{p}",
+        "leading-zero": f"0{f},{p}",
+        "payload-zero": f"{f},0{abs(p)}",
+        "minus-zero": f"{f},-0",
+        "plus": f"{f},+1",
+        "arabic-digit": f"{f},\u0661",
+        "underscore": f"{f},1_0",
+        "float": f"{f},{p}.0",
+        "true": f"{f},true",
+        "long-int": f"{f},{'9' * 4301}",
+        "identity": f"{f},{system.identity_payloads[f - 1]}",
+        "non-canonical": f"{f},{p + order if order else p}",
+        "factor-range": f"{system.n + 1},1",
+        "one-number": f"{f}",
+        "three-numbers": f"{f},{p},{p}",
+        "empty": "",
+        "nested": f"[{f},{p}]",
+    }
+
+
+ODD_LETTERS = tuple(_odd_letter_texts(WIRE_SYSTEMS["T3*Z2*Z"], 1, 1))
+ODD_BODIES = ("[ ]", "trailing-bracket", "spaced-join", "space-first", "no-close", "same-factor")
+
+
+@st.composite
+def _vertex_names(draw, system):
+    """(name, kinds): a U or C name whose body is the compact word that
+    vertex_name prints, or that body with a letter or a bracket changed."""
+    pairs = draw(st.lists(st.tuples(st.integers(1, system.n), st.integers(-9, 9)), max_size=8))
+    letters = list(word(system, [(f, p % 3 if system.factor(f).kind == "table" else p)
+                                 for f, p in pairs]).syllables)
+    texts, kinds = [f"{f},{p}" for f, p in letters], []
+    for _ in range(draw(st.integers(0, 2))):
+        kind = draw(st.sampled_from(ODD_LETTERS + ODD_BODIES))
+        if kind == "same-factor" and not texts:
+            continue
+        kinds.append(kind)
+        f = draw(st.integers(1, system.n))
+        p = draw(st.sampled_from(system.nontrivial_payloads(f)) if system.orders[f - 1]
+                 else st.integers(-9, 9))
+        at = draw(st.integers(0, len(texts)))
+        if kind == "same-factor":
+            at = max(at, 1)
+            texts.insert(at, texts[at - 1].split(",")[0] + f",{p}")
+        elif kind in ODD_LETTERS:
+            texts.insert(at, _odd_letter_texts(system, f, p)[kind])
+    body = "[[" + "],[".join(texts) + "]]" if texts else "[]"
+    if "[ ]" in kinds:
+        body = "[ ]"
+    elif "trailing-bracket" in kinds:
+        body += "]"
+    elif "spaced-join" in kinds:
+        body = body.replace("],[", "], [")
+    elif "space-first" in kinds:
+        body = " " + body
+    elif "no-close" in kinds:
+        body = body[:-1]
+    head = draw(st.integers(0, system.n))
+    if letters and draw(st.booleans()):
+        head = letters[0][0]  # a C name whose word starts in its own factor
+    return f"C{head}:{body}" if head else f"U:{body}", kinds
 
 
 def _outcome(decode, system, obj):
@@ -664,6 +750,33 @@ class TestWireOracle:
         assert name == reference_vertex_name(v)
         assert jsonio.vertex_from_name(system, name) == v
 
+    def test_name_text_path_matches_reference(self, monkeypatch):
+        # each name is decoded twice, once to fill the text memo, then warm
+        paths, kinds = collections.Counter(), collections.Counter()
+        compact_word = jsonio._compact_word
+
+        def counted(system, body):
+            rep = compact_word(system, body)
+            paths["text" if rep is not None else "json"] += 1
+            return rep
+
+        monkeypatch.setattr(jsonio, "_compact_word", counted)
+
+        @settings(max_examples=800, derandomize=True, deadline=None)
+        @given(data=st.data())
+        def check(data):
+            system = WIRE_SYSTEMS[data.draw(st.sampled_from(sorted(WIRE_SYSTEMS)))]
+            name, drawn = data.draw(_vertex_names(system))
+            kinds.update(drawn)
+            want = _decoded(reference_vertex_from_name, system, name)
+            for _ in range(2):
+                assert _decoded(jsonio.vertex_from_name, system, name) == want, name
+
+        check()
+        assert paths["text"] > 400 and paths["json"] > 400, paths
+        for kind in ODD_LETTERS + ODD_BODIES:
+            assert kinds[kind] >= 3, (kind, kinds)
+
     def test_geodesic_names_match_reference(self):
         system = WIRE_SYSTEMS["S3*Z2*Z*Z5"]
         rng = random.Random(17)
@@ -822,6 +935,64 @@ class TestLetterMemo:
         with pytest.raises(UnprintableAnswerError):
             jsonio.vertex_name(v)
         assert (3, huge) not in memo
+
+
+class TestLetterOfText:
+    """vertex_from_name's text memo, system.letter_of_text: one per system,
+    filled only with compact texts of canonical, non-identity letters, and
+    at most jsonio.LETTER_MEMO_CAP of them."""
+
+    @staticmethod
+    def same_as_reference(system, name):
+        want = _decoded(reference_vertex_from_name, system, name)
+        assert _decoded(jsonio.vertex_from_name, system, name) == want, name
+        return want
+
+    def test_one_memo_per_system(self):
+        z3 = FactorSystem([CyclicBackend(3), CyclicBackend(2), CyclicBackend(2)])
+        z2 = FactorSystem([CyclicBackend(2)] * 3)
+        assert jsonio.vertex_from_name(z3, "U:[[1,2]]") == u_vertex(word(z3, [(1, 2)]))
+        assert z3.letter_of_text == {"1,2": (1, 2)}
+        for name in ("U:[[1,2]]", "U:[[1,2],[2,1]]", "C3:[[1,2],[3,1]]"):
+            self.same_as_reference(z2, name)
+        assert jsonio.vertex_from_name(z2, "U:[[1,2],[2,1]]") == u_vertex(word(z2, [(2, 1)]))
+        assert "1,2" not in z2.letter_of_text
+
+    def test_junk_is_never_stored(self):
+        system = FactorSystem([s3_table(), CyclicBackend(2), IntBackend()])
+        junk = ["1, 1", " 1,1", "01,1", "1,01", "3,-0", "2,+1", "3,\u0661", "3,1_0", "3,1.0",
+                "2,true", "2,3", "1,0", "1,6", "4,1", "0,1", f"3,{'9' * 4301}", "", "1",
+                "1,1,1", "[1,1]", "1,1]", "1,1 "]
+        for text in junk:
+            self.same_as_reference(system, f"U:[[{text}]]")
+            self.same_as_reference(system, f"C2:[[2,1],[{text}]]")
+        assert system.letter_of_text == {"2,1": (2, 1)}
+        self.same_as_reference(system, "C1:[[1,3],[3,-5],[2,1],[3,10]]")
+        assert system.letter_of_text == {"2,1": (2, 1), "1,3": (1, 3), "3,-5": (3, -5), "3,10": (3, 10)}
+
+    def test_memo_stops_at_its_cap(self, monkeypatch):
+        monkeypatch.setattr(jsonio, "LETTER_MEMO_CAP", 5)
+        system = FactorSystem([CyclicBackend(2), CyclicBackend(2), IntBackend()])
+        for p in range(-10, 10):
+            self.same_as_reference(system, f"U:[[3,{p}],[1,1]]")
+            assert len(system.letter_of_text) <= 5
+        assert len(system.letter_of_text) == 5
+        self.same_as_reference(system, "U:[[3,99],[1,1],[3,-99]]")
+        assert len(system.letter_of_text) == 5
+
+    def test_memoized_letter_outlives_a_lower_digit_limit(self):
+        system = FactorSystem([CyclicBackend(2), CyclicBackend(2), IntBackend()])
+        # 1000-digit payloads, named before the limit is lowered to 640
+        name, other = (f"U:[[3,{10**999 + k}],[1,1]]" for k in (1, 3))
+        v = jsonio.vertex_from_name(system, name)
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            assert jsonio.vertex_from_name(system, name) == v
+            with pytest.raises(SchemaError, match="bad vertex word"):
+                jsonio.vertex_from_name(system, other)
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 def _name_relation(last, syllables):
