@@ -30,6 +30,8 @@ conjugators g_k . d^-1, and each one's stripped G_k head b_k joins the
 factor part as conj(b_k) o phi_k, the identity in an abelian factor.  d is
 1 for the canonical split, x for factorize's basepoint, the star pin's
 divisor for the base-class stabilizer, and g_i for the apex one.
+Every factor is nontrivial, since a FactorSystem cannot hold a trivial
+one, so each G_k is its own normalizer and each split is one value.
 
 factorize walks from a least-volume basepoint U(x), a median of the spoke
 ends (_basepoint), and the inner part absorbs the translation.  The base
@@ -43,7 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import EngineError, FactorMismatchError, NotAStabilizerError
+from .errors import FactorMismatchError, NotAStabilizerError
 from .factors import FactorAutoPart, FactorSystem
 from .labellings import StarLabel, _slot_syllables, _star_pin, _translate
 from .reduction import reduce_to_base
@@ -324,10 +326,8 @@ def factorize(psi: PureSymmetricAuto) -> Factorization:
     psi = inner-by-x o psi' for the least-volume basepoint U(x), psi' = W o
     F read off the walk of psi's translate, and psi = W o F o inner-by-h
     with h = F^-1(W^-1(x)), since inner-by-x o a = a o inner-by-a^-1(x):
-    W^-1 pushed onto x alone, then the inverse of each part h meets.
-    Raises EngineError naming a one-element factor, and so does invert."""
+    W^-1 pushed onto x alone, then the inverse of each part h meets."""
     system = psi.system
-    _refuse_trivial_factor(system)
     phis, conjugators = zip(*psi.parts)
     slots = _slot_syllables(system, conjugators)
     x = _basepoint(slots)
@@ -445,18 +445,16 @@ def verify_factorization(psi: PureSymmetricAuto, f: Factorization) -> bool:
     recompose_factorization pushes the moves of f onto F o inner-by-h, and
     both sides are then compared by their canonical splits,
     psi = tuple_auto(r) o factor_only(phi) with every slot r_k coset-
-    canonical (no leading G_k syllable).  On a factor G_k with at least two
-    elements that split is unique: if r_k^-1 phi_k(x) r_k and
-    r'_k^-1 phi'_k(x) r'_k agree for every x in G_k, then r_k r'_k^-1
-    normalizes G_k, and a nontrivial free factor is its own normalizer, so
-    r_k and r'_k lie in one right coset G_k r'_k, whose canonical rep is
-    unique; then phi_k = phi'_k.  So equal splits mean equal automorphisms
-    and unequal ones differ on G_k.  A one-element factor has no
-    generators and nothing to compare, so it is skipped.  A slot k whose
-    splits differ is read on system.factor(k).generators(): the image
-    r_k^-1 phi_k(x) r_k of a nontrivial x is already in normal form, and
-    the first generator whose images differ is the one reported.  Parts
-    that differ only in their encoding agree on every generator and pass.
+    canonical (no leading G_k syllable).  Every factor is nontrivial, so
+    that split is unique: if r_k^-1 phi_k(x) r_k and r'_k^-1 phi'_k(x) r'_k
+    agree for every x in G_k, then r_k r'_k^-1 normalizes G_k, and a
+    nontrivial free factor is its own normalizer, so r_k and r'_k lie in
+    one right coset G_k r'_k, whose canonical rep is unique; then
+    phi_k = phi'_k.  So equal splits mean equal automorphisms and unequal
+    ones differ on G_k.  A slot k whose splits differ is read on
+    system.factor(k).generators(): the image r_k^-1 phi_k(x) r_k of a
+    nontrivial x is already in normal form, and the first generator whose
+    images differ is the one reported.
 
     The argument fails when a part is no automorphism: a map that fixes
     S3's two generators but swaps its 3-cycles agrees with the identity
@@ -518,8 +516,7 @@ def is_inner(psi: PureSymmetricAuto) -> Word | None:
 
     psi is inner exactly when it splits as inner-by-witness o parts with
     every part the identity (G_k is its own normalizer, so a nontrivial
-    factor automorphism is never inner); h is then the witness.  A
-    one-element factor raises EngineError, as in decompose_star_stabilizer.
+    factor automorphism is never inner); h is then the witness.
     """
     try:
         parts, witness = decompose_star_stabilizer(psi)
@@ -528,26 +525,15 @@ def is_inner(psi: PureSymmetricAuto) -> Word | None:
     return witness if all(map(psi.system.part_is_identity, parts)) else None
 
 
-def _refuse_trivial_factor(system: FactorSystem) -> None:
-    """Refuse a one-element factor: psi fixes its canonical slots only when
-    each G_k is its own normalizer, and G_k = 1 has G_k^g = 1 for all g, so
-    no split, factorization or inverse of psi would be one value."""
-    if 1 in system.orders:
-        k = system.orders.index(1) + 1
-        raise EngineError(f"factor {k} has one element; splits and factorizations need nontrivial factors")
-
-
 def decompose_star_stabilizer(psi: PureSymmetricAuto):
     """Split a base-class stabilizer as factor parts plus an inner word.
 
     Returns (parts, g) with psi(G_k) = G_k^g for every k and parts the
     restriction of conjugation-by-g^-1 composed with psi: g is the star
     pin's divisor d, one split at which leaves every slot empty.  Raises
-    NotAStabilizerError naming the first non-empty slot otherwise, and
-    EngineError naming a one-element factor.
+    NotAStabilizerError naming the first non-empty slot otherwise.
     """
     system = psi.system
-    _refuse_trivial_factor(system)
     slots, parts0 = _split_canonical(psi)
     d = _star_pin(system, slots)
     cores, parts = _split_slots(system, parts0, slots, d)
@@ -565,12 +551,10 @@ def decompose_apex_stabilizer(psi: PureSymmetricAuto, i: int):
     empty: inner-by-g_i^-1 o psi, with g_i the canonical slot i, then has
     every slot empty or a single G_i syllable c, which gives the move
     ({j}, c), j != i since slot i is empty.  Raises NotAStabilizerError
-    naming the first slot with a non-empty core otherwise, and EngineError
-    naming a one-element factor.
+    naming the first slot with a non-empty core otherwise.
     """
     system = psi.system
     system.factor(i)
-    _refuse_trivial_factor(system)
     slots, parts0 = _split_canonical(psi)
     rests, parts = _split_slots(system, parts0, slots, slots[i - 1])
     whiteheads = []

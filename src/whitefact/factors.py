@@ -4,10 +4,13 @@ Three kinds of factor are supported: finite cyclic groups (additive
 residues), arbitrary finite groups given by a Cayley table, and the
 infinite cyclic group (integer addition).  Elements carry the 1-based
 index of their factor, so cross-factor arithmetic is a type error
-rather than a silent coercion; a bool is no factor index.  Each backend
-says once whether it is abelian (a table: when it equals its transpose),
-and FactorSystem keeps the flags, next to orders, for autos to skip the
-part arithmetic of conjugation, the identity in an abelian factor.
+rather than a silent coercion; a bool is no factor index, and payloads and
+part reps are ints, as the wire prints them.  Each backend says once
+whether it is abelian (a table: when it equals its transpose), and
+FactorSystem keeps the flags, next to orders, for autos to skip the part
+arithmetic of conjugation, the identity in an abelian factor.  A
+FactorSystem is valid or cannot be built: its constructor validates every
+backend, so every factor is a group of two or more elements.
 """
 
 from __future__ import annotations
@@ -41,6 +44,18 @@ class FactorAutoPart:
 
     factor: int
     rep: object
+
+
+def _is_int(x) -> bool:
+    """An int, an IntEnum member too, but no bool."""
+    return type(x) is int or (isinstance(x, int) and not isinstance(x, bool))
+
+
+def _payload(payload) -> int:
+    """The plain int of an integer payload; ValueError names any other."""
+    if not _is_int(payload):
+        raise ValueError(f"payload {echo(payload)} must be an integer")
+    return int(payload)
 
 
 class FactorBackend:
@@ -97,7 +112,7 @@ class CyclicBackend(FactorBackend):
         return [1]
 
     def normalize(self, payload):
-        return int(payload) % self._order
+        return _payload(payload) % self._order
 
     def validate(self):
         if self._order < 2:
@@ -120,7 +135,9 @@ class CyclicBackend(FactorBackend):
         return pow(rep, -1, self._order)
 
     def auto_validate(self, rep):
-        if not isinstance(rep, int) or not 1 <= rep < self._order:
+        if not _is_int(rep):
+            return f"multiplier {echo(rep)} is not an integer"
+        if not 1 <= rep < self._order:
             return f"multiplier {echo(rep)} out of range"
         if math.gcd(rep, self._order) != 1:
             return f"multiplier {rep} not coprime to {self._order}"
@@ -152,7 +169,7 @@ class IntBackend(FactorBackend):
         return [1]
 
     def normalize(self, payload):
-        return int(payload)
+        return _payload(payload)
 
     def validate(self):
         return None
@@ -173,7 +190,7 @@ class IntBackend(FactorBackend):
         return rep
 
     def auto_validate(self, rep):
-        if rep not in (1, -1):
+        if not _is_int(rep) or rep not in (1, -1):
             return f"sign {echo(rep)} is not an automorphism of the infinite cyclic group"
         return None
 
@@ -251,7 +268,7 @@ class TableBackend(FactorBackend):
                         queue.append(b)
 
     def normalize(self, payload):
-        payload = int(payload)
+        payload = _payload(payload)
         if not 0 <= payload < self.size:
             raise ValueError(f"table index {clip(str(payload))} out of range 0..{self.size - 1}")
         return payload
@@ -321,6 +338,8 @@ class TableBackend(FactorBackend):
         """The law rep(a.g) = rep(a).rep(g) is checked on generators g only.
         With rep(e) = e it holds on all pairs, by induction on b as a product
         of generators, if the table is associative: validate checks that."""
+        if type(rep) is not tuple or not all(map(_is_int, rep)):
+            return "automorphism map must be a tuple of integers"
         if len(rep) != self.size or set(rep) != set(range(self.size)):
             return "automorphism map is not a permutation"
         if rep[self.identity] != self.identity:
@@ -386,12 +405,18 @@ class FactorSystem:
 
     Factors are addressed by 1-based index.  Two systems compare equal when
     their backend descriptions coincide, so values survive JSON round trips.
+    Fewer than 3 factors raise ValueError, and so do faulty backends, with
+    every fault as "factor k: <validate's report>" joined by "; ".
     """
 
     def __init__(self, backends: Iterable[FactorBackend]):
         self.backends = tuple(backends)
         if len(self.backends) < 3:
             raise ValueError("a factor system needs at least 3 factors")
+        faults = [(i, b.validate()) for i, b in enumerate(self.backends, start=1)]
+        reports = [f"factor {i}: {message}" for i, message in faults if message is not None]
+        if reports:
+            raise ValueError("; ".join(reports))
         self.n = len(self.backends)
         self.signature = tuple(b.describe() for b in self.backends)
         self.identity_payloads = tuple(b.identity_payload for b in self.backends)
@@ -483,13 +508,3 @@ class FactorSystem:
     def conjugation_part(self, a: tuple[int, int]) -> FactorAutoPart:
         f, p = a
         return FactorAutoPart(f, self.factor(f).conjugation_rep(p))
-
-    # -- validation ---------------------------------------------------------
-
-    def validate(self) -> list[str]:
-        reports = []
-        for i, backend in enumerate(self.backends, start=1):
-            message = backend.validate()
-            if message is not None:
-                reports.append(f"factor {i}: {message}")
-        return reports

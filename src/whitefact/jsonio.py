@@ -17,6 +17,10 @@ Schemas:
                     "vol_before":..., "vol_after":...}, ...]
 Vertex names are "U:<word>" and "C<i>:<word>" with the word in compact JSON.
 
+A system is checked once, by the FactorSystem constructor, whose ValueError
+becomes the SchemaError.  Every integer is checked before a backend sees
+it, so no backend's integer message reaches the wire.
+
 Decoding a word is one loop over its letters.  It checks each letter's
 shape, factor index and integer payload.  An exact int payload that is
 already canonical (0 <= p < order on a finite factor, any int on Z) becomes
@@ -77,6 +81,7 @@ from .factors import (
     LETTER_MEMO_CAP,
     TableBackend,
     _LetterMemo,
+    _is_int,
 )
 from .labellings import StarLabel, star_label
 from .tree import TreeVertex, c_vertex, u_vertex
@@ -99,11 +104,6 @@ def _expect(condition: bool, message: str) -> None:
 
 
 # -- factor systems ---------------------------------------------------------
-
-
-def _is_int(x) -> bool:
-    """A JSON integer: Python parses true/false as bools, which are ints too."""
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _all_ints(values: list) -> bool:
@@ -155,7 +155,7 @@ def system_from_json(obj) -> FactorSystem:
             identity = entry.get("identity", 0)
             _expect(_is_int(identity), f"factor {k}: integer identity required")
             names = entry.get("elements")
-            # a string would name its characters; validate checks the list
+            # a string would name its characters; the backend checks the list
             _expect(
                 names is None or isinstance(names, list),
                 f"factor {k}: elements must be distinct strings, one per table row",
@@ -163,10 +163,10 @@ def system_from_json(obj) -> FactorSystem:
             backends.append(TableBackend(table, identity=identity, names=names))
         else:
             raise SchemaError(f"factor {k}: unknown kind {echo(kind)}")
-    system = FactorSystem(backends)  # len(entries) >= 3 was checked above
-    reports = system.validate()
-    _expect(not reports, "; ".join(reports))
-    return system
+    try:
+        return FactorSystem(backends)  # len(entries) >= 3 was checked above
+    except ValueError as exc:  # the faults of every backend, joined
+        raise SchemaError(str(exc)) from exc
 
 
 # -- words and vertices -------------------------------------------------------

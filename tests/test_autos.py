@@ -29,7 +29,6 @@ from whitefact.autos import (
     whitehead_to_auto,
 )
 from whitefact.errors import (
-    EngineError,
     FactorMismatchError,
     NonSplittingError,
     NotAStabilizerError,
@@ -282,38 +281,6 @@ class TestStabilizers:
             decompose_star_stabilizer(wh(triple_z2, (3,), 1))
         assert err.value.slot == 3
         assert str(err.value) == "not a stabilizer: slot 3 obstructs"
-
-    TRIVIAL_MESSAGE = "factor 2 has one element; splits and factorizations need nontrivial factors"
-
-    @staticmethod
-    def trivial_identity():
-        """On Z2 * 1 * Z2, conjugating the trivial factor 2 changes nothing:
-        psi is the identity, as verify says, though its slot 2 is 1:1."""
-        system = FactorSystem([CyclicBackend(2), TableBackend([[0]]), CyclicBackend(2)])
-        eps = empty_word(system)
-        psi = tuple_auto(system, [eps, word(system, [(1, 1)]), eps])
-        identity = Factorization((), tuple(system.part_identity(k) for k in range(1, 4)), eps)
-        assert verify_factorization(psi, identity)
-        return psi
-
-    def test_one_element_factor_refused(self):
-        psi = self.trivial_identity()
-        apexes = [lambda psi, i=i: decompose_apex_stabilizer(psi, i) for i in range(1, 4)]
-        for split in (is_inner, decompose_star_stabilizer, *apexes):
-            with pytest.raises(EngineError) as err:
-                split(psi)
-            assert type(err.value) is EngineError
-            assert str(err.value) == self.TRIVIAL_MESSAGE
-
-    def test_factorize_and_invert_refuse_one_element_factor(self):
-        # else factorize answers the move ({2}, 1:1), and invert a value
-        # unequal to identity_auto although psi is the identity
-        psi = self.trivial_identity()
-        for answer in (factorize, invert):
-            with pytest.raises(EngineError) as err:
-                answer(psi)
-            assert type(err.value) is EngineError
-            assert str(err.value) == self.TRIVIAL_MESSAGE
 
     def test_star_decomposition_recomposes(self, z342):
         rng = random.Random(17)
@@ -815,23 +782,20 @@ ORACLE_SYSTEMS = {
     "Z2*Z2*Z2": lambda: FactorSystem([CyclicBackend(2)] * 3),
     "Z3*Z4*Z2*Z2": VERIFY_SYSTEMS["Z3*Z4*Z2*Z2"],
     "S3*Z2*Z*Z5": VERIFY_SYSTEMS["S3*Z2*Z*Z5"],
-    "Z2*1*Z3*Z2": lambda: FactorSystem(
-        [CyclicBackend(2), TableBackend([[0]]), CyclicBackend(3), CyclicBackend(2)]
-    ),
 }
 
 
-def live_factorization(system, rng):
-    """random_factorization whose elements avoid one-element factors; any
-    factor may be moved."""
-    live = [k for k in range(1, system.n + 1) if system.factor(k).order() != 1]
+def drawn_factorization(system, rng):
+    """Up to four random moves, random factor parts and an inner word of
+    three letters; any factor may be moved."""
+    factors = range(1, system.n + 1)
     moves = []
     for _ in range(rng.randint(0, 4)):
-        x = random_nontrivial_element(system, rng.choice(live), rng)
+        x = random_nontrivial_element(system, rng.choice(factors), rng)
         others = [j for j in range(1, system.n + 1) if j != x[0]]
         moves.append(whitehead_auto(system, rng.sample(others, rng.randint(1, len(others))), x))
     parts = tuple(random_part(system, k, rng) for k in range(1, system.n + 1))
-    letters = [random_nontrivial_element(system, rng.choice(live), rng) for _ in range(3)]
+    letters = [random_nontrivial_element(system, rng.choice(factors), rng) for _ in range(3)]
     return Factorization(tuple(moves), parts, normal_form(system, letters))
 
 
@@ -842,20 +806,17 @@ class TestVerifyMatchesGeneratorOracle:
     def test_bool_and_message(self, name):
         system = ORACLE_SYSTEMS[name]()
         rng = random.Random(43)
-        live = [k for k in range(1, system.n + 1) if system.factor(k).order() != 1]
+        factors = range(1, system.n + 1)
         outcomes = []
         for _ in range(30):
-            drawn = live_factorization(system, rng)
-            psi = recompose_factorization(system, drawn)
-            # factorize refuses a one-element factor; there the drawn
-            # factorization is the one that verifies
-            fact = drawn if 1 in system.orders else factorize(psi)
-            extra = letter(system, random_nontrivial_element(system, rng.choice(live), rng))
+            psi = recompose_factorization(system, drawn_factorization(system, rng))
+            fact = factorize(psi)
+            extra = letter(system, random_nontrivial_element(system, rng.choice(factors), rng))
             cases = [
                 fact,
                 Factorization(fact.whitehead[::-1], fact.factor, fact.inner),
                 Factorization(fact.whitehead, fact.factor, fact.inner * extra),
-                live_factorization(system, rng),
+                drawn_factorization(system, rng),
             ]
             for index in range(len(fact.whitehead)):
                 cases.extend(_mutate(system, fact, index, rng))
@@ -866,24 +827,12 @@ class TestVerifyMatchesGeneratorOracle:
                 outcomes.append(expected is None)
         assert True in outcomes and False in outcomes
 
-    def test_one_element_factor_slot_skipped(self):
-        # conjugating the one-element factor 2 changes nothing, though the
-        # canonical slot 2 differs from the identity's
-        system = ORACLE_SYSTEMS["Z2*1*Z3*Z2"]()
-        eps = empty_word(system)
-        psi = tuple_auto(system, [eps, word(system, [(1, 1), (3, 2)]), eps, eps])
-        identity = Factorization(
-            (), tuple(system.part_identity(k) for k in range(1, 5)), eps
-        )
-        assert old_verification_failure(psi, identity) is None
-        assert verify_factorization(psi, identity)
-
     def test_oracles_run_without_the_kernel(self, monkeypatch):
         system = ORACLE_SYSTEMS["S3*Z2*Z*Z5"]()
         rng = random.Random(47)
-        fact = live_factorization(system, rng)
+        fact = drawn_factorization(system, rng)
         while not fact.whitehead:
-            fact = live_factorization(system, rng)
+            fact = drawn_factorization(system, rng)
         psi = recompose_factorization(system, fact)
         dropped = Factorization(fact.whitehead[1:], fact.factor, fact.inner)
         want_line = _verification_failure(psi, dropped)

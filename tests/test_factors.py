@@ -1,11 +1,19 @@
 import collections
 import itertools
+import json
 import time
 from enum import IntEnum
 
 import pytest
 
-from whitefact.autos import WhiteheadAuto, whitehead_auto
+from whitefact.autos import (
+    Factorization,
+    WhiteheadAuto,
+    _verification_failure,
+    pure_auto,
+    whitehead_auto,
+)
+from whitefact.cli import main
 from whitefact.errors import FactorMismatchError, OracleUnavailableError
 from whitefact.factors import (
     LETTER_MEMO_CAP,
@@ -32,6 +40,15 @@ D4 = [
     [(a + (c if b == 0 else -c)) % 4 + 4 * ((b + d) % 2) for d in range(2) for c in range(4)]
     for b in range(2)
     for a in range(4)
+]
+
+# a quasigroup with identity that fails associativity: a five-element loop
+LOOP = [
+    [0, 1, 2, 3, 4],
+    [1, 0, 3, 4, 2],
+    [2, 4, 0, 1, 3],
+    [3, 2, 4, 0, 1],
+    [4, 3, 1, 2, 0],
 ]
 
 
@@ -114,15 +131,7 @@ class TestValidation:
         assert "at least 2" in CyclicBackend(1).validate()
 
     def test_nonassociative_latin_square_detected(self):
-        # a quasigroup with identity that fails associativity
-        table = [
-            [0, 1, 2, 3, 4],
-            [1, 0, 3, 4, 2],
-            [2, 4, 0, 1, 3],
-            [3, 2, 4, 0, 1],
-            [4, 3, 1, 2, 0],
-        ]
-        backend = TableBackend(table, identity=0)
+        backend = TableBackend(LOOP, identity=0)
         assert backend.validate() == "not associative"
 
     @pytest.mark.parametrize(
@@ -138,8 +147,9 @@ class TestValidation:
         # tells its row apart
         backend = TableBackend(s3_table().table, identity=0, names=names)
         assert backend.validate() == "elements must be distinct strings, one per table row"
-        system = FactorSystem([CyclicBackend(2), backend, CyclicBackend(2)])
-        assert system.validate() == ["factor 2: elements must be distinct strings, one per table row"]
+        with pytest.raises(ValueError) as caught:
+            FactorSystem([CyclicBackend(2), backend, CyclicBackend(2)])
+        assert str(caught.value) == "factor 2: elements must be distinct strings, one per table row"
 
     def test_large_table_is_checked_in_full(self):
         # no order cap: a table past 128 elements meets every axiom check
@@ -288,6 +298,145 @@ class TestBoolIndex:
         assert move == WhiteheadAuto(s, (2, 3), (1, 2))
 
 
+def factor_json(backend):
+    """The wire entry of a cyclic or table backend, whatever it holds."""
+    if backend.kind == "cyclic":
+        return {"kind": "cyclic", "order": backend.order()}
+    return {
+        "kind": "table",
+        "elements": list(backend.names),
+        "table": [list(row) for row in backend.table],
+        "identity": backend.identity,
+    }
+
+
+def not_latin():
+    table = [list(row) for row in s3_table().table]
+    table[2][3] = table[2][4]
+    return TableBackend(table, identity=0, names=S3_NAMES)
+
+
+class TestSystemIsValidOrCannotBeBuilt:
+    """FactorSystem runs every backend's validate, so a system that would
+    report a fault raises ValueError naming each faulty factor, in order,
+    with the text the CLI prints after "error: " for the same JSON.  Before,
+    the library built these: words over LOOP multiplied non-associatively,
+    and Z/0 raised ZeroDivisionError at the first word."""
+
+    CASES = {
+        "Z2*1*Z2": (
+            lambda: [CyclicBackend(2), TableBackend([[0]]), CyclicBackend(2)],
+            "factor 2: Cayley table needs at least 2 elements, got 1",
+        ),
+        "Z/0": (
+            lambda: [CyclicBackend(2), CyclicBackend(2), CyclicBackend(0)],
+            "factor 3: cyclic order must be at least 2, got 0",
+        ),
+        "Z/1": (
+            lambda: [CyclicBackend(1), CyclicBackend(2), CyclicBackend(2)],
+            "factor 1: cyclic order must be at least 2, got 1",
+        ),
+        "not Latin": (
+            lambda: [not_latin(), CyclicBackend(2), CyclicBackend(2)],
+            "factor 1: not a Latin square",
+        ),
+        "loop": (
+            lambda: [TableBackend(LOOP), CyclicBackend(2), CyclicBackend(2)],
+            "factor 1: not associative",
+        ),
+        "repeated names": (
+            lambda: [CyclicBackend(2), TableBackend(s3_table().table, names="aabcde"), CyclicBackend(2)],
+            "factor 2: elements must be distinct strings, one per table row",
+        ),
+        "two faults": (
+            lambda: [CyclicBackend(1), CyclicBackend(2), TableBackend(LOOP), CyclicBackend(3)],
+            "factor 1: cyclic order must be at least 2, got 1; factor 3: not associative",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_invalid_factor_is_refused_with_the_cli_text(self, capsys, name):
+        backends, message = self.CASES[name]
+        with pytest.raises(ValueError) as caught:
+            FactorSystem(backends())
+        assert str(caught.value) == message
+        system = json.dumps({"factors": [factor_json(b) for b in backends()]})
+        assert main(["--system", system, "normalize", "[]"]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+class TestIntegerPayloads:
+    """A payload is an int, an IntEnum member too.  normalize called int(),
+    so on S3*Z2*Z*Z5 word(s, [(3, 2.9)]) was 3:2 and word(s, [(4, "2")])
+    was 4:2; the wire decoder refuses such payloads before any normalize."""
+
+    system = FactorSystem([s3_table(), CyclicBackend(2), IntBackend(), CyclicBackend(5)])
+
+    @pytest.mark.parametrize(
+        "build, shown",
+        [
+            (lambda s: word(s, [(3, 2.9)]), "2.9"),
+            (lambda s: word(s, [(4, "2")]), "'2'"),
+            (lambda s: word(s, [(1, 4.0)]), "4.0"),
+            (lambda s: whitehead_auto(s, [2], (3, 2.5)), "2.5"),
+            (lambda s: WhiteheadAuto(s, (2,), (3, 2.5)), "2.5"),
+            (lambda s: letter(s, (2, True)), "True"),
+            (lambda s: s.element(4, False), "False"),
+        ],
+        ids=["word Z", "word Z5", "word S3", "whitehead_auto", "WhiteheadAuto", "letter", "element"],
+    )
+    def test_builders_refuse_a_non_integer(self, build, shown):
+        with pytest.raises(ValueError) as caught:
+            build(self.system)
+        assert str(caught.value) == f"payload {shown} must be an integer"
+
+    def test_int_enum_payloads_become_ints(self):
+        s = self.system
+        w = word(s, [(Slot.THREE, Slot.TWO), (4, Slot.THREE)])
+        assert w == word(s, [(3, 2), (4, 3)])
+        assert all(type(p) is int for _, p in w.syllables)
+
+
+class TestPartsHoldWireIntegers:
+    """auto_validate accepts only the encoding the wire prints: an int
+    multiplier or sign, no bool or float, and a tuple map of ints.  Before,
+    FactorAutoPart(1, True) on Z3 printed "value":true, which the decoder
+    refuses, and an S3 identity given as a list made is_inner None and
+    invert(psi) equal to identity_auto while psi was not.  Checked on
+    S3*Z2*Z*Z5 through pure_auto and verify's part check."""
+
+    @pytest.mark.parametrize(
+        "slot, rep, message",
+        [
+            (4, True, "multiplier True is not an integer"),
+            (4, 2.0, "multiplier 2.0 is not an integer"),
+            (3, -1.0, "sign -1.0 is not an automorphism of the infinite cyclic group"),
+            (3, True, "sign True is not an automorphism of the infinite cyclic group"),
+            (1, [0, 1, 2, 3, 4, 5], "automorphism map must be a tuple of integers"),
+            (1, (0, True, 2, 3, 4, 5), "automorphism map must be a tuple of integers"),
+        ],
+        ids=["Z5 True", "Z5 float", "Z float", "Z True", "S3 list", "S3 bool entry"],
+    )
+    def test_part_refused(self, s3_z2_z_z5, slot, rep, message):
+        s, eps = s3_z2_z_z5, empty_word(s3_z2_z_z5)
+        identity = [s.part_identity(k) for k in range(1, 5)]
+        parts = [FactorAutoPart(slot, rep) if k == slot else p for k, p in enumerate(identity, 1)]
+        with pytest.raises(ValueError) as caught:
+            pure_auto(s, [(p, eps) for p in parts])
+        assert str(caught.value) == f"part {slot}: {message}"
+        psi = pure_auto(s, [(p, eps) for p in identity])
+        got = _verification_failure(psi, Factorization((), tuple(parts), eps))
+        assert got == f"factorization part {slot}: {message}"
+
+    def test_z3_multiplier_true_refused(self, z342):
+        assert z342.part_validate(FactorAutoPart(1, True)) == "multiplier True is not an integer"
+
+    def test_int_enum_reps_still_work(self, s3_z2_z_z5):
+        s = s3_z2_z_z5
+        assert s.part_validate(FactorAutoPart(4, Slot.TWO)) is None
+        assert s.part_validate(FactorAutoPart(3, Slot.ONE)) is None
+
+
 class TestInverseMemo:
     """FactorSystem.inverses: exact-tuple inverses, system.factor's error
     for a bad factor index, and at most LETTER_MEMO_CAP letters kept."""
@@ -391,8 +540,8 @@ class TestAutomorphismParts:
         law, moves = "map violates the homomorphism law", "automorphism map moves the identity"
         assert (verdicts[None], verdicts[law], verdicts[moves]) == want
         assert sum(verdicts.values()) == sum(want)
-        rep = list(backend.automorphism_reps()[-1])  # a library caller's list
-        assert backend.auto_validate(rep) is None
+        rep = backend.automorphism_reps()[-1]
+        assert backend.auto_validate(list(rep)) == "automorphism map must be a tuple of integers"
         assert backend.auto_validate(rep[:-1]) == "automorphism map is not a permutation"
 
     def test_part_compose_and_invert(self, mixed_system):

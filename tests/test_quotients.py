@@ -1,6 +1,7 @@
 """A finite-quotient oracle for factorize, invert, compose,
-recompose_factorization and the star and apex stabilizer splits, sharing
-no code with the engine.
+recompose_factorization, the star and apex stabilizer splits and the class
+automorphisms check_ball reads off each walk, sharing no code with the
+engine.
 
 Homomorphisms rho_k: G_k -> S_m define one homomorphism rho: G -> S_m, by
 the universal property of the free product.  rho o psi is then a
@@ -30,6 +31,7 @@ from hypothesis import given, settings, strategies as st
 
 from whitefact.autos import (
     Factorization,
+    _read_walk,
     compose,
     decompose_apex_stabilizer,
     decompose_star_stabilizer,
@@ -40,7 +42,9 @@ from whitefact.autos import (
     recompose_factorization,
     whitehead_auto,
 )
+from whitefact.explorer import enumerate_ball
 from whitefact.factors import FactorSystem
+from whitefact.reduction import reduce_to_base
 from whitefact.sampling import random_nontrivial_element, random_part, random_pure_auto, random_word
 from whitefact.words import Word, empty_word, letter
 
@@ -152,11 +156,16 @@ def after_inner(T, h):
     return after(T, [None] * len(T), [h.syllables] * len(T))
 
 
+def after_walk(T, pairs, parts):
+    """T o W1 o ... o WK o F, for moves as pairs (moved, element)."""
+    for moved, x in pairs:
+        T = after_move(T, moved, x)
+    return after(T, [part.rep for part in parts], [()] * len(T))
+
+
 def after_factorization(T, whitehead, parts, inner):
     """T o W1 o ... o WK o F o inner-by-h."""
-    for move in whitehead:
-        T = after_move(T, move.moved, move.element)
-    return after_inner(after(T, [part.rep for part in parts], [()] * len(T)), inner)
+    return after_inner(after_walk(T, [(w.moved, w.element) for w in whitehead], parts), inner)
 
 
 def draw(data):
@@ -294,3 +303,25 @@ def test_apex_split_agrees_in_every_quotient(name, data):
     eps = empty_word(system)
     for rho in quotients(system, rng):
         assert after_auto(rho, psi) == after_factorization(after_inner(rho, d), moves, split, eps)
+
+
+@pytest.mark.parametrize(
+    "name, bound, shedding", [("K3", 15, 0), ("S3.Z2.Z2", 11, 10), ("Z3.Z4.Z2.Z2", 8, 0)]
+)
+def test_ball_class_automorphisms_agree_in_every_quotient(name, bound, shedding):
+    """check_ball reads each star class's walk, as _read_walk from identity
+    parts, as moves W and parts F with W o F = tuple_auto(the class's
+    slots), and checks that through the engine's kernel; here both sides
+    agree in random quotients.  On S3.Z2.Z2 at bound 11, 10 of the 224
+    classes shed a syllable of S3, so _read_walk's corrections run."""
+    system, rng = SYSTEMS[name], random.Random(bound)
+    identity = tuple(system.part_identity(k) for k in range(1, system.n + 1))
+    shed = 0
+    for label in enumerate_ball(system, bound).alpha_classes:
+        _, moves = reduce_to_base(label)
+        pairs, parts = _read_walk(system, moves, identity)
+        shed += parts != identity
+        slots = [g.syllables for g in label.conjugators]
+        for rho in quotients(system, rng):
+            assert after(rho, [None] * system.n, slots) == after_walk(rho, pairs, parts)
+    assert shed == shedding
