@@ -18,14 +18,17 @@ MAX_VISITED caps the size of one call.  The first level alone visits
 any payload list is built, and a bound that allows no fold builds none:
 MAX_VISITED bounds time and memory whatever the orders.
 
-check_ball runs one reduction walk per star class and reads it as move
-pairs and factor parts, with no WhiteheadAuto.  The walk runs on
-syllable tuples: a step scans the slots by length, O(n^2) tests, and
-folds each moved slot with one seam product (words._join), building
-Words for the final label only.  check_ball then pushes the inverse
-moves onto the class's own slots and recomposes the slots from the base,
-one kernel pass per move each, and identity parts do no work; it keys
-each star class twice and each A class once.
+check_ball walks every star class home through the walk core
+(reduction._walk) on its syllable tuple, with one memo per call: the walks
+of a ball share their suffixes, so each tuple on them is stepped once (a
+step scans the slots by length, O(n^2) tests, and folds each moved slot
+with one seam product, words._join), and no label or Word is built.  It
+reads each walk as move pairs and factor parts, with no WhiteheadAuto,
+then pushes the inverse moves onto the class's own slots and recomposes
+the slots from the base, one kernel pass per move each; identity parts
+do no work, and a homing check splits its slots only when they are not
+already the canonical answer.  It keys each star class twice and each A
+class once.  The memo lives for one call.
 """
 
 from __future__ import annotations
@@ -43,9 +46,8 @@ from .labellings import (
     base_label,
     collapses,
     star_key,
-    volume,
 )
-from .reduction import reduce_to_base
+from .reduction import _walk
 from .words import Word, _join, right_divide
 
 MAX_VISITED = 50_000  # tuples one enumerate_ball may visit; see the cost model
@@ -219,36 +221,46 @@ def check_ball(ball: SnBall) -> BallReport:
     base = base_label(system)
     base_key = star_key(base)
     identity = tuple(system.part_identity(k) for k in range(1, n + 1))
+    base_slots = ((),) * n
     base_index = None
     homing: list[str] = []
+    walked: dict = {}  # the walks of this ball share their suffixes
     for alpha_index, (label, key) in enumerate(zip(ball.alpha_classes, keys)):
         if key == base_key:
             base_index = alpha_index
+        slots = tuple(g.syllables for g in label.conjugators)
+        start = n + 2 * sum(map(len, slots))
         try:
-            final, moves = reduce_to_base(label)
+            final, moves = _walk(system, slots, start, walked)
         except NonSplittingError:
             report.failures.append(f"alpha class #{alpha_index} does not reduce")
             continue
-        volumes = [moves[0].volume_before if moves else volume(label)]
-        volumes += [m.volume_after for m in moves]
+        volumes = [start] + [m.volume_after for m in moves]
         if any(v > ball.bound for v in volumes):
             report.failures.append(f"alpha class #{alpha_index} leaves the ball during reduction")
         if any(b <= a for a, b in zip(volumes[1:], volumes)):
             report.failures.append(f"alpha class #{alpha_index} has a non-decreasing step")
-        if final != base:
+        if final != base_slots:
             report.failures.append(f"alpha class #{alpha_index} did not land on the base tuple")
         # tuple_auto(slots) splits canonically as the slots with identity
         # parts, so its factorization psi is read off this walk.  psi^-1 o
         # tuple_auto(slots) must be the identity, empty slots and identity
         # parts: it carries the class to the base cell, parts and all.
-        # Recomposed, the walk's moves must give the class's split back
+        # Recomposed, the walk's moves must give the class's split back.
+        # Each check splits only when its shortcut cannot decide: empty
+        # slots split as themselves, and so do canonical ones
         pairs, parts = _read_walk(system, moves, identity)
-        slots = tuple(g.syllables for g in label.conjugators)
-        carried = _inverted_slots(system, pairs, parts, (), slots, identity)
-        if _split_slots(system, *carried) != (((),) * n, identity):
+        inverse, carried = _inverted_slots(system, pairs, parts, (), slots, identity)
+        if (any(carried) or inverse != identity) and _split_slots(
+            system, inverse, carried
+        ) != (base_slots, identity):
             homing.append(f"alpha class #{alpha_index} is not carried to the base cell")
-        recomposed = _split_slots(system, parts, _recomposed_slots(system, pairs, parts, ()))
-        if recomposed != (slots, identity):
+        recomposed = tuple(_recomposed_slots(system, pairs, parts, ()))
+        if not (
+            recomposed == slots
+            and parts == identity
+            and all(not g or g[0][0] != k for k, g in enumerate(slots, 1))
+        ) and _split_slots(system, parts, recomposed) != (slots, identity):
             homing.append(f"alpha class #{alpha_index} is not reached from the base cell")
     if base_index is None:
         report.failures.append("base class missing from the ball")

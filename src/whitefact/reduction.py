@@ -51,11 +51,16 @@ its own element b is an inner automorphism of G_k, not a Whitehead move,
 which is why factorize turns each shed syllable into a factor-part
 correction.
 
-The walk is one private core on syllable tuples, _step: it scans, folds
+A step is one private core on syllable tuples, _step: it scans, folds
 and sheds in place and returns a MoveRecord, a named tuple of plain
-values.  reduce_to_base and reduce_step wrap it at the API edge, and
-find_fold its scan, _first_fold; a walk builds its StarLabel and Words
-once, for the final label.
+values.  The walk is one loop over it, _walk, which also takes a memo:
+a dict from each tuple a walk stepped to the rest of that walk.  Walks
+that pass through one tuple share their rest, because a step depends on
+the tuple alone, so a caller that walks many tuples (explorer.check_ball,
+one memo per ball) steps each tuple once.  reduce_to_base wraps the walk
+with no memo and reduce_step one step at the API edge, and find_fold
+wraps the scan, _first_fold; a walk builds its StarLabel and Words once,
+for the final label.
 """
 
 from __future__ import annotations
@@ -179,19 +184,40 @@ def reduce_step(L: StarLabel) -> tuple[StarLabel, MoveRecord]:
     return _label(system, slots), record
 
 
+def _walk(system: FactorSystem, slots, before: int, walked: dict | None):
+    """(final slots, moves) of the walk from the syllable tuple slots, of
+    volume before, to volume n.  walked maps every tuple an earlier walk
+    stepped to that walk's (final slots, moves from there): a walk that
+    meets one takes the rest from it and steps no further, and at its end
+    stores each tuple it stepped itself.  A NonSplittingError stores nothing.
+    With walked None the walk keeps no memo: each step lowers the volume, so
+    one walk never meets a tuple twice, and hashing every tuple it steps
+    cost factorize about 2 % in process."""
+    slots, moves, stepped = list(slots), [], []
+    while before > system.n:
+        if walked is not None:
+            key = tuple(slots)
+            if key in walked:
+                slots, rest = walked[key]
+                moves += rest
+                break
+            stepped.append(key)
+        record = _step(system, slots, before)
+        moves.append(record)
+        before = record.volume_after
+    final = tuple(slots)
+    for t, key in enumerate(stepped):
+        walked[key] = final, moves[t:]
+    return final, moves
+
+
 def reduce_to_base(L: StarLabel) -> tuple[StarLabel, tuple[MoveRecord, ...]]:
     """Iterate folds at the basepoint U(1) until the tuple is the base itself.
 
     The volume drops by at least 2 per folded slot, so at most (volume - n)/2
-    moves occur; at volume n every canonical slot is trivial.  The walk runs
-    on syllable tuples, and the final label is built once.
+    moves occur; at volume n every canonical slot is trivial.  The walk is
+    _walk's, with no memo, and the final label is built once.
     """
     system = L.system
-    current_volume = volume(L)
-    slots = [w.syllables for w in L.conjugators]
-    moves: list[MoveRecord] = []
-    while current_volume > system.n:
-        record = _step(system, slots, current_volume)
-        moves.append(record)
-        current_volume = record.volume_after
-    return _label(system, slots), tuple(moves)
+    final, moves = _walk(system, [w.syllables for w in L.conjugators], volume(L), None)
+    return _label(system, final), tuple(moves)

@@ -99,9 +99,13 @@ def _normal_form(system: FactorSystem, letters: Iterable[tuple[int, int]]) -> tu
     out: list[tuple[int, int]] = []
     for s in letters:
         f, p = s
-        if not 0 < f <= n or f is True:
-            system.factor(f)  # raises FactorMismatchError
-        e = ident[f - 1]
+        try:  # as in FactorSystem.factor: a str fails here, a float at the index
+            if not 0 < f <= n or f is True:
+                system.factor(f)  # raises FactorMismatchError
+            e = ident[f - 1]
+        except TypeError:
+            system.factor(f)
+            raise
         if p == e:
             continue
         if out and out[-1][0] == f:

@@ -5,12 +5,13 @@ import time
 
 import pytest
 
-from whitefact import autos, explorer, jsonio, labellings
+from whitefact import autos, explorer, jsonio, labellings, reduction
 from whitefact.errors import EngineError, NonSplittingError, OracleUnavailableError
 from whitefact.explorer import SnBall, _grow_from_base, check_ball, enumerate_ball
 from whitefact.factors import CyclicBackend, FactorSystem
 from whitefact.jsonio import sn_ball_to_json
 from whitefact.labellings import (
+    StarLabel,
     apex_key,
     apex_label,
     base_label,
@@ -21,7 +22,7 @@ from whitefact.labellings import (
     volume,
 )
 from whitefact.reduction import reduce_to_base
-from whitefact.words import empty_word, enumerate_words, right_divide, word
+from whitefact.words import Word, empty_word, enumerate_words, right_divide, word
 
 
 def brute_splitting_tuples(system, max_volume):
@@ -356,17 +357,18 @@ class TestCheck:
     def test_faulty_walk_flagged(self, triple_z2, monkeypatch, fault, failure):
         ball = enumerate_ball(triple_z2, 7)
         k = next(k for k, label in enumerate(ball.alpha_classes) if volume(label) > 3)
-        walk = explorer.reduce_to_base
+        walk = explorer._walk
+        own = tuple(g.syllables for g in ball.alpha_classes[k].conjugators)
 
-        def faulty(label):
-            final, moves = walk(label)
-            if label != ball.alpha_classes[k]:
+        def faulty(system, slots, before, walked):
+            final, moves = walk(system, slots, before, walked)
+            if slots != own:
                 return final, moves
             if fault == "stall":  # the first step keeps the volume it starts at
                 return final, [moves[0]._replace(volume_after=moves[0].volume_before), *moves[1:]]
-            return label, moves  # the walk ends where it started
+            return slots, moves  # the walk ends where it started
 
-        monkeypatch.setattr(explorer, "reduce_to_base", faulty)
+        monkeypatch.setattr(explorer, "_walk", faulty)
         assert check_ball(ball).failures == [f"alpha class #{k} {failure}"]
 
     def test_missing_base_class_flagged(self, triple_z2):
@@ -458,31 +460,48 @@ class TestCheck:
             f"alpha class #{k} is not carried to the base cell" for k in flagged
         ]
 
-    def test_one_walk_per_class(self, triple_z2, z342, monkeypatch):
+    def test_each_tuple_stepped_once(self, triple_z2, z342, monkeypatch):
         balls = [enumerate_ball(triple_z2, 9), enumerate_ball(z342, 6)]
-        walks = []
-        walk = explorer.reduce_to_base
+        wanted = [len(walked_tuples(ball)) for ball in balls]
+        steps = []
+        step = reduction._step
 
-        def counted(label):
-            walks.append(label)
-            return walk(label)
+        def counted(system, slots, before):
+            steps.append(tuple(slots))
+            return step(system, slots, before)
 
         def forbidden(*args):
-            raise AssertionError("check_ball left its one walk per class")
+            raise AssertionError("check_ball left its one memo walk")
 
-        monkeypatch.setattr(explorer, "reduce_to_base", counted)
+        monkeypatch.setattr(reduction, "_step", counted)
         for module, name in [
             (autos, "factorize"),
             (autos, "compose"),
             (autos, "reduce_to_base"),
+            (reduction, "reduce_to_base"),
+            (explorer, "reduce_to_base"),
+            (labellings, "volume"),
             (labellings, "star_equivalent"),
             (labellings, "apex_equivalent"),
         ]:
-            monkeypatch.setattr(module, name, forbidden)
-        for ball in balls:
-            walks.clear()
+            monkeypatch.setattr(module, name, forbidden, raising=False)
+        for ball, want in zip(balls, wanted):
+            steps.clear()
             assert check_ball(ball).passed
-            assert walks == list(ball.alpha_classes)
+            assert len(steps) == len(set(steps)) == want
+
+
+def walked_tuples(ball):
+    """Every tuple above the base on the walks of ball's star classes, each
+    walked alone, step by step."""
+    system, seen = ball.system, set()
+    for label in ball.alpha_classes:
+        slots = [g.syllables for g in label.conjugators]
+        before = volume(label)
+        while before > system.n:
+            seen.add(tuple(slots))
+            before = reduction._step(system, slots, before).volume_after
+    return seen
 
 
 def components_and_cycle_rank(ball):
@@ -564,7 +583,33 @@ def reference_recomposed_slots(system, f):
     return autos._push_moves(system, moves, start)
 
 
-def reference_check_ball(ball):
+def keyed_homing(system, moves, slots, identity):
+    """(carried, reached) of a class's walk, read into WhiteheadAutos, with
+    the carried slots keyed."""
+    walked = reference_walk_factorization(system, moves, identity)
+    carried = reference_inverted_slots(system, walked, slots)[1]
+    canonical = [r for _, r in labellings._translate(system, carried, ())]
+    recomposed = autos._split_slots(
+        system, walked.factor, reference_recomposed_slots(system, walked)
+    )
+    return not any(labellings._star_key(system, canonical)), recomposed == (slots, identity)
+
+
+def split_homing(system, moves, slots, identity):
+    """(carried, reached) as check_ball read them before its shortcuts: the
+    pair cores, and both results split in full."""
+    pairs, parts = autos._read_walk(system, moves, identity)
+    carried = autos._inverted_slots(system, pairs, parts, (), slots, identity)
+    recomposed = autos._recomposed_slots(system, pairs, parts, ())
+    return (
+        autos._split_slots(system, *carried) == (((),) * system.n, identity),
+        autos._split_slots(system, parts, recomposed) == (slots, identity),
+    )
+
+
+def reference_check_ball(ball, homing=keyed_homing):
+    """check_ball with one reduce_to_base per class and no memo; homing
+    reads each walk's two homing checks."""
     failures = []
     system = ball.system
     n = system.n
@@ -595,7 +640,7 @@ def reference_check_ball(ball):
     base_key = star_key(base)
     identity = tuple(system.part_identity(k) for k in range(1, n + 1))
     base_index = None
-    homing = []
+    unhomed = []
     for alpha_index, (label, key) in enumerate(zip(ball.alpha_classes, keys)):
         if key == base_key:
             base_index = alpha_index
@@ -611,17 +656,13 @@ def reference_check_ball(ball):
             failures.append(f"alpha class #{alpha_index} has a non-decreasing step")
         if final != base:
             failures.append(f"alpha class #{alpha_index} did not land on the base tuple")
-        walked = reference_walk_factorization(system, moves, identity)
-        slots = tuple(g.syllables for g in label.conjugators)
-        carried = reference_inverted_slots(system, walked, slots)[1]
-        canonical = [r for _, r in labellings._translate(system, carried, ())]
-        if any(labellings._star_key(system, canonical)):
-            homing.append(f"alpha class #{alpha_index} is not carried to the base cell")
-        recomposed = autos._split_slots(
-            system, walked.factor, reference_recomposed_slots(system, walked)
+        carried, reached = homing(
+            system, moves, tuple(g.syllables for g in label.conjugators), identity
         )
-        if recomposed != (slots, identity):
-            homing.append(f"alpha class #{alpha_index} is not reached from the base cell")
+        if not carried:
+            unhomed.append(f"alpha class #{alpha_index} is not carried to the base cell")
+        if not reached:
+            unhomed.append(f"alpha class #{alpha_index} is not reached from the base cell")
     if base_index is None:
         failures.append("base class missing from the ball")
     else:
@@ -630,7 +671,7 @@ def reference_check_ball(ball):
         expected = [a for a in base_neighbours if a_keys[a] in targets]
         if len(base_neighbours) != n or len(expected) != n:
             failures.append("base class collapse neighbours are not the n expected")
-    failures.extend(homing)
+    failures.extend(unhomed)
     stats = {
         "alpha_classes": len(ball.alpha_classes),
         "a_classes": len(ball.a_classes),
@@ -713,3 +754,113 @@ class TestPairCores:
         for ball in desk_balls:
             want = jsonio.dumps(reference_ball_to_json(ball))
             assert jsonio.dumps(sn_ball_to_json(ball)) == want
+
+
+class TestMemoWalk:
+    """check_ball walks every class through one memo per call, and a homing
+    check splits its slots only where its shortcut cannot decide.  Its
+    reports are those of one reduce_to_base per class and full splits."""
+
+    def test_check_ball_matches_split_reference(self, desk_balls):
+        for ball in desk_balls:
+            for candidate in mutated_balls(ball):
+                report = check_ball(candidate)
+                want = reference_check_ball(candidate, split_homing)
+                assert (report.failures, report.stats) == want
+
+    def test_step_counts_are_pinned(self, desk_balls, monkeypatch):
+        per_class = [
+            sum(len(reduce_to_base(label)[1]) for label in ball.alpha_classes)
+            for ball in desk_balls
+        ]
+        steps = []
+        step = reduction._step
+
+        def counted(system, slots, before):
+            steps.append(tuple(slots))
+            return step(system, slots, before)
+
+        monkeypatch.setattr(reduction, "_step", counted)
+        memo = []
+        for ball in desk_balls:
+            steps.clear()
+            assert check_ball(ball).passed
+            memo.append(len(steps))
+        assert per_class == [189, 377, 237, 735]
+        assert memo == [87, 199, 105, 286]
+
+    def test_split_fallback_is_pinned(self, desk_balls, monkeypatch):
+        walks, split = [], []
+        read, split_slots = explorer._read_walk, explorer._split_slots
+
+        def reading(*args):  # called once per class, in order
+            walks.append(args)
+            return read(*args)
+
+        def splitting(*args):
+            split.append(len(walks) - 1)
+            return split_slots(*args)
+
+        monkeypatch.setattr(explorer, "_read_walk", reading)
+        monkeypatch.setattr(explorer, "_split_slots", splitting)
+        counts = []
+        for ball in desk_balls:
+            walks.clear()
+            split.clear()
+            assert check_ball(ball).passed
+            counts.append((len(set(split)), len(split), len(walks)))
+        # where a class splits, both of its checks do
+        assert counts == [(12, 24, 52), (0, 0, 200), (0, 0, 92), (30, 60, 224)]
+
+    def test_noncanonical_slot_matches_reference(self, triple_z2, monkeypatch):
+        ball = enumerate_ball(triple_z2, 7)
+        x2, x3 = (2, 1), (3, 1)
+        k = next(
+            k
+            for k, label in enumerate(ball.alpha_classes)
+            if [g.syllables for g in label.conjugators] == [(), (), (x2,)]
+        )
+        # slot 3 written as x3 . x2, with a leading G_3 syllable
+        raw = StarLabel(
+            triple_z2, (empty_word(triple_z2), empty_word(triple_z2), Word(triple_z2, (x3, x2)))
+        )
+        hand = dataclasses.replace(
+            ball, alpha_classes=ball.alpha_classes[:k] + (raw,) + ball.alpha_classes[k + 1 :]
+        )
+        report = check_ball(hand)
+        assert report.failures == [f"alpha class #{k} is not reached from the base cell"]
+        assert (report.failures, report.stats) == reference_check_ball(hand, split_homing)
+        # a recomposition equal to the raw slots, with identity parts, still
+        # splits, because slot 3 is not canonical
+        identity = tuple(triple_z2.part_identity(j) for j in range(1, 4))
+        raw_pairs = explorer._read_walk(triple_z2, reduce_to_base(raw)[1], identity)[0]
+        recompose = explorer._recomposed_slots
+
+        def onto_raw(system, pairs, parts, h):
+            if pairs == raw_pairs:
+                return [g.syllables for g in raw.conjugators]
+            return recompose(system, pairs, parts, h)
+
+        monkeypatch.setattr(explorer, "_recomposed_slots", onto_raw)
+        assert check_ball(hand).failures == report.failures
+
+    def test_shortcuts_need_identity_parts(self, s3_z2_z2, monkeypatch):
+        # every walk carries its class home, and recomposes its slots, but
+        # reads a part that is no identity: both checks must split and fail
+        ball = enumerate_ball(s3_z2_z2, 7)
+        read = explorer._read_walk
+        twist = s3_z2_z2.conjugation_part((1, 4))
+
+        def twisted(system, moves, parts0):
+            pairs, parts = read(system, moves, parts0)
+            return pairs, (twist,) + parts[1:]
+
+        monkeypatch.setattr(explorer, "_read_walk", twisted)
+        assert check_ball(ball).failures == [
+            failure
+            for k in range(len(ball.alpha_classes))
+            for failure in (
+                f"alpha class #{k} is not carried to the base cell",
+                f"alpha class #{k} is not reached from the base cell",
+            )
+        ]

@@ -397,6 +397,66 @@ class TestIntegerPayloads:
         assert all(type(p) is int for _, p in w.syllables)
 
 
+class TestNonIntegerIndex:
+    """A float or str factor index is no index.  factor tested the range
+    and `is True` only, so on Z3*Z2*Z2 a float in range reached the tuple
+    index and raised TypeError, and a str failed the comparison."""
+
+    system = FactorSystem([CyclicBackend(3), CyclicBackend(2), CyclicBackend(2)])
+
+    @pytest.mark.parametrize(
+        "build, shown",
+        [
+            (lambda s: s.factor(2.0), "2.0"),
+            (lambda s: s.factor(7.0), "7.0"),
+            (lambda s: s.factor("2"), "'2'"),
+            (lambda s: s.element(1.0, 2), "1.0"),
+            (lambda s: letter(s, (1.0, 2)), "1.0"),
+            (lambda s: word(s, [(2.0, 1), (1, 1)]), "2.0"),
+            (lambda s: normal_form(s, [(1, 1), (2.5, 1)]), "2.5"),
+            (lambda s: normal_form(s, [("a", 1)]), "'a'"),
+            (lambda s: c_vertex(3.0, empty_word(s)), "3.0"),
+            (lambda s: whitehead_auto(s, [3], (2.0, 1)), "2.0"),
+        ],
+        ids=[
+            "factor", "factor out of range", "factor str", "element", "letter", "word",
+            "normal_form", "normal_form str", "c_vertex", "whitehead_auto",
+        ],
+    )
+    def test_builders_refuse_a_non_integer_index(self, build, shown):
+        with pytest.raises(FactorMismatchError) as caught:
+            build(self.system)
+        assert str(caught.value) == f"factor index {shown} is not an integer"
+
+
+class TestBackendsTakeIntegers:
+    """A backend is built from integers.  The constructors called int(),
+    so CyclicBackend(2.9) was Z/2 and a table entry 1.7 read as 1; the wire
+    refuses both before any backend is built."""
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: CyclicBackend(2.9), "cyclic order 2.9 must be an integer"),
+            (lambda: CyclicBackend("3"), "cyclic order '3' must be an integer"),
+            (lambda: CyclicBackend(True), "cyclic order True must be an integer"),
+            (lambda: TableBackend([[0, 1.7], [1, 0]]), "table entry 1.7 must be an integer"),
+            (lambda: TableBackend([[0, 1], [1, 0]], identity=0.0), "table identity 0.0 must be an integer"),
+        ],
+        ids=["order float", "order str", "order bool", "entry", "identity"],
+    )
+    def test_non_integer_refused(self, build, message):
+        with pytest.raises(ValueError) as caught:
+            build()
+        assert str(caught.value) == message
+
+    def test_int_enum_values_become_ints(self):
+        assert CyclicBackend(Slot.THREE).order() == 3
+        table = TableBackend([[0, Slot.ONE], [Slot.ONE, 0]])
+        assert table.table == ((0, 1), (1, 0))
+        assert all(type(x) is int for row in table.table for x in row)
+
+
 class TestPartsHoldWireIntegers:
     """auto_validate accepts only the encoding the wire prints: an int
     multiplier or sign, no bool or float, and a tuple map of ints.  Before,
