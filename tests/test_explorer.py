@@ -463,17 +463,11 @@ class TestCheck:
     def test_each_tuple_stepped_once(self, triple_z2, z342, monkeypatch):
         balls = [enumerate_ball(triple_z2, 9), enumerate_ball(z342, 6)]
         wanted = [len(walked_tuples(ball)) for ball in balls]
-        steps = []
-        step = reduction._step
-
-        def counted(system, slots, before):
-            steps.append(tuple(slots))
-            return step(system, slots, before)
+        steps = count_steps(monkeypatch)
 
         def forbidden(*args):
             raise AssertionError("check_ball left its one memo walk")
 
-        monkeypatch.setattr(reduction, "_step", counted)
         for module, name in [
             (autos, "factorize"),
             (autos, "compose"),
@@ -489,6 +483,18 @@ class TestCheck:
             steps.clear()
             assert check_ball(ball).passed
             assert len(steps) == len(set(steps)) == want
+
+
+def count_steps(monkeypatch):
+    """The list that records the tuple of every reduction step from now on."""
+    steps, step = [], reduction._step
+
+    def counted(system, slots, before):
+        steps.append(tuple(slots))
+        return step(system, slots, before)
+
+    monkeypatch.setattr(reduction, "_step", counted)
+    return steps
 
 
 def walked_tuples(ball):
@@ -773,14 +779,7 @@ class TestMemoWalk:
             sum(len(reduce_to_base(label)[1]) for label in ball.alpha_classes)
             for ball in desk_balls
         ]
-        steps = []
-        step = reduction._step
-
-        def counted(system, slots, before):
-            steps.append(tuple(slots))
-            return step(system, slots, before)
-
-        monkeypatch.setattr(reduction, "_step", counted)
+        steps = count_steps(monkeypatch)
         memo = []
         for ball in desk_balls:
             steps.clear()
