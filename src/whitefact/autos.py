@@ -19,7 +19,7 @@ push of the inner word.  WhiteheadAuto is built only at the API edge, and
 its contract, _check_move, is one test that runs once per move: in the
 constructor, or in whitehead_auto, which then builds through the unchecked
 _move, as factorize does for the pairs _read_walk reads off a walk
-(reduction proves them well formed).
+(reduction proves them well formed) and jsonio for canonical wire moves.
 
 Every image of a word under psi is one rule, words._image: apply runs it
 with an empty head, compose and labellings.act_on_label with the outer
@@ -34,11 +34,13 @@ Every factor is nontrivial, since a FactorSystem cannot hold a trivial
 one, so each G_k is its own normalizer and each split is one value.
 
 factorize walks from a least-volume basepoint U(x), a median of the spoke
-ends (_basepoint), and the inner part absorbs the translation.  The base
-class is the class of least volume n, where x is the star pin's witness,
-the one common neighbour of the spoke ends.  verify pushes the inner word
-once: a move is a homomorphism, (Y, x)(s . c) = (Y, x)(s) . (Y, x)(c), so
-_recomposed_slots pushes the moves onto F(h) alone and joins each slot.
+ends (_basepoint), and the inner part absorbs the translation; the walk is
+reduction._walk on the split slots from volume n + 2 sum |g_k|, with no
+memo and no StarLabel.  The base class is the class of least volume n,
+where x is the star pin's witness, the one common neighbour of the spoke
+ends.  verify pushes the inner word once: a move is a homomorphism,
+(Y, x)(s . c) = (Y, x)(s) . (Y, x)(c), so _recomposed_slots pushes the
+moves onto F(h) alone and joins each slot.
 """
 
 from __future__ import annotations
@@ -47,8 +49,8 @@ from dataclasses import dataclass
 
 from .errors import FactorMismatchError, NotAStabilizerError
 from .factors import FactorAutoPart, FactorSystem
-from .labellings import StarLabel, _slot_syllables, _star_pin, _translate
-from .reduction import reduce_to_base
+from .labellings import _slot_syllables, _star_pin, _translate
+from .reduction import _walk
 from .words import (
     Word,
     _image,
@@ -332,9 +334,7 @@ def factorize(psi: PureSymmetricAuto) -> Factorization:
     slots = _slot_syllables(system, conjugators)
     x = _basepoint(slots)
     slots, parts0 = _split_slots(system, phis, slots, x)
-    moves = ()
-    if any(slots):  # else the least volume is n: the base class, no walk
-        _, moves = reduce_to_base(StarLabel(system, tuple(Word(system, g) for g in slots)))
+    _, moves = _walk(system, slots, system.n + 2 * sum(map(len, slots)), None)
     pairs, parts = _read_walk(system, moves, parts0)
     h = x
     if h:

@@ -379,9 +379,9 @@ class TableBackend(FactorBackend):
 
 
 LETTER_MEMO_CAP = 65_536
-"""Letters a letter memo keeps: FactorSystem.inverses and letter_of_text,
-and jsonio's letter texts.  Past it a memo computes without storing, so
-Z payloads and large cyclic orders cannot grow it without bound."""
+"""Letters a letter memo keeps: FactorSystem.inverses, letter_of_text and
+part_of_rep, and jsonio's letter texts.  Past it a memo computes without
+storing, so Z payloads and large cyclic orders cannot grow it without bound."""
 
 
 class _LetterMemo(dict):
@@ -425,6 +425,7 @@ class FactorSystem:
         self._hash = hash(self.signature)
         self.inverses = _LetterMemo(self._inverse_of)  # read by Word.inverse and right_divide
         self.letter_of_text = {}  # "f,p" -> (f, p), filled by jsonio's name decoder
+        self.part_of_rep = _LetterMemo(self._checked_part)  # read by jsonio's part decoder
 
     def __eq__(self, other):
         return isinstance(other, FactorSystem) and self.signature == other.signature
@@ -514,6 +515,13 @@ class FactorSystem:
 
     def part_validate(self, part: FactorAutoPart) -> str | None:
         return self.factor(part.factor).auto_validate(part.rep)
+
+    def _checked_part(self, key) -> FactorAutoPart:
+        """FactorAutoPart(*key), or ValueError with auto_validate's message."""
+        message = self.backends[key[0] - 1].auto_validate(key[1])
+        if message is not None:
+            raise ValueError(message)
+        return FactorAutoPart(*key)
 
     def conjugation_part(self, a: tuple[int, int]) -> FactorAutoPart:
         f, p = a

@@ -21,6 +21,12 @@ A system is checked once, by the FactorSystem constructor, whose ValueError
 becomes the SchemaError.  Every integer is checked before a backend sees
 it, so no backend's integer message reaches the wire.
 
+A part is checked once per system: phi_from_json reads it from the letter
+memo system.part_of_rep, keyed by (factor, rep) on exact int reps only
+(True, 1.0 and an IntEnum equal 1); other reps and refusals are not stored.
+A canonical move (Y strictly increasing; x an exact-int, canonical and
+nontrivial letter outside Y) is built by autos._move, others by whitehead_auto.
+
 Decoding a word is one loop over its letters.  It checks each letter's
 shape, factor index and integer payload.  An exact int payload that is
 already canonical (0 <= p < order on a finite factor, any int on Z) becomes
@@ -69,6 +75,7 @@ from .autos import (
     Factorization,
     PureSymmetricAuto,
     WhiteheadAuto,
+    _move,
     whitehead_auto,
 )
 from .errors import EngineError, SchemaError, UnprintableAnswerError, clip, echo
@@ -88,7 +95,8 @@ from .tree import TreeVertex, c_vertex, u_vertex
 from .words import Word, normal_form
 
 
-_encoder = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+# engine values hold no cycles, so the encoder skips its cycle check
+_encoder = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False)
 
 
 def dumps(obj) -> str:
@@ -343,17 +351,21 @@ def phi_from_json(system: FactorSystem, factor: int, obj) -> FactorAutoPart:
         raise SchemaError(f"factor {factor}: unknown phi kind {echo(kind)}")
     if kind == "perm":
         rep = obj.get("map")
-        if not (isinstance(rep, list) and _all_ints(rep)):
+        exact = isinstance(rep, list) and all(type(x) is int for x in rep)
+        if not (exact or isinstance(rep, list) and _all_ints(rep)):
             raise SchemaError(f"factor {factor}: perm map must be a list of integers")
         rep = tuple(rep)
     else:
         rep = obj.get("value")
-        if not (type(rep) is int or _is_int(rep)):
+        exact = type(rep) is int
+        if not (exact or _is_int(rep)):
             raise SchemaError(f"factor {factor}: integer {kind} value required")
-    message = backend.auto_validate(rep)
-    if message is not None:
-        raise SchemaError(f"factor {factor}: {message}")
-    return FactorAutoPart(factor, rep)
+    # an IntEnum rep equals and hashes like its int, so only exact ints are keys
+    memo = system.part_of_rep
+    try:
+        return memo[factor, rep] if exact else memo.compute((factor, rep))
+    except ValueError as exc:  # auto_validate's message; nothing was stored
+        raise SchemaError(f"factor {factor}: {exc}") from None
 
 
 def auto_to_json(psi: PureSymmetricAuto) -> dict:
@@ -389,13 +401,21 @@ def whitehead_from_json(system: FactorSystem, obj) -> WhiteheadAuto:
         isinstance(obj, dict) and "Y" in obj and "x" in obj,
         "expected {'Y': [...], 'x': [factor, payload]}",
     )
-    moved, x = obj["Y"], obj["x"]
+    moved, x, n = obj["Y"], obj["x"], system.n
     if not isinstance(moved, list):
-        raise SchemaError(f"whitehead Y must list factor indices in 1..{system.n}")
+        raise SchemaError(f"whitehead Y must list factor indices in 1..{n}")
+    last = 0  # Y's last index while Y increases strictly, then n + 1
     for j in moved:
-        if not ((type(j) is int or _is_int(j)) and 1 <= j <= system.n):
-            raise SchemaError(f"whitehead Y must list factor indices in 1..{system.n}")
+        if not ((type(j) is int or _is_int(j)) and 1 <= j <= n):
+            raise SchemaError(f"whitehead Y must list factor indices in 1..{n}")
+        last = j if last < j else n + 1
     _expect(isinstance(x, list) and len(x) == 2 and _all_ints(x), "bad whitehead element")
+    i, p = x
+    # a move already canonical is the one whitehead_auto would build
+    if 0 < last <= n and type(i) is int and type(p) is int and 1 <= i <= n and i not in moved:
+        order = system.orders[i - 1]
+        if (order is None or 0 <= p < order) and p != system.identity_payloads[i - 1]:
+            return _move(system, tuple(moved), (i, p))
     try:
         return whitehead_auto(system, moved, x)
     except (ValueError, EngineError) as exc:

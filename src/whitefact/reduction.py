@@ -57,10 +57,10 @@ values.  The walk is one loop over it, _walk, which also takes a memo:
 a dict from each tuple a walk stepped to the rest of that walk.  Walks
 that pass through one tuple share their rest, because a step depends on
 the tuple alone, so a caller that walks many tuples (explorer.check_ball,
-one memo per ball) steps each tuple once.  reduce_to_base wraps the walk
-with no memo and reduce_step one step at the API edge, and find_fold
-wraps the scan, _first_fold; a walk builds its StarLabel and Words once,
-for the final label.
+one memo per ball) steps each tuple once.  factorize and check_ball call
+_walk directly; at the API edge reduce_to_base wraps it with no memo and
+builds its StarLabel and Words once, reduce_step wraps one step, and
+find_fold the scan, _first_fold.
 """
 
 from __future__ import annotations

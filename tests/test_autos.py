@@ -2025,6 +2025,56 @@ class TestBasepointAnswers:
         assert min(seen.values()) > 0
 
 
+class TestFactorizeWalksSplitSlots:
+    """factorize walks its split slots with reduction._walk from volume
+    n + 2 sum |g_k|; the route through a StarLabel of Words and
+    reduce_to_base gives the same answers and the same NonSplittingError.
+    A wrong start volume fails both cases: the walk stops early, and the
+    error names the volume."""
+
+    @staticmethod
+    def by_label(system, slots, before, walked):
+        label = StarLabel(system, tuple(Word(system, g) for g in slots))
+        assert (before, walked) == (volume(label), None)
+        final, moves = reduce_to_base(label)
+        return tuple(w.syllables for w in final.conjugators), moves
+
+    @staticmethod
+    def outcome(psi):
+        try:
+            return jsonio.factorization_to_json(psi.system, factorize(psi))
+        except NonSplittingError as exc:
+            return str(exc)
+
+    def test_stuck_text_is_pinned(self, triple_z2):
+        psi = PureSymmetricAuto(triple_z2, tuple(
+            (triple_z2.part_identity(k), word(triple_z2, g))
+            for k, g in enumerate([[], [(3, 1)], [(2, 1), (1, 1)]], start=1)
+        ))
+        text = "non-splitting input: no fold exists although volume exceeds n"
+        with pytest.raises(NonSplittingError) as raised:
+            factorize(psi)
+        assert str(raised.value) == f"{text} (volume 7 at slots [1, 3:1, 2:1])"
+
+    @pytest.mark.parametrize("fixture", KEY_SYSTEMS)
+    def test_same_answers_and_errors_as_reduce_to_base(self, request, fixture, monkeypatch):
+        system = request.getfixturevalue(fixture)
+        rng, seen = random.Random(83), {"stuck": 0, "walked": 0}
+        cases = [random_pure_auto(system, rng, 4) for _ in range(40)]
+        for _ in range(40):  # built directly: most random tuples do not split
+            parts = tuple(
+                (random_part(system, k, rng), Word(system, random_reduced(system, rng, 4)))
+                for k in range(1, system.n + 1)
+            )
+            cases.append(PureSymmetricAuto(system, parts))
+        got = [self.outcome(psi) for psi in cases]
+        monkeypatch.setattr(autos, "_walk", self.by_label)
+        for psi, answer in zip(cases, got):
+            assert answer == self.outcome(psi)
+            seen["stuck" if isinstance(answer, str) else "walked"] += 1
+        assert min(seen.values()) >= 20, seen
+
+
 def parent_recomposed_slots(system, moves, parts, h):
     """_recomposed_slots before the one push: F(h) in every slot."""
     start = [autos._apply_parts(system, parts, h)] * system.n

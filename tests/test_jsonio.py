@@ -497,7 +497,7 @@ def reference_whitehead_auto(system, moved, element):
     return WhiteheadAuto(system, moved, system.element(*element))
 
 
-def reference_whitehead_from_json(system, obj):
+def reference_whitehead_from_json(system, obj, build=reference_whitehead_auto):
     jsonio._expect(
         isinstance(obj, dict) and "Y" in obj and "x" in obj,
         "expected {'Y': [...], 'x': [factor, payload]}",
@@ -513,7 +513,7 @@ def reference_whitehead_from_json(system, obj):
         "bad whitehead element",
     )
     try:
-        return reference_whitehead_auto(system, moved, x)
+        return build(system, moved, x)
     except (ValueError, EngineError) as exc:
         raise SchemaError(f"bad whitehead automorphism: {exc}") from exc
 
@@ -869,6 +869,211 @@ class TestWireOracle:
                     jsonio.factorization_from_json, reference_factorization_from_json, system, fact
                 )
         assert 100 < failed < 1700  # both outcomes are common
+
+
+class TestPartMemo:
+    """phi_from_json returns a checked part from its system's part_of_rep
+    memo, keyed by (factor, rep) and only on exact int reps: True, 1.0 and
+    Small.ONE equal 1 and hash like it."""
+
+    @pytest.fixture
+    def system(self):
+        return FactorSystem([s3_table(), CyclicBackend(3), IntBackend(), CyclicBackend(5)])
+
+    @staticmethod
+    def outcome(system, factor, obj):
+        """The decoded part and its rep's types, or the SchemaError text."""
+        try:
+            part = jsonio.phi_from_json(system, factor, obj)
+        except SchemaError as exc:
+            return f"SchemaError: {exc}"
+        rep = part.rep
+        return part, [type(x) for x in rep] if type(rep) is tuple else type(rep)
+
+    @staticmethod
+    def cold(factor, obj):
+        """The outcome on a system whose memo holds nothing."""
+        fresh = FactorSystem([s3_table(), CyclicBackend(3), IntBackend(), CyclicBackend(5)])
+        return TestPartMemo.outcome(fresh, factor, obj)
+
+    def test_second_decode_returns_the_same_object(self, system):
+        """Fails on a memo that never stores."""
+        cases = [
+            (1, {"kind": "perm", "map": [0, 2, 3, 1, 4, 5]}),
+            (2, {"kind": "mult", "value": 2}),
+            (3, {"kind": "sign", "value": -1}),
+            (4, {"kind": "mult", "value": 3}),
+        ]
+        for factor, obj in cases:
+            first = jsonio.phi_from_json(system, factor, obj)
+            assert first == reference_phi_from_json(system, factor, obj)
+            assert jsonio.phi_from_json(system, factor, obj) is first
+        assert len(system.part_of_rep) == 4
+        assert system.part_of_rep[1, (0, 2, 3, 1, 4, 5)] == FactorAutoPart(1, (0, 2, 3, 1, 4, 5))
+
+    def test_equal_reps_of_other_types_are_still_refused(self, system):
+        """Fails on a memo read before the rep's type is checked."""
+        jsonio.phi_from_json(system, 2, {"kind": "mult", "value": 1})
+        jsonio.phi_from_json(system, 1, {"kind": "perm", "map": [0, 1, 2, 3, 4, 5]})
+        assert (2, 1) in system.part_of_rep and (1, (0, 1, 2, 3, 4, 5)) in system.part_of_rep
+        for value in (True, 1.0, "1"):
+            obj = {"kind": "mult", "value": value}
+            assert self.outcome(system, 2, obj) == self.cold(2, obj)
+            assert self.outcome(system, 2, obj) == (
+                "SchemaError: factor 2: integer mult value required"
+            )
+        for image in ([0, True, 2, 3, 4, 5], [0, 1.0, 2, 3, 4, 5], [0, "1", 2, 3, 4, 5]):
+            obj = {"kind": "perm", "map": image}
+            assert self.outcome(system, 1, obj) == self.cold(1, obj)
+            assert self.outcome(system, 1, obj) == (
+                "SchemaError: factor 1: perm map must be a list of integers"
+            )
+        assert len(system.part_of_rep) == 2
+
+    def test_intenum_rep_keeps_its_type_and_is_not_stored(self, system):
+        """Fails on a memo keyed on any int rep (_is_int), a mult, sign or
+        perm one, which hands an IntEnum rep the int part or stores it."""
+        memo = system.part_of_rep
+        # memoized int first: the IntEnum still gets its own part
+        assert self.outcome(system, 2, {"kind": "mult", "value": 1})[1] is int
+        assert self.outcome(system, 2, {"kind": "mult", "value": Small.ONE})[1] is Small
+        assert self.outcome(system, 3, {"kind": "sign", "value": Small.ONE})[1] is Small
+        image = [0, Small.ONE, 2, 3, 4, 5]
+        assert self.outcome(system, 1, {"kind": "perm", "map": image})[1][1] is Small
+        assert list(memo) == [(2, 1)]
+        # the IntEnum first: nothing stored, so the int is stored as an int
+        assert self.outcome(system, 2, {"kind": "mult", "value": Small.TWO})[1] is Small
+        assert (2, 2) not in memo
+        assert self.outcome(system, 2, {"kind": "mult", "value": 2})[1] is int
+        assert type(memo[2, 2].rep) is int
+        assert self.outcome(system, 2, {"kind": "mult", "value": Small.TWO})[1] is Small
+
+    def test_invalid_rep_gives_the_same_text_twice_and_is_never_stored(self, system):
+        """Fails on a memo that stores a refusal."""
+        cases = [
+            (2, {"kind": "mult", "value": 0}, "factor 2: multiplier 0 out of range"),
+            (1, {"kind": "perm", "map": [0, 4, 2, 3, 1, 5]},
+             "factor 1: map violates the homomorphism law"),
+            (3, {"kind": "sign", "value": 2},
+             "factor 3: sign 2 is not an automorphism of the infinite cyclic group"),
+        ]
+        for factor, obj, text in cases:
+            for _ in range(2):
+                assert self.outcome(system, factor, obj) == f"SchemaError: {text}"
+                with pytest.raises(SchemaError) as raised:
+                    reference_phi_from_json(system, factor, obj)
+                assert str(raised.value) == text
+        assert len(system.part_of_rep) == 0
+
+    def test_past_the_cap_a_new_rep_is_checked_but_not_stored(self, system, monkeypatch):
+        """Fails on a memo without its cap."""
+        monkeypatch.setattr(factors, "LETTER_MEMO_CAP", 2)
+        for value in (1, 2):
+            jsonio.phi_from_json(system, 4, {"kind": "mult", "value": value})
+        assert len(system.part_of_rep) == 2
+        part = jsonio.phi_from_json(system, 4, {"kind": "mult", "value": 3})
+        assert part == FactorAutoPart(4, 3)
+        assert jsonio.phi_from_json(system, 4, {"kind": "mult", "value": 3}) is not part
+        assert self.outcome(system, 4, {"kind": "mult", "value": 5}) == (
+            "SchemaError: factor 4: multiplier 5 out of range"
+        )
+        assert list(system.part_of_rep) == [(4, 1), (4, 2)]
+
+
+def _move_grid(system):
+    """Wire moves on every operating factor i: each Y of the grid with a
+    canonical x, and each x of the grid with a sorted Y."""
+    n, huge = system.n, 10**29 + 7
+    for i in range(1, n + 1):
+        others = [j for j in range(1, n + 1) if j != i]
+        order, e = system.orders[i - 1], system.identity_payloads[i - 1]
+        p = 1 if e != 1 else 2
+        moved_sets = [
+            [], others, others[:1], others[::-1], others + others[:1], others[:1] * 3,
+            sorted(others + [i]), [i], others + [n + 1], [0] + others, [-1],
+            [True] + others[1:], others[:1] + [float(others[1])], [float(others[0])],
+        ]
+        elements = [[i, p], [i, e], [i, True], [i, float(p)], [i, str(p)], [True, p],
+                    [float(i), p], [str(i), p], [i, huge], [i, -huge], [i, Small.ONE],
+                    [Small.ONE, 1], [0, p], [n + 1, p]]
+        if order is None:
+            elements += [[i, -1], [i, 3]]
+        else:
+            elements += [[i, p + order], [i, -1], [i, order - 1], [i, order]]
+        if system.factor(i).kind == "table":
+            elements += [[i, q] for q in range(order)]
+        for moved in moved_sets:
+            yield {"Y": moved, "x": [i, p]}
+        for x in elements:
+            yield {"Y": others, "x": x}
+            yield {"Y": others[:1], "x": x}
+
+
+class TestMoveDecodeMatchesWhiteheadAuto:
+    """whitehead_from_json builds a canonical move directly; every move,
+    canonical or not, decodes as the jsonio checks followed by
+    whitehead_auto would decode it: the same moved set, element and payload
+    type, or the same error type and text."""
+
+    SYSTEMS = {
+        "K3": FactorSystem([CyclicBackend(2)] * 3),
+        "Z3*Z4*Z2*Z2": FactorSystem([CyclicBackend(m) for m in (3, 4, 2, 2)]),
+        "S3*Z2*Z*Z5": FactorSystem([s3_table(), CyclicBackend(2), IntBackend(), CyclicBackend(5)]),
+    }
+
+    @staticmethod
+    def outcome(decode, system, obj):
+        try:
+            move = decode(system, obj)
+        except Exception as exc:
+            return type(exc), str(exc)
+        return move.moved, move.element, [type(v) for v in move.moved + move.element]
+
+    def test_grid(self, monkeypatch):
+        """Fails when the direct route drops any of its tests: Y nonempty and
+        strictly increasing, i outside Y, x nontrivial, x canonical, and
+        exact ints only (an IntEnum payload must be normalized to an int)."""
+        built = []
+
+        def counted(*args):
+            built.append(args)
+            return whitehead_auto(*args)
+
+        def today(system, obj):
+            return reference_whitehead_from_json(system, obj, build=whitehead_auto)
+
+        monkeypatch.setattr(jsonio, "whitehead_auto", counted)
+        routes = collections.Counter()
+        for name, system in sorted(self.SYSTEMS.items()):
+            for obj in _move_grid(system):
+                want = self.outcome(today, system, obj)
+                before = len(built)
+                assert self.outcome(jsonio.whitehead_from_json, system, obj) == want, (name, obj)
+                refused = want[0] is SchemaError
+                if len(built) == before and not refused:  # only a canonical move is direct
+                    moved, (i, p) = obj["Y"], obj["x"]
+                    assert want[:2] == (tuple(moved), (i, p)), (name, obj)
+                    assert all(type(v) is int for v in moved + [i, p]), (name, obj)
+                    routes["direct"] += 1
+                else:
+                    routes["refused" if refused else "normalized"] += 1
+        assert routes["direct"] > 50 and routes["normalized"] > 50, routes
+        assert routes["refused"] > 300, routes
+
+    def test_a_canonical_move_skips_whitehead_auto(self, monkeypatch):
+        """Fails when the direct route is gone."""
+
+        def forbidden(*args):
+            raise AssertionError("a canonical move went through whitehead_auto")
+
+        monkeypatch.setattr(jsonio, "whitehead_auto", forbidden)
+        system = self.SYSTEMS["S3*Z2*Z*Z5"]
+        for obj in (
+            {"Y": [2, 4], "x": [1, 5]}, {"Y": [1], "x": [3, -(10**29)]}, {"Y": [1, 2, 3], "x": [4, 1]}
+        ):
+            move = jsonio.whitehead_from_json(system, obj)
+            assert (move.moved, move.element) == (tuple(obj["Y"]), tuple(obj["x"]))
+            assert move == whitehead_auto(system, obj["Y"], obj["x"])
 
 
 class TestLetterMemo:
