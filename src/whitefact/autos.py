@@ -10,16 +10,18 @@ whitehead list [W1, ..., WK], factor parts F and inner word h represents
 psi = W1 o W2 o ... o WK o F o (conjugation by h) under the same
 convention: the inner conjugation acts first, WK next, W1 last.
 
-Left-composing with a move (Y, x) is one rule, _push_moves: slot k of
-(Y, x) o psi is [x if k in Y] . (Y, x)(g_k), and every part stays.  The
-kernel _push_move forms that normal form in one pass over each slot's
-syllables, for a move as a pair (moved, element).  It is the only code
-that applies a move: in _recomposed_slots, _inverted_slots and factorize's
-push of the inner word.  WhiteheadAuto is built only at the API edge, and
-its contract, _check_move, is one test that runs once per move: in the
-constructor, or in whitehead_auto, which then builds through the unchecked
-_move, as factorize does for the pairs _read_walk reads off a walk
-(reduction proves them well formed) and jsonio for canonical wire moves.
+Left-composing with a move (Y, x) is one rule, the kernel _push_moves:
+slot k of (Y, x) o psi is [x if k in Y] . (Y, x)(g_k), and every part
+stays.  It runs one loop over a list of moves, each a pair (moved,
+element), sets up each move's letters once, and forms each normal form in
+one pass over a slot's syllables.  It is the only code that applies a
+move: in _recomposed_slots, _inverted_slots and factorize's push of the
+inner word, which rides alone as slot n + 1 and so never leads.
+WhiteheadAuto is built only at the API edge, and its contract,
+_check_move, is one test that runs once per move: in the constructor, or
+in whitehead_auto, which then builds through the unchecked _move, as
+factorize does for the pairs _read_walk reads off a walk (reduction
+proves them well formed) and jsonio for canonical wire moves.
 
 Every image of a word under psi is one rule, words._image: apply runs it
 with an empty head, compose and labellings.act_on_label with the outer
@@ -146,7 +148,7 @@ class WhiteheadAuto:
 
 
 def _check_move(system: FactorSystem, moved, element) -> None:
-    """WhiteheadAuto's contract, one test for every caller.  _push_move's
+    """WhiteheadAuto's contract, one test for every caller.  _push_moves'
     one-pass normal form needs x nontrivial, normalized and outside Y."""
     if not moved:
         raise ValueError("a Whitehead automorphism needs a nonempty moved set")
@@ -227,54 +229,6 @@ class Factorization:
     inner: Word
 
 
-def _push_move(system: FactorSystem, move, slots, leads) -> list[tuple[tuple[int, int], ...]]:
-    """The Whitehead kernel: for move = (Y, x) as a pair, per syllable
-    tuple g of slots and flag of leads, the normal form of (Y, x)(g), or
-    with the flag of x . (Y, x)(g).
-
-    Let x lie in G_i, x nontrivial and i not in Y.  The image replaces each
-    syllable s of a factor in Y by x^-1 s x and keeps every other syllable.
-    Neighbours of a reduced word lie in different factors and i is not in
-    Y, so letters merge only where x or x^-1 meets a G_i letter: a fixed
-    G_i syllable t next to moved syllables becomes x t, t x^-1 or x t x^-1
-    (a conjugate of t, never trivial), and x x^-1 between two adjacent
-    moved syllables cancels.  A product that cancels leaves side by side
-    either two syllables adjacent in the input, or a moved syllable of some
-    G_j (j in Y) and a letter outside G_j: x^-1, x, or a fixed syllable,
-    which is not in G_j because all of G_j moves.  So nothing cascades, and
-    one left-to-right pass with at most one G_i product per input syllable
-    yields the normal form.  A leading x meets only the first head, and
-    when that product cancels nothing is left for it to cascade into.
-    The move's letters and G_i's product are set up once for all slots.
-    The pass stays its own loop: it knows where merges can happen, so it
-    tests fewer letters than normal_form would.
-    """
-    moved, x = move
-    i = x[0]
-    x_inv = system.inverses[x]
-    e = system.identity_payloads[i - 1]
-    op = system.factor(i).op
-    pushed = []
-    for syllables, lead in zip(slots, leads):
-        out: list[tuple[int, int]] = [x] if lead else []
-        for s in syllables:
-            is_moved = s[0] in moved
-            head = x_inv if is_moved else s
-            if head[0] == i and out and out[-1][0] == i:
-                payload = op(out[-1][1], head[1])
-                if payload == e:
-                    out.pop()
-                else:
-                    out[-1] = (i, payload)
-            else:
-                out.append(head)
-            if is_moved:
-                out.append(s)
-                out.append(x)
-        pushed.append(tuple(out))
-    return pushed
-
-
 def _apply_parts(system: FactorSystem, parts, syllables: tuple) -> tuple:
     """The image of a word's syllables under the factor parts, as syllables."""
     return _normal_form(system, [system.part_apply(parts[s[0] - 1], s) for s in syllables])
@@ -338,8 +292,8 @@ def factorize(psi: PureSymmetricAuto) -> Factorization:
     pairs, parts = _read_walk(system, moves, parts0)
     h = x
     if h:
-        for moved, element in pairs:
-            (h,) = _push_move(system, (moved, system.inverses[element]), (h,), (False,))
+        inverse_pairs = [(moved, system.inverses[element]) for moved, element in pairs]
+        (h,) = _push_moves(system, inverse_pairs, (h,), system.n + 1)
         backends = system.backends
         inverse = {f: backends[f - 1].auto_invert(parts[f - 1].rep) for f in {s[0] for s in h}}
         h = _normal_form(system, [(f, backends[f - 1].auto_apply(inverse[f], p)) for f, p in h])
@@ -379,13 +333,52 @@ def _read_walk(system: FactorSystem, moves, parts0):
     return pairs, factor_parts
 
 
-def _push_moves(system: FactorSystem, moves, slots) -> list[tuple[tuple[int, int], ...]]:
-    """Conjugator syllables of Wm o ... o W1 o psi for psi with conjugator
-    syllables slots: each move (Y, x), a pair (moved, element), first to
-    last, maps slot k to [x if k in Y] . (Y, x)(g_k)."""
-    ks = range(1, len(slots) + 1)
-    for move in moves:
-        slots = _push_move(system, move, slots, [k in move[0] for k in ks])
+def _push_moves(system: FactorSystem, moves, slots, first: int = 1) -> list[tuple]:
+    """The Whitehead kernel: the conjugator syllables of Wm o ... o W1 o psi
+    for psi with conjugator syllables slots, numbered from first.  Each
+    move (Y, x), a pair (moved, element), first to last, maps slot k to the
+    normal form of [x if k in Y] . (Y, x)(g_k).
+
+    Let x lie in G_i, x nontrivial and i not in Y.  The image replaces each
+    syllable s of a factor in Y by x^-1 s x and keeps every other syllable.
+    Neighbours of a reduced word lie in different factors and i is not in
+    Y, so letters merge only where x or x^-1 meets a G_i letter: a fixed
+    G_i syllable t next to moved syllables becomes x t, t x^-1 or x t x^-1
+    (a conjugate of t, never trivial), and x x^-1 between two adjacent
+    moved syllables cancels.  A product that cancels leaves side by side
+    either two syllables adjacent in the input, or a moved syllable of some
+    G_j (j in Y) and a letter outside G_j: x^-1, x, or a fixed syllable,
+    which is not in G_j because all of G_j moves.  So nothing cascades, and
+    one left-to-right pass with at most one G_i product per input syllable
+    yields the normal form.  A leading x meets only the first head, and
+    when that product cancels nothing is left for it to cascade into.
+    The move's letters and G_i's product are set up once for all slots.
+    The pass stays its own loop: it knows where merges can happen, so it
+    tests fewer letters than normal_form would.
+    """
+    inverses, identities, backends = system.inverses, system.identity_payloads, system.backends
+    for moved, x in moves:
+        i = x[0]
+        x_inv, e, op = inverses[x], identities[i - 1], backends[i - 1].op
+        pushed = []
+        for k, syllables in enumerate(slots, first):
+            out: list[tuple[int, int]] = [x] if k in moved else []
+            for s in syllables:
+                is_moved = s[0] in moved
+                head = x_inv if is_moved else s
+                if head[0] == i and out and out[-1][0] == i:
+                    payload = op(out[-1][1], head[1])
+                    if payload == e:
+                        out.pop()
+                    else:
+                        out[-1] = (i, payload)
+                else:
+                    out.append(head)
+                if is_moved:
+                    out.append(s)
+                    out.append(x)
+            pushed.append(tuple(out))
+        slots = pushed
     return slots
 
 
@@ -461,8 +454,10 @@ def verify_factorization(psi: PureSymmetricAuto, f: Factorization) -> bool:
     on generators only.  Library callers can build a FactorAutoPart or a
     Factorization directly, so the answer is False when f or psi does not
     carry one part per factor, in order, or any part fails part_validate;
-    that costs at most |G_k|^2 table lookups per factor.  An inner word or
-    a move over another factor system raises SystemMismatchError.
+    that costs at most |G_k|^2 table lookups per factor.  A part that is
+    (is) system.part_of_rep's own, as every part decoded from JSON is, was
+    validated when stored and is not checked again.  An inner word or a
+    move over another factor system raises SystemMismatchError.
 
     No message is formatted here; _verification_failure formats it.
     """
@@ -482,12 +477,18 @@ def _first_fault(psi: PureSymmetricAuto, f: Factorization) -> tuple | None:
     system = psi.system
     for value in (f.inner, *f.whitehead):
         _same_system(system, value.system, "factorization from a different factor system")
+    checked = system.part_of_rep  # its parts were validated when they were stored
     for side, parts in (("factorization", f.factor), ("psi", [p for p, _ in psi.parts])):
         if len(parts) != system.n:
             return "{} parts: {} for {} factors", side, len(parts), system.n
         for k, part in enumerate(parts, start=1):
             if part.factor != k:
                 return "{} part {}: belongs to factor {}", side, k, part.factor
+            try:
+                if checked.get((k, part.rep)) is part:
+                    continue
+            except TypeError:  # a rep that cannot be hashed, such as a list map
+                pass
             message = system.part_validate(part)
             if message is not None:
                 return "{} part {}: {}", side, k, message

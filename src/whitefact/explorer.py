@@ -8,15 +8,18 @@ backwards, so every tuple it meets is a labelling.
 
 Cost model: the work grows with the visited tuples, the splitting tuples
 within the syllable budget.  Each one below the full budget is expanded by
-n(n-1) slot pairs, one right division each, times the nontrivial elements
-of the pushing factor, one seam product each, and each is keyed once
-(_star_key), all on syllable tuples; only class representatives become
-Words.  The visited tuples are far fewer than the tuples within the
-syllable budget, but they still grow exponentially with the bound, so
-MAX_VISITED caps the size of one call.  The first level alone visits
-1 + (n-1) sum(|G_i| - 1) tuples, so orders past the cap are refused before
-any payload list is built, and a bound that allows no fold builds none:
-MAX_VISITED bounds time and memory whatever the orders.
+n(n-1) slot pairs and keyed once (_star_key), all on syllable tuples; only
+class representatives become Words.  A pair's inverse folds, a star key's
+translated slot and an apex key's core each depend on one slot pair, so a
+call divides each pair once, through a dict per phase that is dropped with
+it and holds at most n(n-1) entries per visited tuple (Z2*Z2*Z2 at bound
+41 visits 15 358 tuples; peak RSS 25.2 -> 29.0 MB).  The visited tuples
+are far fewer than the tuples within the syllable budget, but they still
+grow exponentially with the bound, so MAX_VISITED caps the size of one
+call.  The first level alone visits 1 + (n-1) sum(|G_i| - 1) tuples, so
+orders past the cap are refused before any payload list is built, and a
+bound that allows no fold builds none: MAX_VISITED bounds time and memory
+whatever the orders.
 
 check_ball walks every star class home through the walk core
 (reduction._walk) on its syllable tuple, with one memo per call: the walks
@@ -25,27 +28,26 @@ step scans the slots by length, O(n^2) tests, and folds each moved slot
 with one seam product, words._join), and no label or Word is built.  It
 reads each walk as move pairs and factor parts, with no WhiteheadAuto,
 then pushes the inverse moves onto the class's own slots and recomposes
-the slots from the base, one kernel pass per move each; identity parts
+the slots from the base, one kernel loop over the moves each; identity parts
 do no work, and a homing check splits its slots only when they are not
-already the canonical answer.  It keys each star class twice and each A
-class once.  The memo lives for one call.
+already the canonical answer.  It keys each class once, through pair
+memos of its own, none shared with enumerate_ball.  Every memo lives for
+one call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .autos import _inverted_slots, _read_walk, _recomposed_slots, _split_slots
 from .errors import EngineError, NonSplittingError, OracleUnavailableError
 from .labellings import (
     ApexLabel,
     StarLabel,
+    _apex_key,
+    _slot_syllables,
     _star_key,
-    apex_key,
-    apex_label,
-    base_label,
-    collapses,
-    star_key,
 )
 from .reduction import _walk
 from .words import Word, _join, right_divide
@@ -73,9 +75,11 @@ class BallReport:
 
 
 def _tuple_sort_key(slots):
-    """Total length, then per slot its length and its (factor, payload) syllables."""
-    keyed = tuple((len(g), g) for g in slots)
-    return (sum(length for length, _ in keyed), keyed)
+    """Total length, then per slot its length and its (factor, payload)
+    syllables, as one flat tuple: every key has n pairs, so the order is
+    that of the nested (total, ((|g_1|, g_1), ...))."""
+    lengths = tuple(map(len, slots))
+    return (sum(lengths), *chain.from_iterable(zip(lengths, slots)))
 
 
 def _over_cap(system, max_volume: int) -> EngineError:
@@ -94,7 +98,9 @@ def _grow_from_base(system, max_volume: int) -> list[tuple[tuple, ...]]:
     runs on syllable tuples and returns them.  Per slot pair, p = g_j g_i^-1
     is one right division, and per s the product p s g_i is one seam
     product, words._join(p, (s,) + g_i): slot i is canonical, so g_i begins
-    with no G_i syllable and (s,) + g_i is reduced as written.
+    with no G_i syllable and (s,) + g_i is reduced as written.  Both run
+    once per (j, i, g_j, g_i) and call, in lengthened, which keeps slot j
+    of the folds that lengthen it; each tuple filters them by its budget.
     """
     budget = (max_volume - system.n) // 2
     base = ((),) * system.n
@@ -104,6 +110,7 @@ def _grow_from_base(system, max_volume: int) -> list[tuple[tuple, ...]]:
     if 1 + (system.n - 1) * sum(order - 1 for order in system.orders) > MAX_VISITED:
         raise _over_cap(system, max_volume)
     payloads = [system.nontrivial_payloads(i) for i in range(1, system.n + 1)]
+    lengthened: dict = {}  # (j, i, g_j, g_i) -> slot j of every lengthening fold (j, i, s)
     visited = {base}
     frontier = [base]
     while frontier:
@@ -116,12 +123,19 @@ def _grow_from_base(system, max_volume: int) -> list[tuple[tuple, ...]]:
                 for j, gj in enumerate(slots, start=1):
                     if j == i:
                         continue
-                    p = right_divide(system, gj, gi)
-                    for s in payloads[i - 1]:
-                        new = _join(system, p, ((i, s),) + gi)
-                        if new and new[0][0] == j:
-                            new = new[1:]
-                        if not 0 < len(new) - len(gj) <= spare:
+                    folds = lengthened.get((j, i, gj, gi))
+                    if folds is None:
+                        p = right_divide(system, gj, gi)
+                        folds = []
+                        for s in payloads[i - 1]:
+                            new = _join(system, p, ((i, s),) + gi)
+                            if new and new[0][0] == j:
+                                new = new[1:]
+                            if len(new) > len(gj):
+                                folds.append(new)
+                        lengthened[j, i, gj, gi] = folds
+                    for new in folds:
+                        if len(new) - len(gj) > spare:
                             continue
                         grown = slots[: j - 1] + (new,) + slots[j:]
                         if grown in visited:
@@ -155,19 +169,24 @@ def enumerate_ball(system, max_volume: int) -> SnBall:
     if max_volume < system.n:
         raise EngineError(f"volume bound {max_volume} below the minimum {system.n}")
     reps: dict[tuple, tuple] = {}
+    translated: dict = {}  # (j, g_j, d) -> the canonical slot of g_j . d^-1
     for slots in sorted(_grow_from_base(system, max_volume), key=_tuple_sort_key):
-        reps.setdefault(_star_key(system, slots), slots)  # the least member of each class
-    alpha_reps = [StarLabel(system, tuple(Word(system, g) for g in r)) for r in reps.values()]
-    del reps  # the keys of every class, dropped before the apex keys are built
+        reps.setdefault(_star_key(system, slots, translated), slots)  # each class's least member
+    rep_slots = list(reps.values())
+    del reps, translated  # dropped before the apex keys are built
 
     a_reps: list[ApexLabel] = []
     a_index: dict[tuple, int] = {}
     edges: list[tuple[int, int]] = []
-    for alpha_index, label in enumerate(alpha_reps):
-        for collapsed in collapses(label):
-            match = a_index.setdefault(apex_key(collapsed), len(a_reps))
+    cores: dict = {}  # (j, i, g_j, g_i) -> the double-coset core of g_j g_i^-1
+    alpha_reps = []
+    for alpha_index, slots in enumerate(rep_slots):
+        words = tuple(Word(system, g) for g in slots)
+        alpha_reps.append(StarLabel(system, words))
+        for i in range(1, system.n + 1):
+            match = a_index.setdefault(_apex_key(system, i, slots, cores), len(a_reps))
             if match == len(a_reps):
-                a_reps.append(collapsed)
+                a_reps.append(ApexLabel(system, i, words))
             edges.append((alpha_index, match))
     return SnBall(system, max_volume, tuple(alpha_reps), tuple(a_reps), tuple(edges))
 
@@ -208,27 +227,31 @@ def check_ball(ball: SnBall) -> BallReport:
                 f"alpha class #{alpha_index} collapse apexes {apexes} incomplete"
             )
 
-    # dedup sanity: no class key repeats among the representatives
-    keys = [star_key(label) for label in ball.alpha_classes]
+    # dedup sanity: no class key repeats among the representatives, keyed
+    # through this call's own pair memos, none shared with enumerate_ball
+    translated, cores = {}, {}
+    class_slots = [tuple(_slot_syllables(system, L.conjugators)) for L in ball.alpha_classes]
+    keys = [_star_key(system, slots, translated) for slots in class_slots]
     if len(set(keys)) < len(keys):
         report.failures.append("duplicate alpha classes survived dedup")
-    a_keys = [apex_key(label) for label in ball.a_classes]
+    a_keys = [
+        _apex_key(system, M.apex, _slot_syllables(system, M.conjugators), cores)
+        for M in ball.a_classes
+    ]
     if len(set(a_keys)) < len(a_keys):
         report.failures.append("duplicate A classes survived dedup")
 
     # every class reaches the base class inside the ball, and the walk's
     # automorphism carries it home (reported after the base-class checks)
-    base = base_label(system)
-    base_key = star_key(base)
     identity = tuple(system.part_identity(k) for k in range(1, n + 1))
     base_slots = ((),) * n
+    base_key = _star_key(system, base_slots, translated)
     base_index = None
     homing: list[str] = []
     walked: dict = {}  # the walks of this ball share their suffixes
-    for alpha_index, (label, key) in enumerate(zip(ball.alpha_classes, keys)):
+    for alpha_index, (slots, key) in enumerate(zip(class_slots, keys)):
         if key == base_key:
             base_index = alpha_index
-        slots = tuple(g.syllables for g in label.conjugators)
         start = n + 2 * sum(map(len, slots))
         try:
             final, moves = _walk(system, slots, start, walked)
@@ -266,7 +289,7 @@ def check_ball(ball: SnBall) -> BallReport:
         report.failures.append("base class missing from the ball")
     else:
         base_neighbours = set(incident[base_index])
-        targets = {apex_key(apex_label(system, i, base.conjugators)) for i in range(1, n + 1)}
+        targets = {_apex_key(system, i, base_slots, cores) for i in range(1, n + 1)}
         expected = [a for a in base_neighbours if a_keys[a] in targets]
         if len(base_neighbours) != n or len(expected) != n:
             report.failures.append("base class collapse neighbours are not the n expected")

@@ -5,7 +5,7 @@ product left to right.  The empty word is the group identity.  Reduction
 merges adjacent same-factor syllables and drops identities, which yields
 the unique normal form of the free product.  normal_form is the one loop
 that does so: the wire decoder and the image core _image hand it their
-letters, and only the Whitehead kernel (autos._push_move) and the seam
+letters, and only the Whitehead kernel (autos._push_moves) and the seam
 product _join, whose inputs are reduced already, keep loops of their own.
 
 A syllable is a plain (factor, payload) tuple.  factors.FactorElement is

@@ -9,7 +9,7 @@ from whitefact.autos import (
     PureSymmetricAuto,
     WhiteheadAuto,
     _inverted_slots,
-    _push_move,
+    _push_moves,
     _verification_failure,
     compose,
     decompose_apex_stabilizer,
@@ -678,6 +678,64 @@ class TestVerify:
                 verify_factorization(identity_auto(z342), candidate)
 
 
+class TestVerifySkipsMemoParts:
+    """verify validates every part except one that is (is) its system's
+    part_of_rep entry, which was validated when stored; every part decoded
+    from JSON is such a part."""
+
+    @pytest.fixture
+    def decoded(self, monkeypatch):
+        """psi and its factorization read from JSON on a fresh system, and
+        the list of parts part_validate is called on from now on."""
+        system = VERIFY_SYSTEMS["S3*Z2*Z*Z5"]()
+        rng = random.Random(53)
+        psi = recompose_factorization(system, random_factorization(system, rng))
+        psi = jsonio.auto_from_json(system, jsonio.auto_to_json(psi))
+        fact = jsonio.factorization_to_json(system, factorize(psi))
+        fact = jsonio.factorization_from_json(system, fact)
+        validated, validate = [], system.part_validate
+
+        def counting(part):
+            validated.append(part)
+            return validate(part)
+
+        monkeypatch.setattr(system, "part_validate", counting)
+        return psi, fact, validated
+
+    def test_decoded_parts_are_not_validated_again(self, decoded):
+        """Fails on a verify that validates every part."""
+        psi, fact, validated = decoded
+        assert _verification_failure(psi, fact) is None
+        assert validated == []
+
+    def test_equal_library_parts_are_validated(self, decoded):
+        """Fails on a skip of every part equal (==) to a memo part."""
+        psi, fact, validated = decoded
+        system = psi.system
+        copies = tuple(FactorAutoPart(p.factor, p.rep) for p in fact.factor)
+        assert copies == fact.factor
+        assert all(system.part_of_rep[p.factor, p.rep] is not p for p in copies)
+        assert _verification_failure(psi, Factorization(fact.whitehead, copies, fact.inner)) is None
+        assert [id(p) for p in validated] == [id(p) for p in copies]
+
+    def test_bool_rep_and_list_map_keep_their_texts(self, decoded):
+        """The bool rep fails on an equality (==) skip, since True == 1 and
+        (4, 1) is stored; the list map fails on a lookup that hashes every rep."""
+        psi, fact, _ = decoded
+        system = psi.system
+        system.part_of_rep[4, 1]
+        eps = empty_word(system)
+        for k, bad, message in [
+            (4, FactorAutoPart(4, True), "multiplier True is not an integer"),
+            (1, FactorAutoPart(1, list(range(6))), "automorphism map must be a tuple of integers"),
+        ]:
+            parts = fact.factor[: k - 1] + (bad,) + fact.factor[k:]
+            candidate = Factorization(fact.whitehead, parts, fact.inner)
+            assert _verification_failure(psi, candidate) == f"factorization part {k}: {message}"
+            target = PureSymmetricAuto(system, tuple((p, eps) for p in parts))
+            assert _verification_failure(target, fact) == f"psi part {k}: {message}"
+
+
 def all_elements_verify(psi, f):
     """Reference check: agreement on every element of every finite factor
     (and on -3..3 for Z), with no homomorphism argument.  The factorization
@@ -841,7 +899,7 @@ class TestVerifyMatchesGeneratorOracle:
         def refuse(*args):
             raise AssertionError("the Whitehead kernel was called")
 
-        monkeypatch.setattr(autos, "_push_move", refuse)
+        monkeypatch.setattr(autos, "_push_moves", refuse)
         with pytest.raises(AssertionError, match="kernel"):
             recompose_factorization(system, fact)
         assert all_elements_verify(psi, fact)
@@ -1282,7 +1340,8 @@ class TestPureAutoValidation:
 def push(move, word_in, lead=False):
     """The kernel on one word: (Y, x)(word_in), or with lead x . (Y, x)(word_in)."""
     pair = (move.moved, move.element)
-    return Word(move.system, _push_move(move.system, pair, (word_in.syllables,), (lead,))[0])
+    k = move.moved[0] if lead else move.system.n + 1  # slot k leads exactly when k is in Y
+    return Word(move.system, _push_moves(move.system, [pair], (word_in.syllables,), k)[0])
 
 
 def reference_apply_whitehead(w, word_in):
@@ -1300,6 +1359,36 @@ def reference_apply_whitehead(w, word_in):
     return normal_form(system, letters)
 
 
+def reference_push_move(system, move, slots, leads):
+    """The one-move kernel that _push_moves replaced (autos._push_move): per
+    slot and flag of leads, the normal form of (Y, x)(g), or with the flag
+    of x . (Y, x)(g), its letters set up per call."""
+    moved, x = move
+    i = x[0]
+    x_inv = system.inverses[x]
+    e = system.identity_payloads[i - 1]
+    op = system.factor(i).op
+    pushed = []
+    for syllables, lead in zip(slots, leads):
+        out = [x] if lead else []
+        for s in syllables:
+            is_moved = s[0] in moved
+            head = x_inv if is_moved else s
+            if head[0] == i and out and out[-1][0] == i:
+                payload = op(out[-1][1], head[1])
+                if payload == e:
+                    out.pop()
+                else:
+                    out[-1] = (i, payload)
+            else:
+                out.append(head)
+            if is_moved:
+                out.append(s)
+                out.append(x)
+        pushed.append(tuple(out))
+    return pushed
+
+
 KERNEL_SYSTEMS = {
     "Z3*Z4*Z2*Z2": VERIFY_SYSTEMS["Z3*Z4*Z2*Z2"](),
     "S3*Z2*Z*Z5": VERIFY_SYSTEMS["S3*Z2*Z*Z5"](),
@@ -1309,6 +1398,7 @@ RELATION_SYSTEMS = {
     "Z3*Z4*Z2*Z2": KERNEL_SYSTEMS["Z3*Z4*Z2*Z2"],
     "S3*Z2*Z2": VERIFY_SYSTEMS["S3*Z2*Z2"](),
 }
+MOVE_LIST_SYSTEMS = {**KERNEL_SYSTEMS, "S3*Z2*Z2": RELATION_SYSTEMS["S3*Z2*Z2"]}
 
 
 def _nontrivial(system, i):
@@ -1351,6 +1441,24 @@ class TestWhiteheadKernel:
         assert got == reference_apply_whitehead(move, w)
         assert got == whitehead_to_auto(move).apply(w)
         assert push(move, w, lead=True) == letter(system, move.element) * got
+
+    @pytest.mark.parametrize("name", MOVE_LIST_SYSTEMS)
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_move_list_matches_one_move_kernel(self, name, data):
+        """_push_moves on a move list, slots numbered from first, inside n
+        or beyond it, equals the one-move kernel move by move, slot k
+        leading exactly when k is in Y.  Fails on slots numbered from 1
+        whatever first is, and on a move's letters kept from the move before."""
+        system = MOVE_LIST_SYSTEMS[name]
+        moves = [(m.moved, m.element) for m in data.draw(st.lists(_moves(system), max_size=5))]
+        words = data.draw(st.lists(_reduced_words(system), min_size=1, max_size=system.n + 1))
+        first = data.draw(st.integers(1, system.n + 2))
+        slots = want = [w.syllables for w in words]
+        numbers = range(first, first + len(slots))
+        for t, move in enumerate(moves, start=1):
+            want = reference_push_move(system, move, want, [k in move[0] for k in numbers])
+            assert _push_moves(system, moves[:t], slots, first) == want
 
     @pytest.mark.parametrize("name", RELATION_SYSTEMS)
     @settings(max_examples=100, derandomize=True, deadline=None)
@@ -1432,10 +1540,8 @@ class TestForeignConjugator:
 
 def old_word_push_moves(system, moves, slots):
     syllables = [g.syllables for g in slots]
-    ks = range(1, len(syllables) + 1)
     for w in moves:
-        leads = [k in w.moved for k in ks]
-        syllables = _push_move(system, (w.moved, w.element), syllables, leads)
+        syllables = _push_moves(system, [(w.moved, w.element)], syllables)
     return [Word(system, g) for g in syllables]
 
 

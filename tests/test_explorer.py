@@ -1,11 +1,12 @@
 import dataclasses
 import hashlib
 import itertools
+import sys
 import time
 
 import pytest
 
-from whitefact import autos, explorer, jsonio, labellings, reduction
+from whitefact import autos, explorer, jsonio, labellings, reduction, words
 from whitefact.errors import EngineError, NonSplittingError, OracleUnavailableError
 from whitefact.explorer import SnBall, _grow_from_base, check_ball, enumerate_ball
 from whitefact.factors import CyclicBackend, FactorSystem
@@ -598,7 +599,7 @@ def keyed_homing(system, moves, slots, identity):
     recomposed = autos._split_slots(
         system, walked.factor, reference_recomposed_slots(system, walked)
     )
-    return not any(labellings._star_key(system, canonical)), recomposed == (slots, identity)
+    return not any(labellings._star_key(system, canonical, {})), recomposed == (slots, identity)
 
 
 def split_homing(system, moves, slots, identity):
@@ -863,3 +864,187 @@ class TestMemoWalk:
                 f"alpha class #{k} is not reached from the base cell",
             )
         ]
+
+
+# -- enumerate_ball as it was before the pair memos, kept as a reference:
+# every fold, star key and apex core computed afresh
+
+
+def reference_tuple_sort_key(slots):
+    """The nested key that the flat _tuple_sort_key replaced."""
+    keyed = tuple((len(g), g) for g in slots)
+    return (sum(length for length, _ in keyed), keyed)
+
+
+def reference_grow(system, max_volume):
+    budget = (max_volume - system.n) // 2
+    base = ((),) * system.n
+    payloads = [system.nontrivial_payloads(i) for i in range(1, system.n + 1)]
+    visited, frontier = {base}, [base]
+    while frontier:
+        grown_level = []
+        for slots in frontier:
+            spare = budget - sum(map(len, slots))
+            for i, gi in enumerate(slots, start=1):
+                for j, gj in enumerate(slots, start=1):
+                    if j == i:
+                        continue
+                    p = right_divide(system, gj, gi)
+                    for s in payloads[i - 1]:
+                        new = words._join(system, p, ((i, s),) + gi)
+                        if new and new[0][0] == j:
+                            new = new[1:]
+                        if not 0 < len(new) - len(gj) <= spare:
+                            continue
+                        grown = slots[: j - 1] + (new,) + slots[j:]
+                        if grown not in visited:
+                            visited.add(grown)
+                            grown_level.append(grown)
+        frontier = grown_level
+    return visited
+
+
+def reference_enumerate_ball(system, max_volume):
+    reps = {}
+    for slots in sorted(reference_grow(system, max_volume), key=reference_tuple_sort_key):
+        pin = labellings._star_pin(system, slots)
+        reps.setdefault(tuple(r for _, r in labellings._translate(system, slots, pin)), slots)
+    alpha_reps = [StarLabel(system, tuple(Word(system, g) for g in r)) for r in reps.values()]
+    a_reps, a_index, edges = [], {}, []
+    for alpha_index, label in enumerate(alpha_reps):
+        for collapsed in collapses(label):
+            i, slots = collapsed.apex, [g.syllables for g in collapsed.conjugators]
+            cores = (
+                labellings._double_coset_core(right_divide(system, g, slots[i - 1]), j, i)
+                for j, g in enumerate(slots, start=1)
+                if j != i
+            )
+            match = a_index.setdefault((i, *cores), len(a_reps))
+            if match == len(a_reps):
+                a_reps.append(collapsed)
+            edges.append((alpha_index, match))
+    return SnBall(system, max_volume, tuple(alpha_reps), tuple(a_reps), tuple(edges))
+
+
+def count_right_divisions(monkeypatch):
+    """The list that records every right division from now on."""
+    calls, divide = [], words.right_divide
+
+    def counted(system, a, b):
+        calls.append(None)
+        return divide(system, a, b)
+
+    for module in (words, labellings, explorer, autos):
+        monkeypatch.setattr(module, "right_divide", counted)
+    return calls
+
+
+# the desk balls, plus one larger ball of Z2*Z2*Z2 and of Z3*Z4*Z2*Z2
+MEMO_BALLS = [
+    ("triple_z2", 15),
+    ("triple_z2", 19),
+    ("z3422", 8),
+    ("z3422", 10),
+    ("s3_z2_z2", 9),
+    ("s3_z2_z2", 11),
+]
+
+
+@pytest.fixture(scope="module")
+def memo_balls(request):
+    return [enumerate_ball(request.getfixturevalue(name), bound) for name, bound in MEMO_BALLS]
+
+
+# (enumerate_ball, check_ball) right divisions per MEMO_BALLS ball; with no
+# pair memo they were (2212, 656), (5080, 1094), (3849, 3518), (26402, 21888),
+# (2244, 1024) and (6884, 2656)
+PINNED_RIGHT_DIVISIONS = [
+    (1171, 516),
+    (2568, 880),
+    (1391, 1898),
+    (7318, 10566),
+    (1155, 690),
+    (3348, 1892),
+]
+
+
+class TestPairMemos:
+    """enumerate_ball and check_ball divide each slot pair once per call,
+    through plain dicts that die with the call, and give the balls and
+    reports of the memo-free references."""
+
+    def test_balls_match_memo_free_reference(self, memo_balls, triple_z2):
+        """Fails on a fold memo keyed without j, a translated slot keyed
+        without j and an apex core keyed without i.  Z2*Z2*Z2 at bound 21,
+        the least bound where it loses tuples (814 -> 808, though no least
+        member of a class), fails a fold memo that keeps only the folds
+        within the first tuple's spare budget."""
+        for ball in memo_balls:
+            assert reference_enumerate_ball(ball.system, ball.bound) == ball
+        grown = explorer._grow_from_base(triple_z2, 21)
+        assert len(grown) == len(set(grown)) == 814
+        assert set(grown) == reference_grow(triple_z2, 21)
+
+    def test_check_ball_matches_reference(self, memo_balls):
+        """Fails on check_ball keying its classes through enumerate_ball's memos."""
+        for ball in memo_balls:
+            for candidate in mutated_balls(ball):
+                report = check_ball(candidate)
+                assert (report.failures, report.stats) == reference_check_ball(candidate)
+
+    def test_flat_sort_key_orders_as_the_nested_key(self, memo_balls):
+        """Fails on a flat key that leaves out the slot lengths."""
+        for ball in memo_balls:
+            visited = explorer._grow_from_base(ball.system, ball.bound)
+            want = sorted(visited, key=reference_tuple_sort_key)
+            assert sorted(visited, key=explorer._tuple_sort_key) == want
+
+    def test_right_division_counts_are_pinned(self, memo_balls, monkeypatch):
+        """Per ball, (enumerate_ball, check_ball) right divisions, equal on a
+        second call.  Fails on any memo dropped, and on one kept past its call."""
+        calls = count_right_divisions(monkeypatch)
+        counts = []
+        for ball in memo_balls:
+            per_call = []
+            for _ in range(2):
+                calls.clear()
+                assert enumerate_ball(ball.system, ball.bound) == ball
+                enumerated = len(calls)
+                calls.clear()
+                assert check_ball(ball).passed
+                per_call.append((enumerated, len(calls)))
+            assert per_call[0] == per_call[1]
+            counts.append(per_call[0])
+        assert counts == PINNED_RIGHT_DIVISIONS
+
+    def test_no_memo_outlives_its_call(self, z3422):
+        """Every dict that the growth, enumerate_ball, check_ball and the two
+        key cores hold as a local, the pair memos among them, is referenced
+        by nothing once the calls return.  Fails on a memo kept in the
+        module, on the system or as a default argument."""
+        functions = (
+            explorer._grow_from_base,
+            enumerate_ball,
+            check_ball,
+            labellings._star_key,
+            labellings._apex_key,
+        )
+        codes = {f.__code__ for f in functions}
+        held = {}
+
+        def hold(frame, event, arg):
+            if frame.f_code in codes:
+                for name, value in frame.f_locals.items():
+                    if type(value) is dict:
+                        held[id(value)] = (f"{frame.f_code.co_name}.{name}", value)
+
+        sys.setprofile(hold)
+        try:
+            check_ball(enumerate_ball(z3422, 8))
+        finally:
+            sys.setprofile(None)
+        names = {name.split(".")[1] for name, _ in held.values()}
+        assert {"lengthened", "translated", "cores", "walked"} <= names
+        held[0] = ("control", {})
+        counts = [(name, sys.getrefcount(d)) for name, d in held.values()]
+        assert [name for name, count in counts if count != counts[-1][1]] == []

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from whitefact import jsonio
-from whitefact.autos import _push_move, whitehead_auto
+from whitefact.autos import _push_moves, whitehead_auto
 from whitefact.errors import FactorMismatchError, SystemMismatchError
 from whitefact.factors import (
     CyclicBackend,
@@ -262,7 +262,11 @@ class TestSyllablesAreExactTuples:
             move = whitehead_auto(system, rng.sample(others, 2), FactorElement(i, payload))
             assert type(move.element) is tuple
             slots = [normal_form(system, self.random_letters(system, rng, 12)).syllables] * 2
-            pushed = _push_move(system, (move.moved, move.element), slots, [True, False])
+            # slot move.moved[0] leads, slot n + 1 never does
+            pushed = [
+                _push_moves(system, [(move.moved, move.element)], [g], k)[0]
+                for g, k in zip(slots, (move.moved[0], system.n + 1))
+            ]
             kept = set(itertools.chain(*slots, [move.element, system.inverse(move.element)]))
             merged += sum(s not in kept for g in pushed for s in g)
             self.assert_exact(s for g in pushed for s in g)
